@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import Labeling, Tree, is_graceful
-from .paths import DEFAULT_NODE_BUDGET, PathCache, alpha_path_end_label
+from .paths import DEFAULT_NODE_BUDGET, PathCache, _alpha_end_seq
 
 
 @dataclass(frozen=True)
@@ -39,49 +39,58 @@ def attach_path(
 ) -> AttachResult:
     """Attach an n-vertex path at u and return the graceful relabeling.
 
-    Path vertices get the ids t.n .. t.n+n-1 in path order. All documented
-    postconditions (gracefulness, the shift by floor(n/2) on old vertices,
-    bridge label m+1) are asserted; their failure raises
-    ConstructionInvariantError, since the construction guarantees them.
+    Path vertices get the ids t.n .. t.n+n-1 in path order. The host must be
+    gracefully labeled. The path labeling is closed form, so `budget` and
+    `cache` are unused. The result is certified here, where it leaves the
+    library: the joined labeling is checked graceful and the bridge label
+    m+1 is asserted, and a failure raises ConstructionInvariantError, since
+    the construction guarantees both. The doubling builder attaches through
+    `_attach_labels` instead and certifies the finished spider once.
     """
     if not 0 <= u < t.n:
         raise ValidationError(f"vertex {u} not in the host tree")
     if not is_graceful(t, f):
         raise ValidationError("host labeling is not graceful")
-    if n < 2:
-        raise ValidationError(f"precondition failed: n >= 2 (got n={n})")
-    if n % 4 == 1:
-        raise ValidationError(f"precondition failed: n != 1 (mod 4) (got n={n})")
-    shift = n // 2
-    if f[u] + shift + 1 > n:
-        raise ValidationError(
-            f"precondition failed: f(u) + floor(n/2) + 1 <= n "
-            f"({f[u]} + {shift} + 1 > {n})"
-        )
-
-    m = t.m
-    g = alpha_path_end_label(n, f[u] + shift, shift - 1, budget=budget, cache=cache)
+    labels, shift = _attach_labels(f.as_sequence(t.n), u, n)
 
     path_ids = tuple(range(t.n, t.n + n))
     edges = list(t.edges)
     edges.append((u, path_ids[0]))
     edges.extend((path_ids[j], path_ids[j + 1]) for j in range(n - 1))
     joined = Tree(t.n + n, edges)
-
-    h = {w: f[w] + shift for w in range(t.n)}
-    for j, w in enumerate(path_ids):
-        gx = g[j]
-        h[w] = gx if gx <= shift - 1 else gx + m + 1
-    labeling = Labeling(h)
-
+    labeling = Labeling.from_sequence(labels)
     if not is_graceful(joined, labeling):
         raise ConstructionInvariantError(
             "attach_path produced a non-graceful labeling; this contradicts the "
             "attachment guarantee"
         )
-    if abs(labeling[u] - labeling[path_ids[0]]) != m + 1:
-        raise ConstructionInvariantError(
-            f"bridge edge label is {abs(labeling[u] - labeling[path_ids[0]])}, "
-            f"expected {m + 1}"
+    return AttachResult(joined, labeling, shift, t.m + 1, path_ids)
+
+
+def _attach_labels(labels: list[int], u: int, n: int) -> tuple[list[int], int]:
+    """Labels after joining u to the first endpoint of an n-vertex path.
+
+    `labels` is a graceful labeling by vertex id (not re-checked here); the
+    path takes the next n ids in path order. Returns the new labels and the
+    shift floor(n/2) applied to the old vertices. Checks the attachment
+    preconditions and the bridge label m+1, both O(1).
+    """
+    if n < 2:
+        raise ValidationError(f"precondition failed: n >= 2 (got n={n})")
+    if n % 4 == 1:
+        raise ValidationError(f"precondition failed: n != 1 (mod 4) (got n={n})")
+    shift = n // 2
+    if labels[u] + shift + 1 > n:
+        raise ValidationError(
+            f"precondition failed: f(u) + floor(n/2) + 1 <= n "
+            f"({labels[u]} + {shift} + 1 > {n})"
         )
-    return AttachResult(joined, labeling, shift, m + 1, path_ids)
+    m = len(labels) - 1
+    g, _ = _alpha_end_seq(n, labels[u] + shift, shift - 1)
+    out = [x + shift for x in labels]
+    out.extend(x if x <= shift - 1 else x + m + 1 for x in g)
+    if abs(out[u] - out[m + 1]) != m + 1:
+        raise ConstructionInvariantError(
+            f"bridge edge label is {abs(out[u] - out[m + 1])}, expected {m + 1}"
+        )
+    return out, shift

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import (
-    AlphaLabeling,
-    Labeling,
-    Spider,
-    Tree,
-    alpha_flip,
-    build_spider,
-    is_graceful,
-)
-from .paths import DEFAULT_NODE_BUDGET, PathCache, alpha_path_zero_at
-from .short_legs import ShortLegSpec, label_short_leg_spider
+from .model import AlphaLabeling, Labeling, Spider, Tree, build_spider, is_graceful
+from .paths import DEFAULT_NODE_BUDGET, PathCache, _alpha_zero_seq
+from .short_legs import ShortLegSpec, _short_leg_labels, label_short_leg_spider
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,8 @@ def amalgamate(inp: AmalgamationInput) -> tuple[Tree, Labeling]:
 
     When u carries 0 rather than alpha, the flip is applied first. Result
     vertex ids: G keeps its ids (the identified vertex is u); an H vertex w
-    becomes g.n + w when w < v and g.n + w - 1 when w > v.
+    becomes g.n + w when w < v and g.n + w - 1 when w > v. The result is
+    checked graceful before it is returned.
     """
     g, u = inp.g, inp.u
     if not 0 <= u < g.tree.n:
@@ -62,10 +55,6 @@ def amalgamate(inp: AmalgamationInput) -> tuple[Tree, Labeling]:
         raise ValidationError("H's labeling is not graceful")
     if inp.h_labeling[inp.v] != 0:
         raise ValidationError(f"v must be labeled 0, got {inp.h_labeling[inp.v]}")
-    if g[u] == 0 and g.alpha != 0:
-        g = alpha_flip(g)
-    alpha = g.alpha
-    e_h = inp.h_tree.m
     n_g = g.tree.n
 
     def h_id(w: int) -> int:
@@ -76,23 +65,44 @@ def amalgamate(inp: AmalgamationInput) -> tuple[Tree, Labeling]:
     edges = list(g.tree.edges)
     edges.extend((h_id(a), h_id(b)) for a, b in inp.h_tree.edges)
     tree = Tree(n_g + inp.h_tree.n - 1, edges)
-    values = {
-        w: (x if x <= alpha else x + e_h) for w, x in g.labeling.values.items()
-    }
-    for w in range(inp.h_tree.n):
-        if w != inp.v:
-            values[h_id(w)] = inp.h_labeling[w] + alpha
-    lab = Labeling(values)
-    if lab[u] != alpha:
-        raise ConstructionInvariantError(
-            f"identified vertex carries {lab[u]}, expected alpha={alpha}"
+    lab = Labeling.from_sequence(
+        _amalgam_labels(
+            g.labeling.as_sequence(n_g),
+            g.alpha,
+            u,
+            inp.h_labeling.as_sequence(inp.h_tree.n),
+            inp.v,
         )
+    )
     if not is_graceful(tree, lab):
         raise ConstructionInvariantError(
             "amalgamation produced a non-graceful labeling; this contradicts "
             "Lemma 1"
         )
     return tree, lab
+
+
+def _amalgam_labels(
+    g: list[int], alpha: int, u: int, h: list[int], v: int
+) -> list[int]:
+    """Labels by vertex id (amalgamate's numbering) of the amalgam of an
+    alpha-labeled G and a graceful H, identifying u with v (H labels v 0).
+
+    The inputs are not re-checked; the O(1) invariant that the identified
+    vertex carries alpha is.
+    """
+    if g[u] == 0 and alpha != 0:
+        # The alpha flip (model.alpha_flip) on the bare sequence.
+        m_g = len(g) - 1
+        g = [alpha - x if x <= alpha else m_g + alpha + 1 - x for x in g]
+    e_h = len(h) - 1
+    out = [x if x <= alpha else x + e_h for x in g]
+    out.extend(x + alpha for w, x in enumerate(h) if w != v)
+    if out[u] != alpha:
+        raise ConstructionInvariantError(
+            f"identified vertex carries {out[u]}, expected alpha={alpha}"
+        )
+    return out
 
 
 def label_three_long_legs(
@@ -106,7 +116,8 @@ def label_three_long_legs(
     is delegated to. Otherwise the two longest legs (ties by position in the
     input) become the path G through the center, alpha-labeled with the
     center at 0; the rest of the spider is labeled by the short-leg
-    construction and amalgamated at the center.
+    construction and amalgamated at the center. The result is checked
+    graceful once, on the canonical spider.
     """
     if not leg_lengths:
         raise ValidationError("leg length list must be non-empty")
@@ -131,40 +142,23 @@ def label_three_long_legs(
 
     n_path = ell1 + ell2 + 1
     assert n_path >= 7  # both legs >= 3, so Lemma 2(b)'s P_5 exception is moot
-    g = alpha_path_zero_at(n_path, ell1, budget=budget, cache=cache)
+    g, alpha = _alpha_zero_seq(n_path, ell1, budget, cache)
 
     if rest:
         spec = _short_spec(rest)
-        star, star_lab = label_short_leg_spider(spec, budget=budget, cache=cache)
-        h_tree, h_labeling = star.tree, star_lab
-        star_legs = star.legs
+        h = _short_leg_labels(spec, budget, cache)
+        star_lengths = spec.leg_lengths
     else:
-        h_tree, h_labeling = Tree(1, []), Labeling({0: 0})
-        star_legs = ()
+        h, star_lengths = [0], []
 
-    tree, lab = amalgamate(AmalgamationInput(g, ell1, h_tree, h_labeling, 0))
+    lab = _amalgam_labels(g, alpha, ell1, h, 0)
 
-    # Rebuild on the canonical spider numbering: legs ordered L1, L2, then
-    # the short spider's own leg order. The amalgamated ids follow the
-    # documented conventions: path positions for G, n_path + w - 1 for star
-    # vertex w > 0.
-    spec_lengths = [ell1, ell2] + (
-        [len(l) for l in star_legs] if rest else []
-    )
-    spider = build_spider(spec_lengths)
-    mapping = {ell1: 0}
-    next_id = 1
-    for d in range(1, ell1 + 1):
-        mapping[ell1 - d] = next_id
-        next_id += 1
-    for d in range(1, ell2 + 1):
-        mapping[ell1 + d] = next_id
-        next_id += 1
-    for leg in star_legs:
-        for w in leg:
-            mapping[n_path + w - 1] = next_id
-            next_id += 1
-    final = Labeling({mapping[w]: lab[w] for w in range(tree.n)})
+    # The canonical spider orders its legs L1, L2, then the short spider's
+    # own legs. Path position ell1 is the center (id 0); leg L1 walks the
+    # positions ell1-1 .. 0, leg L2 keeps positions ell1+1 .. n_path-1 as
+    # ids, and so do the star vertices, which amalgamate numbers from n_path.
+    spider = build_spider([ell1, ell2] + star_lengths)
+    final = Labeling.from_sequence(lab[ell1::-1] + lab[ell1 + 1:])
     if not is_graceful(spider.tree, final):
         raise ConstructionInvariantError(
             "three-long-leg construction produced a non-graceful labeling; "

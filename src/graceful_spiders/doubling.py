@@ -7,8 +7,10 @@ first leg, center at an endpoint labeled 0, plus one pre-labeled leaf y_i for
 every later leg whose length is 1 mod 4 (those lengths cannot be attached
 directly, since attachment requires a vertex count != 1 mod 4; extending a
 leaf by ell_i - 1 vertices sidesteps the residue). Each remaining leg is then
-grafted with attach_path, whose precondition is guaranteed to hold at every
-step -- a failure is reported as an internal contradiction, not user error.
+grafted by the attachment step of `attach`, whose precondition is guaranteed
+to hold at every step -- a failure is reported as an internal contradiction,
+not user error. The steps run on a plain label list; the finished spider is
+certified once.
 """
 
 from __future__ import annotations
@@ -16,17 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .attach import attach_path
+from .attach import _attach_labels
 from .errors import ConstructionInvariantError, ValidationError
-from .model import (
-    ConstructionTrace,
-    Labeling,
-    Spider,
-    Tree,
-    build_spider,
-    is_graceful,
-)
-from .paths import DEFAULT_NODE_BUDGET, PathCache, graceful_path_zero_at
+from .model import ConstructionTrace, Labeling, Spider, build_spider, is_graceful
+from .paths import DEFAULT_NODE_BUDGET, PathCache, _zero_at_seq
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,7 @@ def label_doubling_spider(
     Two or fewer legs make the spider a path, labeled directly with the
     center at 0; otherwise the iterated attachment runs, asserting the
     attachment precondition and the center-label recurrence at every step.
+    The result is checked graceful once, on the canonical spider.
     """
     plan = check_doubling(leg_lengths)
     lengths = plan.sorted_lengths
@@ -104,74 +100,51 @@ def label_doubling_spider(
 
     if s <= 2:
         # The spider is a path; its center sits at position ell_1 from the
-        # first leg's leaf (position 0 when s = 1).
+        # first leg's leaf (position 0 when s = 1). Path order: leg-1 leaf ..
+        # center .. leg-2 leaf; canonical ids walk leg 1 outward from the
+        # center, then leg 2.
         n = sum(lengths) + 1
         pos = lengths[0] if s == 2 else 0
-        path_lab = graceful_path_zero_at(n, pos, budget=budget, cache=cache)
-        # Path order: leg-1 leaf .. center .. leg-2 leaf; canonical ids walk
-        # leg 1 outward from the center, then leg 2.
-        values = {0: path_lab[pos]}
-        for d in range(1, lengths[0] + 1):
-            values[d] = path_lab[pos - d] if s == 2 else path_lab[d]
-        if s == 2:
-            for d in range(1, lengths[1] + 1):
-                values[lengths[0] + d] = path_lab[pos + d]
-        lab = Labeling(values)
+        path = _zero_at_seq(n, pos, budget, cache)
         trace.record("path_base", {"n": n, "zero_position": pos}, n - 1)
-        _certify(spider, lab, trace)
-        return spider, lab, trace
+        return spider, _certify(spider, path[pos::-1] + path[pos + 1:], trace), trace
 
     # Base S_1: the first leg as a path with the center x at an endpoint
     # labeled 0 (zigzag), plus a leaf y_i labeled ell_1 + j for the j-th
     # residue-1 leg. Working ids: 0 = x, 1..ell_1 the leg, then the leaves.
     ell1 = lengths[0]
-    base_path = graceful_path_zero_at(ell1 + 1, 0, budget=budget, cache=cache)
-    n_work = ell1 + 1
-    edges = [(v, v + 1) for v in range(ell1)]
-    values = {v: base_path[v] for v in range(ell1 + 1)}
+    labels = _zero_at_seq(ell1 + 1, 0, budget, cache)
     legs_work: dict[int, list[int]] = {1: list(range(1, ell1 + 1))}
     y_of: dict[int, int] = {}
     for j, k in enumerate(plan.k_indices, start=1):
-        y = n_work
-        n_work += 1
-        edges.append((0, y))
-        values[y] = ell1 + j
-        y_of[k] = y
-        legs_work[k] = [y]
-    tree = Tree(n_work, edges)
-    lab = Labeling(values)
+        y_of[k] = len(labels)
+        legs_work[k] = [len(labels)]
+        labels.append(ell1 + j)
     trace.record(
         "base",
-        {"leg": ell1, "leaves": {k: values[y] for k, y in y_of.items()}},
-        tree.m,
+        {"leg": ell1, "leaves": {k: labels[y] for k, y in y_of.items()}},
+        len(labels) - 1,
     )
-    if not is_graceful(tree, lab):
-        raise ConstructionInvariantError(
-            "base spider S_1 is not graceful; this contradicts Theorem 3", trace
-        )
 
     center = 0
     for step in plan.steps:
         i = step.leg_index
         at = center if step.attach_at == "x" else y_of[i]
-        before = lab[center]
+        before = labels[center]
+        first = len(labels)
         try:
-            result = attach_path(tree, lab, at, step.vertex_count, budget=budget, cache=cache)
+            labels, shift = _attach_labels(labels, at, step.vertex_count)
         except ValidationError as exc:
             raise ConstructionInvariantError(
                 f"attachment step i={i} violated a Theorem 2 precondition "
                 f"({exc}); this contradicts Theorem 3",
                 trace,
             ) from exc
-        tree, lab = result.tree, result.labeling
-        if step.attach_at == "x":
-            legs_work[i] = list(result.path_ids)
-        else:
-            legs_work[i] = [y_of[i]] + list(result.path_ids)
-        if lab[center] - before != result.shift:
+        legs_work.setdefault(i, []).extend(range(first, len(labels)))
+        if labels[center] - before != shift:
             raise ConstructionInvariantError(
-                f"center label moved by {lab[center] - before}, expected the "
-                f"shift {result.shift}, at step i={i}",
+                f"center label moved by {labels[center] - before}, expected the "
+                f"shift {shift}, at step i={i}",
                 trace,
             )
         trace.record(
@@ -180,29 +153,27 @@ def label_doubling_spider(
                 "leg_index": i,
                 "attach_at": step.attach_at,
                 "vertex_count": step.vertex_count,
-                "shift": result.shift,
-                "bridge_label": result.bridge_label,
+                "shift": shift,
+                "bridge_label": first,
             },
-            tree.m,
+            len(labels) - 1,
         )
 
     # Remap working ids onto the canonical spider numbering: center 0, legs
     # consecutive outward in sorted order.
-    mapping = {center: 0}
-    next_id = 1
+    final = [labels[center]]
     for i in range(1, s + 1):
-        for w in legs_work[i]:
-            mapping[w] = next_id
-            next_id += 1
-    final = Labeling({mapping[w]: lab[w] for w in range(tree.n)})
-    _certify(spider, final, trace)
-    return spider, final, trace
+        final.extend(labels[w] for w in legs_work[i])
+    return spider, _certify(spider, final, trace), trace
 
 
-def _certify(spider: Spider, lab: Labeling, trace: ConstructionTrace):
+def _certify(spider: Spider, labels: list[int], trace: ConstructionTrace) -> Labeling:
+    """The one gracefulness check of a doubling build."""
+    lab = Labeling.from_sequence(labels)
     if not is_graceful(spider.tree, lab):
         raise ConstructionInvariantError(
             "doubling construction produced a non-graceful labeling; this "
             "contradicts Theorem 3",
             trace,
         )
+    return lab

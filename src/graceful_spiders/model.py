@@ -71,6 +71,8 @@ class Tree:
         return self.n - 1
 
     def degree(self, v: int) -> int:
+        """Degree of v; one O(m) scan, so callers needing every degree should
+        count over `edges` once instead."""
         return sum(1 for a, b in self.edges if v in (a, b))
 
 
@@ -112,8 +114,12 @@ class Spider:
                 prev = v
         if len(seen) != t.n:
             raise ValidationError("legs do not cover the tree")
+        deg = [0] * t.n
+        for a, b in t.edges:
+            deg[a] += 1
+            deg[b] += 1
         for v in range(t.n):
-            if v != self.center and t.degree(v) > 2:
+            if v != self.center and deg[v] > 2:
                 raise ValidationError(f"non-center vertex {v} has degree > 2")
 
     @property

@@ -17,8 +17,19 @@ family: the flip x -> alpha - x (resp. m + alpha + 1 - x) moves the endpoint
 within the low class, and the complement x -> m - x swaps the classes, turning
 high-endpoint requests into low-endpoint ones. The only unreachable cases are
 exactly the known infeasible pairs (n = 4s+1 with endpoint s or 3s, and the
-central vertex of P_5 for the zero-position variant), so search is needed
-only for a thin residue of zero-position requests with near-equal arms.
+central vertex of P_5 for the zero-position variant).
+
+The zero-position variant is not yet fully closed-form: `_zero_at_construct`
+has no decomposition for 269 (n, position) pairs with n <= 300, sitting near
+n/3, n/2 and 2n/3, and those fall back to a constrained depth-first search
+whose default budget is first exhausted at (37, 18). Closing that residue is
+ROADMAP item 2. Only search-served results go through the disk cache;
+closed-form results are recomputed, which is cheaper than a cache lookup.
+
+Each public provider certifies its result as it returns it (an
+`AlphaLabeling` re-verifies the index; `graceful_path_zero_at` checks
+gracefulness). The spider builders call the private `_*_seq` helpers, which
+return bare label sequences, and certify the finished spider once instead.
 """
 
 from __future__ import annotations
@@ -28,8 +39,13 @@ import os
 import tempfile
 from typing import Iterator, Optional
 
-from .errors import InfeasibleError, ResourceBudgetError, ValidationError
-from .model import AlphaLabeling, Labeling, path_tree
+from .errors import (
+    ConstructionInvariantError,
+    InfeasibleError,
+    ResourceBudgetError,
+    ValidationError,
+)
+from .model import AlphaLabeling, Labeling, is_graceful, path_tree
 
 DEFAULT_NODE_BUDGET = 10**8
 ENUMERATION_BOUND = 14
@@ -377,15 +393,27 @@ def graceful_path_zero_at(
     Endpoints come straight from the zigzag labeling. Interior positions
     reuse the alpha provider (an alpha-labeling is graceful), with the lone
     alpha-infeasible case (n=5, central vertex) falling back to
-    unconstrained backtracking.
+    unconstrained backtracking. The result is certified graceful here.
     """
+    lab = Labeling.from_sequence(_zero_at_seq(n, position, budget, cache))
+    if not is_graceful(path_tree(n), lab):
+        raise ConstructionInvariantError(
+            f"path provider produced a non-graceful labeling of P_{n} with 0 at "
+            f"position {position}"
+        )
+    return lab
+
+
+def _zero_at_seq(
+    n: int, position: int, budget: int, cache: Optional[PathCache]
+) -> list[int]:
+    """Label sequence behind graceful_path_zero_at, not certified."""
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
     if position == 0:
-        return zigzag_alpha_path(n).labeling
+        return _zigzag_seq(n)
     if position == n - 1:
-        seq = zigzag_alpha_path(n).labeling.as_sequence(n)
-        return Labeling.from_sequence(seq[::-1])
+        return _zigzag_seq(n)[::-1]
     if (n, position) == (5, 2):
         cache = cache or default_cache()
         key = f"graceful_zero:{n}:{position}"
@@ -395,8 +423,8 @@ def graceful_path_zero_at(
             if hit is None:
                 raise InfeasibleError("no graceful labeling found; contradicts Cattell")
             cache.put(key, hit)
-        return Labeling.from_sequence(hit)
-    return alpha_path_zero_at(n, position, budget=budget, cache=cache).labeling
+        return list(hit)  # the cache keeps its own list
+    return _alpha_zero_seq(n, position, budget, cache)[0]
 
 
 def alpha_path_zero_at(
@@ -410,43 +438,53 @@ def alpha_path_zero_at(
     Infeasible exactly for n=5 with the central vertex. The construction
     runs a zigzag from the zero vertex along one arm (consuming the largest
     differences) and reduces the other arm to an endpoint-constrained
-    labeling of the remaining label band; the few position splits where
-    neither arm admits that reduction (near-equal arms) fall back to
-    constrained search.
+    labeling of the remaining label band; the position splits where
+    neither arm admits that reduction (near-equal arms, see the module
+    docstring) fall back to constrained search, and only those searched
+    results are read from and written to the cache. The returned
+    `AlphaLabeling` certifies gracefulness and the index; the spider
+    builders skip that and certify their whole spider once.
     """
+    seq, alpha = _alpha_zero_seq(n, position, budget, cache)
+    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+
+
+def _alpha_zero_seq(
+    n: int, position: int, budget: int, cache: Optional[PathCache]
+) -> tuple[list[int], int]:
+    """(label sequence, index) behind alpha_path_zero_at, not certified."""
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
     if (n, position) == (5, 2):
         raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
     if n == 1:
-        return AlphaLabeling(path_tree(1), Labeling({0: 0}), 0)
+        return [0], 0
     low_is_even = position % 2 == 0
     alpha = _alpha_of_sequence(n, low_is_even)
     if position in (0, n - 1):
         seq = _zigzag_seq(n)
-        if position == n - 1:
-            seq = seq[::-1]
-        return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+        return (seq[::-1] if position == n - 1 else seq), alpha
+    seq = _zero_at_construct(n, position)
+    if seq is not None:
+        return seq, alpha
     cache = cache or default_cache()
     key = f"alpha_zero:{n}:{position}"
     seq = cache.get(key)
     if seq is None:
-        seq = _zero_at_construct(n, position)
-        if seq is None:
-            seq = _search_path(
-                n,
-                {position: 0},
-                _Budget(budget),
-                low_is_even=low_is_even,
-                order=_outward_order(n, position),
-            )
+        seq = _search_path(
+            n,
+            {position: 0},
+            _Budget(budget),
+            low_is_even=low_is_even,
+            order=_outward_order(n, position),
+        )
         if seq is None:
             raise InfeasibleError(
                 f"exhaustive search found no alpha-labeling of P_{n} with 0 at "
                 f"position {position}; this contradicts the guaranteed existence"
             )
         cache.put(key, seq)
-    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+    return list(seq), alpha  # the cache keeps its own list
 
 
 def _zero_at_construct(n: int, position: int) -> Optional[list[int]]:
@@ -492,8 +530,18 @@ def alpha_path_end_label(
     low-class size, hence which class the endpoint may sit in. The
     (n = 4s+1, end_label in {s, 3s}) pairs are provably infeasible; every
     other in-range request is served by the closed-form construction (via
-    the complement symmetry when the endpoint is a high label).
+    the complement symmetry when the endpoint is a high label), so `budget`
+    and `cache` are accepted for a uniform provider signature but unused.
+    The returned `AlphaLabeling` certifies gracefulness and the index.
     """
+    seq, alpha = _alpha_end_seq(n, end_label, required_index)
+    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+
+
+def _alpha_end_seq(
+    n: int, end_label: int, required_index: Optional[int] = None
+) -> tuple[list[int], int]:
+    """(label sequence, index) behind alpha_path_end_label, not certified."""
     if n < 2:
         raise ValidationError("n must be >= 2")
     if not 0 <= end_label <= n - 1:
@@ -512,39 +560,21 @@ def alpha_path_end_label(
             f"every alpha-labeling of P_{n} has index {lo_index} or {hi_index}; "
             f"index {required_index} is impossible"
         )
-    cache = cache or default_cache()
-    key = f"alpha_end:{n}:{end_label}:{required_index}"
-    hit = cache.get(key)
-    if hit is not None:
-        seq, low_flag = hit[:-1], bool(hit[-1])
-        return AlphaLabeling(
-            path_tree(n), Labeling.from_sequence(seq), _alpha_of_sequence(n, low_flag)
-        )
-    seq = None
-    low_is_even = True
     if end_label <= hi_index and required_index in (None, hi_index):
         # Low endpoint; the low class carries the larger index and sits on
         # the even positions, endpoint included.
-        seq = _alpha_low_end(n, end_label)
-        low_is_even = True
-    elif end_label > lo_index and (n - 1) - end_label <= hi_index and required_index in (
+        return _alpha_low_end(n, end_label), _alpha_of_sequence(n, True)
+    if end_label > lo_index and (n - 1) - end_label <= hi_index and required_index in (
         None,
         lo_index,
     ):
         # High endpoint; complement a low-endpoint labeling, which swaps the
         # classes and turns the index into lo_index.
         seq = _comp_seq(_alpha_low_end(n, (n - 1) - end_label))
-        low_is_even = False
-    if seq is None:
-        raise InfeasibleError(
-            f"no alpha-labeling of P_{n} has endpoint label {end_label}"
-            + (f" with index {required_index}" if required_index is not None else "")
-        )
-    cache.put(key, seq + [int(low_is_even)])
-    return AlphaLabeling(
-        path_tree(n),
-        Labeling.from_sequence(seq),
-        _alpha_of_sequence(n, low_is_even),
+        return seq, _alpha_of_sequence(n, False)
+    raise InfeasibleError(
+        f"no alpha-labeling of P_{n} has endpoint label {end_label}"
+        + (f" with index {required_index}" if required_index is not None else "")
     )
 
 

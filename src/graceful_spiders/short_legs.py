@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import Labeling, Spider, Tree, build_spider, is_graceful
-from .paths import DEFAULT_NODE_BUDGET, PathCache, graceful_path_zero_at
+from .paths import DEFAULT_NODE_BUDGET, PathCache, _zero_at_seq
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,11 @@ class ShortLegSpec:
     @property
     def m(self) -> int:
         return self.m_prime + self.t
+
+    @property
+    def leg_lengths(self) -> list[int]:
+        """Leg lengths in canonical order: 2-legs, distinguished leg, 1-legs."""
+        return [2] * self.s + [self.ell] + [1] * self.t
 
 
 def role_labels(ell: int, s: int) -> tuple[int, list[int], list[int], list[int]]:
@@ -102,19 +107,21 @@ def short_leg_formula(ell: int, s: int, allow_s1_experiment: bool = False) -> La
             "closed-form labeling requires s >= 2; use label_short_leg_spider "
             "for smaller spiders"
         )
-    center, x, u, v = role_labels(ell, s)
-    values = {0: center}
-    for i in range(1, s + 1):
-        values[2 * i - 1] = u[i - 1]
-        values[2 * i] = v[i - 1]
-    for i in range(1, ell + 1):
-        values[2 * s + i] = x[i - 1]
-    lab = Labeling(values)
+    lab = Labeling.from_sequence(_formula_labels(ell, s))
     if not is_graceful(formula_spider(ell, s).tree, lab):
         raise ConstructionInvariantError(
             f"closed-form labeling failed the graceful check for ell={ell}, s={s}"
         )
     return lab
+
+
+def _formula_labels(ell: int, s: int) -> list[int]:
+    """role_labels laid out by vertex id: x0, then u_i, v_i, then x1..x_ell."""
+    center, x, u, v = role_labels(ell, s)
+    labels = [center]
+    for ui, vi in zip(u, v):
+        labels += (ui, vi)
+    return labels + x
 
 
 def extend_with_leaves(
@@ -155,34 +162,42 @@ def label_short_leg_spider(
     s >= 2 uses the closed-form labeling; s <= 1 makes the reduced spider a
     path, labeled by the zero-at-position provider (center at an endpoint
     when s = 0, at the distance-2 interior vertex when s = 1). Length-1 legs
-    are appended as labeled leaves afterward.
+    are appended as labeled leaves afterward. The result is checked
+    graceful once, on the canonical spider.
     """
     spider = short_leg_spider(spec)
+    lab = Labeling.from_sequence(_short_leg_labels(spec, budget, cache))
+    if not is_graceful(spider.tree, lab):
+        raise ConstructionInvariantError(
+            "short-leg construction produced a non-graceful labeling; this "
+            "contradicts Theorem 4"
+        )
+    return spider, lab
+
+
+def _short_leg_labels(
+    spec: ShortLegSpec, budget: int, cache: Optional[PathCache]
+) -> list[int]:
+    """Labels by vertex id of `short_leg_spider(spec)`, center 0; not
+    certified (the steps of label_short_leg_spider, on a plain list)."""
     if spec.s >= 2:
-        lab = short_leg_formula(spec.ell, spec.s)
-        tree = formula_spider(spec.ell, spec.s).tree
+        labels = _formula_labels(spec.ell, spec.s)
     elif spec.s == 1:
         # reduced spider is the path v1-u1-x0-x1-..-x_ell; ids 2,1,0,3,4,...
-        n = spec.ell + 3
-        seq = graceful_path_zero_at(n, 2, budget=budget, cache=cache)
-        values = {2: seq[0], 1: seq[1], 0: seq[2]}
-        for i in range(1, spec.ell + 1):
-            values[2 + i] = seq[2 + i]
-        lab = Labeling(values)
-        tree = build_spider([2, spec.ell]).tree
+        seq = _zero_at_seq(spec.ell + 3, 2, budget, cache)
+        labels = seq[2::-1] + seq[3:]
     else:
-        n = spec.ell + 1
-        seq = graceful_path_zero_at(n, 0, budget=budget, cache=cache)
-        lab = Labeling({i: seq[i] for i in range(n)})
-        tree = build_spider([spec.ell]).tree
-    tree, lab = extend_with_leaves(tree, lab, 0, spec.t)
-    if tree.edges != spider.tree.edges:
-        raise ConstructionInvariantError("assembled tree does not match the spider")
-    return spider, lab
+        labels = _zero_at_seq(spec.ell + 1, 0, budget, cache)
+    if labels[0] != 0:
+        raise ConstructionInvariantError(
+            f"short-leg center is labeled {labels[0]}, expected 0"
+        )
+    # Leaf extension at the 0-labeled center: labels m'+1 .. m'+t.
+    m_prime = len(labels) - 1
+    return labels + list(range(m_prime + 1, m_prime + spec.t + 1))
 
 
 def short_leg_spider(spec: ShortLegSpec) -> Spider:
     """Canonical spider for a ShortLegSpec: legs ordered 2-legs, distinguished
     leg, then 1-legs, matching the role numbering in this module."""
-    lengths = [2] * spec.s + [spec.ell] + [1] * spec.t
-    return build_spider(lengths)
+    return build_spider(spec.leg_lengths)

@@ -1,0 +1,69 @@
+"""The spider builders at about 2*10^4 edges, their single certification,
+and which path results reach the disk cache.
+
+At the sizes below a quadratic step (a per-vertex degree scan, a Tree rebuilt
+per attachment) costs tens of seconds; the linear builders take well under a
+second each.
+"""
+
+import sys
+
+import pytest
+
+from graceful_spiders.compose import label_three_long_legs
+from graceful_spiders.doubling import label_doubling_spider
+from graceful_spiders.model import is_graceful
+from graceful_spiders.paths import PathCache, alpha_path_zero_at
+from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
+
+BUILDS = {
+    "doubling": lambda **kw: label_doubling_spider([500, 1100, 2400, 16000], **kw)[:2],
+    "short": lambda **kw: label_short_leg_spider(ShortLegSpec(10000, 4000, 2000), **kw),
+    "three_long": lambda **kw: label_three_long_legs([12000, 6000, 1500, 2, 2, 1], **kw),
+}
+
+SMALL_BUILDS = {
+    "doubling": lambda **kw: label_doubling_spider([2, 9, 22, 60], **kw)[:2],
+    "doubling_y_leaf": lambda **kw: label_doubling_spider([1, 9, 21, 45], **kw)[:2],
+    "short_formula": lambda **kw: label_short_leg_spider(ShortLegSpec(11, 2, 3), **kw),
+    "short_interior_zero": lambda **kw: label_short_leg_spider(ShortLegSpec(11, 1, 2), **kw),
+    "three_long": lambda **kw: label_three_long_legs([9, 7, 4, 2, 1], **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_large_build_is_graceful(name, mem_cache):
+    spider, lab = BUILDS[name](cache=mem_cache)
+    assert spider.tree.m >= 19000
+    assert is_graceful(spider.tree, lab)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BUILDS))
+def test_builder_certifies_once(name, mem_cache, monkeypatch):
+    calls = []
+
+    def counting(t, lab):
+        calls.append(t.m)
+        return is_graceful(t, lab)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("graceful_spiders") and (
+            getattr(mod, "is_graceful", None) is is_graceful
+        ):
+            monkeypatch.setattr(mod, "is_graceful", counting)
+    spider, lab = SMALL_BUILDS[name](cache=mem_cache)
+    assert calls == [spider.tree.m]
+    assert is_graceful(spider.tree, lab)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BUILDS))
+def test_closed_form_builds_leave_no_cache_file(name, tmp_path):
+    path = tmp_path / "cache.json"
+    SMALL_BUILDS[name](cache=PathCache(str(path)))
+    assert not path.exists()
+
+
+def test_closed_form_zero_at_not_cached(tmp_path):
+    path = tmp_path / "cache.json"
+    alpha_path_zero_at(14, 2, cache=PathCache(str(path)))
+    assert not path.exists()

@@ -1,9 +1,12 @@
 import json
+import os
 
 import pytest
 
+from conftest import USER_CACHE_FILE
 from graceful_spiders.cli import run
 from graceful_spiders.model import Labeling, build_spider, path_tree
+from graceful_spiders.paths import CACHE_ENV_VAR
 from graceful_spiders.treedoc import (
     dumps_document,
     from_document,
@@ -131,6 +134,27 @@ class TestCli:
         doc = json.loads(out)
         assert code == 0 and doc["trace"][0]["operation"] == "base"
 
+    def test_search_route_writes_only_under_temp_home(
+        self, capsys, monkeypatch, hermetic_home
+    ):
+        # (5, 2) is search-served, so it is cached; with no --cache and no
+        # cache variable the default file lives under HOME.
+        monkeypatch.delenv(CACHE_ENV_VAR)
+        before = _stat(USER_CACHE_FILE)
+        code, _ = run_cli(capsys, "path", "graceful", "--n", "5", "--position", "2")
+        assert code == 0
+        cache_file = hermetic_home / ".cache" / "graceful-spiders" / "paths.json"
+        assert "graceful_zero:5:2" in json.loads(cache_file.read_text())["entries"]
+        assert _stat(USER_CACHE_FILE) == before
+
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "verify", "--graph", "/no/such/file.json")
         assert code == 2
+
+
+def _stat(path):
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_size, st.st_mtime_ns
