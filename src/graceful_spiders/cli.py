@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "dot"], default="json",
                         help="output format")
     common.add_argument("--trace", action="store_true",
-                        help="include the construction trace in the output")
+                        help="include the construction trace (oracle: the "
+                             "search time) in the output")
 
     parser = argparse.ArgumentParser(prog="graceful-spiders")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,6 +219,8 @@ def _dispatch(args):
             "nodes_explored": report.nodes_explored,
             "exhausted": report.exhausted,
         }
+        if args.trace:
+            out["elapsed"] = report.elapsed
         sys.stdout.write(json.dumps(out, indent=2) + "\n")
     elif args.command == "verify":
         tree, labeling, _ = from_document(load_document(args.graph))

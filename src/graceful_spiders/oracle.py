@@ -2,12 +2,32 @@
 
 This is the independent ground truth the constructions are checked against:
 backtracking over vertex labels in a DFS preorder from the highest-degree
-vertex, descending into heavier subtrees first. Every newly labeled vertex
-touches a labeled neighbor, so the used-label / used-edge-difference bitmask
-prunes fire immediately, and long internal paths -- where the conflicts live
--- are explored before the interchangeable leaves. Budget exhaustion is
-reported, never raised; only a fully explored space counts as a definitive
-answer.
+vertex, descending into heavier subtrees first, so long internal paths --
+where the conflicts live -- are explored before the interchangeable leaves.
+
+- Candidates. In the preorder every vertex after the first has exactly one
+  labeled neighbor, its parent, labeled x. Its candidates are x - d and
+  x + d over the differences d not yet used, restricted to unused labels
+  (and to the vertex's class range under an alpha layout). They are bitmask
+  operations on the used labels and the unused differences, tried in
+  ascending label order, so the first witness is the one a scan of all
+  labels in [0, m] finds.
+- Forward check. After each placement the largest unused difference D
+  still needs a future edge (a, a + D) with 0 <= a <= m - D and at least one
+  endpoint unlabeled; the branch is cut when every such pair is already
+  labeled. The condition is necessary, so counts and witnesses are
+  unchanged.
+- Complement. f -> m - f is a bijection on graceful labelings. A count with
+  nothing fixed tries root labels up to m/2 only and weighs each labeling 2
+  (1 when the root is labeled m/2); an alpha-constrained count searches one
+  of the two class layouts, which the complement swaps, and weighs 2.
+- Stack. The search keeps one frame per depth in flat lists, not in
+  recursion, so tree size is not limited by the interpreter's recursion
+  depth.
+
+One node is one candidate label tried at some vertex; the budget counts
+nodes. Budget exhaustion is reported, never raised; only a fully explored
+space (`exhausted`) counts as a definitive answer.
 """
 
 from __future__ import annotations
@@ -75,12 +95,14 @@ def _bfs(adj: dict[int, list[int]], start: int) -> list[int]:
     return order
 
 
-def _class_pools(t: Tree, alpha_constrained: bool) -> list[Optional[list[list[int]]]]:
-    """Label pools per vertex: unconstrained, or one layout per choice of
-    which bipartition class is the low class of an alpha-labeling."""
+def _class_masks(t: Tree, alpha_constrained: bool) -> list[list[int]]:
+    """Allowed labels per vertex as bitmasks: all of [0, m], or one layout
+    per choice of which bipartition class is the low class of an
+    alpha-labeling (layout 0 puts vertex 0's class low)."""
     m = t.m
+    every = (1 << (m + 1)) - 1
     if not alpha_constrained:
-        return [None]
+        return [[every] * t.n]
     color = [-1] * t.n
     color[0] = 0
     adj = t.adjacency()
@@ -93,16 +115,8 @@ def _class_pools(t: Tree, alpha_constrained: bool) -> list[Optional[list[list[in
                 queue.append(w)
     layouts = []
     for low_color in (0, 1):
-        n_low = sum(1 for c in color if c == low_color)
-        alpha = n_low - 1
-        layouts.append(
-            [
-                list(range(0, alpha + 1))
-                if color[v] == low_color
-                else list(range(alpha + 1, m + 1))
-                for v in range(t.n)
-            ]
-        )
+        low = (1 << color.count(low_color)) - 1  # labels 0..alpha
+        layouts.append([low if c == low_color else every & ~low for c in color])
     return layouts
 
 
@@ -150,18 +164,21 @@ def _run(
         raise ValidationError("fixed labels must be injective")
 
     start_time = time.monotonic()
+    n = t.n
     order = _search_order(t)
     adj = t.adjacency()
-    pred = []  # labeled neighbors of order[i] among order[:i]
-    placed: set[int] = set()
-    for v in order:
-        pred.append([w for w in adj[v] if w in placed])
+    # In a preorder every vertex after the first has exactly one labeled
+    # neighbor when it is reached: its parent, up[i].
+    placed = {order[0]}
+    up = [-1]
+    for v in order[1:]:
+        up.append(next(w for w in adj[v] if w in placed))
         placed.add(v)
 
     # Unfixed leaf siblings are interchangeable, so a witness search may
     # demand increasing labels along each sibling group without losing
     # completeness. Counting must see every labeling, so it skips this.
-    sym_prev = [-1] * t.n
+    sym_prev = [-1] * n
     if not count_all:
         last_leaf: dict[int, int] = {}  # parent -> previous unfixed leaf
         for v in order:
@@ -171,59 +188,80 @@ def _run(
                     sym_prev[v] = last_leaf[parent]
                 last_leaf[parent] = v
 
+    # f -> m - f maps graceful labelings onto graceful labelings and swaps
+    # the two alpha layouts, so an unconstrained count only needs root
+    # labels up to m/2, and an alpha count only the first layout.
+    layouts = _class_masks(t, alpha_constrained)
+    halve = count_all and not fixed
+    root_mask = -1
+    if halve and alpha_constrained:
+        layouts = layouts[:1]
+    elif halve:
+        root_mask = (1 << (m // 2 + 1)) - 1
+
     nodes = 0
     count = 0
     witness: Optional[dict[int, int]] = None
     ran_out = False
+    label = [0] * n  # by vertex
+    cand = [0] * n  # by depth: untried candidate labels, as a bitmask
+    used = [0] * n  # by depth: labels in use before order[i] is labeled
+    free = [0] * n  # by depth: unused differences
+    mirror = [0] * n  # free with bit d moved to bit m - d
 
-    for pools in _class_pools(t, alpha_constrained):
-        labels: dict[int, int] = {}
-
-        def rec(i: int, used: int, diffs: int) -> bool:
-            """Returns True to stop the whole search (witness found or
-            budget exhausted)."""
-            nonlocal nodes, count, witness, ran_out
-            if i == t.n:
-                count += 1
-                if not count_all:
-                    witness = dict(labels)
-                    return True
-                return False
-            v = order[i]
-            if v in fixed:
-                pool = [fixed[v]]
-            elif pools is None:
-                pool = range(m + 1)
+    for allowed in layouts:
+        for v, lab in fixed.items():
+            allowed[v] = 1 << lab
+        cand[0] = allowed[order[0]] & root_mask
+        free[0] = (1 << (m + 1)) - 2
+        mirror[0] = (1 << m) - 1
+        i = 0
+        while i >= 0:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            if nodes >= budget:
+                ran_out = True
+                break
+            nodes += 1
+            bit = c & -c
+            cand[i] = c ^ bit
+            lab = bit.bit_length() - 1
+            label[order[i]] = lab
+            u = used[i] | bit
+            f = free[i]
+            r = mirror[i]
+            if i:
+                d = abs(lab - label[up[i]])
+                f ^= 1 << d
+                r ^= 1 << (m - d)
             else:
-                pool = pools[v]
-            for lab in pool:
-                if nodes >= budget:
-                    ran_out = True
-                    return True
-                nodes += 1
-                bit = 1 << lab
-                if used & bit:
-                    continue
-                if sym_prev[v] >= 0 and lab < labels[sym_prev[v]]:
-                    continue
-                new_diffs = 0
-                ok = True
-                for w in pred[i]:
-                    d = abs(lab - labels[w])
-                    dbit = 1 << d
-                    if d == 0 or (diffs | new_diffs) & dbit:
-                        ok = False
-                        break
-                    new_diffs |= dbit
-                if not ok:
-                    continue
-                labels[v] = lab
-                if rec(i + 1, used | bit, diffs | new_diffs):
-                    return True
-                del labels[v]
-            return False
-
-        if rec(0, 0, 0):
+                weight = 2 if halve and (alpha_constrained or 2 * lab != m) else 1
+            if i + 1 == n:
+                count += weight
+                if not count_all:
+                    witness = {v: label[v] for v in order}
+                    break
+                continue
+            # The largest unused difference, top, still needs an edge
+            # (a, a + top) with an unlabeled endpoint.
+            top = f.bit_length() - 1
+            span = (1 << (m - top + 1)) - 1
+            if u & (u >> top) & span == span:
+                continue
+            i += 1
+            v = order[i]
+            x = label[up[i]]
+            # Labels x - d and x + d over the unused differences d.
+            c = allowed[v] & ~u & ((r >> (m - x)) | (f << x))
+            if sym_prev[v] >= 0:
+                c &= -2 << label[sym_prev[v]]  # above the previous sibling
+            cand[i] = c
+            used[i] = u
+            free[i] = f
+            mirror[i] = r
+        if witness is not None or ran_out:
             break
 
     elapsed = time.monotonic() - start_time

@@ -1,11 +1,28 @@
+import json
+import os
+
 import pytest
 
 from graceful_spiders.errors import ValidationError
-from graceful_spiders.model import Labeling, build_spider, is_graceful, path_tree
+from graceful_spiders.model import Labeling, Tree, build_spider, is_graceful, path_tree
 from graceful_spiders.oracle import count_graceful, find_graceful
+from graceful_spiders.paths import zigzag_alpha_path
 
 # Frozen by exhaustive enumeration; regression constants.
 GRACEFUL_COUNTS = {"P2": 2, "P4": 4, "P5": 8, "K13": 12}
+
+# Counts of every tree with at most 9 vertices, written by
+# tests/data/make_oracle_counts.py with the backtracking oracle that
+# predates the difference-driven search.
+ORACLE_COUNTS = os.path.join(os.path.dirname(__file__), "data", "oracle_counts.json")
+
+# First witness (by vertex id) of find_graceful on build_spider(legs), and
+# the nodes the label-scanning search spent to reach it.
+FROZEN_WITNESSES = [
+    ([9, 1, 1], [0, 9, 1, 8, 2, 7, 3, 6, 4, 5, 10, 11], 1_781_550),
+    ([8, 2, 1], [0, 5, 3, 9, 1, 8, 4, 7, 6, 11, 2, 10], 746_586),
+    ([4, 4, 3], [0, 1, 9, 4, 6, 11, 2, 8, 5, 10, 3, 7], 133_902),
+]
 
 
 class TestFind:
@@ -46,6 +63,21 @@ class TestFind:
         report = find_graceful(path_tree(7), fixed=dict(enumerate([0, 6, 1, 5, 2, 4, 3])))
         assert report.found is not None
 
+    @pytest.mark.parametrize("legs,witness,old_nodes", FROZEN_WITNESSES)
+    def test_same_witness_fewer_nodes(self, legs, witness, old_nodes):
+        t = build_spider(legs).tree
+        report = find_graceful(t)
+        assert report.found.as_sequence(t.n) == witness
+        assert report.nodes_explored < old_nodes
+
+    def test_deep_fully_fixed_path(self):
+        # 1200 vertices: deeper than the interpreter's recursion limit.
+        al = zigzag_alpha_path(1200)
+        fixed = dict(al.labeling.values)
+        report = find_graceful(al.tree, fixed=fixed)
+        assert report.found is not None and report.exhausted
+        assert report.found.values == fixed
+
     def test_deterministic_node_count(self):
         t = build_spider([3, 3, 2]).tree
         assert find_graceful(t).nodes_explored == find_graceful(t).nodes_explored
@@ -70,6 +102,19 @@ class TestCount:
     def test_alpha_count_at_most_graceful_count(self):
         t = path_tree(6)
         assert count_graceful(t, alpha_constrained=True).count <= count_graceful(t).count
+
+
+class TestFrozenCounts:
+    def test_every_tree_up_to_nine_vertices(self):
+        with open(ORACLE_COUNTS) as fh:
+            rows = json.load(fh)["trees"]
+        assert len(rows) == 95
+        for row in rows:
+            t = Tree(row["n"], row["edges"])
+            graceful = count_graceful(t)
+            alpha = count_graceful(t, alpha_constrained=True)
+            assert graceful.exhausted and alpha.exhausted
+            assert (graceful.count, alpha.count) == (row["graceful"], row["alpha"]), row
 
 
 class TestComplementClosure:

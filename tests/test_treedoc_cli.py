@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +104,35 @@ class TestCli:
         code, out = run_cli(capsys, "oracle", "--graph", str(p), "--fix", "2=0", "--alpha")
         doc = json.loads(out)
         assert code == 0 and doc["found"] is None and doc["exhausted"]
+
+    def test_oracle_trace_adds_elapsed(self, capsys, tmp_path):
+        p = tmp_path / "p4.json"
+        p.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+        keys = {"found", "count", "nodes_explored", "exhausted"}
+        for extra in ([], ["--count"]):
+            code, out = run_cli(capsys, "oracle", "--graph", str(p), *extra)
+            assert code == 0 and set(json.loads(out)) == keys
+            code, out = run_cli(capsys, "oracle", "--graph", str(p), *extra, "--trace")
+            doc = json.loads(out)
+            assert code == 0 and set(doc) == keys | {"elapsed"}
+            assert isinstance(doc["elapsed"], float) and doc["elapsed"] >= 0
+
+    def test_oracle_deep_fully_fixed_path(self, tmp_path):
+        n = 1200
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}))
+        fixes = [f"{v}={v // 2 if v % 2 == 0 else n - 1 - v // 2}" for v in range(n)]
+        assert fixes[0] == "0=0" and fixes[-1] == "1199=600"
+        argv = ["oracle", "--graph", str(p)]
+        for fix in fixes:
+            argv += ["--fix", fix]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "graceful_spiders.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["exhausted"] and len(doc["found"]) == n
 
     def test_attach_cmd(self, capsys, tmp_path):
         p = tmp_path / "host.json"
