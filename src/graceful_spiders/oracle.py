@@ -211,7 +211,7 @@ def _run(
 
     for allowed in layouts:
         for v, lab in fixed.items():
-            allowed[v] = 1 << lab
+            allowed[v] &= 1 << lab  # a fixed label keeps its class range
         cand[0] = allowed[order[0]] & root_mask
         free[0] = (1 << (m + 1)) - 2
         mirror[0] = (1 << m) - 1

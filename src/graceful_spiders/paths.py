@@ -2,22 +2,26 @@
 
 The existence results these providers fulfill (graceful path labelings with a
 prescribed zero vertex, alpha-labelings with a prescribed endpoint label or
-index) come without constructions. Witnesses are produced by a recursive
-closed-form construction with a constrained depth-first search as fallback.
+index) come without constructions. Witnesses are produced by a closed-form
+construction with a constrained depth-first search as fallback.
 
 The construction rests on the structure of alpha-labelings of paths: the
 low/high classes coincide with the two bipartition classes (alternating
 positions), and the subsequence of low labels must descend cyclically while
 the highs ascend cyclically in interleaved "fan" blocks. Concretely, the
-labeling with a prescribed low endpoint j is assembled by peeling a fan block
-off the front -- lows j..0 interleaved with the top highs, consuming the
-largest edge differences -- and recursing on the contiguous middle label band,
-which is the same problem again after shifting. Two symmetries extend the
-family: the flip x -> alpha - x (resp. m + alpha + 1 - x) moves the endpoint
-within the low class, and the complement x -> m - x swaps the classes, turning
-high-endpoint requests into low-endpoint ones. The only unreachable cases are
-exactly the known infeasible pairs (n = 4s+1 with endpoint s or 3s, and the
-central vertex of P_5 for the zero-position variant).
+labeling with a prescribed low endpoint j is assembled by one loop that peels
+fan blocks off the front -- lows j..0 interleaved with the top highs,
+consuming the largest edge differences. What is left is the same problem on
+the contiguous middle label band, shifted, so the loop carries a pending map
+(lows x -> s*x + lo, highs x -> s*x + hi, s = +-1) and writes each block
+through it, instead of building the rest and shifting it afterwards. Two
+symmetries extend the family: the flip x -> alpha - x (resp. m + alpha + 1 -
+x) moves the endpoint within the low class, and the complement x -> m - x
+swaps the classes, turning high-endpoint requests into low-endpoint ones.
+Both are folded into the map, and callers pass their own complement and shift
+in as the starting map. The only unreachable cases are exactly the known
+infeasible pairs (n = 4s+1 with endpoint s or 3s, and the central vertex of
+P_5 for the zero-position variant, whose graceful labeling is a literal).
 
 The zero-position variant is not yet fully closed-form: `_zero_at_construct`
 has no decomposition for 269 (n, position) pairs with n <= 300, sitting near
@@ -144,110 +148,90 @@ def _zigzag_seq(n: int) -> list[int]:
     return [j // 2 if j % 2 == 0 else (n - 1) - (j - 1) // 2 for j in range(n)]
 
 
-def _fan_seq(n: int) -> list[int]:
-    """The labeling alpha, alpha+1, alpha-1, alpha+2, ... with ascending
-    differences 1, 2, ..., n-1; the endpoint carries the index itself."""
-    a = (n + 1) // 2 - 1
-    return [a - j // 2 if j % 2 == 0 else a + 1 + (j - 1) // 2 for j in range(n)]
-
-
-def _flip_seq(seq: list[int]) -> list[int]:
-    """Reflect each class: x -> alpha - x on lows, m + alpha + 1 - x on highs.
-    Preserves gracefulness, the index and the class layout."""
-    m = len(seq) - 1
-    a = (len(seq) + 1) // 2 - 1
-    return [a - x if x <= a else m + a + 1 - x for x in seq]
-
-
-def _comp_seq(seq: list[int]) -> list[int]:
-    """Complement x -> m - x; swaps the low/high classes."""
-    m = len(seq) - 1
-    return [m - x for x in seq]
-
-
-_low_end_memo: dict[tuple[int, int], Optional[list[int]]] = {}
-
-
-def _alpha_low_end(n: int, j: int) -> list[int]:
-    key = (n, j)
-    hit = _low_end_memo.get(key, False)
-    if hit is not False:
-        if hit is None:
-            raise InfeasibleError(
-                f"P_{n} has no alpha-labeling with endpoint label {j}"
-            )
-        return list(hit)
-    try:
-        seq = _build_low_end(n, j)
-    except InfeasibleError:
-        _low_end_memo[key] = None
-        raise
-    _low_end_memo[key] = seq
-    return list(seq)
-
-
-def _build_low_end(n: int, j: int) -> list[int]:
-    m = n - 1
+def _low_end_feasible(n: int, j: int) -> bool:
+    """Whether P_n has an alpha-labeling with the low endpoint label j: j in
+    the low class, and not the infeasible pair n = 4j+1 of Lemma 2(c)."""
     alpha = (n + 1) // 2 - 1
-    if not 0 <= j <= alpha:
-        raise InfeasibleError(
-            f"endpoint label {j} is not in the low class [0, {alpha}] of P_{n}"
-        )
-    if j == 0:
-        return _zigzag_seq(n)
-    if j == alpha:
-        return _fan_seq(n)
-    if alpha == 2 * j:
-        # n is 4j+1 (the infeasible pair of Lemma 2(c)) or 4j+2, which gets
-        # its own two-block form: a fan on the extreme labels, a bridge of
-        # difference 2j+1, then a fan on the middle band.
-        if n % 2 == 1:
-            raise InfeasibleError(
-                f"P_{n} has no alpha-labeling with endpoint label {j}"
+    return 0 <= j <= alpha and not (j > 0 and n % 2 == 1 and alpha == 2 * j)
+
+
+def _alpha_low_end(
+    n: int, j: int, s: int = 1, lo: int = 0, hi: int = 0
+) -> list[int]:
+    """The alpha-labeling of P_n with low endpoint label j, each label x
+    written as s*x + lo when it is low (x <= alpha) and s*x + hi when high.
+
+    The map (s = +-1) lets a caller fold a complement and a shift into the
+    single pass that writes the labels. The loop peels fan blocks off the
+    front; each block leaves the same problem on a shorter path, which the
+    loop continues through an updated map instead of a copy.
+    """
+    if not _low_end_feasible(n, j):
+        raise InfeasibleError(f"P_{n} has no alpha-labeling with endpoint label {j}")
+    out = [0] * n
+    pos = 0  # out[pos:] holds the current P_n; its low endpoint comes first
+    while True:
+        m = n - 1
+        alpha = (n + 1) // 2 - 1
+        if j == 0:
+            # Zigzag: lows ascend from 0, highs descend from m.
+            out[pos::2] = range(lo, lo + s * (alpha + 1), s)
+            out[pos + 1 :: 2] = range(s * m + hi, s * (m - n // 2) + hi, -s)
+            return out
+        if j == alpha:
+            # Fan: lows descend from alpha, highs ascend from alpha + 1, so the
+            # differences ascend 1, 2, ..., m.
+            out[pos::2] = range(s * alpha + lo, lo - s, -s)
+            out[pos + 1 :: 2] = range(s * (alpha + 1) + hi, s * n + hi, s)
+            return out
+        if alpha == 2 * j:
+            # n = 4j+2 (4j+1 is infeasible): a fan on the extreme labels, a
+            # bridge of difference 2j+1, then a fan on the middle band.
+            out[pos : pos + 2 * j + 1 : 2] = range(s * j + lo, lo - s, -s)
+            out[pos + 1 : pos + 2 * j : 2] = range(
+                s * (3 * j + 2) + hi, s * n + hi, s
             )
-        seq = []
-        for k in range(j + 1):
-            seq.append(j - k)
-            if k < j:
-                seq.append(m - j + 1 + k)
-        for k in range(j + 1):
-            seq.append(2 * j + 1 + k)
-            if k < j:
-                seq.append(2 * j - k)
-        return seq
-    if 2 * j > alpha:
-        return _flip_seq(_alpha_low_end(n, alpha - j))
-    # Peel a fan block off the front: an alpha-labeling of P_{2k+2} with
-    # endpoint j, its lows kept as the extreme lows [0, k] and its highs
-    # shifted onto the extreme highs [m-k, m]. The block consumes the top
-    # differences [m-2k, m]; the bridge edge contributes m-2k-1; the rest is
-    # the same problem on the band [k+1, m-k-1], shifted down by k+1. The
-    # smallest block (k = j) almost always works; larger k sidesteps the
-    # rare infeasible sub-instances.
-    for k in range(j, alpha):
-        if 2 * k + 2 >= n:
-            break
-        try:
-            pre = _alpha_low_end(2 * k + 2, j)
-        except InfeasibleError:
+            out[pos + 2 * j + 1 :: 2] = range(
+                s * (2 * j + 1) + hi, s * (3 * j + 2) + hi, s
+            )
+            out[pos + 2 * j + 2 :: 2] = range(s * 2 * j + lo, s * j + lo, -s)
+            return out
+        if 2 * j > alpha:
+            # Flip x -> alpha - x on lows, m + alpha + 1 - x on highs: it keeps
+            # gracefulness and the classes and moves the endpoint to alpha - j.
+            lo, hi, s, j = s * alpha + lo, s * (m + alpha + 1) + hi, -s, alpha - j
             continue
-        h = pre[-1]
-        if h > alpha:
-            continue
-        np_, jp = n - 2 * k - 2, h - (k + 1)
-        if not 0 <= jp <= (np_ + 1) // 2 - 1:
-            continue
-        try:
-            suf = _alpha_low_end(np_, jp)
-        except InfeasibleError:
-            continue
-        return [x if x <= k else x + (m - 2 * k - 1) for x in pre] + [
-            x + (k + 1) for x in suf
-        ]
-    raise InfeasibleError(
-        f"no alpha-labeling of P_{n} with endpoint label {j} in the "
-        f"constructive family; this contradicts the guaranteed existence"
-    )
+        # Peel a fan block off the front: an alpha-labeling of P_{2k+2} with
+        # endpoint j, its lows kept as the extreme lows [0, k] and its highs
+        # shifted onto the extreme highs [m-k, m]. The block consumes the top
+        # differences [m-2k, m]; the bridge edge contributes m-2k-1; the rest
+        # is the same problem on the band [k+1, m-k-1], shifted down by k+1.
+        # The smallest block (k = j, a plain fan) almost always works; larger
+        # k sidesteps the rare infeasible rests. k < alpha keeps 2k+2 < n.
+        for k in range(j, alpha):
+            pre = None if k == j else _alpha_low_end(2 * k + 2, j)
+            h = 2 * j + 1 if pre is None else pre[-1]
+            if h <= alpha and _low_end_feasible(n - 2 * k - 2, h - k - 1):
+                break
+        else:
+            raise InfeasibleError(
+                f"no alpha-labeling of P_{n} with endpoint label {j} in the "
+                f"constructive family; this contradicts the guaranteed existence"
+            )
+        if pre is None:
+            out[pos : pos + 2 * j + 2 : 2] = range(s * j + lo, lo - s, -s)
+            out[pos + 1 : pos + 2 * j + 2 : 2] = range(
+                s * (m - j) + hi, s * n + hi, s
+            )
+        else:
+            d = m - 2 * k - 1
+            out[pos : pos + 2 * k + 2] = [
+                s * x + lo if x <= k else s * (x + d) + hi for x in pre
+            ]
+        pos += 2 * k + 2
+        lo += s * (k + 1)
+        hi += s * (k + 1)
+        n, j = n - 2 * k - 2, h - k - 1
 
 
 def _alpha_of_sequence(n: int, low_is_even: bool) -> int:
@@ -391,9 +375,9 @@ def graceful_path_zero_at(
     """A graceful labeling of P_n with the vertex at `position` labeled 0.
 
     Endpoints come straight from the zigzag labeling. Interior positions
-    reuse the alpha provider (an alpha-labeling is graceful), with the lone
-    alpha-infeasible case (n=5, central vertex) falling back to
-    unconstrained backtracking. The result is certified graceful here.
+    reuse the alpha provider (an alpha-labeling is graceful), except the lone
+    alpha-infeasible case (n=5, central vertex), which is a fixed labeling.
+    The result is certified graceful here.
     """
     lab = Labeling.from_sequence(_zero_at_seq(n, position, budget, cache))
     if not is_graceful(path_tree(n), lab):
@@ -415,15 +399,7 @@ def _zero_at_seq(
     if position == n - 1:
         return _zigzag_seq(n)[::-1]
     if (n, position) == (5, 2):
-        cache = cache or default_cache()
-        key = f"graceful_zero:{n}:{position}"
-        hit = cache.get(key)
-        if hit is None:
-            hit = _search_path(n, {position: 0}, _Budget(budget))
-            if hit is None:
-                raise InfeasibleError("no graceful labeling found; contradicts Cattell")
-            cache.put(key, hit)
-        return list(hit)  # the cache keeps its own list
+        return [1, 4, 0, 2, 3]  # graceful, but P_5 has no such alpha-labeling
     return _alpha_zero_seq(n, position, budget, cache)[0]
 
 
@@ -496,23 +472,18 @@ def _zero_at_construct(n: int, position: int) -> Optional[list[int]]:
     through a bridge edge of difference exactly r, which pins its endpoint
     label; that band problem is the complemented low-endpoint construction.
     """
+    m = n - 1
     for q, rev in ((position, False), (n - 1 - position, True)):
         r = n - 1 - q
         if q < 1 or r < 1:
             continue
         a = q // 2 + 1  # lows consumed by the arm, including the zero
-        if a > (r + 1) // 2:
+        if not _low_end_feasible(r, a - 1):
             continue
-        try:
-            sub = _comp_seq(_alpha_low_end(r, a - 1))
-        except InfeasibleError:
-            continue
-        seq = [0] * n
-        zz = _zigzag_seq(n)
-        for k in range(q + 1):
-            seq[q - k] = zz[k]
-        for i, x in enumerate(sub):
-            seq[q + 1 + i] = x + a
+        # The arm is the zigzag's first q+1 labels, reversed to end at 0.
+        seq = [k // 2 if k % 2 == 0 else m - (k - 1) // 2 for k in range(q, -1, -1)]
+        # The band, complemented and shifted up by a: x -> (r - 1 + a) - x.
+        seq += _alpha_low_end(r, a - 1, -1, r - 1 + a, r - 1 + a)
         return seq[::-1] if rev else seq
     return None
 
@@ -570,7 +541,7 @@ def _alpha_end_seq(
     ):
         # High endpoint; complement a low-endpoint labeling, which swaps the
         # classes and turns the index into lo_index.
-        seq = _comp_seq(_alpha_low_end(n, (n - 1) - end_label))
+        seq = _alpha_low_end(n, (n - 1) - end_label, -1, n - 1, n - 1)
         return seq, _alpha_of_sequence(n, False)
     raise InfeasibleError(
         f"no alpha-labeling of P_{n} has endpoint label {end_label}"

@@ -92,17 +92,14 @@ def formula_spider(ell: int, s: int) -> Spider:
     return build_spider([2] * s + [ell])
 
 
-def short_leg_formula(ell: int, s: int, allow_s1_experiment: bool = False) -> Labeling:
+def short_leg_formula(ell: int, s: int) -> Labeling:
     """Closed-form graceful labeling of the (2 x s, ell) spider, center 0.
 
-    Proven for s >= 2. With allow_s1_experiment the formulas are also
-    evaluated at s = 1 and certified at runtime; that regime is an
-    experiment, not a contract, and the default construction path never
-    uses it.
+    Proven for s >= 2.
     """
     if ell < 1:
         raise ValidationError("ell must be >= 1")
-    if s < 2 and not (allow_s1_experiment and s == 1):
+    if s < 2:
         raise ValidationError(
             "closed-form labeling requires s >= 2; use label_short_leg_spider "
             "for smaller spiders"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -15,6 +16,8 @@ GRACEFUL_COUNTS = {"P2": 2, "P4": 4, "P5": 8, "K13": 12}
 # tests/data/make_oracle_counts.py with the backtracking oracle that
 # predates the difference-driven search.
 ORACLE_COUNTS = os.path.join(os.path.dirname(__file__), "data", "oracle_counts.json")
+
+ALPHA_ZERO_AT_WITNESSES = "9698fccdd92cf334f98e4aba03686874e01f9cf1e47f5519322429a41a00d1a3"
 
 # First witness (by vertex id) of find_graceful on build_spider(legs), and
 # the nodes the label-scanning search spent to reach it.
@@ -34,6 +37,28 @@ class TestFind:
     def test_lemma_2b_exception(self):
         report = find_graceful(path_tree(5), fixed={2: 0}, alpha_constrained=True)
         assert report.found is None and report.exhausted
+
+    def test_fixed_label_keeps_its_class_range(self):
+        # Graceful, but its low labels 0, 1, 2 are not on one side of the
+        # bipartition, so no class layout admits it.
+        fixed = dict(enumerate([1, 2, 4, 0, 3]))
+        report = find_graceful(path_tree(5), fixed=fixed, alpha_constrained=True)
+        assert report.found is None and report.exhausted
+
+    def test_alpha_zero_at_witnesses(self):
+        # The 0 at every position of P_2..P_12: the first witnesses are
+        # frozen by the sha256 of their JSON list, taken when a fixed label
+        # still overrode its class range, which cost 226,483 nodes in all.
+        witnesses, nodes = [], 0
+        for n in range(2, 13):
+            for p in range(n):
+                report = find_graceful(path_tree(n), fixed={p: 0}, alpha_constrained=True)
+                nodes += report.nodes_explored
+                found = report.found
+                witnesses.append(None if found is None else found.as_sequence(n))
+        digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+        assert digest == ALPHA_ZERO_AT_WITNESSES
+        assert nodes < 226_483
 
     def test_graceful_but_not_alpha_exists(self):
         report = find_graceful(path_tree(5), fixed={2: 0})

@@ -1,5 +1,11 @@
+import importlib.util
+import json
+import os
+import sys
+
 import pytest
 
+from graceful_spiders import paths
 from graceful_spiders.errors import (
     InfeasibleError,
     ResourceBudgetError,
@@ -18,6 +24,28 @@ from graceful_spiders.paths import (
 # Frozen by exhaustive enumeration (enumerate_alpha_paths); regression
 # constants for the provider's search space.
 ALPHA_PATH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 4, 5: 4, 6: 8, 7: 16, 8: 8, 9: 20, 10: 56, 11: 72, 12: 128}
+
+# One sha256 per n <= 400 over every closed-form alpha path labeling of P_n,
+# written by tests/data/make_low_end_digests.py with the recursive, memoized
+# construction that the loop replaced.
+DATA = os.path.join(os.path.dirname(__file__), "data")
+LOW_END_DIGESTS = os.path.join(DATA, "low_end_digests.json")
+
+
+def _low_end_digest():
+    spec = importlib.util.spec_from_file_location(
+        "make_low_end_digests", os.path.join(DATA, "make_low_end_digests.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.low_end_digest
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestZigzag:
@@ -148,6 +176,32 @@ class TestAlphaEndLabel:
         a = alpha_path_end_label(20, 13, cache=mem_cache).labeling.as_sequence(20)
         b = alpha_path_end_label(20, 13, cache=PathCache(None)).labeling.as_sequence(20)
         assert a == b
+
+
+class TestLowEndConstruction:
+    def test_frozen_digests(self):
+        with open(LOW_END_DIGESTS) as fh:
+            digests = json.load(fh)["digests"]
+        assert len(digests) == 400
+        low_end_digest = _low_end_digest()
+        for n, want in digests.items():
+            assert low_end_digest(int(n)) == want, n
+
+    def test_no_memo(self):
+        assert not hasattr(paths, "_low_end_memo")
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_deep_paths_without_recursion(self, j, mem_cache):
+        # A small endpoint label peels about n / (2j + 2) blocks.
+        n = 10**5
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            end = alpha_path_end_label(n, j, cache=mem_cache)
+            zero = alpha_path_zero_at(n, j, cache=mem_cache)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert end.labeling[0] == j and zero.labeling[j] == 0
 
 
 class TestEnumerate:

@@ -49,12 +49,6 @@ class TestFormulaGoldens:
         with pytest.raises(ValidationError):
             short_leg_formula(5, 0)
 
-    def test_s1_experiment_flag(self):
-        # Not a contract: the formulas happen to verify at s=1 on these sizes.
-        for ell in range(1, 20):
-            lab = short_leg_formula(ell, 1, allow_s1_experiment=True)
-            assert is_graceful(formula_spider(ell, 1).tree, lab)
-
 
 class TestInvariants:
     @pytest.mark.parametrize("ell,s", [(11, 2), (10, 2), (7, 3), (8, 4), (13, 5), (20, 2)])

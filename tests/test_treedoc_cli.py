@@ -134,6 +134,23 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert doc["exhausted"] and len(doc["found"]) == n
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["path", "alpha", "--n", "2000", "--end-label", "1"],
+            ["spider", "doubling", "--legs", "2,6,14,30,62,126,254,510,1022,2046,4094,8190,16382"],
+        ],
+    )
+    def test_long_alpha_paths_exit_0(self, argv):
+        # Both need an alpha path with a small endpoint label on thousands of
+        # vertices, which once overflowed the interpreter stack.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "graceful_spiders.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert "labels" in json.loads(proc.stdout)
+
     def test_attach_cmd(self, capsys, tmp_path):
         p = tmp_path / "host.json"
         p.write_text(json.dumps({"n": 1, "edges": [], "labels": {"0": 0}}))
@@ -168,14 +185,14 @@ class TestCli:
     def test_search_route_writes_only_under_temp_home(
         self, capsys, monkeypatch, hermetic_home
     ):
-        # (5, 2) is search-served, so it is cached; with no --cache and no
+        # (9, 4) is search-served, so it is cached; with no --cache and no
         # cache variable the default file lives under HOME.
         monkeypatch.delenv(CACHE_ENV_VAR)
         before = _stat(USER_CACHE_FILE)
-        code, _ = run_cli(capsys, "path", "graceful", "--n", "5", "--position", "2")
+        code, _ = run_cli(capsys, "path", "alpha", "--n", "9", "--position", "4")
         assert code == 0
         cache_file = hermetic_home / ".cache" / "graceful-spiders" / "paths.json"
-        assert "graceful_zero:5:2" in json.loads(cache_file.read_text())["entries"]
+        assert "alpha_zero:9:4" in json.loads(cache_file.read_text())["entries"]
         assert _stat(USER_CACHE_FILE) == before
 
     def test_missing_file(self, capsys):
