@@ -1,9 +1,9 @@
 """Constructive graceful labelings of spider trees.
 
 Builders for three constructive routes (path attachment, iterative doubling
-spiders, closed-form short-leg spiders, alpha-amalgamation), path labeling
-providers backed by constrained search, and a brute-force oracle that
-certifies every output.
+spiders, closed-form short-leg spiders, alpha-amalgamation), closed-form
+path labeling providers, and a brute-force oracle that certifies every
+output.
 """
 
 from .model import (

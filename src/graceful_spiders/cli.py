@@ -4,7 +4,9 @@ Subcommands: spider doubling | spider short | spider three-long | attach |
 amalgamate | path | oracle | verify | export. Results are emitted as the
 canonical JSON tree document or DOT. Exit codes: 0 success, 2 validation
 (including provable infeasibility), 3 resource budget, 4 internal
-theorem-contradiction.
+theorem-contradiction. Only `oracle` searches, so only `oracle` uses
+`--budget` and can exit 3; every other subcommand is closed form and
+accepts `--budget` and `--cache` but ignores them.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from .model import AlphaLabeling, Labeling, alpha_index, is_graceful, path_tree
 from .oracle import find_graceful, count_graceful
 from .paths import (
     DEFAULT_NODE_BUDGET,
-    PathCache,
     alpha_path_end_label,
     alpha_path_zero_at,
-    default_cache,
     graceful_path_zero_at,
     zigzag_alpha_path,
 )
@@ -61,8 +61,9 @@ def _parse_fixed(items: list[str]) -> dict[int, int]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                        help="search node budget")
-    common.add_argument("--cache", help="path provider cache file")
+                        help="oracle search node budget")
+    common.add_argument("--cache", help="accepted and ignored: every path "
+                                        "labeling is closed form")
     common.add_argument("--format", choices=["json", "dot"], default="json",
                         help="output format")
     common.add_argument("--trace", action="store_true",
@@ -135,10 +136,6 @@ def _trace_doc(trace) -> list[dict]:
     ]
 
 
-def _cache(args) -> Optional[PathCache]:
-    return PathCache(args.cache) if args.cache else default_cache()
-
-
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -163,28 +160,26 @@ def _error(kind: str, exc: Exception):
 
 
 def _dispatch(args):
-    cache = _cache(args)
     if args.command == "spider":
         if args.variant == "doubling":
             legs = _parse_legs(args.legs)
             check_doubling(legs)
-            sp, lab, trace = label_doubling_spider(legs, budget=args.budget, cache=cache)
+            sp, lab, trace = label_doubling_spider(legs)
             extra = {"trace": _trace_doc(trace)} if args.trace else None
             _emit(args, sp.tree, lab, sp, extra)
         elif args.variant == "short":
             spec = ShortLegSpec(args.long_leg, args.two, args.one)
-            sp, lab = label_short_leg_spider(spec, budget=args.budget, cache=cache)
+            sp, lab = label_short_leg_spider(spec)
             _emit(args, sp.tree, lab, sp)
         else:
             legs = _parse_legs(args.legs)
-            sp, lab = label_three_long_legs(legs, budget=args.budget, cache=cache)
+            sp, lab = label_three_long_legs(legs)
             _emit(args, sp.tree, lab, sp)
     elif args.command == "attach":
         tree, labeling, _ = from_document(load_document(args.graph))
         if labeling is None:
             raise ValidationError("attach requires a labeled graph document")
-        result = attach_path(tree, labeling, args.vertex, args.path_len,
-                             budget=args.budget, cache=cache)
+        result = attach_path(tree, labeling, args.vertex, args.path_len)
         _emit(args, result.tree, result.labeling,
               extra={"shift": result.shift, "bridge_label": result.bridge_label,
                      "path_ids": list(result.path_ids)})
@@ -202,7 +197,7 @@ def _dispatch(args):
         )
         _emit(args, tree, lab)
     elif args.command == "path":
-        _path_cmd(args, cache)
+        _path_cmd(args)
     elif args.command == "oracle":
         tree, _, _ = from_document(load_document(args.graph))
         fixed = _parse_fixed(args.fix)
@@ -212,6 +207,11 @@ def _dispatch(args):
         else:
             report = find_graceful(tree, fixed=fixed, budget=args.budget,
                                    alpha_constrained=args.alpha_only)
+        if not report.exhausted:
+            raise ResourceBudgetError(
+                f"oracle stopped at its budget of {args.budget} nodes "
+                f"before a verdict"
+            )
         out = {
             "found": None if report.found is None else
             {str(v): report.found[v] for v in sorted(report.found.values)},
@@ -238,7 +238,7 @@ def _dispatch(args):
         _emit(args, tree, labeling, spider)
 
 
-def _path_cmd(args, cache):
+def _path_cmd(args):
     if args.kind == "zigzag":
         al = zigzag_alpha_path(args.n)
         _emit(args, al.tree, al.labeling, extra={"alpha": al.alpha})
@@ -246,17 +246,15 @@ def _path_cmd(args, cache):
     if args.kind == "graceful":
         if args.position is None:
             raise ValidationError("path graceful requires --position")
-        lab = graceful_path_zero_at(args.n, args.position,
-                                    budget=args.budget, cache=cache)
+        lab = graceful_path_zero_at(args.n, args.position)
         _emit(args, path_tree(args.n), lab)
         return
     if (args.position is None) == (args.end_label is None):
         raise ValidationError("path alpha requires exactly one of --position / --end-label")
     if args.position is not None:
-        al = alpha_path_zero_at(args.n, args.position, budget=args.budget, cache=cache)
+        al = alpha_path_zero_at(args.n, args.position)
     else:
-        al = alpha_path_end_label(args.n, args.end_label, args.index,
-                                  budget=args.budget, cache=cache)
+        al = alpha_path_end_label(args.n, args.end_label, args.index)
     _emit(args, al.tree, al.labeling, extra={"alpha": al.alpha})
 
 

@@ -116,8 +116,9 @@ def label_three_long_legs(
     is delegated to. Otherwise the two longest legs (ties by position in the
     input) become the path G through the center, alpha-labeled with the
     center at 0; the rest of the spider is labeled by the short-leg
-    construction and amalgamated at the center. The result is checked
-    graceful once, on the canonical spider.
+    construction and amalgamated at the center. Every step is closed form,
+    so `budget` and `cache` are unused. The result is checked graceful
+    once, on the canonical spider.
     """
     if not leg_lengths:
         raise ValidationError("leg length list must be non-empty")
@@ -129,9 +130,7 @@ def label_three_long_legs(
             f"at most three legs of length >= 3 are supported, got {long_count}"
         )
     if long_count <= 1:
-        return label_short_leg_spider(
-            _short_spec(leg_lengths), budget=budget, cache=cache
-        )
+        return label_short_leg_spider(_short_spec(leg_lengths))
 
     ordered = sorted(
         range(len(leg_lengths)), key=lambda i: (-leg_lengths[i], i)
@@ -142,11 +141,11 @@ def label_three_long_legs(
 
     n_path = ell1 + ell2 + 1
     assert n_path >= 7  # both legs >= 3, so Lemma 2(b)'s P_5 exception is moot
-    g, alpha = _alpha_zero_seq(n_path, ell1, budget, cache)
+    g, alpha = _alpha_zero_seq(n_path, ell1)
 
     if rest:
         spec = _short_spec(rest)
-        h = _short_leg_labels(spec, budget, cache)
+        h = _short_leg_labels(spec)
         star_lengths = spec.leg_lengths
     else:
         h, star_lengths = [0], []

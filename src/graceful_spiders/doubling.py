@@ -90,7 +90,8 @@ def label_doubling_spider(
     Two or fewer legs make the spider a path, labeled directly with the
     center at 0; otherwise the iterated attachment runs, asserting the
     attachment precondition and the center-label recurrence at every step.
-    The result is checked graceful once, on the canonical spider.
+    Every step is closed form, so `budget` and `cache` are unused. The
+    result is checked graceful once, on the canonical spider.
     """
     plan = check_doubling(leg_lengths)
     lengths = plan.sorted_lengths
@@ -105,7 +106,7 @@ def label_doubling_spider(
         # center, then leg 2.
         n = sum(lengths) + 1
         pos = lengths[0] if s == 2 else 0
-        path = _zero_at_seq(n, pos, budget, cache)
+        path = _zero_at_seq(n, pos)
         trace.record("path_base", {"n": n, "zero_position": pos}, n - 1)
         return spider, _certify(spider, path[pos::-1] + path[pos + 1:], trace), trace
 
@@ -113,7 +114,7 @@ def label_doubling_spider(
     # labeled 0 (zigzag), plus a leaf y_i labeled ell_1 + j for the j-th
     # residue-1 leg. Working ids: 0 = x, 1..ell_1 the leg, then the leaves.
     ell1 = lengths[0]
-    labels = _zero_at_seq(ell1 + 1, 0, budget, cache)
+    labels = _zero_at_seq(ell1 + 1, 0)
     legs_work: dict[int, list[int]] = {1: list(range(1, ell1 + 1))}
     y_of: dict[int, int] = {}
     for j, k in enumerate(plan.k_indices, start=1):

@@ -20,7 +20,8 @@ where the conflicts live -- are explored before the interchangeable leaves.
 - Complement. f -> m - f is a bijection on graceful labelings. A count with
   nothing fixed tries root labels up to m/2 only and weighs each labeling 2
   (1 when the root is labeled m/2); an alpha-constrained count searches one
-  of the two class layouts, which the complement swaps, and weighs 2.
+  of the two class layouts, which the complement swaps, and weighs 2
+  (1 on the one-vertex tree, where the complement is the identity).
 - Stack. The search keeps one frame per depth in flat lists, not in
   recursion, so tree size is not limited by the interpreter's recursion
   depth.
@@ -114,7 +115,8 @@ def _class_masks(t: Tree, alpha_constrained: bool) -> list[list[int]]:
                 color[w] = 1 - color[v]
                 queue.append(w)
     layouts = []
-    for low_color in (0, 1):
+    # On one vertex both layouts would accept the same single labeling.
+    for low_color in (0, 1) if m else (0,):
         low = (1 << color.count(low_color)) - 1  # labels 0..alpha
         layouts.append([low if c == low_color else every & ~low for c in color])
     return layouts
@@ -237,7 +239,9 @@ def _run(
                 f ^= 1 << d
                 r ^= 1 << (m - d)
             else:
-                weight = 2 if halve and (alpha_constrained or 2 * lab != m) else 1
+                # At m = 0, f -> m - f is the identity and swaps nothing.
+                alpha_pair = alpha_constrained and m > 0
+                weight = 2 if halve and (alpha_pair or 2 * lab != m) else 1
             if i + 1 == n:
                 count += weight
                 if not count_all:

@@ -2,8 +2,8 @@
 
 The existence results these providers fulfill (graceful path labelings with a
 prescribed zero vertex, alpha-labelings with a prescribed endpoint label or
-index) come without constructions. Witnesses are produced by a closed-form
-construction with a constrained depth-first search as fallback.
+index) come without constructions. Every witness here is produced by a
+closed-form construction.
 
 The construction rests on the structure of alpha-labelings of paths: the
 low/high classes coincide with the two bipartition classes (alternating
@@ -23,12 +23,14 @@ in as the starting map. The only unreachable cases are exactly the known
 infeasible pairs (n = 4s+1 with endpoint s or 3s, and the central vertex of
 P_5 for the zero-position variant, whose graceful labeling is a literal).
 
-The zero-position variant is not yet fully closed-form: `_zero_at_construct`
-has no decomposition for 269 (n, position) pairs with n <= 300, sitting near
-n/3, n/2 and 2n/3, and those fall back to a constrained depth-first search
-whose default budget is first exhausted at (37, 18). Closing that residue is
-ROADMAP item 2. Only search-served results go through the disk cache;
-closed-form results are recomputed, which is cheaper than a cache lookup.
+The zero-position variant runs a zigzag along one arm and the low-endpoint
+construction on the other (`_zero_at_construct`). That decomposition misses
+the pairs where the second arm's endpoint label falls outside its band's low
+class or on an infeasible pair: the center of P_{4s+1}, and n = 6k+2 or
+6k+3 with the shorter arm q = 2k or 2k+1 (362 pairs with n <= 400, 912 with
+n <= 1000). `_zero_at_residue` builds those by `_extend_by_band`, which
+lifts a small zero-position block and continues it with an end-label band.
+Every path labeling is therefore closed form; nothing here searches.
 
 Each public provider certifies its result as it returns it (an
 `AlphaLabeling` re-verifies the index; `graceful_path_zero_at` checks
@@ -54,16 +56,17 @@ from .model import AlphaLabeling, Labeling, is_graceful, path_tree
 DEFAULT_NODE_BUDGET = 10**8
 ENUMERATION_BOUND = 14
 
-CACHE_ENV_VAR = "GRACEFUL_SPIDERS_CACHE"
 _CACHE_FORMAT = "graceful-spiders-path-cache"
 _CACHE_VERSION = 1
 
 
 class PathCache:
-    """Disk-backed memo of provider results, keyed by request parameters.
+    """Disk-backed map of label sequences, keyed by request parameters.
 
     The file is a versioned JSON map; writes go through a temp file and an
-    atomic replace so concurrent readers never see a torn file.
+    atomic replace so concurrent readers never see a torn file. Every path
+    labeling is closed form, so no provider reads or writes it; the
+    providers and builders accept a `cache` argument and ignore it.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -104,21 +107,6 @@ class PathCache:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-
-_default_cache: Optional[PathCache] = None
-
-
-def default_cache() -> PathCache:
-    global _default_cache
-    if _default_cache is None:
-        path = os.environ.get(CACHE_ENV_VAR)
-        if path is None:
-            path = os.path.join(
-                os.path.expanduser("~"), ".cache", "graceful-spiders", "paths.json"
-            )
-        _default_cache = PathCache(path)
-    return _default_cache
 
 
 def zigzag_alpha_path(n: int) -> AlphaLabeling:
@@ -239,102 +227,6 @@ def _alpha_of_sequence(n: int, low_is_even: bool) -> int:
     return n_low - 1
 
 
-class _Budget:
-    __slots__ = ("remaining", "spent")
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-        self.spent = 0
-
-    def tick(self):
-        if self.remaining <= 0:
-            raise ResourceBudgetError(
-                f"path search exhausted its node budget after {self.spent} extensions"
-            )
-        self.remaining -= 1
-        self.spent += 1
-
-
-def _search_path(
-    n: int,
-    fixed: dict[int, int],
-    budget: _Budget,
-    low_is_even: Optional[bool] = None,
-    order: Optional[list[int]] = None,
-) -> Optional[list[int]]:
-    """First witness of a (possibly alpha-constrained) graceful path labeling.
-
-    With low_is_even set, even/odd positions draw from the low/high label
-    ranges of the implied index; otherwise any unused label is allowed.
-    `order` overrides the position assignment order (default left to right);
-    assigning outward from a fixed vertex keeps the constrained searches
-    shallow. Returns None when the constrained space holds no witness.
-    """
-    m = n - 1
-    if low_is_even is not None:
-        n_low = (n + 1) // 2 if low_is_even else n // 2
-        alpha = n_low - 1
-        pos_is_low = [(p % 2 == 0) == low_is_even for p in range(n)]
-        for p, lab in fixed.items():
-            if (lab <= alpha) != pos_is_low[p]:
-                return None
-        candidate_pools = [
-            list(range(0, alpha + 1)) if pos_is_low[p] else list(range(m, alpha, -1))
-            for p in range(n)
-        ]
-    else:
-        candidate_pools = [list(range(0, m + 1)) for _ in range(n)]
-
-    if order is None:
-        order = list(range(n))
-    labels: dict[int, int] = {}
-
-    def extend(idx: int, used_labels: int, used_diffs: int) -> bool:
-        if idx == n:
-            return True
-        pos = order[idx]
-        pool = [fixed[pos]] if pos in fixed else candidate_pools[pos]
-        for lab in pool:
-            budget.tick()
-            bit = 1 << lab
-            if used_labels & bit:
-                continue
-            new_diffs = 0
-            ok = True
-            for q in (pos - 1, pos + 1):
-                if q in labels:
-                    diff = abs(lab - labels[q])
-                    dbit = 1 << diff
-                    if diff == 0 or (used_diffs | new_diffs) & dbit:
-                        ok = False
-                        break
-                    new_diffs |= dbit
-            if not ok:
-                continue
-            labels[pos] = lab
-            if extend(idx + 1, used_labels | bit, used_diffs | new_diffs):
-                return True
-            del labels[pos]
-        return False
-
-    if extend(0, 0, 0):
-        return [labels[p] for p in range(n)]
-    return None
-
-
-def _outward_order(n: int, position: int) -> list[int]:
-    order = [position]
-    left, right = position - 1, position + 1
-    while left >= 0 or right < n:
-        if right < n:
-            order.append(right)
-            right += 1
-        if left >= 0:
-            order.append(left)
-            left -= 1
-    return order
-
-
 def _enumerate_alpha_sequences(n: int, low_is_even: bool) -> Iterator[tuple[int, ...]]:
     """All alpha-labelings of P_n whose low class sits on the given parity."""
     m = n - 1
@@ -377,9 +269,10 @@ def graceful_path_zero_at(
     Endpoints come straight from the zigzag labeling. Interior positions
     reuse the alpha provider (an alpha-labeling is graceful), except the lone
     alpha-infeasible case (n=5, central vertex), which is a fixed labeling.
-    The result is certified graceful here.
+    The labeling is closed form, so `budget` and `cache` are unused. The
+    result is certified graceful here.
     """
-    lab = Labeling.from_sequence(_zero_at_seq(n, position, budget, cache))
+    lab = Labeling.from_sequence(_zero_at_seq(n, position))
     if not is_graceful(path_tree(n), lab):
         raise ConstructionInvariantError(
             f"path provider produced a non-graceful labeling of P_{n} with 0 at "
@@ -388,9 +281,7 @@ def graceful_path_zero_at(
     return lab
 
 
-def _zero_at_seq(
-    n: int, position: int, budget: int, cache: Optional[PathCache]
-) -> list[int]:
+def _zero_at_seq(n: int, position: int) -> list[int]:
     """Label sequence behind graceful_path_zero_at, not certified."""
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
@@ -400,7 +291,7 @@ def _zero_at_seq(
         return _zigzag_seq(n)[::-1]
     if (n, position) == (5, 2):
         return [1, 4, 0, 2, 3]  # graceful, but P_5 has no such alpha-labeling
-    return _alpha_zero_seq(n, position, budget, cache)[0]
+    return _alpha_zero_seq(n, position)[0]
 
 
 def alpha_path_zero_at(
@@ -414,20 +305,19 @@ def alpha_path_zero_at(
     Infeasible exactly for n=5 with the central vertex. The construction
     runs a zigzag from the zero vertex along one arm (consuming the largest
     differences) and reduces the other arm to an endpoint-constrained
-    labeling of the remaining label band; the position splits where
-    neither arm admits that reduction (near-equal arms, see the module
-    docstring) fall back to constrained search, and only those searched
-    results are read from and written to the cache. The returned
-    `AlphaLabeling` certifies gracefulness and the index; the spider
-    builders skip that and certify their whole spider once.
+    labeling of the remaining label band; the pairs where neither arm admits
+    that reduction (see the module docstring) extend a small zero-position
+    block by an end-label band instead. Every request is closed form, so
+    `budget` and `cache` are accepted for a uniform provider signature but
+    unused. The returned `AlphaLabeling` certifies gracefulness and the
+    index; the spider builders skip that and certify their whole spider
+    once.
     """
-    seq, alpha = _alpha_zero_seq(n, position, budget, cache)
+    seq, alpha = _alpha_zero_seq(n, position)
     return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
 
 
-def _alpha_zero_seq(
-    n: int, position: int, budget: int, cache: Optional[PathCache]
-) -> tuple[list[int], int]:
+def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int]:
     """(label sequence, index) behind alpha_path_zero_at, not certified."""
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
@@ -435,32 +325,14 @@ def _alpha_zero_seq(
         raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
     if n == 1:
         return [0], 0
-    low_is_even = position % 2 == 0
-    alpha = _alpha_of_sequence(n, low_is_even)
+    alpha = _alpha_of_sequence(n, position % 2 == 0)
     if position in (0, n - 1):
         seq = _zigzag_seq(n)
         return (seq[::-1] if position == n - 1 else seq), alpha
     seq = _zero_at_construct(n, position)
-    if seq is not None:
-        return seq, alpha
-    cache = cache or default_cache()
-    key = f"alpha_zero:{n}:{position}"
-    seq = cache.get(key)
     if seq is None:
-        seq = _search_path(
-            n,
-            {position: 0},
-            _Budget(budget),
-            low_is_even=low_is_even,
-            order=_outward_order(n, position),
-        )
-        if seq is None:
-            raise InfeasibleError(
-                f"exhaustive search found no alpha-labeling of P_{n} with 0 at "
-                f"position {position}; this contradicts the guaranteed existence"
-            )
-        cache.put(key, seq)
-    return list(seq), alpha  # the cache keeps its own list
+        seq = _zero_at_residue(n, position)
+    return seq, alpha
 
 
 def _zero_at_construct(n: int, position: int) -> Optional[list[int]]:
@@ -486,6 +358,70 @@ def _zero_at_construct(n: int, position: int) -> Optional[list[int]]:
         seq += _alpha_low_end(r, a - 1, -1, r - 1 + a, r - 1 + a)
         return seq[::-1] if rev else seq
     return None
+
+
+def _zero_at_residue(n: int, position: int) -> list[int]:
+    """The alpha-labeling with 0 at `position` for the pairs that
+    `_zero_at_construct` misses: the center of P_{4s+1}, and n = 6k+2 or
+    6k+3 with a shorter arm of 2k or 2k+1 vertices beyond zero.
+
+    The center of P_{4s+1} extends a P_6 block twice: to P_{2s+2} with 0 at
+    index 1, then, reversed, to P_{4s+1} with 0 at index 2s (P_13 is a
+    literal). Every other pair keeps the zigzag arm of q vertices, closes it
+    with one or two vertices on the far side of zero, and extends that
+    block by a band.
+    """
+    if 2 * position == n - 1 and n % 4 == 1:
+        # The P_6 block extends to P_{2s+2} only when its band is longer
+        # than 2, that is for s > 3; s = 3 is a literal.
+        if n == 13:
+            return [1, 10, 4, 8, 3, 11, 0, 12, 2, 9, 6, 7, 5]
+        inner = [4, 0, 5, 2, 3, 1]
+        if n > 9:
+            inner = _extend_by_band(inner, 1, position + 2)
+        seq = _extend_by_band(inner[::-1], position, n)
+        if seq is not None:
+            return seq
+    else:
+        for q, rev in ((position, False), (n - 1 - position, True)):
+            for t in (1, 2):
+                blk = _zero_at_construct(q + 1 + t, q)
+                seq = None if blk is None else _extend_by_band(blk, q, n)
+                if seq is not None:
+                    return seq[::-1] if rev else seq
+    raise ConstructionInvariantError(
+        f"no closed-form alpha-labeling of P_{n} with 0 at position {position}; "
+        f"this contradicts the guaranteed existence"
+    )
+
+
+def _extend_by_band(blk: list[int], z: int, n: int) -> Optional[list[int]]:
+    """Extend an alpha-labeling `blk` of P_b with 0 at index z (so its lows
+    sit on z's parity) to an alpha-labeling of P_n with 0 at index z, or
+    return None when the band below has no labeling.
+
+    The block keeps its lows [0, a] and lifts its highs by r = n - b, so it
+    uses the differences r+1 .. n-1. Past its last vertex, label e, the path
+    continues with r vertices on the labels [a+1, a+r], an alpha-labeled
+    band entered by a bridge of difference r: its first label is e + r when
+    e is low and e - r when high, and it must fall in the band's class
+    opposite e.
+    """
+    b = len(blk)
+    r = n - b
+    a = _alpha_of_sequence(b, z % 2 == 0)
+    out = [x if x <= a else x + r for x in blk]
+    e = out[-1]
+    h = (e + r if e <= a else e - r) - a - 1
+    band_low = (b - z) % 2 == 0  # the band's first vertex is low
+    idx = _alpha_of_sequence(r, band_low)
+    if not 0 <= h < r or (h <= idx) != band_low:
+        return None
+    try:
+        band = _alpha_end_seq(r, h, idx)[0]
+    except InfeasibleError:
+        return None
+    return out + [x + a + 1 for x in band]
 
 
 def alpha_path_end_label(

@@ -159,11 +159,12 @@ def label_short_leg_spider(
     s >= 2 uses the closed-form labeling; s <= 1 makes the reduced spider a
     path, labeled by the zero-at-position provider (center at an endpoint
     when s = 0, at the distance-2 interior vertex when s = 1). Length-1 legs
-    are appended as labeled leaves afterward. The result is checked
-    graceful once, on the canonical spider.
+    are appended as labeled leaves afterward. Every step is closed form, so
+    `budget` and `cache` are unused. The result is checked graceful once,
+    on the canonical spider.
     """
     spider = short_leg_spider(spec)
-    lab = Labeling.from_sequence(_short_leg_labels(spec, budget, cache))
+    lab = Labeling.from_sequence(_short_leg_labels(spec))
     if not is_graceful(spider.tree, lab):
         raise ConstructionInvariantError(
             "short-leg construction produced a non-graceful labeling; this "
@@ -172,19 +173,17 @@ def label_short_leg_spider(
     return spider, lab
 
 
-def _short_leg_labels(
-    spec: ShortLegSpec, budget: int, cache: Optional[PathCache]
-) -> list[int]:
+def _short_leg_labels(spec: ShortLegSpec) -> list[int]:
     """Labels by vertex id of `short_leg_spider(spec)`, center 0; not
     certified (the steps of label_short_leg_spider, on a plain list)."""
     if spec.s >= 2:
         labels = _formula_labels(spec.ell, spec.s)
     elif spec.s == 1:
         # reduced spider is the path v1-u1-x0-x1-..-x_ell; ids 2,1,0,3,4,...
-        seq = _zero_at_seq(spec.ell + 3, 2, budget, cache)
+        seq = _zero_at_seq(spec.ell + 3, 2)
         labels = seq[2::-1] + seq[3:]
     else:
-        labels = _zero_at_seq(spec.ell + 1, 0, budget, cache)
+        labels = _zero_at_seq(spec.ell + 1, 0)
     if labels[0] != 0:
         raise ConstructionInvariantError(
             f"short-leg center is labeled {labels[0]}, expected 0"

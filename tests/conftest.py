@@ -2,9 +2,8 @@ import os
 
 import pytest
 
-from graceful_spiders import paths
 from graceful_spiders.model import Labeling, Tree
-from graceful_spiders.paths import CACHE_ENV_VAR, PathCache
+from graceful_spiders.paths import PathCache
 
 # The user's default cache file, resolved before any test redirects HOME.
 USER_CACHE_FILE = os.path.join(
@@ -14,14 +13,11 @@ USER_CACHE_FILE = os.path.join(
 
 @pytest.fixture(autouse=True)
 def hermetic_home(tmp_path, monkeypatch):
-    """Point HOME and the cache variable under tmp_path and forget the
-    process-wide default cache, so no test reads or writes the user's
+    """Point HOME under tmp_path, so no test reads or writes the user's
     ~/.cache. Returns the temporary HOME."""
     home = tmp_path / "home"
     home.mkdir()
     monkeypatch.setenv("HOME", str(home))
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env-cache" / "paths.json"))
-    monkeypatch.setattr(paths, "_default_cache", None)
     return home
 
 

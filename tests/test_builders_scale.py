@@ -1,5 +1,5 @@
 """The spider builders at about 2*10^4 edges, their single certification,
-and which path results reach the disk cache.
+and that no path result reaches the disk cache.
 
 At the sizes below a quadratic step (a per-vertex degree scan, a Tree rebuilt
 per attachment) costs tens of seconds; the linear builders take well under a

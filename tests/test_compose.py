@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from graceful_spiders.compose import (
@@ -101,6 +103,16 @@ class TestThreeLongLegs:
     def test_graceful(self, legs, m, mem_cache):
         sp, lab = label_three_long_legs(legs, cache=mem_cache)
         assert sp.tree.m == m
+        assert is_graceful(sp.tree, lab)
+
+    @pytest.mark.parametrize("legs", [[64, 64, 3], [29, 15, 1], [18, 18, 2], [20, 20]])
+    def test_zero_at_residue_paths(self, legs):
+        # The path through the two longest legs needs 0 where
+        # `_zero_at_construct` has no decomposition: the center of P_129,
+        # (45, 15), and the centers of P_37 and P_41.
+        start = time.process_time()
+        sp, lab = label_three_long_legs(legs)
+        assert time.process_time() - start < 1.0
         assert is_graceful(sp.tree, lab)
 
     def test_leg_multiset_preserved(self, mem_cache):

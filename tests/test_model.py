@@ -82,16 +82,6 @@ class TestSpider:
         with pytest.raises(ValidationError):
             Spider(t, 0, ((1, 2), (4,), (5,)))
 
-    def test_non_center_degree_message(self):
-        # Legs that pass the cover and edge checks use every edge of a valid
-        # Tree, so only an edge set that bypassed Tree validation can reach
-        # the degree check; the extra edge 1-3 gives vertex 1 degree 3.
-        t = object.__new__(Tree)
-        object.__setattr__(t, "n", 4)
-        object.__setattr__(t, "edges", ((0, 1), (0, 3), (1, 2), (1, 3)))
-        with pytest.raises(ValidationError, match="non-center vertex 1 has degree > 2"):
-            Spider(t, 0, ((1, 2), (3,)))
-
     def test_validation_counts_degrees_in_one_pass(self, monkeypatch):
         def per_vertex_scan(self, v):
             raise AssertionError("Spider validation scanned the edges per vertex")

@@ -124,6 +124,14 @@ class TestCount:
         report = count_graceful(path_tree(6), budget=5)
         assert not report.exhausted
 
+    def test_one_vertex_has_one_labeling(self):
+        # f -> m - f is the identity at m = 0, so the halved alpha count must
+        # not double it, and the two class layouts must not both count it.
+        t = Tree(1, [])
+        assert count_graceful(t).count == 1
+        assert count_graceful(t, alpha_constrained=True).count == 1
+        assert count_graceful(t, alpha_constrained=True, fixed={0: 0}).count == 1
+
     def test_alpha_count_at_most_graceful_count(self):
         t = path_tree(6)
         assert count_graceful(t, alpha_constrained=True).count <= count_graceful(t).count

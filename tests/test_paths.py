@@ -11,7 +11,7 @@ from graceful_spiders.errors import (
     ResourceBudgetError,
     ValidationError,
 )
-from graceful_spiders.model import alpha_index, is_graceful, path_tree
+from graceful_spiders.model import Labeling, alpha_index, is_graceful, path_tree
 from graceful_spiders.paths import (
     PathCache,
     alpha_path_end_label,
@@ -118,10 +118,60 @@ class TestAlphaZeroAt:
         b = alpha_path_zero_at(15, 6, cache=PathCache(None)).labeling.as_sequence(15)
         assert a == b
 
-    def test_budget_exhaustion_is_resource_error(self, mem_cache):
-        # (9, 4) has equal even arms, the one shape served by search.
-        with pytest.raises(ResourceBudgetError):
-            alpha_path_zero_at(9, 4, budget=1, cache=PathCache(None))
+    def test_budget_is_ignored(self):
+        # The center of P_9 needs no search, so a one-node budget is enough.
+        al = alpha_path_zero_at(9, 4, budget=1)
+        assert al.labeling[4] == 0 and alpha_index(al.tree, al.labeling) == al.alpha
+
+
+def _construct_misses(n: int, p: int) -> bool:
+    """Whether `_zero_at_construct(n, p)` has no decomposition: neither arm
+    leaves a band whose endpoint label is feasible."""
+    for q in (p, n - 1 - p):
+        r = n - 1 - q
+        if q >= 1 and r >= 1 and paths._low_end_feasible(r, q // 2):
+            return False
+    return True
+
+
+class TestZeroAtResidue:
+    """The pairs `_zero_at_construct` misses, built by `_zero_at_residue`."""
+
+    def test_every_pair_up_to_400(self):
+        pairs = [
+            (n, p)
+            for n in range(3, 401)
+            for p in range(1, n - 1)
+            if (n, p) != (5, 2) and _construct_misses(n, p)
+        ]
+        assert len(pairs) == 362
+        for n, p in pairs:
+            # The center of P_{4s+1}, or n = 6k+2 / 6k+3 with a shorter arm
+            # of 2k / 2k+1 vertices beyond zero.
+            q = min(p, n - 1 - p)
+            assert (n % 4 == 1 and 2 * p == n - 1) or (n % 6, q) in (
+                (2, (n - 2) // 3),
+                (3, (n - 3) // 3 + 1),
+            ), (n, p)
+            assert paths._zero_at_construct(n, p) is None
+            al = alpha_path_zero_at(n, p)  # AlphaLabeling certifies the index
+            assert al.labeling[p] == 0
+            assert al.alpha == (n + 1 - p % 2) // 2 - 1
+
+    @pytest.mark.parametrize(
+        "n, p", [(10001, 5000), (9998, 3332), (9998, 6665), (9999, 3333), (9999, 6665)]
+    )
+    def test_large_pairs(self, n, p):
+        assert paths._zero_at_construct(n, p) is None
+        seq, alpha = paths._alpha_zero_seq(n, p)
+        lab = Labeling.from_sequence(seq)
+        assert seq[p] == 0 and is_graceful(path_tree(n), lab)
+        assert alpha_index(path_tree(n), lab) == alpha
+
+    def test_no_search_left(self):
+        for name in ("_search_path", "_Budget", "_outward_order", "default_cache",
+                     "CACHE_ENV_VAR"):
+            assert not hasattr(paths, name), name
 
 
 class TestAlphaEndLabel:
@@ -229,10 +279,8 @@ class TestEnumerate:
 class TestCache:
     def test_disk_roundtrip(self, tmp_path):
         path = str(tmp_path / "cache.json")
-        c1 = PathCache(path)
-        alpha_path_zero_at(9, 4, cache=c1)  # search-served, worth caching
-        c2 = PathCache(path)
-        assert c2.get("alpha_zero:9:4") is not None
+        PathCache(path).put("k", [1, 0, 2])
+        assert PathCache(path).get("k") == [1, 0, 2]
 
     def test_corrupt_file_ignored(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -8,7 +8,6 @@ import pytest
 from conftest import USER_CACHE_FILE
 from graceful_spiders.cli import run
 from graceful_spiders.model import Labeling, build_spider, path_tree
-from graceful_spiders.paths import CACHE_ENV_VAR
 from graceful_spiders.treedoc import (
     dumps_document,
     from_document,
@@ -50,6 +49,14 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter on this checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "graceful_spiders.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestCli:
     def test_spider_short_json(self, capsys):
         code, out = run_cli(capsys, "spider", "short", "--long", "11", "--two", "2")
@@ -63,12 +70,14 @@ class TestCli:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "validation"
 
-    def test_resource_exit3(self, capsys):
-        code, out = run_cli(
-            capsys, "path", "alpha", "--n", "9", "--position", "4", "--budget", "1",
-            "--cache", "/dev/null",
-        )
-        assert code == 3
+    def test_resource_exit3(self, capsys, tmp_path):
+        # Only the oracle searches, so only it can stop at its budget.
+        p = tmp_path / "p5.json"
+        p.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
+        for extra in ([], ["--count"]):
+            code, out = run_cli(capsys, "oracle", "--graph", str(p), "--budget", "1", *extra)
+            assert code == 3
+            assert json.loads(out)["error"]["type"] == "resource"
 
     def test_bad_doubling_exit2(self, capsys):
         code, _ = run_cli(capsys, "spider", "doubling", "--legs", "1,5,12")
@@ -126,10 +135,7 @@ class TestCli:
         argv = ["oracle", "--graph", str(p)]
         for fix in fixes:
             argv += ["--fix", fix]
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "graceful_spiders.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process(argv)
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["exhausted"] and len(doc["found"]) == n
@@ -144,10 +150,24 @@ class TestCli:
     def test_long_alpha_paths_exit_0(self, argv):
         # Both need an alpha path with a small endpoint label on thousands of
         # vertices, which once overflowed the interpreter stack.
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "graceful_spiders.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process(argv)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert "labels" in json.loads(proc.stdout)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spider", "three-long", "--legs", "64,64,3"],
+            ["spider", "three-long", "--legs", "29,15,1"],
+            ["spider", "short", "--long", "5", "--two", "1"],
+            ["path", "alpha", "--n", "99999", "--position", "33333"],
+        ],
+    )
+    def test_zero_at_residue_exit_0(self, argv):
+        # Each needs an alpha path with 0 where `_zero_at_construct` has no
+        # decomposition: the center of P_129, (45, 15), (8, 2) and
+        # (99999, 33333).
+        proc = run_cli_process(argv)
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         assert "labels" in json.loads(proc.stdout)
 
@@ -182,17 +202,13 @@ class TestCli:
         doc = json.loads(out)
         assert code == 0 and doc["trace"][0]["operation"] == "base"
 
-    def test_search_route_writes_only_under_temp_home(
-        self, capsys, monkeypatch, hermetic_home
-    ):
-        # (9, 4) is search-served, so it is cached; with no --cache and no
-        # cache variable the default file lives under HOME.
-        monkeypatch.delenv(CACHE_ENV_VAR)
+    def test_search_route_writes_only_under_temp_home(self, capsys, hermetic_home):
+        # With no --cache, a path request writes no file under HOME and
+        # leaves the user's cache file alone.
         before = _stat(USER_CACHE_FILE)
         code, _ = run_cli(capsys, "path", "alpha", "--n", "9", "--position", "4")
         assert code == 0
-        cache_file = hermetic_home / ".cache" / "graceful-spiders" / "paths.json"
-        assert "alpha_zero:9:4" in json.loads(cache_file.read_text())["entries"]
+        assert [p for p in hermetic_home.rglob("*") if p.is_file()] == []
         assert _stat(USER_CACHE_FILE) == before
 
     def test_missing_file(self, capsys):
