@@ -2,15 +2,28 @@
 certify every construction in this package.
 
 Vertex ids are dense integers in [0, n-1]; this keeps the search modules
-bitmask-friendly and makes labelings representable as plain dicts.
+bitmask-friendly and lets a labeling be a list indexed by vertex id, read
+through a mapping interface (`Labeling.values`). A labeling of only some
+vertices is a plain dict.
+
+The validators make each check as a few whole-list passes (sets, min/max,
+one comprehension) and run the per-edge or per-vertex loop that names the
+first fault only once a check has failed, so the messages and the order of
+the checks do not depend on the fast path.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import accumulate, chain, islice
+from operator import eq, itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ValidationError
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -25,25 +38,37 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
-        norm = []
-        for e in edges:
-            a, b = int(e[0]), int(e[1])
-            if a == b:
-                raise ValidationError(f"self-loop at vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
-            norm.append((min(a, b), max(a, b)))
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        try:
+            # None marks a self-loop; any fault sends the edges through
+            # _checked_pairs, which names the first one in input order.
+            norm = [(a, b) if a < b else (b, a) if b < a else None for a, b in edges]
+            fast = (
+                None not in norm
+                and set(map(type, chain.from_iterable(norm))) <= {int}
+                and (not norm or (min(map(_FIRST, norm)) >= 0
+                                  and max(map(_SECOND, norm)) < n))
+            )
+        except (TypeError, ValueError):
+            fast = False
+        if not fast:
+            norm = _checked_pairs(n, edges)
         norm.sort()
-        for prev, cur in zip(norm, norm[1:]):
-            if prev == cur:
-                raise ValidationError(f"duplicate edge {cur}")
+        # Distinct larger endpoints rule out duplicate edges; n-1 of them give
+        # every v >= 1 a neighbor below it, so every vertex reaches 0.
+        upper = len(set(map(_SECOND, norm)))
+        if upper != len(norm) and any(map(eq, norm, islice(norm, 1, None))):
+            for prev, cur in zip(norm, norm[1:]):
+                if prev == cur:
+                    raise ValidationError(f"duplicate edge {cur}")
         if n < 1:
             raise ValidationError("tree needs at least one vertex")
         if len(norm) != n - 1:
             raise ValidationError(f"tree on {n} vertices needs {n-1} edges, got {len(norm)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
-        if n > 1 and len(self._component_of(0)) != n:
+        if upper != n - 1 and len(self._component_of(0)) != n:
             raise ValidationError("edge set is not connected")
 
     def _component_of(self, start: int) -> set[int]:
@@ -76,6 +101,20 @@ class Tree:
         return sum(1 for a, b in self.edges if v in (a, b))
 
 
+def _checked_pairs(n: int, edges: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Edges as (min, max) int pairs; raises for the first self-loop or
+    out-of-range edge in input order, naming its endpoints as given."""
+    norm = []
+    for e in edges:
+        a, b = int(e[0]), int(e[1])
+        if a == b:
+            raise ValidationError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
+        norm.append((min(a, b), max(a, b)))
+    return norm
+
+
 def path_tree(n: int) -> Tree:
     """P_n with vertices numbered along the path."""
     if n < 1:
@@ -96,9 +135,28 @@ class Spider:
     legs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        t, c = self.tree, self.center
+        if not (0 <= c < t.n):
+            raise ValidationError(f"center {c} out of range")
+        heads: list[int] = []
+        tails: list[int] = []
+        for leg in self.legs:
+            if not leg:
+                self._raise_first_fault()
+            heads.append(c)
+            heads += leg[:-1]
+            tails += leg
+        # Distinct leg vertices, none the center, with every leg edge in the
+        # tree: then n-1 of them cover the tree and use all its edges, so no
+        # non-center vertex can have degree > 2.
+        if not (len({c, *tails}) == len(tails) + 1 == t.n and set(t.edges).issuperset(
+                (a, b) if a < b else (b, a) for a, b in zip(heads, tails))):
+            self._raise_first_fault()
+
+    def _raise_first_fault(self):
+        """Raise for the first fault in leg order, as the checks above find
+        them one vertex at a time."""
         t = self.tree
-        if not (0 <= self.center < t.n):
-            raise ValidationError(f"center {self.center} out of range")
         seen: set[int] = {self.center}
         edge_set = set(t.edges)
         for leg in self.legs:
@@ -114,8 +172,6 @@ class Spider:
                 prev = v
         if len(seen) != t.n:
             raise ValidationError("legs do not cover the tree")
-        # Covering legs use all n-1 tree edges, so no non-center vertex can
-        # have degree > 2.
 
     @property
     def leg_lengths(self) -> tuple[int, ...]:
@@ -127,28 +183,55 @@ def build_spider(leg_lengths: Sequence[int]) -> Spider:
 
     Center is vertex 0; legs are laid out in the given order, each leg's
     vertices numbered consecutively from the center-adjacent vertex outward.
+    The edges are emitted in sorted order: the center's, then each leg's.
     """
     if not leg_lengths:
         raise ValidationError("need at least one leg")
     if any(l < 1 for l in leg_lengths):
         raise ValidationError("leg lengths must be positive")
-    edges = []
-    legs = []
-    nxt = 1
-    for length in leg_lengths:
-        leg = tuple(range(nxt, nxt + length))
-        prev = 0
-        for v in leg:
-            edges.append((prev, v))
-            prev = v
-        legs.append(leg)
-        nxt += length
-    return Spider(Tree(nxt, edges), 0, tuple(legs))
+    starts = list(accumulate(leg_lengths, initial=1))
+    n = starts.pop()
+    legs = tuple(map(tuple, map(range, starts, starts[1:] + [n])))
+    edges = [(0, s) for s in starts]
+    edges += zip(chain.from_iterable(leg[:-1] for leg in legs),
+                 chain.from_iterable(leg[1:] for leg in legs))
+    return Spider(Tree(n, edges), 0, legs)
+
+
+class _LabelList(abc.Mapping):
+    """Read-only mapping view of a label list: vertex i -> labels[i]."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: list[int]):
+        self.labels = labels
+
+    def __getitem__(self, v: int) -> int:
+        try:
+            if 0 <= v < len(self.labels):
+                return self.labels[v]
+        except TypeError:
+            pass
+        raise KeyError(v)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.labels)))
+
+    def __repr__(self) -> str:
+        return repr(dict(enumerate(self.labels)))
 
 
 @dataclass(frozen=True)
 class Labeling:
-    """A vertex -> integer map. Checkers decide whether it is graceful."""
+    """A vertex -> integer map. Checkers decide whether it is graceful.
+
+    `Labeling.from_sequence` keeps the label list it is given; a
+    `Labeling` built from a dict keeps the dict. Either way `values` is a
+    read-only mapping from vertex id to label.
+    """
 
     values: Mapping[int, int]
 
@@ -166,10 +249,16 @@ class Labeling:
 
     @staticmethod
     def from_sequence(labels: Sequence[int]) -> "Labeling":
-        """Label vertex i with labels[i]."""
-        return Labeling(dict(enumerate(labels)))
+        """Label vertex i with labels[i]. A list is kept, not copied, so the
+        caller must not change it afterwards."""
+        return Labeling(_LabelList(labels if type(labels) is list else list(labels)))
 
     def as_sequence(self, n: int) -> list[int]:
+        """Labels of vertices 0..n-1 as a new list; raises for the first
+        unlabeled vertex."""
+        values = self.values
+        if type(values) is _LabelList and 0 <= n <= len(values.labels):
+            return values.labels[:n]
         return [self[v] for v in range(n)]
 
 
@@ -184,31 +273,34 @@ def is_graceful(t: Tree, lab: Labeling) -> bool:
     A labeling missing some vertex of t is an error, not merely non-graceful.
     """
     m = t.m
-    values = [lab[v] for v in range(t.n)]
-    if len(set(values)) != t.n:
+    f = lab.as_sequence(t.n)
+    if len(set(f)) != t.n or min(f) < 0 or max(f) > m:
         return False
-    if any(not 0 <= x <= m for x in values):
-        return False
-    diffs = {abs(lab[a] - lab[b]) for a, b in t.edges}
-    return diffs == set(range(1, m + 1))
+    return {abs(f[a] - f[b]) for a, b in t.edges} == set(range(1, m + 1))
 
 
 def alpha_index(t: Tree, lab: Labeling) -> Optional[int]:
     """The index alpha witnessing the alpha-labeling property, or None.
 
     Requires a graceful labeling. The canonical witness is the maximum over
-    edges of min(f(u), f(v)); the property is then re-verified edge by edge.
+    edges of min(f(u), f(v)); the property then holds iff every edge's
+    max(f(u), f(v)) exceeds it.
     """
     if not is_graceful(t, lab):
         raise ValidationError("alpha_index requires a graceful labeling")
     if not t.edges:
         return 0
-    alpha = max(min(lab[a], lab[b]) for a, b in t.edges)
+    f = lab.as_sequence(t.n)
+    alpha, above = -1, t.n  # labels lie in [0, m]; m + 1 = n
     for a, b in t.edges:
-        lo, hi = sorted((lab[a], lab[b]))
-        if not lo <= alpha < hi:
-            return None
-    return alpha
+        lo, hi = f[a], f[b]
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo > alpha:
+            alpha = lo
+        if hi < above:
+            above = hi
+    return alpha if alpha < above else None
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,24 @@ def from_document(doc: dict) -> tuple[Tree, Optional[Labeling], Optional[Spider]
     labeling = None
     if "labels" in doc and doc["labels"] is not None:
         try:
-            labeling = Labeling({int(v): int(x) for v, x in doc["labels"].items()})
+            values = {int(v): int(x) for v, x in doc["labels"].items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed labels: {exc}") from exc
+        outside = [v for v in values if not 0 <= v < n]
+        if outside:
+            raise ValidationError(f"label for vertex {outside[0]} outside 0..{n - 1}")
+        if len(values) == n:
+            labeling = Labeling.from_sequence([values[v] for v in range(n)])
+        else:
+            labeling = Labeling(values)
     spider = None
     if "center" in doc and "legs" in doc:
-        spider = Spider(
-            tree, int(doc["center"]), tuple(tuple(map(int, leg)) for leg in doc["legs"])
-        )
+        try:
+            center = int(doc["center"])
+            legs = tuple(tuple(map(int, leg)) for leg in doc["legs"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed spider: {exc}") from exc
+        spider = Spider(tree, center, legs)
     return tree, labeling, spider
 
 

@@ -1,11 +1,14 @@
 """The spider builders at about 2*10^4 edges, their single certification,
-and that no path result reaches the disk cache.
+their frozen outputs, and that no path result reaches the disk cache.
 
 At the sizes below a quadratic step (a per-vertex degree scan, a Tree rebuilt
 per attachment) costs tens of seconds; the linear builders take well under a
 second each.
 """
 
+import importlib.util
+import json
+import os
 import sys
 
 import pytest
@@ -21,6 +24,8 @@ BUILDS = {
     "short": lambda **kw: label_short_leg_spider(ShortLegSpec(10000, 4000, 2000), **kw),
     "three_long": lambda **kw: label_three_long_legs([12000, 6000, 1500, 2, 2, 1], **kw),
 }
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 SMALL_BUILDS = {
     "doubling": lambda **kw: label_doubling_spider([2, 9, 22, 60], **kw)[:2],
@@ -67,3 +72,23 @@ def test_closed_form_zero_at_not_cached(tmp_path):
     path = tmp_path / "cache.json"
     alpha_path_zero_at(14, 2, cache=PathCache(str(path)))
     assert not path.exists()
+
+
+def _digest_module():
+    spec = importlib.util.spec_from_file_location(
+        "make_builder_digests", os.path.join(DATA, "make_builder_digests.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frozen_builder_digests():
+    # builder_digests.json was written by make_builder_digests.py with the
+    # dict-backed Labeling and the per-edge validators, before either changed.
+    module = _digest_module()
+    with open(os.path.join(DATA, "builder_digests.json")) as fh:
+        digests = json.load(fh)["digests"]
+    assert sorted(digests) == sorted(module.CALLS)
+    for name, want in digests.items():
+        assert module.builder_digest(name) == want, name

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from graceful_spiders.errors import ValidationError
@@ -16,6 +18,61 @@ from graceful_spiders.model import (
 )
 
 from conftest import figure1_instance
+
+
+def reference_tree(n, edges):
+    """(n, edges) as the list-of-dicts implementation of Tree.__init__
+    stored them, raising what it raised: a per-edge loop, then a sort, a
+    duplicate scan, the counts and a depth-first connectivity check."""
+    norm = []
+    for e in edges:
+        a, b = int(e[0]), int(e[1])
+        if a == b:
+            raise ValidationError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
+        norm.append((min(a, b), max(a, b)))
+    norm.sort()
+    for prev, cur in zip(norm, norm[1:]):
+        if prev == cur:
+            raise ValidationError(f"duplicate edge {cur}")
+    if n < 1:
+        raise ValidationError("tree needs at least one vertex")
+    if len(norm) != n - 1:
+        raise ValidationError(f"tree on {n} vertices needs {n-1} edges, got {len(norm)}")
+    adj = [[] for _ in range(n)]
+    for a, b in norm:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if n > 1 and len(seen) != n:
+        raise ValidationError("edge set is not connected")
+    return n, tuple(norm)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def edge_lists(n):
+    """Every multiset of at most n edges over the pairs of [-1, n], in its
+    given order and reversed with the first edge's endpoints swapped."""
+    pairs = list(combinations_with_replacement(range(-1, n + 1), 2))
+    for size in range(n + 1):
+        for edges in combinations_with_replacement(pairs, size):
+            yield list(edges)
+            if edges:
+                rev = list(reversed(edges))
+                rev[0] = rev[0][::-1]
+                yield rev
 
 
 class TestTree:
@@ -46,6 +103,38 @@ class TestTree:
     def test_edges_normalized_sorted(self):
         t = Tree(3, [(2, 1), (1, 0)])
         assert t.edges == ((0, 1), (1, 2))
+
+    def test_same_checks_as_reference(self):
+        def new(n, edges):
+            t = Tree(n, edges)
+            return t.n, t.edges
+
+        lists = 0
+        for n in range(5):
+            for edges in edge_lists(n):
+                lists += 1
+                assert outcome(new, n, edges) == outcome(reference_tree, n, edges), (n, edges)
+        assert lists > 20000
+
+    def test_connected_without_fast_path(self):
+        # Vertex 2 is the larger endpoint of both edges.
+        assert Tree(3, [(0, 2), (1, 2)]).edges == ((0, 2), (1, 2))
+
+    def test_cycle_plus_isolated_vertex_rejected(self):
+        with pytest.raises(ValidationError, match="^edge set is not connected$"):
+            Tree(4, [(0, 1), (1, 2), (0, 2)])
+
+    def test_first_bad_edge_in_input_order(self):
+        with pytest.raises(ValidationError, match=r"^edge \(3,-1\) out of range for n=3$"):
+            Tree(3, [(3, -1), (2, 2)])
+        with pytest.raises(ValidationError, match="^self-loop at vertex 2$"):
+            Tree(3, [(2, 2), (3, -1)])
+
+    @pytest.mark.parametrize("edges", [[("2", 1.0), [True, 0]], [(2, 1.0), (True, 0)]])
+    def test_int_like_endpoints_converted(self, edges):
+        t = Tree(3, edges)
+        assert t.edges == ((0, 1), (1, 2))
+        assert all(type(x) is int for e in t.edges for x in e)
 
 
 class TestSpider:
@@ -82,6 +171,61 @@ class TestSpider:
         with pytest.raises(ValidationError):
             Spider(t, 0, ((1, 2), (4,), (5,)))
 
+    @pytest.mark.parametrize(
+        "edges, legs, message",
+        [
+            ([(0, 1), (1, 2)], ((1, 2), ()), "empty leg"),
+            ([(0, 1), (1, 2)], ((1, 2), (1,)), "vertex 1 appears in two legs"),
+            ([(0, 1), (1, 2)], ((2, 1),), "leg edge (0,2) missing from tree"),
+            ([(0, 1), (0, 2)], ((1,),), "legs do not cover the tree"),
+            # The first fault in leg order is the one named.
+            ([(0, 1), (1, 2)], ((2, 1), ()), "leg edge (0,2) missing from tree"),
+            ([(0, 1), (0, 2)], ((1,), (0,)), "vertex 0 appears in two legs"),
+        ],
+    )
+    def test_messages(self, edges, legs, message):
+        with pytest.raises(ValidationError) as info:
+            Spider(Tree(3, edges), 0, legs)
+        assert str(info.value) == message
+
+    def test_same_checks_as_reference(self):
+        def reference(tree, center, legs):
+            if not (0 <= center < tree.n):
+                raise ValidationError(f"center {center} out of range")
+            seen, edge_set = {center}, set(tree.edges)
+            for leg in legs:
+                if not leg:
+                    raise ValidationError("empty leg")
+                prev = center
+                for v in leg:
+                    if v in seen:
+                        raise ValidationError(f"vertex {v} appears in two legs")
+                    seen.add(v)
+                    if (min(prev, v), max(prev, v)) not in edge_set:
+                        raise ValidationError(f"leg edge ({prev},{v}) missing from tree")
+                    prev = v
+            if len(seen) != tree.n:
+                raise ValidationError("legs do not cover the tree")
+            return "ok"
+
+        def new(tree, center, legs):
+            Spider(tree, center, legs)
+            return "ok"
+
+        # Vertex 4 and center -1 are outside the 4-vertex trees.
+        leg_choices = [()] + [leg for k in (1, 2) for leg in product(range(5), repeat=k)]
+        for tree in (build_spider([2, 1]).tree, Tree(4, [(0, 1), (0, 2), (2, 3)])):
+            for center in (-1, 0, 2):
+                for k in range(4):
+                    for legs in product(leg_choices, repeat=k):
+                        assert outcome(new, tree, center, legs) == outcome(
+                            reference, tree, center, legs), (tree.edges, center, legs)
+
+    def test_build_spider_edges_sorted(self):
+        sp = build_spider([3, 1, 2])
+        assert sp.tree.edges == ((0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (5, 6))
+        assert sp.legs == ((1, 2, 3), (4,), (5, 6))
+
     def test_validation_counts_degrees_in_one_pass(self, monkeypatch):
         def per_vertex_scan(self, v):
             raise AssertionError("Spider validation scanned the edges per vertex")
@@ -89,6 +233,46 @@ class TestSpider:
         monkeypatch.setattr(Tree, "degree", per_vertex_scan)
         sp = build_spider([3, 5, 7])
         assert sp.leg_lengths == (3, 5, 7)
+
+
+class TestLabeling:
+    def test_sequence_equals_dict(self):
+        xs = [3, 0, 2, 1]
+        lab = Labeling.from_sequence(xs)
+        assert lab == Labeling(dict(enumerate(xs)))
+        assert lab.values == dict(enumerate(xs))
+        assert dict(enumerate(xs)) == lab.values
+        assert dict(lab.values) == dict(enumerate(xs))
+        assert sorted(lab.values) == [0, 1, 2, 3]
+        assert list(lab.values.items()) == list(enumerate(xs))
+        assert len(lab) == 4 and 3 in lab and 4 not in lab and -1 not in lab
+        assert lab != Labeling.from_sequence([3, 0, 1, 2])
+
+    @pytest.mark.parametrize("v", [-1, 4, "0", 1.5])
+    def test_out_of_range_vertex_not_labeled(self, v):
+        lab = Labeling.from_sequence([3, 0, 2, 1])
+        with pytest.raises(ValidationError) as info:
+            lab[v]
+        assert str(info.value) == f"vertex {v} is not labeled"
+
+    def test_values_read_only(self):
+        lab = Labeling.from_sequence([0, 1])
+        with pytest.raises(TypeError):
+            lab.values[0] = 1
+
+    def test_short_sequence_is_error_not_false(self):
+        with pytest.raises(ValidationError) as info:
+            is_graceful(path_tree(3), Labeling.from_sequence([0, 2]))
+        assert str(info.value) == "vertex 2 is not labeled"
+
+    def test_as_sequence(self):
+        lab = Labeling.from_sequence([0, 2, 1])
+        seq = lab.as_sequence(3)
+        seq[0] = 9
+        assert lab[0] == 0
+        assert lab.as_sequence(2) == [0, 2]
+        with pytest.raises(ValidationError, match="^vertex 3 is not labeled$"):
+            lab.as_sequence(4)
 
 
 class TestCheckers:
@@ -110,6 +294,29 @@ class TestCheckers:
     def test_partial_labeling_is_error_not_false(self):
         with pytest.raises(ValidationError):
             is_graceful(path_tree(3), Labeling({0: 0, 1: 2}))
+
+    def test_same_verdicts_as_reference(self):
+        def reference(t, lab):
+            m = t.m
+            values = [lab[v] for v in range(t.n)]
+            if len(set(values)) != t.n or any(not 0 <= x <= m for x in values):
+                return False, None
+            if {abs(lab[a] - lab[b]) for a, b in t.edges} != set(range(1, m + 1)):
+                return False, None
+            alpha = max(min(lab[a], lab[b]) for a, b in t.edges)
+            for a, b in t.edges:
+                lo, hi = sorted((lab[a], lab[b]))
+                if not lo <= alpha < hi:
+                    return True, None
+            return True, alpha
+
+        for t in (path_tree(4), build_spider([1, 1, 1]).tree, build_spider([2, 1]).tree):
+            for labels in product(range(-1, t.n + 1), repeat=t.n):
+                for lab in (Labeling.from_sequence(list(labels)),
+                            Labeling(dict(enumerate(labels)))):
+                    graceful = is_graceful(t, lab)
+                    alpha = alpha_index(t, lab) if graceful else None
+                    assert (graceful, alpha) == reference(t, lab), labels
 
     def test_alpha_index_figure1_path(self):
         assert alpha_index(path_tree(7), Labeling.from_sequence([6, 0, 5, 1, 4, 2, 3])) == 2

@@ -171,6 +171,33 @@ class TestCli:
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         assert "labels" in json.loads(proc.stdout)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"center": 0, "legs": [["x"]]}, "malformed spider"),
+            ({"center": "c", "legs": [[1]]}, "malformed spider"),
+            ({"center": 0, "legs": 5}, "malformed spider"),
+            ({"labels": {"0": 0, "1": 1, "-1": 5}}, "label for vertex -1 outside 0..1"),
+            ({"labels": {"0": 0, "1": 1, "2": 5}}, "label for vertex 2 outside 0..1"),
+        ],
+    )
+    def test_malformed_document_exit2(self, tmp_path, doc, message):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps({"n": 2, "edges": [[0, 1]], **doc}))
+        for command in ("export", "verify"):
+            proc = run_cli_process([command, "--graph", str(p)])
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
+            error = json.loads(proc.stdout)["error"]
+            assert error["type"] == "validation" and message in error["message"]
+
+    def test_unlabeled_vertex_exit2(self, capsys, tmp_path):
+        p = tmp_path / "partial.json"
+        p.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
+                                 "labels": {"0": 0, "1": 2}}))
+        code, out = run_cli(capsys, "verify", "--graph", str(p))
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "vertex 2 is not labeled"
+
     def test_attach_cmd(self, capsys, tmp_path):
         p = tmp_path / "host.json"
         p.write_text(json.dumps({"n": 1, "edges": [], "labels": {"0": 0}}))
