@@ -9,14 +9,20 @@ where the conflicts live -- are explored before the interchangeable leaves.
   labeled neighbor, its parent, labeled x. Its candidates are x - d and
   x + d over the differences d not yet used, restricted to unused labels
   (and to the vertex's class range under an alpha layout). They are bitmask
-  operations on the used labels and the unused differences, tried in
+  operations on the unused labels and the unused differences, tried in
   ascending label order, so the first witness is the one a scan of all
   labels in [0, m] finds.
-- Forward check. After each placement the largest unused difference D
-  still needs a future edge (a, a + D) with 0 <= a <= m - D and at least one
-  endpoint unlabeled; the branch is cut when every such pair is already
-  labeled. The condition is necessary, so counts and witnesses are
-  unchanged.
+- Forward check. Every future edge joins an unplaced vertex to its parent.
+  So after each placement, each unused difference d still needs a pair
+  (a, a + d) with one end on an unused label and the other on an unused
+  label or on the label of an open vertex: a placed one with unplaced
+  children. The unused/unused pair only counts while some unplaced vertex
+  has an unplaced parent. The branch is cut when one of the three largest
+  unused differences has no such pair. The condition is necessary, so
+  counts and witnesses are unchanged.
+- Sibling leaves. Unfixed leaves of one parent are interchangeable: the
+  search gives them increasing labels, and a count weighs each labeling
+  by the product of k! over groups of k such siblings.
 - Complement. f -> m - f is a bijection on graceful labelings. A count with
   nothing fixed tries root labels up to m/2 only and weighs each labeling 2
   (1 when the root is labeled m/2); an alpha-constrained count searches one
@@ -53,47 +59,36 @@ class SearchReport:
     exhausted: bool
 
 
-def _search_order(t: Tree) -> list[int]:
+def _search_order(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     """DFS preorder from the highest-degree vertex (smallest id on ties),
-    visiting children by descending subtree size so leaves come last."""
-    adj = t.adjacency()
-    start = min(range(t.n), key=lambda v: (-len(adj[v]), v))
+    visiting children by descending subtree size so leaves come last; and
+    for each position after the first, the position of the vertex's parent
+    (-1 for the first)."""
+    n = len(adj)
+    start = max(range(n), key=lambda v: len(adj[v]))
     # Subtree sizes via a reverse-BFS accumulation.
-    parent = {start: None}
-    bfs = _bfs(adj, start)
+    parent = [-1] * n
+    bfs = [start]
     for v in bfs:
         for w in adj[v]:
-            if w not in parent:
+            if w != parent[v]:
                 parent[w] = v
-    size = [1] * t.n
-    for v in reversed(bfs):
-        if parent[v] is not None:
-            size[parent[v]] += size[v]
-    order = []
-    stack = [start]
-    seen = {start}
+                bfs.append(w)
+    size = [1] * n
+    for v in reversed(bfs[1:]):
+        size[parent[v]] += size[v]
+    order: list[int] = []
+    up: list[int] = []
+    stack = [(start, -1)]
     while stack:
-        v = stack.pop()
+        v, p = stack.pop()
+        i = len(order)
         order.append(v)
-        children = [w for w in adj[v] if w not in seen]
-        seen.update(children)
-        for w in sorted(children, key=lambda w: (size[w], -w)):
-            stack.append(w)
-    return order
-
-
-def _bfs(adj: dict[int, list[int]], start: int) -> list[int]:
-    order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    return order
+        up.append(p)
+        children = [w for w in adj[v] if w != parent[v]]
+        children.sort(key=lambda w: (size[w], -w))
+        stack.extend([(w, i) for w in children])
+    return order, up
 
 
 def _class_masks(t: Tree, alpha_constrained: bool) -> list[list[int]]:
@@ -167,28 +162,43 @@ def _run(
 
     start_time = time.monotonic()
     n = t.n
-    order = _search_order(t)
     adj = t.adjacency()
-    # In a preorder every vertex after the first has exactly one labeled
-    # neighbor when it is reached: its parent, up[i].
-    placed = {order[0]}
-    up = [-1]
-    for v in order[1:]:
-        up.append(next(w for w in adj[v] if w in placed))
-        placed.add(v)
+    # Everything below is indexed by depth, the position in the preorder.
+    # Every vertex after the first has exactly one neighbor earlier in the
+    # preorder when it is reached: its parent, at depth up[i].
+    order, up = _search_order(adj)
+    # kids[i]: order[i] has children. last[i]: order[i] is its parent's last
+    # child, so placing it closes the parent. deep[i]: after placing
+    # order[i], some unplaced vertex still has an unplaced parent (-1 as a
+    # mask when so, 0 when not).
+    kids = [False] * n
+    last = [False] * n
+    for i in range(n - 1, 0, -1):
+        if not kids[up[i]]:
+            kids[up[i]] = last[i] = True
+    deep = [0] * n
+    pending = n - 1  # edges with both ends unplaced
+    for i, v in enumerate(order):
+        pending -= len(adj[v]) - (i > 0)
+        deep[i] = -1 if pending else 0
 
-    # Unfixed leaf siblings are interchangeable, so a witness search may
-    # demand increasing labels along each sibling group without losing
-    # completeness. Counting must see every labeling, so it skips this.
+    # Unfixed leaf siblings are interchangeable: permuting their labels
+    # maps labelings onto labelings, fixes every other label and the class
+    # masks, and moves each labeling to a different one. So the search
+    # demands increasing labels along each sibling group, and a count
+    # weighs each labeling it finds by the number of orderings, the product
+    # of k! over groups of k siblings.
     sym_prev = [-1] * n
-    if not count_all:
-        last_leaf: dict[int, int] = {}  # parent -> previous unfixed leaf
-        for v in order:
-            if len(adj[v]) == 1 and v not in fixed and v != order[0]:
-                parent = adj[v][0]
-                if parent in last_leaf:
-                    sym_prev[v] = last_leaf[parent]
-                last_leaf[parent] = v
+    orderings = 1
+    prev_leaf = [-1] * n  # by parent depth: its last unfixed leaf so far
+    group = [0] * n  # by parent depth: its unfixed leaves so far
+    for i in range(1, n):
+        if len(adj[order[i]]) == 1 and order[i] not in fixed:
+            p = up[i]
+            sym_prev[i] = prev_leaf[p]
+            prev_leaf[p] = i
+            group[p] += 1
+            orderings *= group[p]
 
     # f -> m - f maps graceful labelings onto graceful labelings and swaps
     # the two alpha layouts, so an unconstrained count only needs root
@@ -205,18 +215,22 @@ def _run(
     count = 0
     witness: Optional[dict[int, int]] = None
     ran_out = False
-    label = [0] * n  # by vertex
-    cand = [0] * n  # by depth: untried candidate labels, as a bitmask
-    used = [0] * n  # by depth: labels in use before order[i] is labeled
-    free = [0] * n  # by depth: unused differences
+    label = [0] * n
+    cand = [0] * n  # untried candidate labels, as a bitmask
+    unused = [0] * n  # labels not in use before order[i] is labeled
+    free = [0] * n  # unused differences
     mirror = [0] * n  # free with bit d moved to bit m - d
+    opened = [0] * n  # labels of open vertices: placed, with unplaced children
 
     for allowed in layouts:
         for v, lab in fixed.items():
             allowed[v] &= 1 << lab  # a fixed label keeps its class range
-        cand[0] = allowed[order[0]] & root_mask
+        allowed = [allowed[v] for v in order]
+        cand[0] = allowed[0] & root_mask
+        unused[0] = (1 << (m + 1)) - 1
         free[0] = (1 << (m + 1)) - 2
         mirror[0] = (1 << m) - 1
+        opened[0] = 0
         i = 0
         while i >= 0:
             c = cand[i]
@@ -230,14 +244,18 @@ def _run(
             bit = c & -c
             cand[i] = c ^ bit
             lab = bit.bit_length() - 1
-            label[order[i]] = lab
-            u = used[i] | bit
+            label[i] = lab
+            a = unused[i] ^ bit
             f = free[i]
             r = mirror[i]
+            o = opened[i]
             if i:
-                d = abs(lab - label[up[i]])
+                x = label[up[i]]
+                d = lab - x if lab > x else x - lab
                 f ^= 1 << d
                 r ^= 1 << (m - d)
+                if last[i]:
+                    o ^= 1 << x
             else:
                 # At m = 0, f -> m - f is the identity and swaps nothing.
                 alpha_pair = alpha_constrained and m > 0
@@ -245,26 +263,38 @@ def _run(
             if i + 1 == n:
                 count += weight
                 if not count_all:
-                    witness = {v: label[v] for v in order}
+                    witness = dict(zip(order, label))
                     break
                 continue
-            # The largest unused difference, top, still needs an edge
-            # (a, a + top) with an unlabeled endpoint.
-            top = f.bit_length() - 1
-            span = (1 << (m - top + 1)) - 1
-            if u & (u >> top) & span == span:
+            if kids[i]:
+                o |= bit
+            # Each of the top three unused differences d still needs a
+            # future edge (b, b + d): one end unplaced, on an unused label,
+            # the other on an unused label too (only while some future edge
+            # has both ends unplaced) or on an open vertex's label.
+            # The loop breaks with k and g both left nonzero only on a cut.
+            w = o | (a & deep[i])
+            g = f
+            k = 3
+            while k and g:
+                d = g.bit_length() - 1
+                if not (a & (w >> d) or o & (a >> d)):
+                    break
+                g ^= 1 << d
+                k -= 1
+            if k and g:
                 continue
             i += 1
-            v = order[i]
             x = label[up[i]]
             # Labels x - d and x + d over the unused differences d.
-            c = allowed[v] & ~u & ((r >> (m - x)) | (f << x))
-            if sym_prev[v] >= 0:
-                c &= -2 << label[sym_prev[v]]  # above the previous sibling
+            c = allowed[i] & a & ((r >> (m - x)) | (f << x))
+            if sym_prev[i] >= 0:
+                c &= -2 << label[sym_prev[i]]  # above the previous sibling
             cand[i] = c
-            used[i] = u
+            unused[i] = a
             free[i] = f
             mirror[i] = r
+            opened[i] = o
         if witness is not None or ran_out:
             break
 
@@ -272,7 +302,7 @@ def _run(
     found = Labeling(witness) if witness is not None else None
     return SearchReport(
         found=found,
-        count=count if count_all else None,
+        count=count * orderings if count_all else None,
         nodes_explored=nodes,
         elapsed=elapsed,
         exhausted=not ran_out,

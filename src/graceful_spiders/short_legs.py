@@ -139,10 +139,9 @@ def extend_with_leaves(
     m_prime = t.m
     new_ids = range(t.n, t.n + t_count)
     extended = Tree(t.n + t_count, list(t.edges) + [(center, w) for w in new_ids])
-    values = dict(f.values)
-    for i, w in enumerate(new_ids, start=1):
-        values[w] = m_prime + i
-    lab = Labeling(values)
+    values = f.as_sequence(t.n)
+    values.extend(range(m_prime + 1, m_prime + t_count + 1))
+    lab = Labeling.from_sequence(values)
     if not is_graceful(extended, lab):
         raise ConstructionInvariantError("leaf extension broke gracefulness")
     return extended, lab

@@ -1,11 +1,20 @@
 import hashlib
+import itertools
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from graceful_spiders.errors import ValidationError
-from graceful_spiders.model import Labeling, Tree, build_spider, is_graceful, path_tree
+from graceful_spiders.model import (
+    Labeling,
+    Tree,
+    alpha_index,
+    build_spider,
+    is_graceful,
+    path_tree,
+)
 from graceful_spiders.oracle import count_graceful, find_graceful
 from graceful_spiders.paths import zigzag_alpha_path
 
@@ -19,6 +28,11 @@ ORACLE_COUNTS = os.path.join(os.path.dirname(__file__), "data", "oracle_counts.j
 
 ALPHA_ZERO_AT_WITNESSES = "9698fccdd92cf334f98e4aba03686874e01f9cf1e47f5519322429a41a00d1a3"
 
+# First witnesses of find_graceful and the nodes spent on them, written by
+# tests/data/make_oracle_witnesses.py with the oracle whose forward check
+# looked at the largest unused difference only.
+ORACLE_WITNESSES = os.path.join(os.path.dirname(__file__), "data", "oracle_witnesses.json")
+
 # First witness (by vertex id) of find_graceful on build_spider(legs), and
 # the nodes the label-scanning search spent to reach it.
 FROZEN_WITNESSES = [
@@ -26,6 +40,9 @@ FROZEN_WITNESSES = [
     ([8, 2, 1], [0, 5, 3, 9, 1, 8, 4, 7, 6, 11, 2, 10], 746_586),
     ([4, 4, 3], [0, 1, 9, 4, 6, 11, 2, 8, 5, 10, 3, 7], 133_902),
 ]
+# The nodes the search whose forward check looked at the largest unused
+# difference only spent on the same witnesses.
+TOP_DIFFERENCE_NODES = {(9, 1, 1): 51_084, (8, 2, 1): 20_332, (4, 4, 3): 5_546}
 
 
 class TestFind:
@@ -94,6 +111,7 @@ class TestFind:
         report = find_graceful(t)
         assert report.found.as_sequence(t.n) == witness
         assert report.nodes_explored < old_nodes
+        assert report.nodes_explored < TOP_DIFFERENCE_NODES[tuple(legs)]
 
     def test_deep_fully_fixed_path(self):
         # 1200 vertices: deeper than the interpreter's recursion limit.
@@ -106,6 +124,34 @@ class TestFind:
     def test_deterministic_node_count(self):
         t = build_spider([3, 3, 2]).tree
         assert find_graceful(t).nodes_explored == find_graceful(t).nodes_explored
+
+
+class TestFrozenWitnesses:
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        with open(ORACLE_WITNESSES) as fh:
+            return json.load(fh)
+
+    def test_every_tree_up_to_nine_vertices(self, frozen):
+        rows = frozen["trees"]
+        assert len(rows) == 95
+        for row in rows:
+            t = Tree(row["n"], row["edges"])
+            for key, alpha in (("find", False), ("alpha", True)):
+                report = find_graceful(t, alpha_constrained=alpha)
+                found = report.found
+                assert report.exhausted
+                assert (None if found is None else found.as_sequence(t.n)) == row[key]["witness"]
+                assert report.nodes_explored <= row[key]["nodes"], (row, key)
+
+    def test_every_spider_with_7_to_12_edges(self, frozen):
+        rows = frozen["spiders"]
+        assert len(rows) == 209
+        for row in rows:
+            t = build_spider(row["legs"]).tree
+            report = find_graceful(t)
+            assert report.found.as_sequence(t.n) == row["witness"]
+            assert report.nodes_explored <= row["nodes"], row["legs"]
 
 
 class TestCount:
@@ -135,6 +181,59 @@ class TestCount:
     def test_alpha_count_at_most_graceful_count(self):
         t = path_tree(6)
         assert count_graceful(t, alpha_constrained=True).count <= count_graceful(t).count
+
+
+class TestFixedCountsAgainstBruteForce:
+    """Counts with fixed labels against a scan of all n! labelings, on every
+    tree with at most 7 vertices (K_{1,3} and the spider [2, 1, 1] among
+    them). A fixed leaf leaves its sibling group and turns the complement
+    halving off, so these are the counts the sibling ordering and its k!
+    weight could get wrong."""
+
+    @staticmethod
+    def tallies(t):
+        """Per alpha mode, how many graceful labelings there are, and how
+        many give each vertex each label and each pair of vertices each
+        pair of labels."""
+        out = {False: (Counter(), Counter(), [0]), True: (Counter(), Counter(), [0])}
+        for f in itertools.permutations(range(t.n)):
+            if len({abs(f[a] - f[b]) for a, b in t.edges}) != t.m:
+                continue
+            modes = [False]
+            if alpha_index(t, Labeling.from_sequence(list(f))) is not None:
+                modes.append(True)
+            for alpha in modes:
+                singles, pairs, total = out[alpha]
+                total[0] += 1
+                singles.update(enumerate(f))
+                pairs.update(itertools.combinations(enumerate(f), 2))
+        return out
+
+    def test_every_tree_up_to_seven_vertices(self):
+        with open(ORACLE_COUNTS) as fh:
+            rows = [row for row in json.load(fh)["trees"] if row["n"] <= 7]
+        assert len(rows) == 25
+        for row in rows:
+            t = Tree(row["n"], row["edges"])
+            adj = t.adjacency()
+            # Every single fixed label; two fixed labels on sibling leaves.
+            sibling_leaves = [
+                (u, v)
+                for u, v in itertools.combinations(range(t.n), 2)
+                if len(adj[u]) == len(adj[v]) == 1 and adj[u] == adj[v]
+            ]
+            for alpha, (singles, pairs, total) in self.tallies(t).items():
+                cases = [({}, total[0])]
+                cases += [({v: lab}, singles[v, lab]) for v in range(t.n) for lab in range(t.n)]
+                cases += [
+                    ({u: a, v: b}, pairs[(u, a), (v, b)])
+                    for u, v in sibling_leaves
+                    for a, b in itertools.permutations(range(t.n), 2)
+                ]
+                for fixed, expected in cases:
+                    report = count_graceful(t, alpha_constrained=alpha, fixed=fixed)
+                    assert report.exhausted
+                    assert report.count == expected, (row["edges"], alpha, fixed)
 
 
 class TestFrozenCounts:

@@ -43,6 +43,16 @@ class TestTreeDoc:
         dot = to_dot(path_tree(2), Labeling.from_sequence([0, 1]))
         assert 'v0 [label="0"]' in dot and '[label="1"]' in dot
 
+    def test_dict_and_list_labelings_give_one_document(self):
+        sp = build_spider([2, 3])
+        labels = [0, 5, 1, 4, 2, 3]
+        as_list = to_document(sp.tree, Labeling.from_sequence(labels), sp)
+        # Keys inserted out of order: emission sorts them either way.
+        as_dict = to_document(sp.tree, Labeling(dict(reversed(list(enumerate(labels))))), sp)
+        assert as_list == as_dict
+        assert list(as_list["labels"]) == [str(v) for v in range(6)]
+        assert dumps_document(as_list) == dumps_document(as_dict)
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -113,6 +123,32 @@ class TestCli:
         code, out = run_cli(capsys, "oracle", "--graph", str(p), "--fix", "2=0", "--alpha")
         doc = json.loads(out)
         assert code == 0 and doc["found"] is None and doc["exhausted"]
+
+    def test_oracle_contract_on_short_spider(self, capsys, tmp_path):
+        # The oracle's answers on this document are frozen; only the nodes it
+        # spends may fall. Its budget is exact: the nodes a run reports
+        # suffice, one fewer stops it with exit 3.
+        code, out = run_cli(capsys, "spider", "short", "--long", "9", "--two", "0",
+                            "--one", "2")
+        assert code == 0
+        p = tmp_path / "tree.json"
+        p.write_text(out)
+        witness = [0, 9, 1, 8, 2, 7, 3, 6, 4, 5, 10, 11]
+        found = {str(v): lab for v, lab in enumerate(witness)}
+        for extra, answer, parent_nodes in (
+            ([], {"found": found, "count": None}, 51_084),
+            (["--count"], {"found": None, "count": 2040}, 1_234_704),
+        ):
+            argv = ["oracle", "--graph", str(p), *extra]
+            code, out = run_cli(capsys, *argv)
+            doc = json.loads(out)
+            nodes = doc.pop("nodes_explored")
+            assert code == 0 and doc == {**answer, "exhausted": True}
+            assert nodes < parent_nodes
+            code, at_budget = run_cli(capsys, *argv, "--budget", str(nodes))
+            assert code == 0 and at_budget == out
+            code, out = run_cli(capsys, *argv, "--budget", str(nodes - 1))
+            assert code == 3 and json.loads(out)["error"]["type"] == "resource"
 
     def test_oracle_trace_adds_elapsed(self, capsys, tmp_path):
         p = tmp_path / "p4.json"
