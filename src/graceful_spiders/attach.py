@@ -11,11 +11,10 @@ high part of the path up by m + 1, so the bridge edge lands on label m + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import Labeling, Tree, is_graceful
-from .paths import DEFAULT_NODE_BUDGET, PathCache, _alpha_end_seq
+from .model import Labeling, Tree, certified, is_graceful
+from .paths import _alpha_end_seq
 
 
 @dataclass(frozen=True)
@@ -29,19 +28,11 @@ class AttachResult:
     endpoint v joined to u."""
 
 
-def attach_path(
-    t: Tree,
-    f: Labeling,
-    u: int,
-    n: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache: Optional[PathCache] = None,
-) -> AttachResult:
+def attach_path(t: Tree, f: Labeling, u: int, n: int) -> AttachResult:
     """Attach an n-vertex path at u and return the graceful relabeling.
 
     Path vertices get the ids t.n .. t.n+n-1 in path order. The host must be
-    gracefully labeled. The path labeling is closed form, so `budget` and
-    `cache` are unused. The result is certified here, where it leaves the
+    gracefully labeled. The result is certified here, where it leaves the
     library: the joined labeling is checked graceful and the bridge label
     m+1 is asserted, and a failure raises ConstructionInvariantError, since
     the construction guarantees both. The doubling builder attaches through
@@ -58,12 +49,12 @@ def attach_path(
     edges.append((u, path_ids[0]))
     edges.extend((path_ids[j], path_ids[j + 1]) for j in range(n - 1))
     joined = Tree(t.n + n, edges)
-    labeling = Labeling.from_sequence(labels)
-    if not is_graceful(joined, labeling):
-        raise ConstructionInvariantError(
-            "attach_path produced a non-graceful labeling; this contradicts the "
-            "attachment guarantee"
-        )
+    labeling = certified(
+        joined,
+        labels,
+        "attach_path produced a non-graceful labeling; this contradicts the "
+        "attachment guarantee",
+    )
     return AttachResult(joined, labeling, shift, t.m + 1, path_ids)
 
 

@@ -5,8 +5,9 @@ amalgamate | path | oracle | verify | export. Results are emitted as the
 canonical JSON tree document or DOT. Exit codes: 0 success, 2 validation
 (including provable infeasibility), 3 resource budget, 4 internal
 theorem-contradiction. Only `oracle` searches, so only `oracle` uses
-`--budget` and can exit 3; every other subcommand is closed form and
-accepts `--budget` and `--cache` but ignores them.
+`--budget` and can exit 3. Every other subcommand is closed form; it
+accepts `--budget` and `--cache` and ignores them, so existing command
+lines keep working.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from typing import Optional
 
 from .attach import attach_path
 from .compose import AmalgamationInput, amalgamate, label_three_long_legs
-from .doubling import check_doubling, label_doubling_spider
+from .doubling import label_doubling_spider
 from .errors import (
     ConstructionInvariantError,
     ResourceBudgetError,
     ValidationError,
 )
 from .model import AlphaLabeling, Labeling, alpha_index, is_graceful, path_tree
-from .oracle import find_graceful, count_graceful
+from .oracle import DEFAULT_ORACLE_BUDGET, count_graceful, find_graceful
 from .paths import (
-    DEFAULT_NODE_BUDGET,
     alpha_path_end_label,
     alpha_path_zero_at,
     graceful_path_zero_at,
@@ -60,7 +60,7 @@ def _parse_fixed(items: list[str]) -> dict[int, int]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    common.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
                         help="oracle search node budget")
     common.add_argument("--cache", help="accepted and ignored: every path "
                                         "labeling is closed form")
@@ -162,9 +162,7 @@ def _error(kind: str, exc: Exception):
 def _dispatch(args):
     if args.command == "spider":
         if args.variant == "doubling":
-            legs = _parse_legs(args.legs)
-            check_doubling(legs)
-            sp, lab, trace = label_doubling_spider(legs)
+            sp, lab, trace = label_doubling_spider(_parse_legs(args.legs))
             extra = {"trace": _trace_doc(trace)} if args.trace else None
             _emit(args, sp.tree, lab, sp, extra)
         elif args.variant == "short":

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import AlphaLabeling, Labeling, Spider, Tree, build_spider, is_graceful
-from .paths import DEFAULT_NODE_BUDGET, PathCache, _alpha_zero_seq
+from .model import AlphaLabeling, Labeling, Spider, Tree, build_spider, certified, is_graceful
+from .paths import _alpha_zero_seq
 from .short_legs import ShortLegSpec, _short_leg_labels, label_short_leg_spider
 
 
@@ -65,21 +65,19 @@ def amalgamate(inp: AmalgamationInput) -> tuple[Tree, Labeling]:
     edges = list(g.tree.edges)
     edges.extend((h_id(a), h_id(b)) for a, b in inp.h_tree.edges)
     tree = Tree(n_g + inp.h_tree.n - 1, edges)
-    lab = Labeling.from_sequence(
-        _amalgam_labels(
-            g.labeling.as_sequence(n_g),
-            g.alpha,
-            u,
-            inp.h_labeling.as_sequence(inp.h_tree.n),
-            inp.v,
-        )
+    labels = _amalgam_labels(
+        g.labeling.as_sequence(n_g),
+        g.alpha,
+        u,
+        inp.h_labeling.as_sequence(inp.h_tree.n),
+        inp.v,
     )
-    if not is_graceful(tree, lab):
-        raise ConstructionInvariantError(
-            "amalgamation produced a non-graceful labeling; this contradicts "
-            "Lemma 1"
-        )
-    return tree, lab
+    return tree, certified(
+        tree,
+        labels,
+        "amalgamation produced a non-graceful labeling; this contradicts "
+        "Lemma 1",
+    )
 
 
 def _amalgam_labels(
@@ -106,9 +104,7 @@ def _amalgam_labels(
 
 
 def label_three_long_legs(
-    leg_lengths: list[int],
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache: Optional[PathCache] = None,
+    leg_lengths: list[int], budget: Optional[int] = None
 ) -> tuple[Spider, Labeling]:
     """Graceful labeling of a spider with at most three legs of length >= 3.
 
@@ -117,7 +113,7 @@ def label_three_long_legs(
     input) become the path G through the center, alpha-labeled with the
     center at 0; the rest of the spider is labeled by the short-leg
     construction and amalgamated at the center. Every step is closed form,
-    so `budget` and `cache` are unused. The result is checked graceful
+    so `budget` is accepted and ignored. The result is checked graceful
     once, on the canonical spider.
     """
     if not leg_lengths:
@@ -157,13 +153,12 @@ def label_three_long_legs(
     # positions ell1-1 .. 0, leg L2 keeps positions ell1+1 .. n_path-1 as
     # ids, and so do the star vertices, which amalgamate numbers from n_path.
     spider = build_spider([ell1, ell2] + star_lengths)
-    final = Labeling.from_sequence(lab[ell1::-1] + lab[ell1 + 1:])
-    if not is_graceful(spider.tree, final):
-        raise ConstructionInvariantError(
-            "three-long-leg construction produced a non-graceful labeling; "
-            "this contradicts Theorem 5"
-        )
-    return spider, final
+    return spider, certified(
+        spider.tree,
+        lab[ell1::-1] + lab[ell1 + 1:],
+        "three-long-leg construction produced a non-graceful labeling; "
+        "this contradicts Theorem 5",
+    )
 
 
 def _short_spec(leg_lengths: list[int]) -> ShortLegSpec:

@@ -20,8 +20,14 @@ from typing import Optional
 
 from .attach import _attach_labels
 from .errors import ConstructionInvariantError, ValidationError
-from .model import ConstructionTrace, Labeling, Spider, build_spider, is_graceful
-from .paths import DEFAULT_NODE_BUDGET, PathCache, _zero_at_seq
+from .model import ConstructionTrace, Labeling, Spider, build_spider, certified
+from .paths import _zero_at_seq
+
+# The message of the one gracefulness check of a doubling build.
+_CONTRADICTION = (
+    "doubling construction produced a non-graceful labeling; this "
+    "contradicts Theorem 3"
+)
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,6 @@ class AttachStep:
 class DoublingPlan:
     sorted_lengths: tuple[int, ...]
     k_indices: tuple[int, ...]
-    base_leg: int
-    base_leaves: tuple[int, ...]
     steps: tuple[AttachStep, ...] = field(default=())
 
 
@@ -76,13 +80,11 @@ def check_doubling(leg_lengths: list[int]) -> DoublingPlan:
         else AttachStep(i, "x", lengths[i - 1])
         for i in range(2, s + 1)
     )
-    return DoublingPlan(lengths, k_indices, lengths[0], k_indices, steps)
+    return DoublingPlan(lengths, k_indices, steps)
 
 
 def label_doubling_spider(
-    leg_lengths: list[int],
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache: Optional[PathCache] = None,
+    leg_lengths: list[int], budget: Optional[int] = None
 ) -> tuple[Spider, Labeling, ConstructionTrace]:
     """Graceful labeling of the doubling spider, on the canonical numbering
     of build_spider(sorted lengths).
@@ -90,7 +92,7 @@ def label_doubling_spider(
     Two or fewer legs make the spider a path, labeled directly with the
     center at 0; otherwise the iterated attachment runs, asserting the
     attachment precondition and the center-label recurrence at every step.
-    Every step is closed form, so `budget` and `cache` are unused. The
+    Every step is closed form, so `budget` is accepted and ignored. The
     result is checked graceful once, on the canonical spider.
     """
     plan = check_doubling(leg_lengths)
@@ -108,7 +110,8 @@ def label_doubling_spider(
         pos = lengths[0] if s == 2 else 0
         path = _zero_at_seq(n, pos)
         trace.record("path_base", {"n": n, "zero_position": pos}, n - 1)
-        return spider, _certify(spider, path[pos::-1] + path[pos + 1:], trace), trace
+        final = path[pos::-1] + path[pos + 1:]
+        return spider, certified(spider.tree, final, _CONTRADICTION, trace), trace
 
     # Base S_1: the first leg as a path with the center x at an endpoint
     # labeled 0 (zigzag), plus a leaf y_i labeled ell_1 + j for the j-th
@@ -165,16 +168,5 @@ def label_doubling_spider(
     final = [labels[center]]
     for i in range(1, s + 1):
         final.extend(labels[w] for w in legs_work[i])
-    return spider, _certify(spider, final, trace), trace
+    return spider, certified(spider.tree, final, _CONTRADICTION, trace), trace
 
-
-def _certify(spider: Spider, labels: list[int], trace: ConstructionTrace) -> Labeling:
-    """The one gracefulness check of a doubling build."""
-    lab = Labeling.from_sequence(labels)
-    if not is_graceful(spider.tree, lab):
-        raise ConstructionInvariantError(
-            "doubling construction produced a non-graceful labeling; this "
-            "contradicts Theorem 3",
-            trace,
-        )
-    return lab

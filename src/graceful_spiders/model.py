@@ -20,7 +20,7 @@ from itertools import accumulate, chain, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ConstructionInvariantError, ValidationError
 
 _FIRST = itemgetter(0)
 _SECOND = itemgetter(1)
@@ -277,6 +277,21 @@ def is_graceful(t: Tree, lab: Labeling) -> bool:
     if len(set(f)) != t.n or min(f) < 0 or max(f) > m:
         return False
     return {abs(f[a] - f[b]) for a, b in t.edges} == set(range(1, m + 1))
+
+
+def certified(
+    t: Tree,
+    labels: list[int],
+    message: str,
+    trace: Optional[ConstructionTrace] = None,
+) -> Labeling:
+    """The labeling of t by `labels` (vertex i gets labels[i]), checked
+    graceful; raises ConstructionInvariantError(message, trace) when it is
+    not, since every caller's construction guarantees it."""
+    lab = Labeling.from_sequence(labels)
+    if not is_graceful(t, lab):
+        raise ConstructionInvariantError(message, trace)
+    return lab
 
 
 def alpha_index(t: Tree, lab: Labeling) -> Optional[int]:

@@ -20,14 +20,17 @@ where the conflicts live -- are explored before the interchangeable leaves.
   has an unplaced parent. The branch is cut when one of the three largest
   unused differences has no such pair. The condition is necessary, so
   counts and witnesses are unchanged.
-- Sibling leaves. Unfixed leaves of one parent are interchangeable: the
-  search gives them increasing labels, and a count weighs each labeling
+- Sibling leaves. Unfixed leaves of one parent are interchangeable: find
+  and count give them increasing labels, and a count weighs each labeling
   by the product of k! over groups of k such siblings.
 - Complement. f -> m - f is a bijection on graceful labelings. A count with
   nothing fixed tries root labels up to m/2 only and weighs each labeling 2
   (1 when the root is labeled m/2); an alpha-constrained count searches one
   of the two class layouts, which the complement swaps, and weighs 2
   (1 on the one-vertex tree, where the complement is the identity).
+- Enumeration. `enumerate_graceful` runs the same search with neither
+  symmetry and keeps every labeling it reaches, in search order. The
+  forward check stays: it only cuts branches that cannot be completed.
 - Stack. The search keeps one frame per depth in flat lists, not in
   recursion, so tree size is not limited by the interpreter's recursion
   depth.
@@ -40,7 +43,6 @@ space (`exhausted`) counts as a definitive answer.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -57,6 +59,7 @@ class SearchReport:
     nodes_explored: int
     elapsed: float
     exhausted: bool
+    labelings: tuple[Labeling, ...] = ()
 
 
 def _search_order(adj: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -91,29 +94,25 @@ def _search_order(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     return order, up
 
 
-def _class_masks(t: Tree, alpha_constrained: bool) -> list[list[int]]:
-    """Allowed labels per vertex as bitmasks: all of [0, m], or one layout
-    per choice of which bipartition class is the low class of an
-    alpha-labeling (layout 0 puts vertex 0's class low)."""
-    m = t.m
+def _class_masks(
+    m: int, order: list[int], up: list[int], alpha_constrained: bool
+) -> list[list[int]]:
+    """Allowed labels per preorder position as bitmasks: all of [0, m], or
+    one layout per choice of which bipartition class is the low class of an
+    alpha-labeling (layout 0 puts vertex 0's class low). The classes are the
+    parities of the depth in the search tree."""
     every = (1 << (m + 1)) - 1
     if not alpha_constrained:
-        return [[every] * t.n]
-    color = [-1] * t.n
-    color[0] = 0
-    adj = t.adjacency()
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
+        return [[every] * (m + 1)]
+    side = [0] * (m + 1)
+    for i in range(1, m + 1):
+        side[i] = side[up[i]] ^ 1
+    first = side[order.index(0)]
     layouts = []
     # On one vertex both layouts would accept the same single labeling.
-    for low_color in (0, 1) if m else (0,):
-        low = (1 << color.count(low_color)) - 1  # labels 0..alpha
-        layouts.append([low if c == low_color else every & ~low for c in color])
+    for low_side in (first, first ^ 1) if m else (first,):
+        low = (1 << side.count(low_side)) - 1  # labels 0..alpha
+        layouts.append([low if c == low_side else every & ~low for c in side])
     return layouts
 
 
@@ -130,7 +129,7 @@ def find_graceful(
     alpha_constrained, only alpha-labelings are searched (both choices of
     low bipartition class).
     """
-    return _run(t, fixed or {}, budget, alpha_constrained, count_all=False)
+    return _run(t, fixed or {}, budget, alpha_constrained, "find")
 
 
 def count_graceful(
@@ -141,7 +140,23 @@ def count_graceful(
 ) -> SearchReport:
     """Count all graceful labelings of t; the count is complete only when
     `exhausted` is set."""
-    return _run(t, fixed or {}, budget, alpha_constrained, count_all=True)
+    return _run(t, fixed or {}, budget, alpha_constrained, "count")
+
+
+def enumerate_graceful(
+    t: Tree,
+    fixed: Optional[Mapping[int, int]] = None,
+    budget: int = DEFAULT_ORACLE_BUDGET,
+    alpha_constrained: bool = False,
+) -> SearchReport:
+    """Every graceful labeling of t respecting the fixed assignments, in
+    search order, as `labelings` (with `count` their number).
+
+    The list is complete only when `exhausted` is set; otherwise it holds
+    the labelings found before the budget ran out. With alpha_constrained,
+    only alpha-labelings are listed (both choices of low bipartition class).
+    """
+    return _run(t, fixed or {}, budget, alpha_constrained, "enumerate")
 
 
 def _run(
@@ -149,8 +164,11 @@ def _run(
     fixed: Mapping[int, int],
     budget: int,
     alpha_constrained: bool,
-    count_all: bool,
+    mode: str,
 ) -> SearchReport:
+    """The search behind find ("find": stop at the first labeling), count
+    ("count": weigh each labeling by the symmetries it stands for) and
+    enumerate ("enumerate": keep every labeling, use no symmetry)."""
     m = t.m
     for v, lab in fixed.items():
         if not 0 <= v < t.n:
@@ -184,15 +202,16 @@ def _run(
 
     # Unfixed leaf siblings are interchangeable: permuting their labels
     # maps labelings onto labelings, fixes every other label and the class
-    # masks, and moves each labeling to a different one. So the search
-    # demands increasing labels along each sibling group, and a count
+    # masks, and moves each labeling to a different one. So find and count
+    # demand increasing labels along each sibling group, and a count
     # weighs each labeling it finds by the number of orderings, the product
     # of k! over groups of k siblings.
     sym_prev = [-1] * n
     orderings = 1
     prev_leaf = [-1] * n  # by parent depth: its last unfixed leaf so far
     group = [0] * n  # by parent depth: its unfixed leaves so far
-    for i in range(1, n):
+    symmetric = range(1, n) if mode != "enumerate" else ()
+    for i in symmetric:
         if len(adj[order[i]]) == 1 and order[i] not in fixed:
             p = up[i]
             sym_prev[i] = prev_leaf[p]
@@ -203,17 +222,20 @@ def _run(
     # f -> m - f maps graceful labelings onto graceful labelings and swaps
     # the two alpha layouts, so an unconstrained count only needs root
     # labels up to m/2, and an alpha count only the first layout.
-    layouts = _class_masks(t, alpha_constrained)
-    halve = count_all and not fixed
+    layouts = _class_masks(m, order, up, alpha_constrained)
+    halve = mode == "count" and not fixed
     root_mask = -1
     if halve and alpha_constrained:
         layouts = layouts[:1]
     elif halve:
         root_mask = (1 << (m // 2 + 1)) - 1
 
+    where = [0] * n  # by vertex: its depth
+    for i, v in enumerate(order):
+        where[v] = i
     nodes = 0
     count = 0
-    witness: Optional[dict[int, int]] = None
+    kept: list[Labeling] = []  # find: the witness; enumerate: every labeling
     ran_out = False
     label = [0] * n
     cand = [0] * n  # untried candidate labels, as a bitmask
@@ -224,8 +246,7 @@ def _run(
 
     for allowed in layouts:
         for v, lab in fixed.items():
-            allowed[v] &= 1 << lab  # a fixed label keeps its class range
-        allowed = [allowed[v] for v in order]
+            allowed[where[v]] &= 1 << lab  # a fixed label keeps its class range
         cand[0] = allowed[0] & root_mask
         unused[0] = (1 << (m + 1)) - 1
         free[0] = (1 << (m + 1)) - 2
@@ -262,9 +283,10 @@ def _run(
                 weight = 2 if halve and (alpha_pair or 2 * lab != m) else 1
             if i + 1 == n:
                 count += weight
-                if not count_all:
-                    witness = dict(zip(order, label))
-                    break
+                if mode != "count":
+                    kept.append(Labeling.from_sequence([label[p] for p in where]))
+                    if mode == "find":
+                        break
                 continue
             if kids[i]:
                 o |= bit
@@ -295,15 +317,16 @@ def _run(
             free[i] = f
             mirror[i] = r
             opened[i] = o
-        if witness is not None or ran_out:
+        if ran_out or (mode == "find" and kept):
             break
 
     elapsed = time.monotonic() - start_time
-    found = Labeling(witness) if witness is not None else None
+    find = mode == "find"
     return SearchReport(
-        found=found,
-        count=count * orderings if count_all else None,
+        found=kept[0] if find and kept else None,
+        count=None if find else count * orderings,
         nodes_explored=nodes,
         elapsed=elapsed,
         exhausted=not ran_out,
+        labelings=() if find else tuple(kept),
     )

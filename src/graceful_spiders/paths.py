@@ -30,7 +30,9 @@ class or on an infeasible pair: the center of P_{4s+1}, and n = 6k+2 or
 6k+3 with the shorter arm q = 2k or 2k+1 (362 pairs with n <= 400, 912 with
 n <= 1000). `_zero_at_residue` builds those by `_extend_by_band`, which
 lifts a small zero-position block and continues it with an end-label band.
-Every path labeling is therefore closed form; nothing here searches.
+Every path labeling is therefore closed form, and nothing here searches:
+listing every alpha-labeling of a small path is the oracle's job
+(`oracle.enumerate_graceful(path_tree(n), alpha_constrained=True)`).
 
 Each public provider certifies its result as it returns it (an
 `AlphaLabeling` re-verifies the index; `graceful_path_zero_at` checks
@@ -43,18 +45,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterator, Optional
+from typing import Optional
 
-from .errors import (
-    ConstructionInvariantError,
-    InfeasibleError,
-    ResourceBudgetError,
-    ValidationError,
-)
-from .model import AlphaLabeling, Labeling, is_graceful, path_tree
-
-DEFAULT_NODE_BUDGET = 10**8
-ENUMERATION_BOUND = 14
+from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
+from .model import AlphaLabeling, Labeling, certified, path_tree
 
 _CACHE_FORMAT = "graceful-spiders-path-cache"
 _CACHE_VERSION = 1
@@ -65,8 +59,7 @@ class PathCache:
 
     The file is a versioned JSON map; writes go through a temp file and an
     atomic replace so concurrent readers never see a torn file. Every path
-    labeling is closed form, so no provider reads or writes it; the
-    providers and builders accept a `cache` argument and ignore it.
+    labeling is closed form, so nothing in the package reads or writes it.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -227,79 +220,29 @@ def _alpha_of_sequence(n: int, low_is_even: bool) -> int:
     return n_low - 1
 
 
-def _enumerate_alpha_sequences(n: int, low_is_even: bool) -> Iterator[tuple[int, ...]]:
-    """All alpha-labelings of P_n whose low class sits on the given parity."""
-    m = n - 1
-    n_low = (n + 1) // 2 if low_is_even else n // 2
-    alpha = n_low - 1
-    labels = [-1] * n
-
-    def extend(pos: int, used_labels: int, used_diffs: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(labels)
-            return
-        low = (pos % 2 == 0) == low_is_even
-        pool = range(0, alpha + 1) if low else range(alpha + 1, m + 1)
-        prev = labels[pos - 1] if pos > 0 else None
-        for lab in pool:
-            bit = 1 << lab
-            if used_labels & bit:
-                continue
-            if prev is not None:
-                diff = abs(lab - prev)
-                dbit = 1 << diff
-                if used_diffs & dbit:
-                    continue
-            else:
-                dbit = 0
-            labels[pos] = lab
-            yield from extend(pos + 1, used_labels | bit, used_diffs | dbit)
-
-    yield from extend(0, 0, 0)
-
-
-def graceful_path_zero_at(
-    n: int,
-    position: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache: Optional[PathCache] = None,
-) -> Labeling:
+def graceful_path_zero_at(n: int, position: int) -> Labeling:
     """A graceful labeling of P_n with the vertex at `position` labeled 0.
 
-    Endpoints come straight from the zigzag labeling. Interior positions
-    reuse the alpha provider (an alpha-labeling is graceful), except the lone
-    alpha-infeasible case (n=5, central vertex), which is a fixed labeling.
-    The labeling is closed form, so `budget` and `cache` are unused. The
-    result is certified graceful here.
+    The alpha provider's labeling (an alpha-labeling is graceful), except
+    the lone alpha-infeasible case (n=5, central vertex), which is a fixed
+    labeling. The result is certified graceful here.
     """
-    lab = Labeling.from_sequence(_zero_at_seq(n, position))
-    if not is_graceful(path_tree(n), lab):
-        raise ConstructionInvariantError(
-            f"path provider produced a non-graceful labeling of P_{n} with 0 at "
-            f"position {position}"
-        )
-    return lab
+    return certified(
+        path_tree(n),
+        _zero_at_seq(n, position),
+        f"path provider produced a non-graceful labeling of P_{n} with 0 at "
+        f"position {position}",
+    )
 
 
 def _zero_at_seq(n: int, position: int) -> list[int]:
     """Label sequence behind graceful_path_zero_at, not certified."""
-    if not 0 <= position < n:
-        raise ValidationError(f"position {position} out of range for n={n}")
-    if position == 0:
-        return _zigzag_seq(n)
-    if position == n - 1:
-        return _zigzag_seq(n)[::-1]
     if (n, position) == (5, 2):
         return [1, 4, 0, 2, 3]  # graceful, but P_5 has no such alpha-labeling
     return _alpha_zero_seq(n, position)[0]
 
 
-def alpha_path_zero_at(
-    n: int,
-    position: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache: Optional[PathCache] = None,
-) -> AlphaLabeling:
+def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
     """An alpha-labeling of P_n with the vertex at `position` labeled 0.
 
     Infeasible exactly for n=5 with the central vertex. The construction
@@ -307,11 +250,9 @@ def alpha_path_zero_at(
     differences) and reduces the other arm to an endpoint-constrained
     labeling of the remaining label band; the pairs where neither arm admits
     that reduction (see the module docstring) extend a small zero-position
-    block by an end-label band instead. Every request is closed form, so
-    `budget` and `cache` are accepted for a uniform provider signature but
-    unused. The returned `AlphaLabeling` certifies gracefulness and the
-    index; the spider builders skip that and certify their whole spider
-    once.
+    block by an end-label band instead. The returned `AlphaLabeling`
+    certifies gracefulness and the index; the spider builders skip that and
+    certify their whole spider once.
     """
     seq, alpha = _alpha_zero_seq(n, position)
     return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
@@ -425,11 +366,7 @@ def _extend_by_band(blk: list[int], z: int, n: int) -> Optional[list[int]]:
 
 
 def alpha_path_end_label(
-    n: int,
-    end_label: int,
-    required_index: Optional[int] = None,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache: Optional[PathCache] = None,
+    n: int, end_label: int, required_index: Optional[int] = None
 ) -> AlphaLabeling:
     """An alpha-labeling of P_n whose first endpoint carries `end_label`.
 
@@ -437,9 +374,8 @@ def alpha_path_end_label(
     low-class size, hence which class the endpoint may sit in. The
     (n = 4s+1, end_label in {s, 3s}) pairs are provably infeasible; every
     other in-range request is served by the closed-form construction (via
-    the complement symmetry when the endpoint is a high label), so `budget`
-    and `cache` are accepted for a uniform provider signature but unused.
-    The returned `AlphaLabeling` certifies gracefulness and the index.
+    the complement symmetry when the endpoint is a high label). The
+    returned `AlphaLabeling` certifies gracefulness and the index.
     """
     seq, alpha = _alpha_end_seq(n, end_label, required_index)
     return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
@@ -484,25 +420,3 @@ def _alpha_end_seq(
         + (f" with index {required_index}" if required_index is not None else "")
     )
 
-
-def enumerate_alpha_paths(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[AlphaLabeling]:
-    """Every alpha-labeling of P_n, in lexicographic order of the label sequence.
-
-    Exhaustive oracle support; refuses n above the configured bound.
-    """
-    if n > bound:
-        raise ResourceBudgetError(f"enumeration limited to n <= {bound}, got {n}")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    t = path_tree(n)
-    if n == 1:
-        yield AlphaLabeling(t, Labeling({0: 0}), 0)
-        return
-    found: list[tuple[tuple[int, ...], int]] = []
-    for low_is_even in (True, False):
-        alpha = _alpha_of_sequence(n, low_is_even)
-        for seq in _enumerate_alpha_sequences(n, low_is_even):
-            found.append((seq, alpha))
-    found.sort()
-    for seq, alpha in found:
-        yield AlphaLabeling(t, Labeling.from_sequence(list(seq)), alpha)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import Labeling, Spider, Tree, build_spider, is_graceful
-from .paths import DEFAULT_NODE_BUDGET, PathCache, _zero_at_seq
+from .model import Labeling, Spider, Tree, build_spider, certified, is_graceful
+from .paths import _zero_at_seq
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,11 @@ def short_leg_formula(ell: int, s: int) -> Labeling:
             "closed-form labeling requires s >= 2; use label_short_leg_spider "
             "for smaller spiders"
         )
-    lab = Labeling.from_sequence(_formula_labels(ell, s))
-    if not is_graceful(formula_spider(ell, s).tree, lab):
-        raise ConstructionInvariantError(
-            f"closed-form labeling failed the graceful check for ell={ell}, s={s}"
-        )
-    return lab
+    return certified(
+        formula_spider(ell, s).tree,
+        _formula_labels(ell, s),
+        f"closed-form labeling failed the graceful check for ell={ell}, s={s}",
+    )
 
 
 def _formula_labels(ell: int, s: int) -> list[int]:
@@ -141,16 +140,11 @@ def extend_with_leaves(
     extended = Tree(t.n + t_count, list(t.edges) + [(center, w) for w in new_ids])
     values = f.as_sequence(t.n)
     values.extend(range(m_prime + 1, m_prime + t_count + 1))
-    lab = Labeling.from_sequence(values)
-    if not is_graceful(extended, lab):
-        raise ConstructionInvariantError("leaf extension broke gracefulness")
-    return extended, lab
+    return extended, certified(extended, values, "leaf extension broke gracefulness")
 
 
 def label_short_leg_spider(
-    spec: ShortLegSpec,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache: Optional[PathCache] = None,
+    spec: ShortLegSpec, budget: Optional[int] = None
 ) -> tuple[Spider, Labeling]:
     """Graceful labeling, center 0, of the spider with legs
     (ell, 2 x s, 1 x t), on the canonical numbering of `short_leg_spider`.
@@ -159,17 +153,16 @@ def label_short_leg_spider(
     path, labeled by the zero-at-position provider (center at an endpoint
     when s = 0, at the distance-2 interior vertex when s = 1). Length-1 legs
     are appended as labeled leaves afterward. Every step is closed form, so
-    `budget` and `cache` are unused. The result is checked graceful once,
+    `budget` is accepted and ignored. The result is checked graceful once,
     on the canonical spider.
     """
     spider = short_leg_spider(spec)
-    lab = Labeling.from_sequence(_short_leg_labels(spec))
-    if not is_graceful(spider.tree, lab):
-        raise ConstructionInvariantError(
-            "short-leg construction produced a non-graceful labeling; this "
-            "contradicts Theorem 4"
-        )
-    return spider, lab
+    return spider, certified(
+        spider.tree,
+        _short_leg_labels(spec),
+        "short-leg construction produced a non-graceful labeling; this "
+        "contradicts Theorem 4",
+    )
 
 
 def _short_leg_labels(spec: ShortLegSpec) -> list[int]:

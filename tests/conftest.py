@@ -3,7 +3,6 @@ import os
 import pytest
 
 from graceful_spiders.model import Labeling, Tree
-from graceful_spiders.paths import PathCache
 
 # The user's default cache file, resolved before any test redirects HOME.
 USER_CACHE_FILE = os.path.join(
@@ -19,12 +18,6 @@ def hermetic_home(tmp_path, monkeypatch):
     home.mkdir()
     monkeypatch.setenv("HOME", str(home))
     return home
-
-
-@pytest.fixture
-def mem_cache():
-    """In-memory provider cache so tests never touch the user's cache file."""
-    return PathCache(None)
 
 
 def figure1_instance():

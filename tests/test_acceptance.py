@@ -18,18 +18,14 @@ from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
     alpha_flip,
     alpha_index,
+    AlphaLabeling,
     build_spider,
     is_graceful,
     Labeling,
     path_tree,
 )
-from graceful_spiders.oracle import find_graceful
-from graceful_spiders.paths import (
-    alpha_path_end_label,
-    enumerate_alpha_paths,
-    PathCache,
-    zigzag_alpha_path,
-)
+from graceful_spiders.oracle import enumerate_graceful, find_graceful
+from graceful_spiders.paths import zigzag_alpha_path
 from graceful_spiders.short_legs import (
     extend_with_leaves,
     formula_spider,
@@ -77,10 +73,10 @@ def test_criterion_02_figure4_golden():
     print(f"ACCEPTANCE 02 figure-4 golden: PASS ({elapsed*1000:.2f}ms)")
 
 
-def test_criterion_03_figure1_semi_golden(mem_cache):
+def test_criterion_03_figure1_semi_golden():
     t0 = time.perf_counter()
     tree, lab, u = figure1_instance()
-    result = attach_path(tree, lab, u, 7, cache=mem_cache)
+    result = attach_path(tree, lab, u, 7)
     assert is_graceful(result.tree, result.labeling)
     g_labels = sorted(result.labeling[v] for v in range(tree.n))
     assert g_labels == [3, 4, 5, 6, 7, 8, 9]
@@ -160,19 +156,19 @@ def _doubling_multisets(total, max_legs):
     return out
 
 
-def test_criterion_05_doubling_sweep(mem_cache):
+def test_criterion_05_doubling_sweep():
     t0 = time.perf_counter()
     multisets = _doubling_multisets(64, 4)
     assert multisets, "enumeration produced no admissible instances"
     for legs in multisets:
-        sp, lab, _ = label_doubling_spider(legs, cache=mem_cache)
+        sp, lab, _ = label_doubling_spider(legs)
         assert is_graceful(sp.tree, lab)
         assert sp.tree.m == sum(legs)
     elapsed = _report(f"05 doubling sweep ({len(multisets)} instances)", t0)
     assert elapsed < 600.0
 
 
-def test_criterion_06_three_long_sweep(mem_cache):
+def test_criterion_06_three_long_sweep():
     t0 = time.perf_counter()
     count = 0
     longs = []
@@ -189,7 +185,7 @@ def test_criterion_06_three_long_sweep(mem_cache):
             legs = long_part + short_part
             if len(legs) < 2:
                 continue
-            sp, lab = label_three_long_legs(legs, cache=mem_cache)
+            sp, lab = label_three_long_legs(legs)
             assert is_graceful(sp.tree, lab)
             assert sorted(len(leg) for leg in sp.legs) == sorted(legs)
             count += 1
@@ -201,10 +197,9 @@ def test_criterion_07_lemma_2c_exhaustive():
     t0 = time.perf_counter()
     for n, forbidden in ((5, {1, 3}), (9, {2, 6})):
         m = n - 1
-        seen = set()
-        for al in enumerate_alpha_paths(n):
-            seen.add(al.labeling[0])
-            seen.add(al.labeling[n - 1])
+        report = enumerate_graceful(path_tree(n), alpha_constrained=True)
+        assert report.exhausted
+        seen = {lab[v] for lab in report.labelings for v in (0, n - 1)}
         assert seen == set(range(m + 1)) - forbidden
     elapsed = _report("07 lemma 2(c) endpoint exclusion", t0)
     assert elapsed < 60.0
@@ -232,7 +227,7 @@ def _spider_leg_multisets(max_edges):
                 yield partition
 
 
-def test_criterion_09_oracle_cross_check(mem_cache):
+def test_criterion_09_oracle_cross_check():
     t0 = time.perf_counter()
     n_spiders = n_constructions = 0
     for legs in _spider_leg_multisets(12):
@@ -247,16 +242,16 @@ def test_criterion_09_oracle_cross_check(mem_cache):
         except ValidationError:
             pass
         else:
-            sp, lab, _ = label_doubling_spider(legs, cache=mem_cache)
+            sp, lab, _ = label_doubling_spider(legs)
             produced.append((sp, lab))
         if sum(1 for x in legs if x >= 3) <= 3:
-            sp, lab = label_three_long_legs(legs, cache=mem_cache)
+            sp, lab = label_three_long_legs(legs)
             produced.append((sp, lab))
         if sum(1 for x in legs if x >= 3) <= 1:
             ell = max(legs)
             spec = ShortLegSpec(ell, legs.count(2) - (ell == 2),
                                 legs.count(1) - (ell == 1))
-            sp, lab = label_short_leg_spider(spec, cache=mem_cache)
+            sp, lab = label_short_leg_spider(spec)
             produced.append((sp, lab))
         for sp, lab in produced:
             fixed = {v: lab[v] for v in range(sp.tree.n)}
@@ -269,10 +264,18 @@ def test_criterion_09_oracle_cross_check(mem_cache):
     assert elapsed < 900.0
 
 
-def test_criterion_10_property_suite(mem_cache):
+def _alpha_path_pool(n):
+    """Every alpha-labeling of P_n, sorted by label sequence."""
+    t = path_tree(n)
+    labelings = enumerate_graceful(t, alpha_constrained=True).labelings
+    return [AlphaLabeling(t, lab, alpha_index(t, lab))
+            for lab in sorted(labelings, key=lambda lab: lab.as_sequence(n))]
+
+
+def test_criterion_10_property_suite():
     t0 = time.perf_counter()
     rng = random.Random(20260825)
-    pools = {n: list(enumerate_alpha_paths(n)) for n in range(2, 10)}
+    pools = {n: _alpha_path_pool(n) for n in range(2, 10)}
 
     # alpha_flip is an index-preserving involution swapping 0 and alpha.
     for _ in range(1000):
@@ -286,11 +289,11 @@ def test_criterion_10_property_suite(mem_cache):
     # attach_path shifts every host label by floor(n/2) and stays graceful.
     for _ in range(1000):
         spec = ShortLegSpec(rng.randint(1, 6), rng.randint(0, 3), rng.randint(0, 3))
-        sp, lab = label_short_leg_spider(spec, cache=mem_cache)
+        sp, lab = label_short_leg_spider(spec)
         u = rng.randrange(sp.tree.n)
         n = rng.choice([k for k in range(2 * lab[u] + 2, 2 * lab[u] + 12)
                         if k % 4 != 1])
-        result = attach_path(sp.tree, lab, u, n, cache=mem_cache)
+        result = attach_path(sp.tree, lab, u, n)
         assert all(result.labeling[v] == lab[v] + n // 2 for v in range(sp.tree.n))
         assert is_graceful(result.tree, result.labeling)
 

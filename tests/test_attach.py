@@ -8,9 +8,9 @@ from conftest import figure1_instance
 
 
 class TestFigure1:
-    def test_semi_golden(self, mem_cache):
+    def test_semi_golden(self):
         tree, f, u = figure1_instance()
-        result = attach_path(tree, f, u, 7, cache=mem_cache)
+        result = attach_path(tree, f, u, 7)
         m = tree.m
         g_side = {result.labeling[w] for w in range(tree.n)}
         assert g_side == {3, 9, 8, 4, 6, 7, 5}
@@ -27,48 +27,48 @@ class TestFigure1:
 
 
 class TestSmallCases:
-    def test_single_vertex_base(self, mem_cache):
-        result = attach_path(Tree(1, []), Labeling({0: 0}), 0, 2, cache=mem_cache)
+    def test_single_vertex_base(self):
+        result = attach_path(Tree(1, []), Labeling({0: 0}), 0, 2)
         assert [result.labeling[v] for v in range(3)] == [1, 2, 0]
         assert sorted(abs(result.labeling[a] - result.labeling[b]) for a, b in result.tree.edges) == [1, 2]
 
-    def test_p2_attach_4(self, mem_cache):
-        result = attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 0, 4, cache=mem_cache)
+    def test_p2_attach_4(self):
+        result = attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 0, 4)
         assert {result.labeling[0], result.labeling[1]} == {2, 3}
         assert is_graceful(result.tree, result.labeling)
 
 
 class TestPreconditions:
-    def test_n_mod_4(self, mem_cache):
+    def test_n_mod_4(self):
         with pytest.raises(ValidationError, match="mod 4"):
-            attach_path(Tree(1, []), Labeling({0: 0}), 0, 5, cache=mem_cache)
+            attach_path(Tree(1, []), Labeling({0: 0}), 0, 5)
 
-    def test_n_too_small(self, mem_cache):
+    def test_n_too_small(self):
         with pytest.raises(ValidationError, match="n >= 2"):
-            attach_path(Tree(1, []), Labeling({0: 0}), 0, 1, cache=mem_cache)
+            attach_path(Tree(1, []), Labeling({0: 0}), 0, 1)
 
-    def test_inequality(self, mem_cache):
+    def test_inequality(self):
         # f(u) = 1 with n = 2: 1 + 1 + 1 > 2.
         with pytest.raises(ValidationError, match="floor"):
-            attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 1, 2, cache=mem_cache)
+            attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 1, 2)
 
-    def test_vertex_range(self, mem_cache):
+    def test_vertex_range(self):
         with pytest.raises(ValidationError):
-            attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 5, 4, cache=mem_cache)
+            attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 5, 4)
 
-    def test_non_graceful_host(self, mem_cache):
+    def test_non_graceful_host(self):
         t = path_tree(3)
         with pytest.raises(ValidationError):
-            attach_path(t, Labeling.from_sequence([0, 1, 2]), 0, 4, cache=mem_cache)
+            attach_path(t, Labeling.from_sequence([0, 1, 2]), 0, 4)
 
 
 class TestPostconditions:
-    def test_shift_and_partitions(self, mem_cache):
+    def test_shift_and_partitions(self):
         tree, f, u = figure1_instance()
         for n in (4, 7, 8, 11):
             if f[u] + n // 2 + 1 > n:
                 continue
-            result = attach_path(tree, f, u, n, cache=mem_cache)
+            result = attach_path(tree, f, u, n)
             m = tree.m
             shift = n // 2
             assert result.shift == shift
@@ -88,9 +88,9 @@ class TestPostconditions:
             )
             assert path_internal == list(range(m + 2, m + n + 1))
 
-    def test_path_side_is_alpha(self, mem_cache):
+    def test_path_side_is_alpha(self):
         tree, f, u = figure1_instance()
-        result = attach_path(tree, f, u, 8, cache=mem_cache)
+        result = attach_path(tree, f, u, 8)
         n = 8
         shift = n // 2
         raw = [result.labeling[w] for w in result.path_ids]

@@ -1,5 +1,5 @@
 """The spider builders at about 2*10^4 edges, their single certification,
-their frozen outputs, and that no path result reaches the disk cache.
+their frozen outputs, and that they write no cache file.
 
 At the sizes below a quadratic step (a per-vertex degree scan, a Tree rebuilt
 per attachment) costs tens of seconds; the linear builders take well under a
@@ -16,7 +16,7 @@ import pytest
 from graceful_spiders.compose import label_three_long_legs
 from graceful_spiders.doubling import label_doubling_spider
 from graceful_spiders.model import is_graceful
-from graceful_spiders.paths import PathCache, alpha_path_zero_at
+from graceful_spiders.paths import alpha_path_zero_at
 from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
 
 BUILDS = {
@@ -37,14 +37,14 @@ SMALL_BUILDS = {
 
 
 @pytest.mark.parametrize("name", sorted(BUILDS))
-def test_large_build_is_graceful(name, mem_cache):
-    spider, lab = BUILDS[name](cache=mem_cache)
+def test_large_build_is_graceful(name):
+    spider, lab = BUILDS[name]()
     assert spider.tree.m >= 19000
     assert is_graceful(spider.tree, lab)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_BUILDS))
-def test_builder_certifies_once(name, mem_cache, monkeypatch):
+def test_builder_certifies_once(name, monkeypatch):
     calls = []
 
     def counting(t, lab):
@@ -56,22 +56,22 @@ def test_builder_certifies_once(name, mem_cache, monkeypatch):
             getattr(mod, "is_graceful", None) is is_graceful
         ):
             monkeypatch.setattr(mod, "is_graceful", counting)
-    spider, lab = SMALL_BUILDS[name](cache=mem_cache)
+    spider, lab = SMALL_BUILDS[name]()
     assert calls == [spider.tree.m]
     assert is_graceful(spider.tree, lab)
 
 
+# The builders and providers take no cache; these check that they write
+# nothing under HOME either, where the default cache file used to live.
 @pytest.mark.parametrize("name", sorted(SMALL_BUILDS))
-def test_closed_form_builds_leave_no_cache_file(name, tmp_path):
-    path = tmp_path / "cache.json"
-    SMALL_BUILDS[name](cache=PathCache(str(path)))
-    assert not path.exists()
+def test_closed_form_builds_leave_no_cache_file(name, hermetic_home):
+    SMALL_BUILDS[name]()
+    assert not any(hermetic_home.iterdir())
 
 
-def test_closed_form_zero_at_not_cached(tmp_path):
-    path = tmp_path / "cache.json"
-    alpha_path_zero_at(14, 2, cache=PathCache(str(path)))
-    assert not path.exists()
+def test_closed_form_zero_at_not_cached(hermetic_home):
+    alpha_path_zero_at(14, 2)
+    assert not any(hermetic_home.iterdir())
 
 
 def _digest_module():

@@ -71,9 +71,9 @@ class TestAmalgamate:
                 AmalgamationInput(p3_alpha(), 0, path_tree(3), Labeling.from_sequence([0, 1, 2]), 0)
             )
 
-    def test_edge_label_partition(self, mem_cache):
-        g = alpha_path_zero_at(9, 4, cache=mem_cache)
-        star, star_lab = label_short_leg_spider(ShortLegSpec(2, 2, 1), cache=mem_cache)
+    def test_edge_label_partition(self):
+        g = alpha_path_zero_at(9, 4)
+        star, star_lab = label_short_leg_spider(ShortLegSpec(2, 2, 1))
         e_h = star.tree.m
         tree, lab = amalgamate(AmalgamationInput(g, 4, star.tree, star_lab, 0))
         assert tree.m == g.tree.m + e_h
@@ -100,8 +100,8 @@ class TestThreeLongLegs:
             ([6, 5], 11),
         ],
     )
-    def test_graceful(self, legs, m, mem_cache):
-        sp, lab = label_three_long_legs(legs, cache=mem_cache)
+    def test_graceful(self, legs, m):
+        sp, lab = label_three_long_legs(legs)
         assert sp.tree.m == m
         assert is_graceful(sp.tree, lab)
 
@@ -115,16 +115,16 @@ class TestThreeLongLegs:
         assert time.process_time() - start < 1.0
         assert is_graceful(sp.tree, lab)
 
-    def test_leg_multiset_preserved(self, mem_cache):
-        sp, _ = label_three_long_legs([4, 3, 3, 2, 2], cache=mem_cache)
+    def test_leg_multiset_preserved(self):
+        sp, _ = label_three_long_legs([4, 3, 3, 2, 2])
         assert sorted(len(leg) for leg in sp.legs) == [2, 2, 3, 3, 4]
 
-    def test_too_many_long_legs(self, mem_cache):
+    def test_too_many_long_legs(self):
         with pytest.raises(ValidationError, match="three"):
-            label_three_long_legs([3, 3, 3, 3], cache=mem_cache)
+            label_three_long_legs([3, 3, 3, 3])
 
-    def test_bad_input(self, mem_cache):
+    def test_bad_input(self):
         with pytest.raises(ValidationError):
-            label_three_long_legs([], cache=mem_cache)
+            label_three_long_legs([])
         with pytest.raises(ValidationError):
-            label_three_long_legs([3, 0], cache=mem_cache)
+            label_three_long_legs([3, 0])

@@ -50,37 +50,37 @@ class TestLabelDoubling:
         "legs",
         [[1, 6, 14], [1, 9, 20], [2, 6], [3], [1], [1, 6, 14, 30], [2, 8, 18], [1, 9, 21]],
     )
-    def test_graceful_on_canonical_spider(self, legs, mem_cache):
-        sp, lab, trace = label_doubling_spider(legs, cache=mem_cache)
+    def test_graceful_on_canonical_spider(self, legs):
+        sp, lab, trace = label_doubling_spider(legs)
         assert is_graceful(sp.tree, lab)
         assert sp.tree.edges == build_spider(sorted(legs)).tree.edges
         assert sp.tree.m == sum(legs)
 
-    def test_path_case_center_zero(self, mem_cache):
-        sp, lab, _ = label_doubling_spider([2, 6], cache=mem_cache)
+    def test_path_case_center_zero(self):
+        sp, lab, _ = label_doubling_spider([2, 6])
         assert lab[sp.center] == 0
 
-    def test_trace_records_steps(self, mem_cache):
-        _, _, trace = label_doubling_spider([1, 6, 14], cache=mem_cache)
+    def test_trace_records_steps(self):
+        _, _, trace = label_doubling_spider([1, 6, 14])
         assert [s.operation for s in trace.steps] == ["base", "attach", "attach"]
         assert trace.steps[-1].edge_count == 21
 
-    def test_y_attachment_branch(self, mem_cache):
-        _, _, trace = label_doubling_spider([1, 9, 20], cache=mem_cache)
+    def test_y_attachment_branch(self):
+        _, _, trace = label_doubling_spider([1, 9, 20])
         attach_steps = [s for s in trace.steps if s.operation == "attach"]
         assert attach_steps[0].params["attach_at"] == "y"
         assert attach_steps[0].params["vertex_count"] == 8
         assert attach_steps[1].params["attach_at"] == "x"
 
-    def test_invariant_one_shift_bound(self, mem_cache):
+    def test_invariant_one_shift_bound(self):
         # Invariant (1): base labels grow by exactly the per-step shifts,
         # each of which is at most ell_j / 2.
         legs = [1, 6, 14, 30]
-        sp, lab, trace = label_doubling_spider(legs, cache=mem_cache)
+        sp, lab, trace = label_doubling_spider(legs)
         shifts = [s.params["shift"] for s in trace.steps if s.operation == "attach"]
         assert all(2 * sh <= ell for sh, ell in zip(shifts, sorted(legs)[1:]))
         assert lab[sp.center] == sum(shifts)
 
-    def test_invalid_legs_rejected(self, mem_cache):
+    def test_invalid_legs_rejected(self):
         with pytest.raises(ValidationError):
-            label_doubling_spider([1, 5, 12], cache=mem_cache)
+            label_doubling_spider([1, 5, 12])

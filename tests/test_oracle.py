@@ -15,7 +15,7 @@ from graceful_spiders.model import (
     is_graceful,
     path_tree,
 )
-from graceful_spiders.oracle import count_graceful, find_graceful
+from graceful_spiders.oracle import count_graceful, enumerate_graceful, find_graceful
 from graceful_spiders.paths import zigzag_alpha_path
 
 # Frozen by exhaustive enumeration; regression constants.
@@ -183,6 +183,27 @@ class TestCount:
         assert count_graceful(t, alpha_constrained=True).count <= count_graceful(t).count
 
 
+@pytest.fixture(scope="module")
+def small_trees():
+    """Every tree with at most 7 vertices, with its graceful labelings per
+    alpha mode (False: all, True: alpha-labelings) as tuples by vertex id,
+    from a scan of all n! labelings."""
+    with open(ORACLE_COUNTS) as fh:
+        rows = [row for row in json.load(fh)["trees"] if row["n"] <= 7]
+    out = []
+    for row in rows:
+        t = Tree(row["n"], row["edges"])
+        found = {False: [], True: []}
+        for f in itertools.permutations(range(t.n)):
+            if len({abs(f[a] - f[b]) for a, b in t.edges}) != t.m:
+                continue
+            found[False].append(f)
+            if alpha_index(t, Labeling.from_sequence(list(f))) is not None:
+                found[True].append(f)
+        out.append((t, found))
+    return out
+
+
 class TestFixedCountsAgainstBruteForce:
     """Counts with fixed labels against a scan of all n! labelings, on every
     tree with at most 7 vertices (K_{1,3} and the spider [2, 1, 1] among
@@ -191,30 +212,22 @@ class TestFixedCountsAgainstBruteForce:
     weight could get wrong."""
 
     @staticmethod
-    def tallies(t):
+    def tallies(found):
         """Per alpha mode, how many graceful labelings there are, and how
         many give each vertex each label and each pair of vertices each
         pair of labels."""
-        out = {False: (Counter(), Counter(), [0]), True: (Counter(), Counter(), [0])}
-        for f in itertools.permutations(range(t.n)):
-            if len({abs(f[a] - f[b]) for a, b in t.edges}) != t.m:
-                continue
-            modes = [False]
-            if alpha_index(t, Labeling.from_sequence(list(f))) is not None:
-                modes.append(True)
-            for alpha in modes:
-                singles, pairs, total = out[alpha]
-                total[0] += 1
+        out = {}
+        for alpha, labelings in found.items():
+            singles, pairs = Counter(), Counter()
+            for f in labelings:
                 singles.update(enumerate(f))
                 pairs.update(itertools.combinations(enumerate(f), 2))
+            out[alpha] = (singles, pairs, len(labelings))
         return out
 
-    def test_every_tree_up_to_seven_vertices(self):
-        with open(ORACLE_COUNTS) as fh:
-            rows = [row for row in json.load(fh)["trees"] if row["n"] <= 7]
-        assert len(rows) == 25
-        for row in rows:
-            t = Tree(row["n"], row["edges"])
+    def test_every_tree_up_to_seven_vertices(self, small_trees):
+        assert len(small_trees) == 25
+        for t, found in small_trees:
             adj = t.adjacency()
             # Every single fixed label; two fixed labels on sibling leaves.
             sibling_leaves = [
@@ -222,8 +235,8 @@ class TestFixedCountsAgainstBruteForce:
                 for u, v in itertools.combinations(range(t.n), 2)
                 if len(adj[u]) == len(adj[v]) == 1 and adj[u] == adj[v]
             ]
-            for alpha, (singles, pairs, total) in self.tallies(t).items():
-                cases = [({}, total[0])]
+            for alpha, (singles, pairs, total) in self.tallies(found).items():
+                cases = [({}, total)]
                 cases += [({v: lab}, singles[v, lab]) for v in range(t.n) for lab in range(t.n)]
                 cases += [
                     ({u: a, v: b}, pairs[(u, a), (v, b)])
@@ -233,7 +246,47 @@ class TestFixedCountsAgainstBruteForce:
                 for fixed, expected in cases:
                     report = count_graceful(t, alpha_constrained=alpha, fixed=fixed)
                     assert report.exhausted
-                    assert report.count == expected, (row["edges"], alpha, fixed)
+                    assert report.count == expected, (t.edges, alpha, fixed)
+
+
+class TestEnumerate:
+    def test_brute_force_up_to_seven_vertices(self, small_trees):
+        for t, found in small_trees:
+            for alpha, want in found.items():
+                report = enumerate_graceful(t, alpha_constrained=alpha)
+                assert report.exhausted and report.found is None
+                got = [tuple(lab.as_sequence(t.n)) for lab in report.labelings]
+                assert report.count == len(got) == len(set(got))
+                assert set(got) == set(want), (t.edges, alpha)
+
+    def test_frozen_counts_up_to_eight_vertices(self):
+        with open(ORACLE_COUNTS) as fh:
+            rows = [row for row in json.load(fh)["trees"] if row["n"] <= 8]
+        assert len(rows) == 48
+        for row in rows:
+            t = Tree(row["n"], row["edges"])
+            graceful = enumerate_graceful(t)
+            alpha = enumerate_graceful(t, alpha_constrained=True)
+            assert graceful.exhausted and alpha.exhausted
+            assert (graceful.count, alpha.count) == (row["graceful"], row["alpha"]), row
+            assert len(graceful.labelings) == graceful.count
+            assert len(alpha.labelings) == alpha.count
+
+    def test_fixed_labels(self):
+        # The zero at the center of P_5: graceful, but no alpha-labeling.
+        t = path_tree(5)
+        assert enumerate_graceful(t, fixed={2: 0}, alpha_constrained=True).count == 0
+        report = enumerate_graceful(t, fixed={2: 0})
+        assert report.count > 0 and all(lab[2] == 0 for lab in report.labelings)
+
+    def test_budget_stop_not_exhausted(self):
+        report = enumerate_graceful(path_tree(5), budget=1)
+        assert report.nodes_explored == 1 and not report.exhausted
+        assert report.count == len(report.labelings) == 0
+
+    def test_find_and_count_report_no_labelings(self):
+        t = path_tree(4)
+        assert find_graceful(t).labelings == count_graceful(t).labelings == ()
 
 
 class TestFrozenCounts:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -6,24 +7,38 @@ import sys
 import pytest
 
 from graceful_spiders import paths
-from graceful_spiders.errors import (
-    InfeasibleError,
-    ResourceBudgetError,
-    ValidationError,
-)
+from graceful_spiders.errors import InfeasibleError, ValidationError
 from graceful_spiders.model import Labeling, alpha_index, is_graceful, path_tree
+from graceful_spiders.oracle import enumerate_graceful
 from graceful_spiders.paths import (
     PathCache,
     alpha_path_end_label,
     alpha_path_zero_at,
-    enumerate_alpha_paths,
     graceful_path_zero_at,
     zigzag_alpha_path,
 )
 
-# Frozen by exhaustive enumeration (enumerate_alpha_paths); regression
-# constants for the provider's search space.
+# Frozen by exhaustive enumeration; regression constants for the number of
+# alpha-labelings of P_n.
 ALPHA_PATH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 4, 5: 4, 6: 8, 7: 16, 8: 8, 9: 20, 10: 56, 11: 72, 12: 128}
+
+# Per n, the sha256 of the JSON list of every alpha-labeling of P_n as
+# [label sequence, index] pairs, sorted; taken from the path-only
+# backtracking enumerator that the oracle's enumeration replaced.
+ALPHA_PATH_DIGESTS = {
+    1: "9fc8bfd4b83b0317a2a7bdd826cc1f2d8559f1c1cce79972af2ebf3a418dc1af",
+    2: "517a6c9ec5a01b3c969a8cd8406a4f0c0f29ab1f42738227c2d5d6b1efffbc67",
+    3: "f80dca388a78d3f05943e96a53e88826eacbd9b5956b8f2317b1a429ca77bb65",
+    4: "838ba8498efa017553f97530827b5f23b24a0441ba31e0b9a039838d52818a71",
+    5: "9fb76b55262724ee74c86c49a5a246b1d7e6aa37c76b1cf8d2e120dba3db82cc",
+    6: "385874de133c10378422523631a83951af17fee24cb54b1fd6f41616627667fb",
+    7: "2b6ebd439d9643bf1eda16a4090c104cac763f6a4adbbb960f9276f4b09a14b6",
+    8: "dbe72fbd3e3195b5bab83bfb9b41530f9d4bfa3bebd1c950dd4200e051d39578",
+    9: "986bad3c79897c314394d4236f056bd2f3d6c6118b31485e74f2e6bc84c7c8f6",
+    10: "5e8538a8146d0d8d076ab879a1306d988cdd5205f3d09c08ad3e9252a4787ef1",
+    11: "404c4270eaea662567bdeb4d25b5a8d0898fb4287b000f900f94c7e3ef16678f",
+    12: "df6a6a38990d6fe68e4250fb4063cbd1eee9787efe7ad8b3a1f0940796184e1a",
+}
 
 # One sha256 per n <= 400 over every closed-form alpha path labeling of P_n,
 # written by tests/data/make_low_end_digests.py with the recursive, memoized
@@ -39,6 +54,14 @@ def _low_end_digest():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.low_end_digest
+
+
+def alpha_paths(n: int) -> list[tuple[list[int], int]]:
+    """Every alpha-labeling of P_n as (label sequence, index), sorted."""
+    t = path_tree(n)
+    report = enumerate_graceful(t, alpha_constrained=True)
+    assert report.exhausted and report.count == len(report.labelings)
+    return sorted((lab.as_sequence(n), alpha_index(t, lab)) for lab in report.labelings)
 
 
 def _stack_depth() -> int:
@@ -69,59 +92,54 @@ class TestZigzag:
 
 
 class TestGracefulZeroAt:
-    def test_endpoint_examples(self, mem_cache):
-        assert graceful_path_zero_at(7, 0, cache=mem_cache).as_sequence(7) == [0, 6, 1, 5, 2, 4, 3]
-        assert graceful_path_zero_at(1, 0, cache=mem_cache).as_sequence(1) == [0]
+    def test_endpoint_examples(self):
+        assert graceful_path_zero_at(7, 0).as_sequence(7) == [0, 6, 1, 5, 2, 4, 3]
+        assert graceful_path_zero_at(1, 0).as_sequence(1) == [0]
 
-    def test_far_endpoint_reversed(self, mem_cache):
-        seq = graceful_path_zero_at(7, 6, cache=mem_cache).as_sequence(7)
+    def test_far_endpoint_reversed(self):
+        seq = graceful_path_zero_at(7, 6).as_sequence(7)
         assert seq == [3, 4, 2, 5, 1, 6, 0]
 
-    def test_interior_position(self, mem_cache):
-        lab = graceful_path_zero_at(6, 2, cache=mem_cache)
+    def test_interior_position(self):
+        lab = graceful_path_zero_at(6, 2)
         assert lab[2] == 0 and is_graceful(path_tree(6), lab)
 
-    def test_p5_central_exception_still_graceful(self, mem_cache):
-        lab = graceful_path_zero_at(5, 2, cache=mem_cache)
+    def test_p5_central_exception_still_graceful(self):
+        lab = graceful_path_zero_at(5, 2)
         assert lab[2] == 0 and is_graceful(path_tree(5), lab)
         assert alpha_index(path_tree(5), lab) is None
 
-    def test_position_range(self, mem_cache):
+    def test_position_range(self):
         with pytest.raises(ValidationError):
-            graceful_path_zero_at(5, 5, cache=mem_cache)
+            graceful_path_zero_at(5, 5)
 
 
 class TestAlphaZeroAt:
-    def test_p5_central_infeasible(self, mem_cache):
+    def test_p5_central_infeasible(self):
         with pytest.raises(InfeasibleError):
-            alpha_path_zero_at(5, 2, cache=mem_cache)
+            alpha_path_zero_at(5, 2)
 
-    def test_trivial(self, mem_cache):
-        assert alpha_path_zero_at(2, 0, cache=mem_cache).labeling.as_sequence(2) == [0, 1]
+    def test_trivial(self):
+        assert alpha_path_zero_at(2, 0).labeling.as_sequence(2) == [0, 1]
 
-    def test_example_7_2(self, mem_cache):
-        al = alpha_path_zero_at(7, 2, cache=mem_cache)
+    def test_example_7_2(self):
+        al = alpha_path_zero_at(7, 2)
         assert al.labeling[2] == 0
         assert alpha_index(al.tree, al.labeling) == al.alpha
 
-    def test_all_positions_up_to_20(self, mem_cache):
+    def test_all_positions_up_to_20(self):
         for n in range(1, 21):
             for pos in range(n):
                 if (n, pos) == (5, 2):
                     continue
-                al = alpha_path_zero_at(n, pos, cache=mem_cache)
+                al = alpha_path_zero_at(n, pos)
                 assert al.labeling[pos] == 0
                 assert alpha_index(al.tree, al.labeling) == al.alpha
 
-    def test_deterministic(self, mem_cache):
-        a = alpha_path_zero_at(15, 6, cache=mem_cache).labeling.as_sequence(15)
-        b = alpha_path_zero_at(15, 6, cache=PathCache(None)).labeling.as_sequence(15)
+    def test_deterministic(self):
+        a = alpha_path_zero_at(15, 6).labeling.as_sequence(15)
+        b = alpha_path_zero_at(15, 6).labeling.as_sequence(15)
         assert a == b
-
-    def test_budget_is_ignored(self):
-        # The center of P_9 needs no search, so a one-node budget is enough.
-        al = alpha_path_zero_at(9, 4, budget=1)
-        assert al.labeling[4] == 0 and alpha_index(al.tree, al.labeling) == al.alpha
 
 
 def _construct_misses(n: int, p: int) -> bool:
@@ -175,37 +193,35 @@ class TestZeroAtResidue:
 
 
 class TestAlphaEndLabel:
-    def test_figure1_path_golden(self, mem_cache):
-        al = alpha_path_end_label(7, 6, 2, cache=mem_cache)
+    def test_figure1_path_golden(self):
+        al = alpha_path_end_label(7, 6, 2)
         assert al.labeling.as_sequence(7) == [6, 0, 5, 1, 4, 2, 3]
         assert al.alpha == 2
 
-    def test_trivial(self, mem_cache):
-        assert alpha_path_end_label(2, 1, 0, cache=mem_cache).labeling.as_sequence(2) == [1, 0]
+    def test_trivial(self):
+        assert alpha_path_end_label(2, 1, 0).labeling.as_sequence(2) == [1, 0]
 
-    def test_lemma2c_exception(self, mem_cache):
+    def test_lemma2c_exception(self):
         with pytest.raises(InfeasibleError):
-            alpha_path_end_label(5, 1, cache=mem_cache)
+            alpha_path_end_label(5, 1)
         with pytest.raises(InfeasibleError):
-            alpha_path_end_label(5, 3, cache=mem_cache)
+            alpha_path_end_label(5, 3)
         with pytest.raises(InfeasibleError):
-            alpha_path_end_label(9, 2, cache=mem_cache)
+            alpha_path_end_label(9, 2)
 
-    def test_validation(self, mem_cache):
+    def test_validation(self):
         with pytest.raises(ValidationError):
-            alpha_path_end_label(1, 0, cache=mem_cache)
+            alpha_path_end_label(1, 0)
         with pytest.raises(ValidationError):
-            alpha_path_end_label(6, 6, cache=mem_cache)
+            alpha_path_end_label(6, 6)
 
-    def test_impossible_index(self, mem_cache):
+    def test_impossible_index(self):
         with pytest.raises(InfeasibleError):
-            alpha_path_end_label(8, 2, required_index=1, cache=mem_cache)
+            alpha_path_end_label(8, 2, required_index=1)
 
-    def test_exhaustive_against_enumeration(self, mem_cache):
+    def test_exhaustive_against_enumeration(self):
         for n in range(2, 11):
-            feasible = set()
-            for al in enumerate_alpha_paths(n):
-                feasible.add((al.labeling[0], al.alpha))
+            feasible = {(seq[0], idx) for seq, idx in alpha_paths(n)}
             hi, lo = (n + 1) // 2 - 1, n // 2 - 1
             for e in range(n):
                 for idx in (None, hi, lo):
@@ -213,7 +229,7 @@ class TestAlphaEndLabel:
                         (e, i) in feasible for i in ((hi, lo) if idx is None else (idx,))
                     )
                     try:
-                        al = alpha_path_end_label(n, e, idx, cache=mem_cache)
+                        al = alpha_path_end_label(n, e, idx)
                         got = True
                         assert al.labeling[0] == e
                         assert idx is None or al.alpha == idx
@@ -222,9 +238,9 @@ class TestAlphaEndLabel:
                         got = False
                     assert got == want, (n, e, idx)
 
-    def test_deterministic(self, mem_cache):
-        a = alpha_path_end_label(20, 13, cache=mem_cache).labeling.as_sequence(20)
-        b = alpha_path_end_label(20, 13, cache=PathCache(None)).labeling.as_sequence(20)
+    def test_deterministic(self):
+        a = alpha_path_end_label(20, 13).labeling.as_sequence(20)
+        b = alpha_path_end_label(20, 13).labeling.as_sequence(20)
         assert a == b
 
 
@@ -241,39 +257,37 @@ class TestLowEndConstruction:
         assert not hasattr(paths, "_low_end_memo")
 
     @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_deep_paths_without_recursion(self, j, mem_cache):
+    def test_deep_paths_without_recursion(self, j):
         # A small endpoint label peels about n / (2j + 2) blocks.
         n = 10**5
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_stack_depth() + 100)
         try:
-            end = alpha_path_end_label(n, j, cache=mem_cache)
-            zero = alpha_path_zero_at(n, j, cache=mem_cache)
+            end = alpha_path_end_label(n, j)
+            zero = alpha_path_zero_at(n, j)
         finally:
             sys.setrecursionlimit(limit)
         assert end.labeling[0] == j and zero.labeling[j] == 0
 
 
 class TestEnumerate:
+    """Every alpha-labeling of a path, listed by the oracle."""
+
     def test_frozen_counts(self):
         for n, want in ALPHA_PATH_COUNTS.items():
-            assert sum(1 for _ in enumerate_alpha_paths(n)) == want
+            assert len(alpha_paths(n)) == want
+
+    def test_frozen_digests(self):
+        for n, want in ALPHA_PATH_DIGESTS.items():
+            rows = [[seq, idx] for seq, idx in alpha_paths(n)]
+            assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == want, n
 
     def test_n2_exact(self):
-        seqs = [al.labeling.as_sequence(2) for al in enumerate_alpha_paths(2)]
-        assert seqs == [[0, 1], [1, 0]]
-
-    def test_lexicographic(self):
-        seqs = [tuple(al.labeling.as_sequence(6)) for al in enumerate_alpha_paths(6)]
-        assert seqs == sorted(seqs)
+        assert alpha_paths(2) == [([0, 1], 0), ([1, 0], 0)]
 
     def test_p5_endpoint_exceptions(self):
-        ends = {al.labeling[0] for al in enumerate_alpha_paths(5)}
+        ends = {seq[0] for seq, _ in alpha_paths(5)}
         assert ends == {0, 2, 4}
-
-    def test_bound(self):
-        with pytest.raises(ResourceBudgetError):
-            next(enumerate_alpha_paths(15))
 
 
 class TestCache:

@@ -133,14 +133,14 @@ class TestDispatch:
             ShortLegSpec(2, 0, 3),
         ],
     )
-    def test_graceful_center_zero(self, spec, mem_cache):
-        sp, lab = label_short_leg_spider(spec, cache=mem_cache)
+    def test_graceful_center_zero(self, spec):
+        sp, lab = label_short_leg_spider(spec)
         assert is_graceful(sp.tree, lab)
         assert lab[sp.center] == 0
         assert sp.tree.m == spec.m
 
-    def test_star(self, mem_cache):
-        sp, lab = label_short_leg_spider(ShortLegSpec(1, 0, 4), cache=mem_cache)
+    def test_star(self):
+        sp, lab = label_short_leg_spider(ShortLegSpec(1, 0, 4))
         assert sorted(lab[v] for v in range(sp.tree.n)) == [0, 1, 2, 3, 4, 5]
         assert lab[0] == 0
 
@@ -150,7 +150,7 @@ class TestDispatch:
         with pytest.raises(ValidationError):
             ShortLegSpec(3, -1, 0)
 
-    def test_canonical_shape(self, mem_cache):
+    def test_canonical_shape(self):
         spec = ShortLegSpec(6, 2, 2)
-        sp, _ = label_short_leg_spider(spec, cache=mem_cache)
+        sp, _ = label_short_leg_spider(spec)
         assert sp.tree.edges == short_leg_spider(spec).tree.edges
