@@ -10,22 +10,25 @@ high part of the path up by m + 1, so the bridge edge lands on label m + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConstructionInvariantError, ValidationError
-from .model import Labeling, Tree, certified, is_graceful
+from .model import Labeling, Tree, _Record, certified, is_graceful
 from .paths import _alpha_end_seq
 
 
-@dataclass(frozen=True)
-class AttachResult:
-    tree: Tree
-    labeling: Labeling
-    shift: int
-    bridge_label: int
-    path_ids: tuple[int, ...]
-    """Ids of the attached path's vertices, in path order; path_ids[0] is the
-    endpoint v joined to u."""
+class AttachResult(_Record):
+    """The joined tree and its labeling. `path_ids` holds the ids of the
+    attached path's vertices, in path order; path_ids[0] is the endpoint v
+    joined to u."""
+
+    __slots__ = ("tree", "labeling", "shift", "bridge_label", "path_ids")
+
+    def __init__(self, tree: Tree, labeling: Labeling, shift: int, bridge_label: int,
+                 path_ids: tuple[int, ...]):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "bridge_label", bridge_label)
+        object.__setattr__(self, "path_ids", path_ids)
 
 
 def attach_path(t: Tree, f: Labeling, u: int, n: int) -> AttachResult:

@@ -51,10 +51,12 @@ def _parse_fixed(items: list[str]) -> dict[int, int]:
     fixed = {}
     for item in items:
         try:
-            v, lab = item.split("=")
-            fixed[int(v)] = int(lab)
+            v, lab = map(int, item.split("="))
         except ValueError:
             raise ValidationError(f"--fix expects v=label, got {item!r}")
+        if v in fixed:
+            raise ValidationError(f"vertex {v} fixed twice")
+        fixed[v] = lab
     return fixed
 
 

@@ -13,25 +13,35 @@ one amalgamation at the center glues them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import AlphaLabeling, Labeling, Spider, Tree, build_spider, certified, is_graceful
+from .model import (
+    AlphaLabeling,
+    Labeling,
+    Spider,
+    Tree,
+    _Record,
+    build_spider,
+    certified,
+    is_graceful,
+)
 from .paths import _alpha_zero_seq
 from .short_legs import ShortLegSpec, _short_leg_labels, label_short_leg_spider
 
 
-@dataclass(frozen=True)
-class AmalgamationInput:
+class AmalgamationInput(_Record):
     """G with an alpha-labeling and attachment vertex u (labeled 0 or alpha);
     H with a graceful labeling and attachment vertex v labeled 0."""
 
-    g: AlphaLabeling
-    u: int
-    h_tree: Tree
-    h_labeling: Labeling
-    v: int
+    __slots__ = ("g", "u", "h_tree", "h_labeling", "v")
+
+    def __init__(self, g: AlphaLabeling, u: int, h_tree: Tree, h_labeling: Labeling, v: int):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "h_tree", h_tree)
+        object.__setattr__(self, "h_labeling", h_labeling)
+        object.__setattr__(self, "v", v)
 
 
 def amalgamate(inp: AmalgamationInput) -> tuple[Tree, Labeling]:

@@ -15,12 +15,11 @@ certified once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .attach import _attach_labels
 from .errors import ConstructionInvariantError, ValidationError
-from .model import ConstructionTrace, Labeling, Spider, build_spider, certified
+from .model import ConstructionTrace, Labeling, Spider, _Record, build_spider, certified
 from .paths import _zero_at_seq
 
 # The message of the one gracefulness check of a doubling build.
@@ -30,21 +29,26 @@ _CONTRADICTION = (
 )
 
 
-@dataclass(frozen=True)
-class AttachStep:
+class AttachStep(_Record):
     """One planned attachment: leg index i, attach point kind ('x' for the
     center, 'y' for the leg's pre-labeled leaf), attached vertex count."""
 
-    leg_index: int
-    attach_at: str
-    vertex_count: int
+    __slots__ = ("leg_index", "attach_at", "vertex_count")
+
+    def __init__(self, leg_index: int, attach_at: str, vertex_count: int):
+        object.__setattr__(self, "leg_index", leg_index)
+        object.__setattr__(self, "attach_at", attach_at)
+        object.__setattr__(self, "vertex_count", vertex_count)
 
 
-@dataclass(frozen=True)
-class DoublingPlan:
-    sorted_lengths: tuple[int, ...]
-    k_indices: tuple[int, ...]
-    steps: tuple[AttachStep, ...] = field(default=())
+class DoublingPlan(_Record):
+    __slots__ = ("sorted_lengths", "k_indices", "steps")
+
+    def __init__(self, sorted_lengths: tuple[int, ...], k_indices: tuple[int, ...],
+                 steps: tuple[AttachStep, ...] = ()):
+        object.__setattr__(self, "sorted_lengths", sorted_lengths)
+        object.__setattr__(self, "k_indices", k_indices)
+        object.__setattr__(self, "steps", steps)
 
 
 def check_doubling(leg_lengths: list[int]) -> DoublingPlan:

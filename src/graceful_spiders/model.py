@@ -10,12 +10,17 @@ The validators make each check as a few whole-list passes (sets, min/max,
 one comprehension) and run the per-edge or per-vertex loop that names the
 first fault only once a check has failed, so the messages and the order of
 the checks do not depend on the fast path.
+
+The records here and in the other modules are plain `__slots__` classes on
+`_Record`, not dataclasses: importing `dataclasses` (which pulls in
+`inspect`, `ast`, `dis` and `tokenize`) and generating the methods of twelve
+records cost every process about 23 ms of CPU time at start-up (Python
+3.11, two shared vCPUs), several times the work of labeling a spider.
 """
 
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -26,16 +31,48 @@ _FIRST = itemgetter(0)
 _SECOND = itemgetter(1)
 
 
-@dataclass(frozen=True)
-class Tree:
+class _Record:
+    """Base of an immutable record whose fields are its `__slots__`, in
+    order: equality and hash by field values, a `Name(field=value, ...)`
+    repr, no assignment or deletion after `__init__` (which sets each field
+    with `object.__setattr__`), and pickling and copying through the
+    constructor, so a restored record is validated again."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Tree(_Record):
     """An unrooted tree on vertices 0..n-1.
 
     Edges are stored as a sorted tuple of (min, max) pairs. Construction
     validates connectivity and acyclicity.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if not isinstance(edges, (list, tuple)):
@@ -122,17 +159,20 @@ def path_tree(n: int) -> Tree:
     return Tree(n, [(i, i + 1) for i in range(n - 1)])
 
 
-@dataclass(frozen=True)
-class Spider:
+class Spider(_Record):
     """A tree with at most one vertex of degree > 2 (the center).
 
     Legs are ordered tuples of vertex ids running from the center-adjacent
     vertex out to the leaf. They partition V minus the center.
     """
 
-    tree: Tree
-    center: int
-    legs: tuple[tuple[int, ...], ...]
+    __slots__ = ("tree", "center", "legs")
+
+    def __init__(self, tree: Tree, center: int, legs: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "legs", legs)
+        self.__post_init__()
 
     def __post_init__(self):
         t, c = self.tree, self.center
@@ -224,8 +264,7 @@ class _LabelList(abc.Mapping):
         return repr(dict(enumerate(self.labels)))
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(_Record):
     """A vertex -> integer map. Checkers decide whether it is graceful.
 
     `Labeling.from_sequence` keeps the label list it is given; a
@@ -233,7 +272,10 @@ class Labeling:
     read-only mapping from vertex id to label.
     """
 
-    values: Mapping[int, int]
+    __slots__ = ("values",)
+
+    def __init__(self, values: Mapping[int, int]):
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, v: int) -> int:
         try:
@@ -318,13 +360,16 @@ def alpha_index(t: Tree, lab: Labeling) -> Optional[int]:
     return alpha if alpha < above else None
 
 
-@dataclass(frozen=True)
-class AlphaLabeling:
+class AlphaLabeling(_Record):
     """A graceful labeling together with its index alpha; validated on build."""
 
-    tree: Tree
-    labeling: Labeling
-    alpha: int
+    __slots__ = ("tree", "labeling", "alpha")
+
+    def __init__(self, tree: Tree, labeling: Labeling, alpha: int):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "alpha", alpha)
+        self.__post_init__()
 
     def __post_init__(self):
         got = alpha_index(self.tree, self.labeling)
@@ -353,18 +398,26 @@ def alpha_flip(al: AlphaLabeling) -> AlphaLabeling:
     return AlphaLabeling(al.tree, Labeling(flipped), a)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    operation: str
-    params: Mapping[str, object]
-    edge_count: int
+class TraceStep(_Record):
+    __slots__ = ("operation", "params", "edge_count")
+
+    def __init__(self, operation: str, params: Mapping[str, object], edge_count: int):
+        object.__setattr__(self, "operation", operation)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "edge_count", edge_count)
 
 
-@dataclass
-class ConstructionTrace:
-    """Ordered record of composition steps, for explainability and debugging."""
+class ConstructionTrace(_Record):
+    """Ordered record of composition steps, for explainability and debugging.
+    Unlike the other records it is mutable, and so unhashable."""
 
-    steps: list[TraceStep] = field(default_factory=list)
+    __slots__ = ("steps",)
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, steps: Optional[list[TraceStep]] = None):
+        self.steps = [] if steps is None else steps
 
     def record(self, operation: str, params: Mapping[str, object], edge_count: int):
         if self.steps and edge_count <= self.steps[-1].edge_count:

@@ -43,23 +43,25 @@ space (`exhausted`) counts as a definitive answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ValidationError
-from .model import Labeling, Tree
+from .model import Labeling, Tree, _Record
 
 DEFAULT_ORACLE_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    found: Optional[Labeling]
-    count: Optional[int]
-    nodes_explored: int
-    elapsed: float
-    exhausted: bool
-    labelings: tuple[Labeling, ...] = ()
+class SearchReport(_Record):
+    __slots__ = ("found", "count", "nodes_explored", "elapsed", "exhausted", "labelings")
+
+    def __init__(self, found: Optional[Labeling], count: Optional[int], nodes_explored: int,
+                 elapsed: float, exhausted: bool, labelings: tuple[Labeling, ...] = ()):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "exhausted", exhausted)
+        object.__setattr__(self, "labelings", labelings)
 
 
 def _search_order(adj: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -170,6 +172,8 @@ def _run(
     ("count": weigh each labeling by the symmetries it stands for) and
     enumerate ("enumerate": keep every labeling, use no symmetry)."""
     m = t.m
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     for v, lab in fixed.items():
         if not 0 <= v < t.n:
             raise ValidationError(f"fixed vertex {v} not in the tree")

@@ -399,8 +399,9 @@ def _alpha_end_seq(
     hi_index = (n + 1) // 2 - 1
     lo_index = n // 2 - 1
     if required_index is not None and required_index not in (hi_index, lo_index):
+        indices = lo_index if lo_index == hi_index else f"{lo_index} or {hi_index}"
         raise InfeasibleError(
-            f"every alpha-labeling of P_{n} has index {lo_index} or {hi_index}; "
+            f"every alpha-labeling of P_{n} has index {indices}; "
             f"index {required_index} is impossible"
         )
     if end_label <= hi_index and required_index in (None, hi_index):

@@ -11,22 +11,24 @@ x_i = 2s + i; any length-1 legs are appended after that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import Labeling, Spider, Tree, build_spider, certified, is_graceful
+from .model import Labeling, Spider, Tree, _Record, build_spider, certified, is_graceful
 from .paths import _zero_at_seq
 
 
-@dataclass(frozen=True)
-class ShortLegSpec:
+class ShortLegSpec(_Record):
     """Leg profile: one distinguished leg of length ell, s legs of length 2,
     t legs of length 1."""
 
-    ell: int
-    s: int
-    t: int
+    __slots__ = ("ell", "s", "t")
+
+    def __init__(self, ell: int, s: int, t: int):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.ell < 1:

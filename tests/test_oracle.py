@@ -92,6 +92,12 @@ class TestFind:
         report = find_graceful(build_spider([5, 5, 5]).tree, budget=10)
         assert report.found is None and not report.exhausted
 
+    @pytest.mark.parametrize("search", [find_graceful, count_graceful, enumerate_graceful])
+    def test_negative_budget_rejected(self, search):
+        with pytest.raises(ValidationError, match="budget must be >= 0, got -1"):
+            search(path_tree(3), budget=-1)
+        assert not search(path_tree(3), budget=0).exhausted
+
     def test_fixed_validation(self):
         with pytest.raises(ValidationError):
             find_graceful(path_tree(3), fixed={5: 0})

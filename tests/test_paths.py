@@ -219,6 +219,15 @@ class TestAlphaEndLabel:
         with pytest.raises(InfeasibleError):
             alpha_path_end_label(8, 2, required_index=1)
 
+    @pytest.mark.parametrize("n, indices", [(2, "0"), (6, "2"), (7, "2 or 3"), (9, "3 or 4")])
+    def test_impossible_index_message(self, n, indices):
+        # Even n has one index; the message names it once.
+        with pytest.raises(InfeasibleError) as err:
+            alpha_path_end_label(n, 1, required_index=5)
+        assert str(err.value) == (
+            f"every alpha-labeling of P_{n} has index {indices}; index 5 is impossible"
+        )
+
     def test_exhaustive_against_enumeration(self):
         for n in range(2, 11):
             feasible = {(seq[0], idx) for seq, idx in alpha_paths(n)}

@@ -1,0 +1,159 @@
+"""Value semantics of the package's twelve record classes, and the start-up
+cost they must not bring back: importing the CLI pulls in neither
+`dataclasses` nor `inspect`."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from graceful_spiders.attach import AttachResult
+from graceful_spiders.compose import AmalgamationInput
+from graceful_spiders.doubling import AttachStep, DoublingPlan
+from graceful_spiders.errors import ValidationError
+from graceful_spiders.model import (
+    AlphaLabeling,
+    ConstructionTrace,
+    Labeling,
+    Spider,
+    TraceStep,
+    Tree,
+    alpha_index,
+    build_spider,
+    path_tree,
+)
+from graceful_spiders.oracle import SearchReport
+from graceful_spiders.short_legs import ShortLegSpec
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _alpha(labels):
+    t = path_tree(len(labels))
+    lab = Labeling.from_sequence(labels)
+    return AlphaLabeling(t, lab, alpha_index(t, lab))
+
+
+def _examples():
+    """(class, field values in declaration order, field names) for each
+    record; the values build a valid instance."""
+    p3 = path_tree(3)
+    return [
+        (Tree, (3, ((0, 1), (1, 2))), ("n", "edges")),
+        (Spider, (build_spider([1, 2]).tree, 0, ((1,), (2, 3))), ("tree", "center", "legs")),
+        (Labeling, (Labeling.from_sequence([0, 2, 1]).values,), ("values",)),
+        (AlphaLabeling, (p3, Labeling.from_sequence([0, 2, 1]), 1),
+         ("tree", "labeling", "alpha")),
+        (TraceStep, ("attach", (("n", 3),), 2), ("operation", "params", "edge_count")),
+        (ConstructionTrace, ([TraceStep("base", {}, 1)],), ("steps",)),
+        (SearchReport, (None, 4, 10, 0.5, True, ()),
+         ("found", "count", "nodes_explored", "elapsed", "exhausted", "labelings")),
+        (AttachResult, (p3, Labeling.from_sequence([0, 2, 1]), 1, 3, (3, 4)),
+         ("tree", "labeling", "shift", "bridge_label", "path_ids")),
+        (AmalgamationInput, (_alpha([0, 2, 1]), 0, p3, Labeling.from_sequence([0, 2, 1]), 0),
+         ("g", "u", "h_tree", "h_labeling", "v")),
+        (AttachStep, (1, "x", 3), ("leg_index", "attach_at", "vertex_count")),
+        (DoublingPlan, ((1, 6), (1,), (AttachStep(1, "x", 7),)),
+         ("sorted_lengths", "k_indices", "steps")),
+        (ShortLegSpec, (3, 1, 0), ("ell", "s", "t")),
+    ]
+
+
+EXAMPLES = _examples()
+IDS = [cls.__name__ for cls, _, _ in EXAMPLES]
+# Records whose example holds no mapping or list, so it can be hashed.
+HASHABLE = {Tree, Spider, TraceStep, SearchReport, AttachStep, DoublingPlan, ShortLegSpec}
+MUTABLE = {ConstructionTrace}
+
+
+@pytest.mark.parametrize("cls, values, names", EXAMPLES, ids=IDS)
+class TestRecordValueSemantics:
+    def test_equality_goes_by_field_values(self, cls, values, names):
+        a, b = cls(*values), cls(*values)
+        assert a == b and not a != b
+        assert tuple(getattr(a, f) for f in names) == values
+        assert a != values and a != object()
+        other = next(ex for ex in EXAMPLES if ex[0] is not cls)
+        assert a != other[0](*other[1])
+
+    def test_hash(self, cls, values, names):
+        a, b = cls(*values), cls(*values)
+        if cls in HASHABLE:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+
+    def test_frozen(self, cls, values, names):
+        a = cls(*values)
+        if cls in MUTABLE:
+            return
+        for f in names:
+            with pytest.raises(AttributeError):
+                setattr(a, f, getattr(a, f))
+            with pytest.raises(AttributeError):
+                delattr(a, f)
+        assert tuple(getattr(a, f) for f in names) == values
+
+    def test_keyword_construction(self, cls, values, names):
+        assert cls(**dict(zip(names, values))) == cls(*values)
+
+    def test_repr(self, cls, values, names):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(names, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+    def test_pickle_and_copy_round_trip(self, cls, values, names):
+        a = cls(*values)
+        for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            b = pickle.loads(pickle.dumps(a, proto))
+            assert type(b) is cls and b == a
+        for dup in (copy.copy(a), copy.deepcopy(a)):
+            assert type(dup) is cls and dup == a
+
+
+def test_one_differing_field_breaks_equality():
+    assert ShortLegSpec(3, 1, 0) != ShortLegSpec(3, 1, 1)
+    assert Labeling.from_sequence([0, 2, 1]) != Labeling.from_sequence([1, 2, 0])
+    assert SearchReport(None, 4, 10, 0.5, True) != SearchReport(None, 4, 11, 0.5, True)
+
+
+def test_reprs_are_frozen():
+    assert repr(ShortLegSpec(3, 1, 0)) == "ShortLegSpec(ell=3, s=1, t=0)"
+    assert repr(Labeling.from_sequence([0, 2, 1])) == "Labeling(values={0: 0, 1: 2, 2: 1})"
+    assert repr(ConstructionTrace()) == "ConstructionTrace(steps=[])"
+
+
+def test_defaults():
+    assert SearchReport(None, 0, 1, 0.0, True).labelings == ()
+    assert DoublingPlan((1,), ()).steps == ()
+    a, b = ConstructionTrace(), ConstructionTrace()
+    a.record("base", {}, 1)
+    assert a.steps == [TraceStep("base", {}, 1)] and b.steps == []
+    assert a.steps is not b.steps
+
+
+def test_constructors_still_validate():
+    with pytest.raises(ValidationError, match="distinguished leg length"):
+        ShortLegSpec(0, 0, 0)
+    with pytest.raises(ValidationError, match="leg counts"):
+        ShortLegSpec(ell=1, s=-1, t=0)
+    with pytest.raises(ValidationError, match="not the claimed 0"):
+        AlphaLabeling(path_tree(3), Labeling.from_sequence([0, 2, 1]), 0)
+    with pytest.raises(ValidationError):
+        Tree(3, [(0, 1)])
+    with pytest.raises(ValidationError, match="legs do not cover"):
+        Spider(path_tree(3), 0, ((1,),))
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import graceful_spiders.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, SRC],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -150,6 +150,34 @@ class TestCli:
             code, out = run_cli(capsys, *argv, "--budget", str(nodes - 1))
             assert code == 3 and json.loads(out)["error"]["type"] == "resource"
 
+    def test_oracle_negative_budget_exit2(self, capsys, tmp_path):
+        p = tmp_path / "p5.json"
+        p.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
+        for extra in ([], ["--count"]):
+            code, out = run_cli(capsys, "oracle", "--graph", str(p), "--budget", "-1", *extra)
+            assert code == 2
+            assert json.loads(out)["error"] == {
+                "type": "validation", "message": "budget must be >= 0, got -1"}
+            code, out = run_cli(capsys, "oracle", "--graph", str(p), "--budget", "0", *extra)
+            assert code == 3 and json.loads(out)["error"]["type"] == "resource"
+
+    def test_oracle_repeated_fix_exit2(self, capsys, tmp_path):
+        p = tmp_path / "p5.json"
+        p.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
+        code, out = run_cli(capsys, "oracle", "--graph", str(p), "--fix", "0=1", "--fix", "0=2")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "validation",
+                                            "message": "vertex 0 fixed twice"}
+        code, out = run_cli(capsys, "oracle", "--graph", str(p), "--fix", "0=1", "--fix", "1=2")
+        assert code == 0 and json.loads(out)["exhausted"]
+
+    def test_path_alpha_single_index_message(self, capsys):
+        code, out = run_cli(capsys, "path", "alpha", "--n", "2", "--end-label", "1",
+                            "--index", "5")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            "every alpha-labeling of P_2 has index 0; index 5 is impossible")
+
     def test_oracle_trace_adds_elapsed(self, capsys, tmp_path):
         p = tmp_path / "p4.json"
         p.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
