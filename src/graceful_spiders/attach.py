@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import Labeling, Tree, _Record, certified, is_graceful
-from .paths import _alpha_end_seq
+from .paths import _alpha_low_end
 
 
 class AttachResult(_Record):
@@ -80,9 +80,10 @@ def _attach_labels(labels: list[int], u: int, n: int) -> tuple[list[int], int]:
             f"({labels[u]} + {shift} + 1 > {n})"
         )
     m = len(labels) - 1
-    g, _ = _alpha_end_seq(n, labels[u] + shift, shift - 1)
     out = [x + shift for x in labels]
-    out.extend(x if x <= shift - 1 else x + m + 1 for x in g)
+    # The path's labeling g is the complement x -> n-1-x of a low-end
+    # labeling with endpoint n-1-g(v); its high part moves up by m + 1.
+    out += _alpha_low_end(n, n - 1 - labels[u] - shift, -1, n + m, n - 1)
     if abs(out[u] - out[m + 1]) != m + 1:
         raise ConstructionInvariantError(
             f"bridge edge label is {abs(out[u] - out[m + 1])}, expected {m + 1}"

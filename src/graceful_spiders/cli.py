@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .attach import attach_path
 from .compose import AmalgamationInput, amalgamate, label_three_long_legs
@@ -121,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, tree, labeling=None, spider=None, extra: Optional[dict] = None):
+def _emit(args, tree, labeling=None, spider=None, extra: dict | None = None):
     if args.format == "dot":
         sys.stdout.write(to_dot(tree, labeling))
         return
@@ -239,18 +238,27 @@ def _dispatch(args):
 
 
 def _path_cmd(args):
+    if args.kind == "alpha" and (args.position is None) == (args.end_label is None):
+        raise ValidationError("path alpha requires exactly one of --position / --end-label")
+    if args.kind == "graceful" and args.position is None:
+        raise ValidationError("path graceful requires --position")
+    # A flag the request does not read is an error, not a silent no-op.
+    request, reads = f"path {args.kind}", ()
+    if args.position is not None and args.kind != "zigzag":
+        request, reads = f"{request} --position", ("position",)
+    elif args.kind == "alpha":
+        reads = ("end_label", "index")
+    for flag in ("position", "end_label", "index"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValidationError(f"{request} does not take --{flag.replace('_', '-')}")
     if args.kind == "zigzag":
         al = zigzag_alpha_path(args.n)
         _emit(args, al.tree, al.labeling, extra={"alpha": al.alpha})
         return
     if args.kind == "graceful":
-        if args.position is None:
-            raise ValidationError("path graceful requires --position")
         lab = graceful_path_zero_at(args.n, args.position)
         _emit(args, path_tree(args.n), lab)
         return
-    if (args.position is None) == (args.end_label is None):
-        raise ValidationError("path alpha requires exactly one of --position / --end-label")
     if args.position is not None:
         al = alpha_path_zero_at(args.n, args.position)
     else:

@@ -13,8 +13,6 @@ one amalgamation at the center glues them.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
     AlphaLabeling,
@@ -114,7 +112,7 @@ def _amalgam_labels(
 
 
 def label_three_long_legs(
-    leg_lengths: list[int], budget: Optional[int] = None
+    leg_lengths: list[int], budget: int | None = None
 ) -> tuple[Spider, Labeling]:
     """Graceful labeling of a spider with at most three legs of length >= 3.
 

@@ -15,8 +15,6 @@ certified once.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .attach import _attach_labels
 from .errors import ConstructionInvariantError, ValidationError
 from .model import ConstructionTrace, Labeling, Spider, _Record, build_spider, certified
@@ -88,7 +86,7 @@ def check_doubling(leg_lengths: list[int]) -> DoublingPlan:
 
 
 def label_doubling_spider(
-    leg_lengths: list[int], budget: Optional[int] = None
+    leg_lengths: list[int], budget: int | None = None
 ) -> tuple[Spider, Labeling, ConstructionTrace]:
     """Graceful labeling of the doubling spider, on the canonical numbering
     of build_spider(sorted lengths).

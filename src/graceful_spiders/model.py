@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import abc
 from itertools import accumulate, chain, islice
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ConstructionInvariantError, ValidationError
 
@@ -74,7 +73,7 @@ class Tree(_Record):
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: Iterable[Sequence[int]]):
+    def __init__(self, n: int, edges: abc.Iterable[abc.Sequence[int]]):
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
         try:
@@ -138,7 +137,7 @@ class Tree(_Record):
         return sum(1 for a, b in self.edges if v in (a, b))
 
 
-def _checked_pairs(n: int, edges: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+def _checked_pairs(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> list[tuple[int, int]]:
     """Edges as (min, max) int pairs; raises for the first self-loop or
     out-of-range edge in input order, naming its endpoints as given."""
     norm = []
@@ -218,7 +217,7 @@ class Spider(_Record):
         return tuple(len(leg) for leg in self.legs)
 
 
-def build_spider(leg_lengths: Sequence[int]) -> Spider:
+def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     """Build the canonically numbered spider with the given leg lengths.
 
     Center is vertex 0; legs are laid out in the given order, each leg's
@@ -257,7 +256,7 @@ class _LabelList(abc.Mapping):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __iter__(self) -> Iterator[int]:
+    def __iter__(self) -> abc.Iterator[int]:
         return iter(range(len(self.labels)))
 
     def __repr__(self) -> str:
@@ -274,7 +273,7 @@ class Labeling(_Record):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: Mapping[int, int]):
+    def __init__(self, values: abc.Mapping[int, int]):
         object.__setattr__(self, "values", values)
 
     def __getitem__(self, v: int) -> int:
@@ -290,7 +289,7 @@ class Labeling(_Record):
         return len(self.values)
 
     @staticmethod
-    def from_sequence(labels: Sequence[int]) -> "Labeling":
+    def from_sequence(labels: abc.Sequence[int]) -> "Labeling":
         """Label vertex i with labels[i]. A list is kept, not copied, so the
         caller must not change it afterwards."""
         return Labeling(_LabelList(labels if type(labels) is list else list(labels)))
@@ -325,7 +324,7 @@ def certified(
     t: Tree,
     labels: list[int],
     message: str,
-    trace: Optional[ConstructionTrace] = None,
+    trace: ConstructionTrace | None = None,
 ) -> Labeling:
     """The labeling of t by `labels` (vertex i gets labels[i]), checked
     graceful; raises ConstructionInvariantError(message, trace) when it is
@@ -336,7 +335,7 @@ def certified(
     return lab
 
 
-def alpha_index(t: Tree, lab: Labeling) -> Optional[int]:
+def alpha_index(t: Tree, lab: Labeling) -> int | None:
     """The index alpha witnessing the alpha-labeling property, or None.
 
     Requires a graceful labeling. The canonical witness is the maximum over
@@ -401,7 +400,7 @@ def alpha_flip(al: AlphaLabeling) -> AlphaLabeling:
 class TraceStep(_Record):
     __slots__ = ("operation", "params", "edge_count")
 
-    def __init__(self, operation: str, params: Mapping[str, object], edge_count: int):
+    def __init__(self, operation: str, params: abc.Mapping[str, object], edge_count: int):
         object.__setattr__(self, "operation", operation)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "edge_count", edge_count)
@@ -416,10 +415,10 @@ class ConstructionTrace(_Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
 
-    def __init__(self, steps: Optional[list[TraceStep]] = None):
+    def __init__(self, steps: list[TraceStep] | None = None):
         self.steps = [] if steps is None else steps
 
-    def record(self, operation: str, params: Mapping[str, object], edge_count: int):
+    def record(self, operation: str, params: abc.Mapping[str, object], edge_count: int):
         if self.steps and edge_count <= self.steps[-1].edge_count:
             raise ValidationError("trace edge counts must strictly increase")
         self.steps.append(TraceStep(operation, dict(params), edge_count))

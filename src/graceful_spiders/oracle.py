@@ -43,7 +43,7 @@ space (`exhausted`) counts as a definitive answer.
 from __future__ import annotations
 
 import time
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .errors import ValidationError
 from .model import Labeling, Tree, _Record
@@ -54,7 +54,7 @@ DEFAULT_ORACLE_BUDGET = 10**8
 class SearchReport(_Record):
     __slots__ = ("found", "count", "nodes_explored", "elapsed", "exhausted", "labelings")
 
-    def __init__(self, found: Optional[Labeling], count: Optional[int], nodes_explored: int,
+    def __init__(self, found: Labeling | None, count: int | None, nodes_explored: int,
                  elapsed: float, exhausted: bool, labelings: tuple[Labeling, ...] = ()):
         object.__setattr__(self, "found", found)
         object.__setattr__(self, "count", count)
@@ -120,7 +120,7 @@ def _class_masks(
 
 def find_graceful(
     t: Tree,
-    fixed: Optional[Mapping[int, int]] = None,
+    fixed: Mapping[int, int] | None = None,
     budget: int = DEFAULT_ORACLE_BUDGET,
     alpha_constrained: bool = False,
 ) -> SearchReport:
@@ -138,7 +138,7 @@ def count_graceful(
     t: Tree,
     budget: int = DEFAULT_ORACLE_BUDGET,
     alpha_constrained: bool = False,
-    fixed: Optional[Mapping[int, int]] = None,
+    fixed: Mapping[int, int] | None = None,
 ) -> SearchReport:
     """Count all graceful labelings of t; the count is complete only when
     `exhausted` is set."""
@@ -147,7 +147,7 @@ def count_graceful(
 
 def enumerate_graceful(
     t: Tree,
-    fixed: Optional[Mapping[int, int]] = None,
+    fixed: Mapping[int, int] | None = None,
     budget: int = DEFAULT_ORACLE_BUDGET,
     alpha_constrained: bool = False,
 ) -> SearchReport:

@@ -23,14 +23,29 @@ in as the starting map. The only unreachable cases are exactly the known
 infeasible pairs (n = 4s+1 with endpoint s or 3s, and the central vertex of
 P_5 for the zero-position variant, whose graceful labeling is a literal).
 
-The zero-position variant runs a zigzag along one arm and the low-endpoint
-construction on the other (`_zero_at_construct`). That decomposition misses
-the pairs where the second arm's endpoint label falls outside its band's low
-class or on an infeasible pair: the center of P_{4s+1}, and n = 6k+2 or
-6k+3 with the shorter arm q = 2k or 2k+1 (362 pairs with n <= 400, 912 with
-n <= 1000). `_zero_at_residue` builds those by `_extend_by_band`, which
-lifts a small zero-position block and continues it with an end-label band.
-Every path labeling is therefore closed form, and nothing here searches:
+Every choice is made in closed form, and nothing is tried and dropped. Two
+rules carry the choices, both forced by Lemma 2(c)'s infeasible pair
+(P_{4s+1}, endpoint s):
+
+- Peel block. The plain fan of 2j+2 vertices leaves P_{n-2j-2} with endpoint
+  j, which is that pair exactly when n = 6j+3. Then the block is the
+  labeling of P_{2j+4} with endpoint j instead: it ends on its label 2j+2
+  and leaves P_{4j-1}, again with endpoint j, which is feasible.
+- Residue. The zero-position variant runs a zigzag along one arm and the
+  low-endpoint construction on the other (`_zero_at_construct`). With 0 at
+  the shorter arm of q = 2k or 2k+1 vertices of P_{6k+2} or P_{6k+3}, the
+  other arm's band is P_{4k+1} with endpoint k, the infeasible pair, and the
+  longer arm's endpoint falls outside its band's low class.
+  `_zero_at_residue` closes the shorter arm with one vertex past zero, the
+  block `_zero_at_construct(q+2, q)`, which ends on the top label. Its band
+  is P_{4k} with endpoint k or k+1: 4k is even, so no Lemma 2(c) pair, and
+  the endpoint is low except for P_4 with endpoint 2 (n = 9, a literal).
+  The construction also misses the center of P_{4s+1}, which extends a P_6
+  block twice. With it, 362 pairs with n <= 400 are residues, 912 with
+  n <= 1000.
+
+Each choice is backed by an O(1) check that raises
+`ConstructionInvariantError`, never by a fallback. Nothing here searches:
 listing every alpha-labeling of a small path is the oracle's job
 (`oracle.enumerate_graceful(path_tree(n), alpha_constrained=True)`).
 
@@ -45,7 +60,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Optional
 
 from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
 from .model import AlphaLabeling, Labeling, certified, path_tree
@@ -62,7 +76,7 @@ class PathCache:
     labeling is closed form, so nothing in the package reads or writes it.
     """
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self, path: str | None = None):
         self.path = path
         self._entries: dict[str, list[int]] = {}
         self._loaded = path is None
@@ -79,7 +93,7 @@ class PathCache:
         if doc.get("format") == _CACHE_FORMAT and doc.get("version") == _CACHE_VERSION:
             self._entries = {k: list(map(int, v)) for k, v in doc.get("entries", {}).items()}
 
-    def get(self, key: str) -> Optional[list[int]]:
+    def get(self, key: str) -> list[int] | None:
         self._load()
         return self._entries.get(key)
 
@@ -111,7 +125,7 @@ def zigzag_alpha_path(n: int) -> AlphaLabeling:
     if n < 1:
         raise ValidationError("n must be >= 1")
     return AlphaLabeling(
-        path_tree(n), Labeling.from_sequence(_zigzag_seq(n)), (n - 1) // 2
+        path_tree(n), Labeling.from_sequence(_alpha_low_end(n, 0)), (n - 1) // 2
     )
 
 
@@ -123,10 +137,6 @@ def zigzag_alpha_path(n: int) -> AlphaLabeling:
 # alpha = ceil(n/2) - 1) and whose first endpoint carries the low label j.
 # All other requests reduce to it by reversal, flip and complement.
 # ---------------------------------------------------------------------------
-
-
-def _zigzag_seq(n: int) -> list[int]:
-    return [j // 2 if j % 2 == 0 else (n - 1) - (j - 1) // 2 for j in range(n)]
 
 
 def _low_end_feasible(n: int, j: int) -> bool:
@@ -182,37 +192,41 @@ def _alpha_low_end(
             # gracefulness and the classes and moves the endpoint to alpha - j.
             lo, hi, s, j = s * alpha + lo, s * (m + alpha + 1) + hi, -s, alpha - j
             continue
-        # Peel a fan block off the front: an alpha-labeling of P_{2k+2} with
-        # endpoint j, its lows kept as the extreme lows [0, k] and its highs
-        # shifted onto the extreme highs [m-k, m]. The block consumes the top
-        # differences [m-2k, m]; the bridge edge contributes m-2k-1; the rest
-        # is the same problem on the band [k+1, m-k-1], shifted down by k+1.
-        # The smallest block (k = j, a plain fan) almost always works; larger
-        # k sidesteps the rare infeasible rests. k < alpha keeps 2k+2 < n.
-        for k in range(j, alpha):
-            pre = None if k == j else _alpha_low_end(2 * k + 2, j)
-            h = 2 * j + 1 if pre is None else pre[-1]
-            if h <= alpha and _low_end_feasible(n - 2 * k - 2, h - k - 1):
-                break
-        else:
-            raise InfeasibleError(
-                f"no alpha-labeling of P_{n} with endpoint label {j} in the "
-                f"constructive family; this contradicts the guaranteed existence"
-            )
-        if pre is None:
+        # Peel a block of 2k+2 vertices off the front: an alpha-labeling of
+        # P_{2k+2} with endpoint j, its lows kept as the extreme lows [0, k]
+        # and its highs shifted onto the extreme highs [m-k, m]. The block
+        # consumes the top differences [m-2k, m]; the bridge edge contributes
+        # m-2k-1; the rest is the same problem on the band [k+1, m-k-1],
+        # shifted down by k+1, again with endpoint j.
+        if n != 6 * j + 3:
+            # The plain fan (k = j) ends on the top label m.
+            k = j
             out[pos : pos + 2 * j + 2 : 2] = range(s * j + lo, lo - s, -s)
             out[pos + 1 : pos + 2 * j + 2 : 2] = range(
                 s * (m - j) + hi, s * n + hi, s
             )
         else:
-            d = m - 2 * k - 1
-            out[pos : pos + 2 * k + 2] = [
-                s * x + lo if x <= k else s * (x + d) + hi for x in pre
-            ]
+            # The plain fan would leave P_{4j+1} with endpoint j, Lemma 2(c)'s
+            # infeasible pair. The block of 2j+4 vertices ends on its label
+            # 2j+2, here m-1, and leaves P_{4j-1}.
+            k = j + 1
+            out[pos : pos + 2 * k + 2] = _alpha_low_end(
+                2 * k + 2, j, s, lo, hi + s * (m - 2 * k - 1)
+            )
+            if out[pos + 2 * k + 1] != s * (m - 1) + hi:
+                raise ConstructionInvariantError(
+                    f"the peeled block of P_{n} with endpoint {j} does not end "
+                    f"on label {m - 1}"
+                )
         pos += 2 * k + 2
         lo += s * (k + 1)
         hi += s * (k + 1)
-        n, j = n - 2 * k - 2, h - k - 1
+        n -= 2 * k + 2
+        if not _low_end_feasible(n, j):
+            raise ConstructionInvariantError(
+                f"a peeled block left P_{n} with endpoint label {j}, which has "
+                f"no alpha-labeling"
+            )
 
 
 def _alpha_of_sequence(n: int, low_is_even: bool) -> int:
@@ -264,11 +278,9 @@ def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int]:
         raise ValidationError(f"position {position} out of range for n={n}")
     if (n, position) == (5, 2):
         raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
-    if n == 1:
-        return [0], 0
     alpha = _alpha_of_sequence(n, position % 2 == 0)
     if position in (0, n - 1):
-        seq = _zigzag_seq(n)
+        seq = _alpha_low_end(n, 0)
         return (seq[::-1] if position == n - 1 else seq), alpha
     seq = _zero_at_construct(n, position)
     if seq is None:
@@ -276,28 +288,22 @@ def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int]:
     return seq, alpha
 
 
-def _zero_at_construct(n: int, position: int) -> Optional[list[int]]:
+def _zero_at_construct(n: int, position: int) -> list[int] | None:
     """Closed-form alpha-labeling with 0 at an interior position, or None.
 
     Zigzag along the arm of q vertices beyond zero: it consumes the top q
     differences, the lows [0, q//2] and the top highs. The other arm then
     lives on a contiguous label band of its own size r = n-1-q, entered
     through a bridge edge of difference exactly r, which pins its endpoint
-    label; that band problem is the complemented low-endpoint construction.
+    label to q//2 (`_band_after`). The arm at `position` is taken when that
+    label is feasible, else the other arm; None when neither is.
     """
-    m = n - 1
-    for q, rev in ((position, False), (n - 1 - position, True)):
-        r = n - 1 - q
-        if q < 1 or r < 1:
-            continue
-        a = q // 2 + 1  # lows consumed by the arm, including the zero
-        if not _low_end_feasible(r, a - 1):
-            continue
-        # The arm is the zigzag's first q+1 labels, reversed to end at 0.
-        seq = [k // 2 if k % 2 == 0 else m - (k - 1) // 2 for k in range(q, -1, -1)]
-        # The band, complemented and shifted up by a: x -> (r - 1 + a) - x.
-        seq += _alpha_low_end(r, a - 1, -1, r - 1 + a, r - 1 + a)
-        return seq[::-1] if rev else seq
+    for q in (position, n - 1 - position):
+        if 0 < q < n - 1 and _low_end_feasible(n - 1 - q, q // 2):
+            # The arm is the zigzag's first q+1 labels, reversed to end at 0.
+            arm = _alpha_low_end(q + 1, 0, 1, 0, n - 1 - q)[::-1]
+            seq = _band_after(arm, q // 2, n)
+            return seq if q == position else seq[::-1]
     return None
 
 
@@ -308,9 +314,9 @@ def _zero_at_residue(n: int, position: int) -> list[int]:
 
     The center of P_{4s+1} extends a P_6 block twice: to P_{2s+2} with 0 at
     index 1, then, reversed, to P_{4s+1} with 0 at index 2s (P_13 is a
-    literal). Every other pair keeps the zigzag arm of q vertices, closes it
-    with one or two vertices on the far side of zero, and extends that
-    block by a band.
+    literal). Every other pair takes the shorter arm q, closes it with one
+    vertex on the far side of zero (the block `_zero_at_construct(q+2, q)`)
+    and extends that block by a band (P_9 is a literal).
     """
     if 2 * position == n - 1 and n % 4 == 1:
         # The P_6 block extends to P_{2s+2} only when its band is longer
@@ -320,53 +326,56 @@ def _zero_at_residue(n: int, position: int) -> list[int]:
         inner = [4, 0, 5, 2, 3, 1]
         if n > 9:
             inner = _extend_by_band(inner, 1, position + 2)
-        seq = _extend_by_band(inner[::-1], position, n)
-        if seq is not None:
-            return seq
-    else:
-        for q, rev in ((position, False), (n - 1 - position, True)):
-            for t in (1, 2):
-                blk = _zero_at_construct(q + 1 + t, q)
-                seq = None if blk is None else _extend_by_band(blk, q, n)
-                if seq is not None:
-                    return seq[::-1] if rev else seq
-    raise ConstructionInvariantError(
-        f"no closed-form alpha-labeling of P_{n} with 0 at position {position}; "
-        f"this contradicts the guaranteed existence"
-    )
+        return _extend_by_band(inner[::-1], position, n)
+    if n == 9:
+        # The band of P_9's 5-vertex block has an infeasible endpoint.
+        seq = [7, 2, 6, 0, 8, 1, 4, 3, 5]
+        return seq if position == 3 else seq[::-1]
+    q = min(position, n - 1 - position)
+    seq = _extend_by_band(_zero_at_construct(q + 2, q), q, n)
+    return seq if q == position else seq[::-1]
 
 
-def _extend_by_band(blk: list[int], z: int, n: int) -> Optional[list[int]]:
+def _extend_by_band(blk: list[int], z: int, n: int) -> list[int]:
     """Extend an alpha-labeling `blk` of P_b with 0 at index z (so its lows
-    sit on z's parity) to an alpha-labeling of P_n with 0 at index z, or
-    return None when the band below has no labeling.
+    sit on z's parity) to an alpha-labeling of P_n with 0 at index z.
 
-    The block keeps its lows [0, a] and lifts its highs by r = n - b, so it
-    uses the differences r+1 .. n-1. Past its last vertex, label e, the path
-    continues with r vertices on the labels [a+1, a+r], an alpha-labeled
-    band entered by a bridge of difference r: its first label is e + r when
-    e is low and e - r when high, and it must fall in the band's class
-    opposite e.
+    The block keeps its lows [0, a] and lifts its highs by n - b, so it
+    uses the top differences; `_band_after` appends the rest.
     """
     b = len(blk)
-    r = n - b
     a = _alpha_of_sequence(b, z % 2 == 0)
-    out = [x if x <= a else x + r for x in blk]
+    return _band_after([x if x <= a else x + n - b for x in blk], a, n)
+
+
+def _band_after(out: list[int], a: int, n: int) -> list[int]:
+    """Append to `out` the band that completes an alpha-labeling of P_n.
+
+    `out` is an alpha-labeled block whose lows are [0, a] and whose highs
+    are the top labels of P_n. Past its last vertex, label e, the path
+    continues with r = n - len(out) vertices on the labels [a+1, a+r],
+    entered by a bridge of difference r: the band's first label is e + r
+    when e is low and e - r when high, so it sits in the class opposite e.
+    A high first label is the complement of a low-end labeling, a low one
+    the low-end labeling itself, both written through the map.
+    """
+    r = n - len(out)
     e = out[-1]
-    h = (e + r if e <= a else e - r) - a - 1
-    band_low = (b - z) % 2 == 0  # the band's first vertex is low
-    idx = _alpha_of_sequence(r, band_low)
-    if not 0 <= h < r or (h <= idx) != band_low:
-        return None
-    try:
-        band = _alpha_end_seq(r, h, idx)[0]
-    except InfeasibleError:
-        return None
-    return out + [x + a + 1 for x in band]
+    if e <= a:
+        j, s, lo = a - e, -1, a + r
+    else:
+        j, s, lo = e - r - a - 1, 1, a + 1
+    if not _low_end_feasible(r, j):
+        raise ConstructionInvariantError(
+            f"the band of {r} vertices after label {e} needs endpoint label {j}, "
+            f"which has no alpha-labeling"
+        )
+    out += _alpha_low_end(r, j, s, lo, lo)
+    return out
 
 
 def alpha_path_end_label(
-    n: int, end_label: int, required_index: Optional[int] = None
+    n: int, end_label: int, required_index: int | None = None
 ) -> AlphaLabeling:
     """An alpha-labeling of P_n whose first endpoint carries `end_label`.
 
@@ -382,7 +391,7 @@ def alpha_path_end_label(
 
 
 def _alpha_end_seq(
-    n: int, end_label: int, required_index: Optional[int] = None
+    n: int, end_label: int, required_index: int | None = None
 ) -> tuple[list[int], int]:
     """(label sequence, index) behind alpha_path_end_label, not certified."""
     if n < 2:

@@ -11,8 +11,6 @@ x_i = 2s + i; any length-1 legs are appended after that.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import ConstructionInvariantError, ValidationError
 from .model import Labeling, Spider, Tree, _Record, build_spider, certified, is_graceful
 from .paths import _zero_at_seq
@@ -146,7 +144,7 @@ def extend_with_leaves(
 
 
 def label_short_leg_spider(
-    spec: ShortLegSpec, budget: Optional[int] = None
+    spec: ShortLegSpec, budget: int | None = None
 ) -> tuple[Spider, Labeling]:
     """Graceful labeling, center 0, of the spider with legs
     (ell, 2 x s, 1 x t), on the canonical numbering of `short_leg_spider`.

@@ -10,7 +10,6 @@ round-trips byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .errors import ValidationError
 from .model import Labeling, Spider, Tree
@@ -18,8 +17,8 @@ from .model import Labeling, Spider, Tree
 
 def to_document(
     tree: Tree,
-    labeling: Optional[Labeling] = None,
-    spider: Optional[Spider] = None,
+    labeling: Labeling | None = None,
+    spider: Spider | None = None,
 ) -> dict:
     doc: dict = {"n": tree.n, "edges": [[a, b] for a, b in tree.edges]}
     if labeling is not None:
@@ -30,17 +29,32 @@ def to_document(
     return doc
 
 
-def from_document(doc: dict) -> tuple[Tree, Optional[Labeling], Optional[Spider]]:
+def _int(x) -> int:
+    """`x` if it is an integer: int() would read 0.5 as 0 and true as 1."""
+    if type(x) is not int:
+        raise ValueError(f"{json.dumps(x)} is not an integer")
+    return x
+
+
+def _vertex_key(key) -> int:
+    """A "labels" key: a vertex id in the decimal form `to_document` writes."""
+    v = int(key)
+    if str(v) != str(key):
+        raise ValueError(f"{json.dumps(key)} is not a vertex id")
+    return v
+
+
+def from_document(doc: dict) -> tuple[Tree, Labeling | None, Spider | None]:
     try:
-        n = int(doc["n"])
-        edges = [(int(a), int(b)) for a, b in doc["edges"]]
+        n = _int(doc["n"])
+        edges = [(_int(a), _int(b)) for a, b in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed tree document: {exc}") from exc
     tree = Tree(n, edges)
     labeling = None
     if "labels" in doc and doc["labels"] is not None:
         try:
-            values = {int(v): int(x) for v, x in doc["labels"].items()}
+            values = {_vertex_key(v): _int(x) for v, x in doc["labels"].items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed labels: {exc}") from exc
         outside = [v for v in values if not 0 <= v < n]
@@ -53,8 +67,8 @@ def from_document(doc: dict) -> tuple[Tree, Optional[Labeling], Optional[Spider]
     spider = None
     if "center" in doc and "legs" in doc:
         try:
-            center = int(doc["center"])
-            legs = tuple(tuple(map(int, leg)) for leg in doc["legs"])
+            center = _int(doc["center"])
+            legs = tuple(tuple(map(_int, leg)) for leg in doc["legs"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed spider: {exc}") from exc
         spider = Spider(tree, center, legs)
@@ -87,7 +101,7 @@ def load_document(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def to_dot(tree: Tree, labeling: Optional[Labeling] = None) -> str:
+def to_dot(tree: Tree, labeling: Labeling | None = None) -> str:
     """DOT rendering with vertex labels as node text and edge differences
     as edge text."""
     lines = ["graph G {", "  node [shape=circle];"]

@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
-from graceful_spiders import paths
-from graceful_spiders.errors import InfeasibleError, ValidationError
+from graceful_spiders import attach, paths
+from graceful_spiders.errors import (
+    ConstructionInvariantError,
+    InfeasibleError,
+    ValidationError,
+)
 from graceful_spiders.model import Labeling, alpha_index, is_graceful, path_tree
 from graceful_spiders.oracle import enumerate_graceful
 from graceful_spiders.paths import (
@@ -186,6 +190,23 @@ class TestZeroAtResidue:
         assert seq[p] == 0 and is_graceful(path_tree(n), lab)
         assert alpha_index(path_tree(n), lab) == alpha
 
+    @pytest.mark.parametrize("k", [401, 1000, 2345, 9999])
+    def test_pairs_beyond_400(self, k):
+        # The shorter arm, closed by `_zero_at_construct(q+2, q)` and a band.
+        for n, q in ((6 * k + 2, 2 * k), (6 * k + 3, 2 * k + 1)):
+            for p in (q, n - 1 - q):
+                assert paths._zero_at_construct(n, p) is None
+                al = alpha_path_zero_at(n, p)  # AlphaLabeling certifies the index
+                assert al.labeling[p] == 0
+
+    def test_p9_band_is_infeasible(self):
+        # P_9's shorter-arm block leaves P_4 with endpoint 2, hence the literal;
+        # the band step raises rather than fall back.
+        blk = paths._zero_at_construct(5, 3)
+        with pytest.raises(ConstructionInvariantError):
+            paths._extend_by_band(blk, 3, 9)
+        assert paths._zero_at_residue(9, 3) == [7, 2, 6, 0, 8, 1, 4, 3, 5]
+
     def test_no_search_left(self):
         for name in ("_search_path", "_Budget", "_outward_order", "default_cache",
                      "CACHE_ENV_VAR"):
@@ -264,6 +285,17 @@ class TestLowEndConstruction:
 
     def test_no_memo(self):
         assert not hasattr(paths, "_low_end_memo")
+
+    def test_one_zigzag_and_one_lift(self):
+        assert not hasattr(paths, "_zigzag_seq")
+        assert not hasattr(attach, "_alpha_end_seq")
+
+    def test_peel_rule_at_6j_plus_3(self):
+        # n = 6j+3 peels a block of 2j+4 vertices, not the plain fan, whose
+        # rest would be Lemma 2(c)'s infeasible P_{4j+1} with endpoint j.
+        for j in list(range(1, 301)) + [10_000]:
+            al = alpha_path_end_label(6 * j + 3, j)  # certifies graceful and index
+            assert al.labeling[0] == j and al.alpha == 3 * j + 1
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_deep_paths_without_recursion(self, j):

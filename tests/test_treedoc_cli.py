@@ -178,6 +178,26 @@ class TestCli:
         assert json.loads(out)["error"]["message"] == (
             "every alpha-labeling of P_2 has index 0; index 5 is impossible")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["alpha", "--n", "3", "--position", "1", "--index", "5"],
+             "path alpha --position does not take --index"),
+            (["graceful", "--n", "3", "--position", "1", "--end-label", "1"],
+             "path graceful --position does not take --end-label"),
+            (["graceful", "--n", "3", "--position", "1", "--index", "1"],
+             "path graceful --position does not take --index"),
+            (["zigzag", "--n", "3", "--position", "0"], "path zigzag does not take --position"),
+            (["zigzag", "--n", "3", "--end-label", "0"], "path zigzag does not take --end-label"),
+            (["zigzag", "--n", "3", "--index", "1"], "path zigzag does not take --index"),
+        ],
+    )
+    def test_path_unread_flag_exit2(self, capsys, argv, message):
+        # Each of these once exited 0 and ignored the flag.
+        code, out = run_cli(capsys, "path", *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "validation", "message": message}
+
     def test_oracle_trace_adds_elapsed(self, capsys, tmp_path):
         p = tmp_path / "p4.json"
         p.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
@@ -243,6 +263,16 @@ class TestCli:
             ({"center": 0, "legs": 5}, "malformed spider"),
             ({"labels": {"0": 0, "1": 1, "-1": 5}}, "label for vertex -1 outside 0..1"),
             ({"labels": {"0": 0, "1": 1, "2": 5}}, "label for vertex 2 outside 0..1"),
+            # int() would truncate these to a valid, graceful document.
+            ({"labels": {"0": 0.5, "1": 1}}, "malformed labels: 0.5 is not an integer"),
+            ({"labels": {"0": True, "1": 0}}, "malformed labels: true is not an integer"),
+            ({"labels": {"0": 0, "01": 1}}, 'malformed labels: "01" is not a vertex id'),
+            ({"n": 2.5}, "malformed tree document: 2.5 is not an integer"),
+            ({"n": True, "edges": []}, "malformed tree document: true is not an integer"),
+            ({"edges": [[0, True]]}, "malformed tree document: true is not an integer"),
+            ({"edges": [["0", 1]]}, 'malformed tree document: "0" is not an integer'),
+            ({"center": 0.0, "legs": [[1]]}, "malformed spider: 0.0 is not an integer"),
+            ({"center": 0, "legs": [[1.0]]}, "malformed spider: 1.0 is not an integer"),
         ],
     )
     def test_malformed_document_exit2(self, tmp_path, doc, message):
