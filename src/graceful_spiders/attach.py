@@ -38,14 +38,17 @@ def attach_path(t: Tree, f: Labeling, u: int, n: int) -> AttachResult:
     gracefully labeled. The result is certified here, where it leaves the
     library: the joined labeling is checked graceful and the bridge label
     m+1 is asserted, and a failure raises ConstructionInvariantError, since
-    the construction guarantees both. The doubling builder attaches through
-    `_attach_labels` instead and certifies the finished spider once.
+    the construction guarantees both. The doubling builder labels each leg
+    with `_attach_block` instead and certifies the finished spider once.
     """
     if not 0 <= u < t.n:
         raise ValidationError(f"vertex {u} not in the host tree")
     if not is_graceful(t, f):
         raise ValidationError("host labeling is not graceful")
-    labels, shift = _attach_labels(f.as_sequence(t.n), u, n)
+    host = f.as_sequence(t.n)
+    block = _attach_block(host[u], t.m, n)
+    shift = n // 2
+    labels = [x + shift for x in host] + block
 
     path_ids = tuple(range(t.n, t.n + n))
     edges = list(t.edges)
@@ -61,31 +64,29 @@ def attach_path(t: Tree, f: Labeling, u: int, n: int) -> AttachResult:
     return AttachResult(joined, labeling, shift, t.m + 1, path_ids)
 
 
-def _attach_labels(labels: list[int], u: int, n: int) -> tuple[list[int], int]:
-    """Labels after joining u to the first endpoint of an n-vertex path.
+def _attach_block(x: int, m: int, n: int, off: int = 0) -> list[int]:
+    """Labels of an n-vertex path joined at its first endpoint to a vertex
+    labeled x of an m-edge gracefully labeled host, in path order, each
+    raised by `off`.
 
-    `labels` is a graceful labeling by vertex id (not re-checked here); the
-    path takes the next n ids in path order. Returns the new labels and the
-    shift floor(n/2) applied to the old vertices. Checks the attachment
-    preconditions and the bridge label m+1, both O(1).
+    The host itself moves up by the shift floor(n/2); the caller applies
+    that shift. Checks the attachment preconditions and the bridge label
+    m+1, both O(1).
     """
     if n < 2:
         raise ValidationError(f"precondition failed: n >= 2 (got n={n})")
     if n % 4 == 1:
         raise ValidationError(f"precondition failed: n != 1 (mod 4) (got n={n})")
     shift = n // 2
-    if labels[u] + shift + 1 > n:
+    if x + shift + 1 > n:
         raise ValidationError(
             f"precondition failed: f(u) + floor(n/2) + 1 <= n "
-            f"({labels[u]} + {shift} + 1 > {n})"
+            f"({x} + {shift} + 1 > {n})"
         )
-    m = len(labels) - 1
-    out = [x + shift for x in labels]
     # The path's labeling g is the complement x -> n-1-x of a low-end
     # labeling with endpoint n-1-g(v); its high part moves up by m + 1.
-    out += _alpha_low_end(n, n - 1 - labels[u] - shift, -1, n + m, n - 1)
-    if abs(out[u] - out[m + 1]) != m + 1:
-        raise ConstructionInvariantError(
-            f"bridge edge label is {abs(out[u] - out[m + 1])}, expected {m + 1}"
-        )
-    return out, shift
+    block = _alpha_low_end(n, n - 1 - x - shift, -1, n + m + off, n - 1 + off)
+    bridge = abs(x + shift + off - block[0])
+    if bridge != m + 1:
+        raise ConstructionInvariantError(f"bridge edge label is {bridge}, expected {m + 1}")
+    return block

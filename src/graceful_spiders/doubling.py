@@ -9,16 +9,18 @@ directly, since attachment requires a vertex count != 1 mod 4; extending a
 leaf by ell_i - 1 vertices sidesteps the residue). Each remaining leg is then
 grafted by the attachment step of `attach`, whose precondition is guaranteed
 to hold at every step -- a failure is reported as an internal contradiction,
-not user error. The steps run on a plain label list; the finished spider is
+not user error. Each step shifts the host by floor(n/2), fixed by the plan,
+so every label is written once, already raised by the shifts of the later
+steps, straight into the canonical numbering; the finished spider is
 certified once.
 """
 
 from __future__ import annotations
 
-from .attach import _attach_labels
+from .attach import _attach_block
 from .errors import ConstructionInvariantError, ValidationError
 from .model import ConstructionTrace, Labeling, Spider, _Record, build_spider, certified
-from .paths import _zero_at_seq
+from .paths import _alpha_low_end, _zero_at_seq
 
 # The message of the one gracefulness check of a doubling build.
 _CONTRADICTION = (
@@ -93,9 +95,9 @@ def label_doubling_spider(
 
     Two or fewer legs make the spider a path, labeled directly with the
     center at 0; otherwise the iterated attachment runs, asserting the
-    attachment precondition and the center-label recurrence at every step.
-    Every step is closed form, so `budget` is accepted and ignored. The
-    result is checked graceful once, on the canonical spider.
+    attachment precondition and the bridge label at every step. Every step
+    is closed form, so `budget` is accepted and ignored. The result is
+    checked graceful once, on the canonical spider.
     """
     plan = check_doubling(leg_lengths)
     lengths = plan.sorted_lengths
@@ -117,58 +119,44 @@ def label_doubling_spider(
 
     # Base S_1: the first leg as a path with the center x at an endpoint
     # labeled 0 (zigzag), plus a leaf y_i labeled ell_1 + j for the j-th
-    # residue-1 leg. Working ids: 0 = x, 1..ell_1 the leg, then the leaves.
+    # residue-1 leg. Labels go out in canonical order (center, leg 1, then
+    # each later leg's leaf y_i, if any, and block), each raised by the
+    # shifts of the steps after the one that writes it.
     ell1 = lengths[0]
-    labels = _zero_at_seq(ell1 + 1, 0)
-    legs_work: dict[int, list[int]] = {1: list(range(1, ell1 + 1))}
-    y_of: dict[int, int] = {}
-    for j, k in enumerate(plan.k_indices, start=1):
-        y_of[k] = len(labels)
-        legs_work[k] = [len(labels)]
-        labels.append(ell1 + j)
-    trace.record(
-        "base",
-        {"leg": ell1, "leaves": {k: labels[y] for k, y in y_of.items()}},
-        len(labels) - 1,
-    )
+    shifts = [step.vertex_count // 2 for step in plan.steps]
+    later = sum(shifts)
+    leaves = {k: ell1 + j for j, k in enumerate(plan.k_indices, start=1)}
+    m = ell1 + len(leaves)
+    trace.record("base", {"leg": ell1, "leaves": leaves}, m)
+    final = _alpha_low_end(ell1 + 1, 0, 1, later, later)
 
-    center = 0
-    for step in plan.steps:
-        i = step.leg_index
-        at = center if step.attach_at == "x" else y_of[i]
-        before = labels[center]
-        first = len(labels)
+    done = 0  # the center's label on the host of the current step
+    for step, shift in zip(plan.steps, shifts):
+        i, n = step.leg_index, step.vertex_count
+        later -= shift
+        x = done
+        if step.attach_at == "y":
+            x += leaves[i]
+            final.append(x + shift + later)  # y_i rises like the rest of the host
         try:
-            labels, shift = _attach_labels(labels, at, step.vertex_count)
+            final += _attach_block(x, m, n, later)
         except ValidationError as exc:
             raise ConstructionInvariantError(
                 f"attachment step i={i} violated a Theorem 2 precondition "
                 f"({exc}); this contradicts Theorem 3",
                 trace,
             ) from exc
-        legs_work.setdefault(i, []).extend(range(first, len(labels)))
-        if labels[center] - before != shift:
-            raise ConstructionInvariantError(
-                f"center label moved by {labels[center] - before}, expected the "
-                f"shift {shift}, at step i={i}",
-                trace,
-            )
         trace.record(
             "attach",
             {
                 "leg_index": i,
                 "attach_at": step.attach_at,
-                "vertex_count": step.vertex_count,
+                "vertex_count": n,
                 "shift": shift,
-                "bridge_label": first,
+                "bridge_label": m + 1,
             },
-            len(labels) - 1,
+            m + n,
         )
-
-    # Remap working ids onto the canonical spider numbering: center 0, legs
-    # consecutive outward in sorted order.
-    final = [labels[center]]
-    for i in range(1, s + 1):
-        final.extend(labels[w] for w in legs_work[i])
+        m += n
+        done += shift
     return spider, certified(spider.tree, final, _CONTRADICTION, trace), trace
-

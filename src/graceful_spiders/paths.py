@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
 from .model import AlphaLabeling, Labeling, certified, path_tree
@@ -103,6 +102,8 @@ class PathCache:
         if self.path is None:
             return
         doc = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "entries": self._entries}
+        import tempfile  # only here: it loads shutil, random, bz2 and lzma
+
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".", suffix=".tmp")
         try:
@@ -398,15 +399,14 @@ def _alpha_end_seq(
         raise ValidationError("n must be >= 2")
     if not 0 <= end_label <= n - 1:
         raise ValidationError(f"end_label {end_label} out of range for n={n}")
-    if n % 4 == 1:
-        s = (n - 1) // 4
-        if end_label in (s, 3 * s):
-            raise InfeasibleError(
-                f"P_{n} (n=4s+1, s={s}) has no alpha-labeling with endpoint label "
-                f"{end_label}"
-            )
     hi_index = (n + 1) // 2 - 1
     lo_index = n // 2 - 1
+    # Lemma 2(c)'s pair, on the low endpoint label that a high one reduces to.
+    if not _low_end_feasible(n, end_label if end_label <= hi_index else n - 1 - end_label):
+        raise InfeasibleError(
+            f"P_{n} (n=4s+1, s={(n - 1) // 4}) has no alpha-labeling with endpoint "
+            f"label {end_label}"
+        )
     if required_index is not None and required_index not in (hi_index, lo_index):
         indices = lo_index if lo_index == hi_index else f"{lo_index} or {hi_index}"
         raise InfeasibleError(

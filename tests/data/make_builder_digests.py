@@ -1,4 +1,5 @@
-"""Regenerate builder_digests.json: one frozen sha256 per spider builder call.
+"""Regenerate builder_digests.json: one frozen sha256 per spider builder call,
+plus two sweep digests over small doubling spiders and path attachments.
 
 Run from the repository root:
 
@@ -11,6 +12,18 @@ count n as 8 little-endian bytes, the canonical edge list (sorted (min, max)
 pairs, flattened) as `array('i', ...).tobytes()`, and the label list by
 vertex id, `lab.as_sequence(n)`, in the same form. Every call of one tree
 has n labels and n - 1 edges, so the stream is unambiguous.
+
+Each sweep digest hashes one JSON row per case, in order, each followed by a
+newline (`json.dumps` of a list, default separators):
+
+- "doubling_m60": every leg list with at least three legs and m <= 60 edges
+  that `check_doubling` accepts, in ascending lexicographic order; the row is
+  [legs, labels by vertex id, trace], the trace as [operation, params,
+  edge_count] per step.
+- "attach_zigzag_p12": `attach_path` on the zigzag labeling of P_k, k <= 12,
+  at every vertex u and for every path size n <= 40 that meets the
+  attachment preconditions; the row is [k, u, n, labels by vertex id, shift,
+  bridge_label, path_ids].
 
 The file is frozen: the tests recompute each digest, so a change to a
 builder, to `Tree`'s edge normalization or to `Labeling` that alters any
@@ -69,16 +82,78 @@ def builder_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def doubling_shapes(max_m: int = 60) -> list[list[int]]:
+    """Every sorted leg list with at least three legs and at most max_m edges
+    that `check_doubling` accepts."""
+    from graceful_spiders.doubling import check_doubling
+    from graceful_spiders.errors import ValidationError
+
+    out = []
+
+    def grow(legs: list[int], m: int):
+        # Every accepted list grows by at least 2*ell + 2 per leg;
+        # check_doubling decides the rest.
+        if len(legs) >= 3:
+            try:
+                check_doubling(legs)
+                out.append(list(legs))
+            except ValidationError:
+                pass
+        for nxt in range(2 * legs[-1] + 2, max_m - m + 1):
+            grow(legs + [nxt], m + nxt)
+
+    for first in range(1, max_m + 1):
+        grow([first], first)
+    return sorted(out)
+
+
+def doubling_sweep_digest() -> str:
+    from graceful_spiders.doubling import label_doubling_spider
+
+    h = hashlib.sha256()
+    for legs in doubling_shapes():
+        spider, lab, trace = label_doubling_spider(legs)
+        steps = [[s.operation, s.params, s.edge_count] for s in trace.steps]
+        row = [legs, lab.as_sequence(spider.tree.n), steps]
+        h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def attach_sweep_digest() -> str:
+    from graceful_spiders.attach import attach_path
+    from graceful_spiders.paths import zigzag_alpha_path
+
+    h = hashlib.sha256()
+    for k in range(1, 13):
+        host = zigzag_alpha_path(k)
+        for u in range(k):
+            for n in range(2, 41):
+                if n % 4 == 1 or host.labeling[u] + n // 2 + 1 > n:
+                    continue
+                r = attach_path(host.tree, host.labeling, u, n)
+                row = [k, u, n, r.labeling.as_sequence(r.tree.n), r.shift,
+                       r.bridge_label, list(r.path_ids)]
+                h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+SWEEPS = {
+    "doubling_m60": doubling_sweep_digest,
+    "attach_zigzag_p12": attach_sweep_digest,
+}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=DEFAULT_OUT)
     args = ap.parse_args(argv)
 
     digests = {name: builder_digest(name) for name in CALLS}
+    sweeps = {name: digest() for name, digest in SWEEPS.items()}
     with open(args.out, "w") as fh:
-        json.dump({"digests": digests}, fh, indent=1)
+        json.dump({"digests": digests, "sweeps": sweeps}, fh, indent=1)
         fh.write("\n")
-    print(f"{len(digests)} digests written to {args.out}")
+    print(f"{len(digests)} digests and {len(sweeps)} sweep digests written to {args.out}")
     return 0
 
 

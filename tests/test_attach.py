@@ -1,7 +1,8 @@
 import pytest
 
-from graceful_spiders.attach import attach_path
-from graceful_spiders.errors import ValidationError
+from graceful_spiders import attach
+from graceful_spiders.attach import _attach_block, attach_path
+from graceful_spiders.errors import ConstructionInvariantError, ValidationError
 from graceful_spiders.model import Labeling, Tree, alpha_index, is_graceful, path_tree
 
 from conftest import figure1_instance
@@ -96,3 +97,17 @@ class TestPostconditions:
         raw = [result.labeling[w] for w in result.path_ids]
         g = [x if x < shift else x - (tree.m + 1) for x in raw]
         assert alpha_index(path_tree(n), Labeling.from_sequence(g)) == shift - 1
+
+
+class TestAttachBlock:
+    def test_offset_raises_every_label(self):
+        for x, m, n in ((0, 6, 7), (3, 6, 7), (0, 1, 4), (2, 10, 12)):
+            block = _attach_block(x, m, n)
+            assert _attach_block(x, m, n, 5) == [g + 5 for g in block]
+            # The bridge from u, shifted by floor(n/2), carries label m + 1.
+            assert abs(x + n // 2 - block[0]) == m + 1
+
+    def test_bridge_label_checked(self, monkeypatch):
+        monkeypatch.setattr(attach, "_alpha_low_end", lambda n, *args: list(range(n)))
+        with pytest.raises(ConstructionInvariantError, match="bridge edge label is 3, expected 7"):
+            _attach_block(0, 6, 7)

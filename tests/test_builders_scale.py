@@ -92,3 +92,19 @@ def test_frozen_builder_digests():
     assert sorted(digests) == sorted(module.CALLS)
     for name, want in digests.items():
         assert module.builder_digest(name) == want, name
+
+
+def test_frozen_sweep_digests():
+    # Every doubling spider with m <= 60 and at least three legs (1,112
+    # shapes, 396 of them with a y-leaf), labels and trace, and attach_path
+    # on small zigzag hosts; frozen while the doubling builder still shifted
+    # its whole host at every step and remapped at the end.
+    module = _digest_module()
+    with open(os.path.join(DATA, "builder_digests.json")) as fh:
+        sweeps = json.load(fh)["sweeps"]
+    assert sorted(sweeps) == sorted(module.SWEEPS)
+    shapes = module.doubling_shapes()
+    assert len(shapes) == 1112
+    assert sum(any(ell % 4 == 1 for ell in legs[1:]) for legs in shapes) == 396
+    for name, want in sweeps.items():
+        assert module.SWEEPS[name]() == want, name

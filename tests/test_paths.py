@@ -230,6 +230,24 @@ class TestAlphaEndLabel:
         with pytest.raises(InfeasibleError):
             alpha_path_end_label(9, 2)
 
+    def test_lemma2c_rule_is_the_low_end_rule(self):
+        # The endpoint pairs refused as Lemma 2(c)'s, n = 4s+1 with endpoint
+        # s or 3s, are exactly those whose low endpoint label (the label
+        # itself, or its complement n-1-e when high) `_low_end_feasible`
+        # refuses; each is refused with the Lemma 2(c) message.
+        for n in range(2, 200):
+            hi = (n + 1) // 2 - 1
+            s = (n - 1) // 4
+            for e in range(n):
+                lemma = n % 4 == 1 and e in (s, 3 * s)
+                assert lemma == (not paths._low_end_feasible(n, e if e <= hi else n - 1 - e)), (n, e)
+                if lemma:
+                    with pytest.raises(InfeasibleError) as err:
+                        alpha_path_end_label(n, e)
+                    assert str(err.value) == (
+                        f"P_{n} (n=4s+1, s={s}) has no alpha-labeling with endpoint label {e}"
+                    )
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             alpha_path_end_label(1, 0)

@@ -150,10 +150,11 @@ def test_constructors_still_validate():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # Annotations are never evaluated, so nothing needs `typing` at run time.
+    # Annotations are never evaluated, so nothing needs `typing` at run time;
+    # `tempfile` loads only when `PathCache.put` writes a file.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import graceful_spiders.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'tempfile', 'typing'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code, SRC],
                          capture_output=True, text=True, timeout=60, check=True)
