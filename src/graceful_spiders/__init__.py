@@ -1,6 +1,6 @@
 """Constructive graceful labelings of spider trees.
 
-Builders for three constructive routes (path attachment, iterative doubling
+Builders for four constructive routes (path attachment, iterative doubling
 spiders, closed-form short-leg spiders, alpha-amalgamation), closed-form
 path labeling providers, and a brute-force oracle that certifies every
 output.

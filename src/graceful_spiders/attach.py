@@ -22,14 +22,6 @@ class AttachResult(_Record):
 
     __slots__ = ("tree", "labeling", "shift", "bridge_label", "path_ids")
 
-    def __init__(self, tree: Tree, labeling: Labeling, shift: int, bridge_label: int,
-                 path_ids: tuple[int, ...]):
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "bridge_label", bridge_label)
-        object.__setattr__(self, "path_ids", path_ids)
-
 
 def attach_path(t: Tree, f: Labeling, u: int, n: int) -> AttachResult:
     """Attach an n-vertex path at u and return the graceful relabeling.

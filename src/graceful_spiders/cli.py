@@ -1,13 +1,22 @@
 """Command-line surface for the spider labeling constructions.
 
 Subcommands: spider doubling | spider short | spider three-long | attach |
-amalgamate | path | oracle | verify | export. Results are emitted as the
-canonical JSON tree document or DOT. Exit codes: 0 success, 2 validation
-(including provable infeasibility), 3 resource budget, 4 internal
-theorem-contradiction. Only `oracle` searches, so only `oracle` uses
-`--budget` and can exit 3. Every other subcommand is closed form; it
-accepts `--budget` and `--cache` and ignores them, so existing command
-lines keep working.
+amalgamate | path | oracle | verify | export. Exit codes: 0 success, 2
+validation (including provable infeasibility), 3 resource budget, 4 internal
+theorem-contradiction.
+
+Flags shared by several subcommands:
+- `--format json|dot`: the subcommands that emit a tree document (the three
+  `spider` variants, `attach`, `amalgamate`, `path`, `export`) write it as
+  canonical JSON or as DOT. `oracle` and `verify` write a JSON report and
+  take no `--format`.
+- `--trace`: `spider doubling` adds its construction trace to the JSON
+  document (with `--format dot` it exits 2, since DOT has no place for it);
+  `oracle` adds the search time. No other subcommand takes it.
+- `--budget`, `--cache`: every subcommand accepts both. Only `oracle`
+  searches, so only `oracle` uses `--budget` and can exit 3; every other
+  subcommand is closed form and ignores both, so existing command lines
+  keep working.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import json
 import sys
 
 from .attach import attach_path
-from .compose import AmalgamationInput, amalgamate, label_three_long_legs
+from .compose import amalgamate, label_three_long_legs
 from .doubling import label_doubling_spider
 from .errors import (
     ConstructionInvariantError,
@@ -65,39 +74,40 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="oracle search node budget")
     common.add_argument("--cache", help="accepted and ignored: every path "
                                         "labeling is closed form")
-    common.add_argument("--format", choices=["json", "dot"], default="json",
-                        help="output format")
-    common.add_argument("--trace", action="store_true",
-                        help="include the construction trace (oracle: the "
-                             "search time) in the output")
+    # The subcommands that emit a tree document.
+    emits = argparse.ArgumentParser(add_help=False, parents=[common])
+    emits.add_argument("--format", choices=["json", "dot"], default="json",
+                       help="output format")
 
     parser = argparse.ArgumentParser(prog="graceful-spiders")
     sub = parser.add_subparsers(dest="command", required=True)
 
     spider = sub.add_parser("spider", help="label a spider")
     ssub = spider.add_subparsers(dest="variant", required=True)
-    p = ssub.add_parser("doubling", parents=[common])
+    p = ssub.add_parser("doubling", parents=[emits])
     p.add_argument("--legs", required=True, help="comma-separated leg lengths")
-    p = ssub.add_parser("short", parents=[common])
+    p.add_argument("--trace", action="store_true",
+                   help="include the construction trace in the JSON document")
+    p = ssub.add_parser("short", parents=[emits])
     p.add_argument("--long", dest="long_leg", type=int, required=True)
     p.add_argument("--two", type=int, default=0)
     p.add_argument("--one", type=int, default=0)
-    p = ssub.add_parser("three-long", parents=[common])
+    p = ssub.add_parser("three-long", parents=[emits])
     p.add_argument("--legs", required=True)
 
-    p = sub.add_parser("attach", parents=[common])
+    p = sub.add_parser("attach", parents=[emits])
     p.add_argument("--graph", required=True, help="labeled tree document")
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--path-len", type=int, required=True,
                    help="vertex count n of the attached path")
 
-    p = sub.add_parser("amalgamate", parents=[common])
+    p = sub.add_parser("amalgamate", parents=[emits])
     p.add_argument("--alpha", required=True, help="alpha-labeled G document")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--graceful", required=True, help="gracefully labeled H document")
     p.add_argument("--v", type=int, required=True)
 
-    p = sub.add_parser("path", parents=[common])
+    p = sub.add_parser("path", parents=[emits])
     p.add_argument("kind", choices=["zigzag", "graceful", "alpha"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--position", type=int, help="position of the 0 label")
@@ -110,11 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", action="append", default=[], help="v=label")
     p.add_argument("--alpha", action="store_true", dest="alpha_only",
                    help="restrict to alpha-labelings")
+    p.add_argument("--trace", action="store_true",
+                   help="include the search time in the output")
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--graph", required=True)
 
-    p = sub.add_parser("export", parents=[common])
+    p = sub.add_parser("export", parents=[emits])
     p.add_argument("--graph", required=True)
 
     return parser
@@ -163,6 +175,8 @@ def _error(kind: str, exc: Exception):
 def _dispatch(args):
     if args.command == "spider":
         if args.variant == "doubling":
+            if args.trace and args.format == "dot":
+                raise ValidationError("spider doubling --format dot does not take --trace")
             sp, lab, trace = label_doubling_spider(_parse_legs(args.legs))
             extra = {"trace": _trace_doc(trace)} if args.trace else None
             _emit(args, sp.tree, lab, sp, extra)
@@ -190,10 +204,8 @@ def _dispatch(args):
         idx = alpha_index(g_tree, g_lab)
         if idx is None:
             raise ValidationError("G's labeling is not an alpha-labeling")
-        tree, lab = amalgamate(
-            AmalgamationInput(AlphaLabeling(g_tree, g_lab, idx), args.u,
-                              h_tree, h_lab, args.v)
-        )
+        tree, lab = amalgamate(AlphaLabeling(g_tree, g_lab, idx), args.u,
+                               h_tree, h_lab, args.v)
         _emit(args, tree, lab)
     elif args.command == "path":
         _path_cmd(args)

@@ -19,7 +19,9 @@ from .model import (
     Labeling,
     Spider,
     Tree,
-    _Record,
+    _alpha_flip_seq,
+    _center_first,
+    _check_legs,
     build_spider,
     certified,
     is_graceful,
@@ -28,57 +30,46 @@ from .paths import _alpha_zero_seq
 from .short_legs import ShortLegSpec, _short_leg_labels, label_short_leg_spider
 
 
-class AmalgamationInput(_Record):
-    """G with an alpha-labeling and attachment vertex u (labeled 0 or alpha);
-    H with a graceful labeling and attachment vertex v labeled 0."""
-
-    __slots__ = ("g", "u", "h_tree", "h_labeling", "v")
-
-    def __init__(self, g: AlphaLabeling, u: int, h_tree: Tree, h_labeling: Labeling, v: int):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "h_tree", h_tree)
-        object.__setattr__(self, "h_labeling", h_labeling)
-        object.__setattr__(self, "v", v)
-
-
-def amalgamate(inp: AmalgamationInput) -> tuple[Tree, Labeling]:
-    """Identify u of G with v of H and return the graceful labeling.
+def amalgamate(
+    g: AlphaLabeling, u: int, h_tree: Tree, h_labeling: Labeling, v: int
+) -> tuple[Tree, Labeling]:
+    """Identify vertex u of G (alpha-labeled, u labeled 0 or alpha) with
+    vertex v of H (gracefully labeled, v labeled 0) and return the graceful
+    labeling.
 
     When u carries 0 rather than alpha, the flip is applied first. Result
     vertex ids: G keeps its ids (the identified vertex is u); an H vertex w
     becomes g.n + w when w < v and g.n + w - 1 when w > v. The result is
     checked graceful before it is returned.
     """
-    g, u = inp.g, inp.u
     if not 0 <= u < g.tree.n:
         raise ValidationError(f"vertex {u} not in G")
-    if not 0 <= inp.v < inp.h_tree.n:
-        raise ValidationError(f"vertex {inp.v} not in H")
+    if not 0 <= v < h_tree.n:
+        raise ValidationError(f"vertex {v} not in H")
     if g[u] not in (0, g.alpha):
         raise ValidationError(
             f"u must be labeled 0 or alpha={g.alpha}, got {g[u]}"
         )
-    if not is_graceful(inp.h_tree, inp.h_labeling):
+    if not is_graceful(h_tree, h_labeling):
         raise ValidationError("H's labeling is not graceful")
-    if inp.h_labeling[inp.v] != 0:
-        raise ValidationError(f"v must be labeled 0, got {inp.h_labeling[inp.v]}")
+    if h_labeling[v] != 0:
+        raise ValidationError(f"v must be labeled 0, got {h_labeling[v]}")
     n_g = g.tree.n
 
     def h_id(w: int) -> int:
-        if w == inp.v:
+        if w == v:
             return u
-        return n_g + w if w < inp.v else n_g + w - 1
+        return n_g + w if w < v else n_g + w - 1
 
     edges = list(g.tree.edges)
-    edges.extend((h_id(a), h_id(b)) for a, b in inp.h_tree.edges)
-    tree = Tree(n_g + inp.h_tree.n - 1, edges)
+    edges.extend((h_id(a), h_id(b)) for a, b in h_tree.edges)
+    tree = Tree(n_g + h_tree.n - 1, edges)
     labels = _amalgam_labels(
         g.labeling.as_sequence(n_g),
         g.alpha,
         u,
-        inp.h_labeling.as_sequence(inp.h_tree.n),
-        inp.v,
+        h_labeling.as_sequence(h_tree.n),
+        v,
     )
     return tree, certified(
         tree,
@@ -98,9 +89,7 @@ def _amalgam_labels(
     vertex carries alpha is.
     """
     if g[u] == 0 and alpha != 0:
-        # The alpha flip (model.alpha_flip) on the bare sequence.
-        m_g = len(g) - 1
-        g = [alpha - x if x <= alpha else m_g + alpha + 1 - x for x in g]
+        g = _alpha_flip_seq(g, alpha)
     e_h = len(h) - 1
     out = [x if x <= alpha else x + e_h for x in g]
     out.extend(x + alpha for w, x in enumerate(h) if w != v)
@@ -124,10 +113,7 @@ def label_three_long_legs(
     so `budget` is accepted and ignored. The result is checked graceful
     once, on the canonical spider.
     """
-    if not leg_lengths:
-        raise ValidationError("leg length list must be non-empty")
-    if any(ell < 1 for ell in leg_lengths):
-        raise ValidationError("leg lengths must be positive")
+    _check_legs(leg_lengths)
     long_count = sum(1 for ell in leg_lengths if ell >= 3)
     if long_count > 3:
         raise ValidationError(
@@ -163,7 +149,7 @@ def label_three_long_legs(
     spider = build_spider([ell1, ell2] + star_lengths)
     return spider, certified(
         spider.tree,
-        lab[ell1::-1] + lab[ell1 + 1:],
+        _center_first(lab, ell1),
         "three-long-leg construction produced a non-graceful labeling; "
         "this contradicts Theorem 5",
     )

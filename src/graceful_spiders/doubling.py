@@ -9,7 +9,7 @@ directly, since attachment requires a vertex count != 1 mod 4; extending a
 leaf by ell_i - 1 vertices sidesteps the residue). Each remaining leg is then
 grafted by the attachment step of `attach`, whose precondition is guaranteed
 to hold at every step -- a failure is reported as an internal contradiction,
-not user error. Each step shifts the host by floor(n/2), fixed by the plan,
+not user error. Each step shifts the host by floor(n/2), fixed by the lengths,
 so every label is written once, already raised by the shifts of the later
 steps, straight into the canonical numbering; the finished spider is
 certified once.
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from .attach import _attach_block
 from .errors import ConstructionInvariantError, ValidationError
-from .model import ConstructionTrace, Labeling, Spider, _Record, build_spider, certified
+from .model import (
+    ConstructionTrace, Labeling, Spider, _center_first, _check_legs, build_spider, certified,
+)
 from .paths import _alpha_low_end, _zero_at_seq
 
 # The message of the one gracefulness check of a doubling build.
@@ -29,39 +31,14 @@ _CONTRADICTION = (
 )
 
 
-class AttachStep(_Record):
-    """One planned attachment: leg index i, attach point kind ('x' for the
-    center, 'y' for the leg's pre-labeled leaf), attached vertex count."""
-
-    __slots__ = ("leg_index", "attach_at", "vertex_count")
-
-    def __init__(self, leg_index: int, attach_at: str, vertex_count: int):
-        object.__setattr__(self, "leg_index", leg_index)
-        object.__setattr__(self, "attach_at", attach_at)
-        object.__setattr__(self, "vertex_count", vertex_count)
-
-
-class DoublingPlan(_Record):
-    __slots__ = ("sorted_lengths", "k_indices", "steps")
-
-    def __init__(self, sorted_lengths: tuple[int, ...], k_indices: tuple[int, ...],
-                 steps: tuple[AttachStep, ...] = ()):
-        object.__setattr__(self, "sorted_lengths", sorted_lengths)
-        object.__setattr__(self, "k_indices", k_indices)
-        object.__setattr__(self, "steps", steps)
-
-
-def check_doubling(leg_lengths: list[int]) -> DoublingPlan:
-    """Validate the doubling growth conditions and lay out the plan.
+def check_doubling(leg_lengths: list[int]) -> tuple[int, ...]:
+    """Validate the doubling growth conditions and return the sorted lengths.
 
     Lengths are sorted ascending first; the conditions are stated (and only
     satisfiable) in that order. Raises a validation error naming the first
     violated inequality.
     """
-    if not leg_lengths:
-        raise ValidationError("leg length list must be non-empty")
-    if any(ell < 1 for ell in leg_lengths):
-        raise ValidationError("leg lengths must be positive")
+    _check_legs(leg_lengths)
     lengths = tuple(sorted(leg_lengths))
     s = len(lengths)
     if s >= 2:
@@ -77,14 +54,7 @@ def check_doubling(leg_lengths: list[int]) -> DoublingPlan:
                 f"doubling condition failed at i={i}: ell_{i + 1} = {lengths[i]} < "
                 f"2*{lengths[i - 1]} + 2 = {2 * lengths[i - 1] + 2}"
             )
-    k_indices = tuple(i for i in range(2, s + 1) if lengths[i - 1] % 4 == 1)
-    steps = tuple(
-        AttachStep(i, "y", lengths[i - 1] - 1)
-        if i in k_indices
-        else AttachStep(i, "x", lengths[i - 1])
-        for i in range(2, s + 1)
-    )
-    return DoublingPlan(lengths, k_indices, steps)
+    return lengths
 
 
 def label_doubling_spider(
@@ -99,43 +69,45 @@ def label_doubling_spider(
     is closed form, so `budget` is accepted and ignored. The result is
     checked graceful once, on the canonical spider.
     """
-    plan = check_doubling(leg_lengths)
-    lengths = plan.sorted_lengths
+    lengths = check_doubling(leg_lengths)
     s = len(lengths)
     spider = build_spider(list(lengths))
     trace = ConstructionTrace()
 
     if s <= 2:
         # The spider is a path; its center sits at position ell_1 from the
-        # first leg's leaf (position 0 when s = 1). Path order: leg-1 leaf ..
-        # center .. leg-2 leaf; canonical ids walk leg 1 outward from the
-        # center, then leg 2.
+        # first leg's leaf (position 0 when s = 1).
         n = sum(lengths) + 1
         pos = lengths[0] if s == 2 else 0
         path = _zero_at_seq(n, pos)
         trace.record("path_base", {"n": n, "zero_position": pos}, n - 1)
-        final = path[pos::-1] + path[pos + 1:]
+        final = _center_first(path, pos)
         return spider, certified(spider.tree, final, _CONTRADICTION, trace), trace
 
     # Base S_1: the first leg as a path with the center x at an endpoint
     # labeled 0 (zigzag), plus a leaf y_i labeled ell_1 + j for the j-th
-    # residue-1 leg. Labels go out in canonical order (center, leg 1, then
-    # each later leg's leaf y_i, if any, and block), each raised by the
-    # shifts of the steps after the one that writes it.
+    # later leg whose length is 1 mod 4. Such a leg attaches ell_i - 1
+    # vertices at y_i, any other leg ell_i vertices at x. Labels go out in
+    # canonical order (center, leg 1, then each later leg's leaf y_i, if
+    # any, and block), each raised by the shifts of the steps after the one
+    # that writes it.
     ell1 = lengths[0]
-    shifts = [step.vertex_count // 2 for step in plan.steps]
-    later = sum(shifts)
-    leaves = {k: ell1 + j for j, k in enumerate(plan.k_indices, start=1)}
+    leaves: dict[int, int] = {}
+    for i in range(2, s + 1):
+        if lengths[i - 1] % 4 == 1:
+            leaves[i] = ell1 + len(leaves) + 1
+    counts = [lengths[i - 1] - 1 if i in leaves else lengths[i - 1] for i in range(2, s + 1)]
+    later = sum(n // 2 for n in counts)
     m = ell1 + len(leaves)
     trace.record("base", {"leg": ell1, "leaves": leaves}, m)
     final = _alpha_low_end(ell1 + 1, 0, 1, later, later)
 
     done = 0  # the center's label on the host of the current step
-    for step, shift in zip(plan.steps, shifts):
-        i, n = step.leg_index, step.vertex_count
+    for i, n in enumerate(counts, start=2):
+        shift = n // 2
         later -= shift
         x = done
-        if step.attach_at == "y":
+        if i in leaves:
             x += leaves[i]
             final.append(x + shift + later)  # y_i rises like the rest of the host
         try:
@@ -150,7 +122,7 @@ def label_doubling_spider(
             "attach",
             {
                 "leg_index": i,
-                "attach_at": step.attach_at,
+                "attach_at": "y" if i in leaves else "x",
                 "vertex_count": n,
                 "shift": shift,
                 "bridge_label": m + 1,

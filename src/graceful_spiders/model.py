@@ -13,7 +13,7 @@ the checks do not depend on the fast path.
 
 The records here and in the other modules are plain `__slots__` classes on
 `_Record`, not dataclasses: importing `dataclasses` (which pulls in
-`inspect`, `ast`, `dis` and `tokenize`) and generating the methods of twelve
+`inspect`, `ast`, `dis` and `tokenize`) and generating the methods of the
 records cost every process about 23 ms of CPU time at start-up (Python
 3.11, two shared vCPUs), several times the work of labeling a spider.
 """
@@ -28,16 +28,52 @@ from .errors import ConstructionInvariantError, ValidationError
 
 _FIRST = itemgetter(0)
 _SECOND = itemgetter(1)
+_SET_FIELD = object.__setattr__
 
 
 class _Record:
     """Base of an immutable record whose fields are its `__slots__`, in
-    order: equality and hash by field values, a `Name(field=value, ...)`
-    repr, no assignment or deletion after `__init__` (which sets each field
-    with `object.__setattr__`), and pickling and copying through the
-    constructor, so a restored record is validated again."""
+    order: one constructor that sets the fields and then calls
+    `__post_init__` (a subclass's validation hook), equality and hash by
+    field values, a `Name(field=value, ...)` repr, no assignment or deletion
+    after construction, and pickling and copying through the constructor, so
+    a restored record is validated again. `_defaults` maps a field to its
+    default value."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for field, value in zip(fields, args):
+            _SET_FIELD(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords, defaults or a wrong
+        argument count; raises TypeError where a `def` with these parameters
+        would."""
+        fields, name = self.__slots__, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            values[field] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: "
+                            + ", ".join(map(repr, missing)))
+        return [values[f] if f in values else self._defaults[f] for f in fields]
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -167,12 +203,6 @@ class Spider(_Record):
 
     __slots__ = ("tree", "center", "legs")
 
-    def __init__(self, tree: Tree, center: int, legs: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "legs", legs)
-        self.__post_init__()
-
     def __post_init__(self):
         t, c = self.tree, self.center
         if not (0 <= c < t.n):
@@ -224,10 +254,7 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     vertices numbered consecutively from the center-adjacent vertex outward.
     The edges are emitted in sorted order: the center's, then each leg's.
     """
-    if not leg_lengths:
-        raise ValidationError("need at least one leg")
-    if any(l < 1 for l in leg_lengths):
-        raise ValidationError("leg lengths must be positive")
+    _check_legs(leg_lengths)
     starts = list(accumulate(leg_lengths, initial=1))
     n = starts.pop()
     legs = tuple(map(tuple, map(range, starts, starts[1:] + [n])))
@@ -235,6 +262,23 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     edges += zip(chain.from_iterable(leg[:-1] for leg in legs),
                  chain.from_iterable(leg[1:] for leg in legs))
     return Spider(Tree(n, edges), 0, legs)
+
+
+def _check_legs(leg_lengths: abc.Sequence[int]) -> None:
+    """Raise unless the leg length list is non-empty and every length is
+    positive."""
+    if not leg_lengths:
+        raise ValidationError("leg length list must be non-empty")
+    if any(ell < 1 for ell in leg_lengths):
+        raise ValidationError("leg lengths must be positive")
+
+
+def _center_first(labels: list[int], p: int) -> list[int]:
+    """Labels of a path whose position p is a spider's center, in the
+    canonical numbering of `build_spider`: the center, the leg walking from
+    position p-1 down to 0, then positions p+1 onward (the second leg, and
+    any labels that follow it)."""
+    return labels[p::-1] + labels[p + 1:]
 
 
 class _LabelList(abc.Mapping):
@@ -272,9 +316,6 @@ class Labeling(_Record):
     """
 
     __slots__ = ("values",)
-
-    def __init__(self, values: abc.Mapping[int, int]):
-        object.__setattr__(self, "values", values)
 
     def __getitem__(self, v: int) -> int:
         try:
@@ -364,12 +405,6 @@ class AlphaLabeling(_Record):
 
     __slots__ = ("tree", "labeling", "alpha")
 
-    def __init__(self, tree: Tree, labeling: Labeling, alpha: int):
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "alpha", alpha)
-        self.__post_init__()
-
     def __post_init__(self):
         got = alpha_index(self.tree, self.labeling)
         if got != self.alpha:
@@ -388,22 +423,22 @@ def alpha_flip(al: AlphaLabeling) -> AlphaLabeling:
     on the high class. The result is again an alpha-labeling with the same
     index; labels 0 and alpha swap. The map is an involution.
     """
-    m = al.tree.m
-    a = al.alpha
-    flipped = {
-        v: (a - x) if x <= a else (m + a + 1 - x)
-        for v, x in al.labeling.values.items()
-    }
-    return AlphaLabeling(al.tree, Labeling(flipped), a)
+    flipped = _alpha_flip_seq(al.labeling.as_sequence(al.tree.n), al.alpha)
+    return AlphaLabeling(al.tree, Labeling.from_sequence(flipped), al.alpha)
+
+
+def _alpha_flip_seq(labels: list[int], alpha: int) -> list[int]:
+    """`alpha_flip` on a label list by vertex id of a tree with
+    len(labels) - 1 edges."""
+    m = len(labels) - 1
+    return [alpha - x if x <= alpha else m + alpha + 1 - x for x in labels]
 
 
 class TraceStep(_Record):
-    __slots__ = ("operation", "params", "edge_count")
+    """One construction step: its operation, its parameters and the edge
+    count after it."""
 
-    def __init__(self, operation: str, params: abc.Mapping[str, object], edge_count: int):
-        object.__setattr__(self, "operation", operation)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "edge_count", edge_count)
+    __slots__ = ("operation", "params", "edge_count")
 
 
 class ConstructionTrace(_Record):

@@ -53,15 +53,7 @@ DEFAULT_ORACLE_BUDGET = 10**8
 
 class SearchReport(_Record):
     __slots__ = ("found", "count", "nodes_explored", "elapsed", "exhausted", "labelings")
-
-    def __init__(self, found: Labeling | None, count: int | None, nodes_explored: int,
-                 elapsed: float, exhausted: bool, labelings: tuple[Labeling, ...] = ()):
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "nodes_explored", nodes_explored)
-        object.__setattr__(self, "elapsed", elapsed)
-        object.__setattr__(self, "exhausted", exhausted)
-        object.__setattr__(self, "labelings", labelings)
+    _defaults = {"labelings": ()}
 
 
 def _search_order(adj: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -326,11 +318,7 @@ def _run(
 
     elapsed = time.monotonic() - start_time
     find = mode == "find"
-    return SearchReport(
-        found=kept[0] if find and kept else None,
-        count=None if find else count * orderings,
-        nodes_explored=nodes,
-        elapsed=elapsed,
-        exhausted=not ran_out,
-        labelings=() if find else tuple(kept),
-    )
+    found = kept[0] if find and kept else None
+    total = None if find else count * orderings
+    labelings = () if find else tuple(kept)
+    return SearchReport(found, total, nodes, elapsed, not ran_out, labelings)

@@ -12,7 +12,9 @@ x_i = 2s + i; any length-1 legs are appended after that.
 from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import Labeling, Spider, Tree, _Record, build_spider, certified, is_graceful
+from .model import (
+    Labeling, Spider, Tree, _Record, _center_first, build_spider, certified, is_graceful,
+)
 from .paths import _zero_at_seq
 
 
@@ -21,12 +23,6 @@ class ShortLegSpec(_Record):
     t legs of length 1."""
 
     __slots__ = ("ell", "s", "t")
-
-    def __init__(self, ell: int, s: int, t: int):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.ell < 1:
@@ -135,12 +131,18 @@ def extend_with_leaves(
         raise ValidationError(f"center must be labeled 0, got {f[center]}")
     if t_count == 0:
         return t, f
-    m_prime = t.m
     new_ids = range(t.n, t.n + t_count)
     extended = Tree(t.n + t_count, list(t.edges) + [(center, w) for w in new_ids])
-    values = f.as_sequence(t.n)
-    values.extend(range(m_prime + 1, m_prime + t_count + 1))
+    values = _with_leaves(f.as_sequence(t.n), t_count)
     return extended, certified(extended, values, "leaf extension broke gracefulness")
+
+
+def _with_leaves(labels: list[int], t_count: int) -> list[int]:
+    """`labels` (a graceful labeling of an m'-edge tree, m' = len(labels) - 1)
+    extended in place by the labels m'+1 .. m'+t_count of leaves added at its
+    0-labeled vertex; edge label m'+j goes to the j-th leaf."""
+    labels += range(len(labels), len(labels) + t_count)
+    return labels
 
 
 def label_short_leg_spider(
@@ -172,17 +174,14 @@ def _short_leg_labels(spec: ShortLegSpec) -> list[int]:
         labels = _formula_labels(spec.ell, spec.s)
     elif spec.s == 1:
         # reduced spider is the path v1-u1-x0-x1-..-x_ell; ids 2,1,0,3,4,...
-        seq = _zero_at_seq(spec.ell + 3, 2)
-        labels = seq[2::-1] + seq[3:]
+        labels = _center_first(_zero_at_seq(spec.ell + 3, 2), 2)
     else:
         labels = _zero_at_seq(spec.ell + 1, 0)
     if labels[0] != 0:
         raise ConstructionInvariantError(
             f"short-leg center is labeled {labels[0]}, expected 0"
         )
-    # Leaf extension at the 0-labeled center: labels m'+1 .. m'+t.
-    m_prime = len(labels) - 1
-    return labels + list(range(m_prime + 1, m_prime + spec.t + 1))
+    return _with_leaves(labels, spec.t)
 
 
 def short_leg_spider(spec: ShortLegSpec) -> Spider:

@@ -103,15 +103,17 @@ def load_document(path: str) -> dict:
 
 def to_dot(tree: Tree, labeling: Labeling | None = None) -> str:
     """DOT rendering with vertex labels as node text and edge differences
-    as edge text."""
+    as edge text; without a labeling the node text is the vertex id. Under a
+    partial labeling an unlabeled vertex has empty node text, and an edge
+    with an unlabeled end has no edge text."""
     lines = ["graph G {", "  node [shape=circle];"]
+    f = None if labeling is None else dict(labeling.values)
     for v in range(tree.n):
-        text = str(labeling[v]) if labeling is not None else str(v)
+        text = v if f is None else f.get(v, "")
         lines.append(f'  v{v} [label="{text}"];')
     for a, b in tree.edges:
-        if labeling is not None:
-            diff = abs(labeling[a] - labeling[b])
-            lines.append(f'  v{a} -- v{b} [label="{diff}"];')
+        if f is not None and a in f and b in f:
+            lines.append(f'  v{a} -- v{b} [label="{abs(f[a] - f[b])}"];')
         else:
             lines.append(f"  v{a} -- v{b};")
     lines.append("}")

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from graceful_spiders.attach import attach_path
-from graceful_spiders.compose import AmalgamationInput, amalgamate, label_three_long_legs
+from graceful_spiders.compose import amalgamate, label_three_long_legs
 from graceful_spiders.doubling import check_doubling, label_doubling_spider
 from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
@@ -304,8 +304,7 @@ def test_criterion_10_property_suite():
                  if g[v] in (0, g.alpha))
         h = zigzag_alpha_path(rng.randint(1, 8))
         v0 = next(v for v in range(h.tree.n) if h[v] == 0)
-        tree, lab = amalgamate(
-            AmalgamationInput(g, u, h.tree, h.labeling, v0))
+        tree, lab = amalgamate(g, u, h.tree, h.labeling, v0)
         e_h = h.tree.m
         h_ids = {u} | set(range(g.tree.n, tree.n))
         h_diffs = sorted(abs(lab[a] - lab[b]) for a, b in tree.edges

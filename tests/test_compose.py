@@ -2,11 +2,7 @@ import time
 
 import pytest
 
-from graceful_spiders.compose import (
-    AmalgamationInput,
-    amalgamate,
-    label_three_long_legs,
-)
+from graceful_spiders.compose import amalgamate, label_three_long_legs
 from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
@@ -25,57 +21,43 @@ def p3_alpha():
 
 class TestAmalgamate:
     def test_p3_p2_example(self):
-        tree, lab = amalgamate(
-            AmalgamationInput(p3_alpha(), 0, path_tree(2), Labeling.from_sequence([0, 1]), 0)
-        )
+        tree, lab = amalgamate(p3_alpha(), 0, path_tree(2), Labeling.from_sequence([0, 1]), 0)
         assert tree.m == 3
         assert lab[0] == 1  # identified vertex gets alpha
         assert [lab[v] for v in range(tree.n)] == [1, 3, 0, 2]
         assert is_graceful(tree, lab)
 
     def test_single_vertex_h(self):
-        tree, lab = amalgamate(
-            AmalgamationInput(p3_alpha(), 0, Tree(1, []), Labeling({0: 0}), 0)
-        )
+        tree, lab = amalgamate(p3_alpha(), 0, Tree(1, []), Labeling({0: 0}), 0)
         assert tree.m == 2 and is_graceful(tree, lab)
 
     def test_alpha_zero_case(self):
         g = AlphaLabeling(path_tree(2), Labeling.from_sequence([0, 1]), 0)
-        tree, lab = amalgamate(
-            AmalgamationInput(g, 0, path_tree(2), Labeling.from_sequence([0, 1]), 0)
-        )
+        tree, lab = amalgamate(g, 0, path_tree(2), Labeling.from_sequence([0, 1]), 0)
         assert tree.n == 3 and is_graceful(tree, lab)
 
     def test_u_at_alpha_no_flip_needed(self):
         g = AlphaLabeling(path_tree(3), Labeling.from_sequence([1, 2, 0]), 1)
-        tree, lab = amalgamate(
-            AmalgamationInput(g, 0, path_tree(2), Labeling.from_sequence([0, 1]), 0)
-        )
+        tree, lab = amalgamate(g, 0, path_tree(2), Labeling.from_sequence([0, 1]), 0)
         assert lab[0] == 1 and is_graceful(tree, lab)
 
     def test_u_label_hypothesis(self):
         with pytest.raises(ValidationError, match="0 or alpha"):
-            amalgamate(
-                AmalgamationInput(p3_alpha(), 1, path_tree(2), Labeling.from_sequence([0, 1]), 0)
-            )
+            amalgamate(p3_alpha(), 1, path_tree(2), Labeling.from_sequence([0, 1]), 0)
 
     def test_v_label_hypothesis(self):
         with pytest.raises(ValidationError, match="labeled 0"):
-            amalgamate(
-                AmalgamationInput(p3_alpha(), 0, path_tree(2), Labeling.from_sequence([0, 1]), 1)
-            )
+            amalgamate(p3_alpha(), 0, path_tree(2), Labeling.from_sequence([0, 1]), 1)
 
     def test_h_graceful_hypothesis(self):
         with pytest.raises(ValidationError, match="graceful"):
-            amalgamate(
-                AmalgamationInput(p3_alpha(), 0, path_tree(3), Labeling.from_sequence([0, 1, 2]), 0)
-            )
+            amalgamate(p3_alpha(), 0, path_tree(3), Labeling.from_sequence([0, 1, 2]), 0)
 
     def test_edge_label_partition(self):
         g = alpha_path_zero_at(9, 4)
         star, star_lab = label_short_leg_spider(ShortLegSpec(2, 2, 1))
         e_h = star.tree.m
-        tree, lab = amalgamate(AmalgamationInput(g, 4, star.tree, star_lab, 0))
+        tree, lab = amalgamate(g, 4, star.tree, star_lab, 0)
         assert tree.m == g.tree.m + e_h
         h_ids = {4} | set(range(g.tree.n, tree.n))
         h_diffs = sorted(

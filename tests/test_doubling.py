@@ -9,14 +9,21 @@ from graceful_spiders.errors import ConstructionInvariantError, ValidationError
 from graceful_spiders.model import build_spider, is_graceful
 
 
+def _leaf_legs(legs):
+    """The leg indices that get a pre-labeled leaf y_i: the keys of the base
+    step's `leaves`."""
+    _, _, trace = label_doubling_spider(legs)
+    assert trace.steps[0].operation == "base"
+    return list(trace.steps[0].params["leaves"])
+
+
 class TestCheckDoubling:
     def test_valid_plan(self):
-        plan = check_doubling([1, 6, 14])
-        assert plan.sorted_lengths == (1, 6, 14)
-        assert plan.k_indices == ()
+        assert check_doubling([1, 6, 14]) == (1, 6, 14)
+        assert _leaf_legs([1, 6, 14]) == []
 
     def test_sorts_input(self):
-        assert check_doubling([14, 1, 6]).sorted_lengths == (1, 6, 14)
+        assert check_doubling([14, 1, 6]) == (1, 6, 14)
 
     def test_residue_one_bound(self):
         with pytest.raises(ValidationError, match="ell_2 = 5 < 6"):
@@ -31,21 +38,21 @@ class TestCheckDoubling:
             check_doubling([1, 6, 13])
 
     def test_single_leg(self):
-        assert check_doubling([3]).sorted_lengths == (3,)
+        assert check_doubling([3]) == (3,)
 
     def test_k_indices(self):
-        assert check_doubling([1, 9, 20]).k_indices == (2,)
-        assert check_doubling([1, 9, 21]).k_indices == (2, 3)
+        assert _leaf_legs([1, 9, 20]) == [2]
+        assert _leaf_legs([1, 9, 21]) == [2, 3]
 
     def test_k_steps_attach_reduced_count(self):
-        plan = check_doubling([1, 9, 20])
-        step = plan.steps[0]
-        assert step.attach_at == "y" and step.vertex_count == 8
+        _, _, trace = label_doubling_spider([1, 9, 20])
+        step = next(s for s in trace.steps if s.operation == "attach")
+        assert step.params["attach_at"] == "y" and step.params["vertex_count"] == 8
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must be non-empty"):
             check_doubling([])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must be positive"):
             check_doubling([0, 6])
 
 

@@ -2,6 +2,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from graceful_spiders.compose import label_three_long_legs
+from graceful_spiders.doubling import check_doubling
 from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
@@ -164,6 +166,15 @@ class TestSpider:
     def test_empty_legs_rejected(self):
         with pytest.raises(ValidationError):
             build_spider([])
+
+    @pytest.mark.parametrize("builder", [build_spider, check_doubling, label_three_long_legs])
+    @pytest.mark.parametrize("legs, message", [
+        ([], "leg length list must be non-empty"),
+        ([3, 0], "leg lengths must be positive"),
+    ])
+    def test_leg_list_check_is_shared(self, builder, legs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            builder(legs)
 
     def test_non_center_degree_three_rejected(self):
         # Vertex 1 has degree 3; the legs through the center cannot cover it.

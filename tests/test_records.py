@@ -1,6 +1,6 @@
-"""Value semantics of the package's twelve record classes, and the start-up
-cost they must not bring back: importing the CLI pulls in neither
-`dataclasses` nor `inspect`."""
+"""Value semantics of the package's nine record classes, their one shared
+constructor, and the start-up cost they must not bring back: importing the
+CLI pulls in neither `dataclasses` nor `inspect`."""
 
 import copy
 import os
@@ -11,8 +11,6 @@ import sys
 import pytest
 
 from graceful_spiders.attach import AttachResult
-from graceful_spiders.compose import AmalgamationInput
-from graceful_spiders.doubling import AttachStep, DoublingPlan
 from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
@@ -21,7 +19,6 @@ from graceful_spiders.model import (
     Spider,
     TraceStep,
     Tree,
-    alpha_index,
     build_spider,
     path_tree,
 )
@@ -29,12 +26,6 @@ from graceful_spiders.oracle import SearchReport
 from graceful_spiders.short_legs import ShortLegSpec
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def _alpha(labels):
-    t = path_tree(len(labels))
-    lab = Labeling.from_sequence(labels)
-    return AlphaLabeling(t, lab, alpha_index(t, lab))
 
 
 def _examples():
@@ -53,11 +44,6 @@ def _examples():
          ("found", "count", "nodes_explored", "elapsed", "exhausted", "labelings")),
         (AttachResult, (p3, Labeling.from_sequence([0, 2, 1]), 1, 3, (3, 4)),
          ("tree", "labeling", "shift", "bridge_label", "path_ids")),
-        (AmalgamationInput, (_alpha([0, 2, 1]), 0, p3, Labeling.from_sequence([0, 2, 1]), 0),
-         ("g", "u", "h_tree", "h_labeling", "v")),
-        (AttachStep, (1, "x", 3), ("leg_index", "attach_at", "vertex_count")),
-        (DoublingPlan, ((1, 6), (1,), (AttachStep(1, "x", 7),)),
-         ("sorted_lengths", "k_indices", "steps")),
         (ShortLegSpec, (3, 1, 0), ("ell", "s", "t")),
     ]
 
@@ -65,7 +51,7 @@ def _examples():
 EXAMPLES = _examples()
 IDS = [cls.__name__ for cls, _, _ in EXAMPLES]
 # Records whose example holds no mapping or list, so it can be hashed.
-HASHABLE = {Tree, Spider, TraceStep, SearchReport, AttachStep, DoublingPlan, ShortLegSpec}
+HASHABLE = {Tree, Spider, TraceStep, SearchReport, ShortLegSpec}
 MUTABLE = {ConstructionTrace}
 
 
@@ -129,11 +115,33 @@ def test_reprs_are_frozen():
 
 def test_defaults():
     assert SearchReport(None, 0, 1, 0.0, True).labelings == ()
-    assert DoublingPlan((1,), ()).steps == ()
     a, b = ConstructionTrace(), ConstructionTrace()
     a.record("base", {}, 1)
     assert a.steps == [TraceStep("base", {}, 1)] and b.steps == []
     assert a.steps is not b.steps
+
+
+@pytest.mark.parametrize("cls, values, names", EXAMPLES, ids=IDS)
+def test_bad_arguments_raise_type_error(cls, values, names):
+    # As a `def` with the fields as parameters would.
+    if cls is not ConstructionTrace:  # its one field has a default
+        with pytest.raises(TypeError, match=f"missing .*{names[0]!r}"):
+            cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument {names[0]!r}"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*values, None)
+
+
+def test_one_constructor():
+    # Every record but Tree (which validates while it normalizes its edges)
+    # and ConstructionTrace (a fresh list per trace) uses `_Record.__init__`.
+    own = {cls for cls, _, _ in EXAMPLES if "__init__" in vars(cls)}
+    assert own == {Tree, ConstructionTrace}
+    assert SearchReport._defaults == {"labelings": ()}
+    assert all(cls._defaults == {} for cls, _, _ in EXAMPLES if cls is not SearchReport)
 
 
 def test_constructors_still_validate():

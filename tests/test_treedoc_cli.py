@@ -43,6 +43,25 @@ class TestTreeDoc:
         dot = to_dot(path_tree(2), Labeling.from_sequence([0, 1]))
         assert 'v0 [label="0"]' in dot and '[label="1"]' in dot
 
+    def test_dot_is_frozen(self):
+        lab = Labeling.from_sequence([0, 2, 1])
+        head = 'graph G {\n  node [shape=circle];\n'
+        assert to_dot(path_tree(3), lab) == head + (
+            '  v0 [label="0"];\n  v1 [label="2"];\n  v2 [label="1"];\n'
+            '  v0 -- v1 [label="2"];\n  v1 -- v2 [label="1"];\n}\n')
+        assert to_dot(path_tree(3), Labeling(dict(lab.values))) == to_dot(path_tree(3), lab)
+        assert to_dot(path_tree(3)) == head + (
+            '  v0 [label="0"];\n  v1 [label="1"];\n  v2 [label="2"];\n'
+            '  v0 -- v1;\n  v1 -- v2;\n}\n')
+
+    def test_dot_of_partial_labeling(self):
+        # Vertex 1 is unlabeled: empty node text, and neither of its edges
+        # carries a difference.
+        dot = to_dot(path_tree(3), Labeling({0: 0, 2: 1}))
+        assert dot == ('graph G {\n  node [shape=circle];\n'
+                       '  v0 [label="0"];\n  v1 [label=""];\n  v2 [label="1"];\n'
+                       '  v0 -- v1;\n  v1 -- v2;\n}\n')
+
     def test_dict_and_list_labelings_give_one_document(self):
         sp = build_spider([2, 3])
         labels = [0, 5, 1, 4, 2, 3]
@@ -322,6 +341,45 @@ class TestCli:
         code, out = run_cli(capsys, "spider", "doubling", "--legs", "1,6,14", "--trace")
         doc = json.loads(out)
         assert code == 0 and doc["trace"][0]["operation"] == "base"
+
+    def test_trace_with_dot_exit2(self, capsys):
+        # DOT has no place for the trace; it used to be dropped silently.
+        code, out = run_cli(capsys, "spider", "doubling", "--legs", "1,6,14",
+                            "--trace", "--format", "dot")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "validation",
+            "message": "spider doubling --format dot does not take --trace"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spider", "short", "--long", "3", "--trace"],
+            ["spider", "three-long", "--legs", "4,3,3", "--trace"],
+            ["path", "zigzag", "--n", "4", "--trace"],
+            ["attach", "--graph", "g.json", "--vertex", "0", "--path-len", "4", "--trace"],
+            ["amalgamate", "--alpha", "g.json", "--u", "0", "--graceful", "g.json",
+             "--v", "0", "--trace"],
+            ["verify", "--graph", "g.json", "--trace"],
+            ["export", "--graph", "g.json", "--trace"],
+            ["oracle", "--graph", "g.json", "--format", "dot"],
+            ["verify", "--graph", "g.json", "--format", "json"],
+        ],
+    )
+    def test_unread_shared_flag_exit2(self, capsys, argv):
+        # Each of these once exited 0 and ignored the flag.
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_export_partial_labeling_as_dot(self, capsys, tmp_path):
+        p = tmp_path / "part.json"
+        p.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
+                                 "labels": {"0": 0, "2": 1}}))
+        code, out = run_cli(capsys, "export", "--graph", str(p), "--format", "dot")
+        assert code == 0
+        assert out == to_dot(path_tree(3), Labeling({0: 0, 2: 1}))
 
     def test_search_route_writes_only_under_temp_home(self, capsys, hermetic_home):
         # With no --cache, a path request writes no file under HOME and
