@@ -11,7 +11,7 @@ high part of the path up by m + 1, so the bridge edge lands on label m + 1.
 from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import Labeling, Tree, _Record, certified, is_graceful
+from .model import Labeling, Tree, _Record, _check_vertex_count, certified, is_graceful
 from .paths import _alpha_low_end
 
 
@@ -42,18 +42,16 @@ def attach_path(t: Tree, f: Labeling, u: int, n: int) -> AttachResult:
     shift = n // 2
     labels = [x + shift for x in host] + block
 
-    path_ids = tuple(range(t.n, t.n + n))
-    edges = list(t.edges)
-    edges.append((u, path_ids[0]))
-    edges.extend((path_ids[j], path_ids[j + 1]) for j in range(n - 1))
-    joined = Tree(t.n + n, edges)
+    path_ids = range(t.n, t.n + n)
+    # The path's first vertex hangs off u, each later one off the one before.
+    joined = Tree(t.n + n, parent=t.parent + (u, *path_ids[:-1]))
     labeling = certified(
         joined,
         labels,
         "attach_path produced a non-graceful labeling; this contradicts the "
         "attachment guarantee",
     )
-    return AttachResult(joined, labeling, shift, t.m + 1, path_ids)
+    return AttachResult(joined, labeling, shift, t.m + 1, tuple(path_ids))
 
 
 def _attach_block(x: int, m: int, n: int, off: int = 0) -> list[int]:
@@ -75,6 +73,7 @@ def _attach_block(x: int, m: int, n: int, off: int = 0) -> list[int]:
             f"precondition failed: f(u) + floor(n/2) + 1 <= n "
             f"({x} + {shift} + 1 > {n})"
         )
+    _check_vertex_count(m + 1 + n)
     # The path's labeling g is the complement x -> n-1-x of a low-end
     # labeling with endpoint n-1-g(v); its high part moves up by m + 1.
     block = _alpha_low_end(n, n - 1 - x - shift, -1, n + m + off, n - 1 + off)

@@ -6,10 +6,17 @@ bitmask-friendly and lets a labeling be a list indexed by vertex id, read
 through a mapping interface (`Labeling.values`). A labeling of only some
 vertices is a plain dict.
 
+A tree is held as a parent array: `parent[v]` is v's neighbour toward
+vertex 0. The builders number every tree they make so that `parent[v] < v`,
+which alone makes the array a tree; they write it directly, and no edge
+tuple exists until something reads `Tree.edges`. The checks read edges as
+the pairs (v, parent[v]): a spider's leg edge is `parent[tail] == head`,
+and a labeling's edge labels are |f(v) - f(parent[v])|.
+
 The validators make each check as a few whole-list passes (sets, min/max,
-one comprehension) and run the per-edge or per-vertex loop that names the
-first fault only once a check has failed, so the messages and the order of
-the checks do not depend on the fast path.
+`map` over the parent array) and run the per-edge or per-vertex loop that
+names the first fault only once a check has failed, so the messages and the
+order of the checks do not depend on the fast path.
 
 The records here and in the other modules are plain `__slots__` classes on
 `_Record`, not dataclasses: importing `dataclasses` (which pulls in
@@ -20,9 +27,10 @@ records cost every process about 23 ms of CPU time at start-up (Python
 
 from __future__ import annotations
 
+import sys
 from collections import abc
 from itertools import accumulate, chain, islice
-from operator import eq, itemgetter
+from operator import eq, itemgetter, lt, sub
 
 from .errors import ConstructionInvariantError, ValidationError
 
@@ -101,15 +109,38 @@ class _Record:
 
 
 class Tree(_Record):
-    """An unrooted tree on vertices 0..n-1.
+    """An unrooted tree on vertices 0..n-1, held as a parent array:
+    `parent[v]` is v's neighbour toward vertex 0, and `parent[0] = -1`.
 
-    Edges are stored as a sorted tuple of (min, max) pairs. Construction
-    validates connectivity and acyclicity.
+    `Tree(n, edges)` takes any edge list and validates connectivity and
+    acyclicity. `Tree(n, parent=p)` takes a parent array as a tuple (a
+    tuple is kept, anything else copied into one, so no caller can change
+    a checked array) when every `p[v]` is an int in [0, v): that alone
+    makes a tree. Any other array is read as the edges (p[v], v), v >= 1, through
+    the edge-list checks. `edges` is the sorted tuple of (min, max) pairs;
+    an edge list seeds it, a parent array derives it on first read.
+    Equality, hash, repr and pickling go through `(n, edges)`, so a tree is
+    the same value either way it was built.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "parent", "_edges")
 
-    def __init__(self, n: int, edges: abc.Iterable[abc.Sequence[int]]):
+    def __init__(self, n: int, edges: abc.Iterable[abc.Sequence[int]] | None = None, *,
+                 parent: abc.Sequence[int] | None = None):
+        if parent is not None:
+            if edges is not None:
+                raise TypeError("Tree() takes edges or parent, not both")
+            if type(parent) is not tuple:
+                parent = tuple(parent)
+            if (len(parent) == n >= 1 and parent[0] == -1
+                    and set(map(type, parent)) == {int}
+                    and min(islice(parent, 1, None), default=0) >= 0
+                    and all(map(lt, islice(parent, 1, None), range(1, n)))):
+                _SET_FIELD(self, "n", n)
+                _SET_FIELD(self, "parent", parent)
+                _SET_FIELD(self, "_edges", None)
+                return
+            edges = _parent_pairs(n, parent)
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
         try:
@@ -128,7 +159,8 @@ class Tree(_Record):
             norm = _checked_pairs(n, edges)
         norm.sort()
         # Distinct larger endpoints rule out duplicate edges; n-1 of them give
-        # every v >= 1 a neighbor below it, so every vertex reaches 0.
+        # every v >= 1 a neighbor below it, its parent, so every vertex
+        # reaches 0.
         upper = len(set(map(_SECOND, norm)))
         if upper != len(norm) and any(map(eq, norm, islice(norm, 1, None))):
             for prev, cur in zip(norm, norm[1:]):
@@ -138,22 +170,50 @@ class Tree(_Record):
             raise ValidationError("tree needs at least one vertex")
         if len(norm) != n - 1:
             raise ValidationError(f"tree on {n} vertices needs {n-1} edges, got {len(norm)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
-        if upper != n - 1 and len(self._component_of(0)) != n:
-            raise ValidationError("edge set is not connected")
+        _SET_FIELD(self, "n", n)
+        _SET_FIELD(self, "_edges", tuple(norm))
+        if upper == n - 1:
+            parent = [-1] * (len(norm) + 1)  # n, which may be an int-valued float
+            for a, b in norm:
+                parent[b] = a
+        else:
+            parent = self._parents_by_search()
+        _SET_FIELD(self, "parent", tuple(parent))
 
-    def _component_of(self, start: int) -> set[int]:
+    def _parents_by_search(self) -> list[int]:
+        """The parent array, by depth-first search from vertex 0; raises
+        unless the search reaches every vertex."""
         adj = self.adjacency()
-        seen = {start}
-        stack = [start]
+        parent: list = [-1] + [None] * (self.n - 1)
+        stack = [0]
         while stack:
             v = stack.pop()
             for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
+                if parent[w] is None:
+                    parent[w] = v
                     stack.append(w)
-        return seen
+        if None in parent:
+            raise ValidationError("edge set is not connected")
+        return parent
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as a sorted tuple of (min, max) pairs."""
+        edges = self._edges
+        if edges is None:
+            # Only a parent array with parent[v] < v leaves this unset, so
+            # each (parent[v], v) is already (min, max); a stable sort on the
+            # parent keeps each parent's children ascending.
+            parent = self.parent
+            edges = tuple(sorted(zip(islice(parent, 1, None), range(1, self.n)), key=_FIRST))
+            _SET_FIELD(self, "_edges", edges)
+        return edges
+
+    def _astuple(self) -> tuple:
+        return self.n, self.edges
+
+    def __repr__(self):
+        return f"Tree(n={self.n!r}, edges={self.edges!r})"
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -173,6 +233,17 @@ class Tree(_Record):
         return sum(1 for a, b in self.edges if v in (a, b))
 
 
+def _parent_pairs(n: int, parent: tuple) -> list[tuple]:
+    """The edges (parent[v], v), v >= 1, of a parent array that failed the
+    fast check, for the edge-list checks; raises unless the array has n
+    entries and parent[0] is -1."""
+    if len(parent) != n:
+        raise ValidationError(f"parent array of length {len(parent)} for n={n}")
+    if n and parent[0] != -1:
+        raise ValidationError(f"vertex 0 has parent {parent[0]}, not -1")
+    return list(zip(islice(parent, 1, None), range(1, n)))
+
+
 def _checked_pairs(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> list[tuple[int, int]]:
     """Edges as (min, max) int pairs; raises for the first self-loop or
     out-of-range edge in input order, naming its endpoints as given."""
@@ -187,11 +258,19 @@ def _checked_pairs(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> list[tuple
     return norm
 
 
+def _check_vertex_count(n: int) -> None:
+    """Raise unless n vertices fit the index range of a list: past it every
+    list or range over the vertices overflows."""
+    if n > sys.maxsize:
+        raise ValidationError(f"{n} vertices exceed the index range (at most {sys.maxsize})")
+
+
 def path_tree(n: int) -> Tree:
     """P_n with vertices numbered along the path."""
     if n < 1:
         raise ValidationError("path needs at least one vertex")
-    return Tree(n, [(i, i + 1) for i in range(n - 1)])
+    _check_vertex_count(n)
+    return Tree(n, parent=tuple(range(-1, n - 1)))
 
 
 class Spider(_Record):
@@ -217,9 +296,16 @@ class Spider(_Record):
             tails += leg
         # Distinct leg vertices, none the center, with every leg edge in the
         # tree: then n-1 of them cover the tree and use all its edges, so no
-        # non-center vertex can have degree > 2.
-        if not (len({c, *tails}) == len(tails) + 1 == t.n and set(t.edges).issuperset(
-                (a, b) if a < b else (b, a) for a, b in zip(heads, tails))):
+        # non-center vertex can have degree > 2. A leg edge is in the tree if
+        # the tail's parent is the head; legs that run toward vertex 0 fail
+        # that and are looked up in the edge set.
+        try:
+            canonical = (min(tails, default=0) >= 0
+                         and list(map(t.parent.__getitem__, tails)) == heads)
+        except (TypeError, IndexError):
+            canonical = False
+        if not (len({c, *tails}) == len(tails) + 1 == t.n and (canonical or set(t.edges).issuperset(
+                (a, b) if a < b else (b, a) for a, b in zip(heads, tails)))):
             self._raise_first_fault()
 
     def _raise_first_fault(self):
@@ -252,25 +338,27 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
 
     Center is vertex 0; legs are laid out in the given order, each leg's
     vertices numbered consecutively from the center-adjacent vertex outward.
-    The edges are emitted in sorted order: the center's, then each leg's.
+    So each vertex's parent is the vertex before it, except at each leg's
+    first vertex, whose parent is the center.
     """
     _check_legs(leg_lengths)
     starts = list(accumulate(leg_lengths, initial=1))
     n = starts.pop()
     legs = tuple(map(tuple, map(range, starts, starts[1:] + [n])))
-    edges = [(0, s) for s in starts]
-    edges += zip(chain.from_iterable(leg[:-1] for leg in legs),
-                 chain.from_iterable(leg[1:] for leg in legs))
-    return Spider(Tree(n, edges), 0, legs)
+    parent = list(range(-1, n - 1))
+    for s in starts:
+        parent[s] = 0
+    return Spider(Tree(n, parent=parent), 0, legs)
 
 
 def _check_legs(leg_lengths: abc.Sequence[int]) -> None:
-    """Raise unless the leg length list is non-empty and every length is
-    positive."""
+    """Raise unless the leg length list is non-empty, every length is
+    positive and the spider's vertices fit the index range."""
     if not leg_lengths:
         raise ValidationError("leg length list must be non-empty")
     if any(ell < 1 for ell in leg_lengths):
         raise ValidationError("leg lengths must be positive")
+    _check_vertex_count(sum(leg_lengths) + 1)
 
 
 def _center_first(labels: list[int], p: int) -> list[int]:
@@ -358,7 +446,9 @@ def is_graceful(t: Tree, lab: Labeling) -> bool:
     f = lab.as_sequence(t.n)
     if len(set(f)) != t.n or min(f) < 0 or max(f) > m:
         return False
-    return {abs(f[a] - f[b]) for a, b in t.edges} == set(range(1, m + 1))
+    # Edge v-parent[v] for every v >= 1.
+    parent_labels = map(f.__getitem__, islice(t.parent, 1, None))
+    return set(map(abs, map(sub, islice(f, 1, None), parent_labels))) == set(range(1, m + 1))
 
 
 def certified(
@@ -385,12 +475,11 @@ def alpha_index(t: Tree, lab: Labeling) -> int | None:
     """
     if not is_graceful(t, lab):
         raise ValidationError("alpha_index requires a graceful labeling")
-    if not t.edges:
+    if t.n == 1:
         return 0
     f = lab.as_sequence(t.n)
     alpha, above = -1, t.n  # labels lie in [0, m]; m + 1 = n
-    for a, b in t.edges:
-        lo, hi = f[a], f[b]
+    for lo, hi in zip(islice(f, 1, None), map(f.__getitem__, islice(t.parent, 1, None))):
         if lo > hi:
             lo, hi = hi, lo
         if lo > alpha:

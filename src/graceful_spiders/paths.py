@@ -61,7 +61,7 @@ import json
 import os
 
 from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
-from .model import AlphaLabeling, Labeling, certified, path_tree
+from .model import AlphaLabeling, Labeling, _check_vertex_count, certified, path_tree
 
 _CACHE_FORMAT = "graceful-spiders-path-cache"
 _CACHE_VERSION = 1
@@ -275,6 +275,7 @@ def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
 
 def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int]:
     """(label sequence, index) behind alpha_path_zero_at, not certified."""
+    _check_vertex_count(n)
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
     if (n, position) == (5, 2):
@@ -397,6 +398,7 @@ def _alpha_end_seq(
     """(label sequence, index) behind alpha_path_end_label, not certified."""
     if n < 2:
         raise ValidationError("n must be >= 2")
+    _check_vertex_count(n)
     if not 0 <= end_label <= n - 1:
         raise ValidationError(f"end_label {end_label} out of range for n={n}")
     hi_index = (n + 1) // 2 - 1

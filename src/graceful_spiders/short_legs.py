@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    Labeling, Spider, Tree, _Record, _center_first, build_spider, certified, is_graceful,
+    Labeling, Spider, Tree, _Record, _center_first, _check_vertex_count, build_spider, certified,
+    is_graceful,
 )
 from .paths import _zero_at_seq
 
@@ -29,6 +30,7 @@ class ShortLegSpec(_Record):
             raise ValidationError("distinguished leg length must be >= 1")
         if self.s < 0 or self.t < 0:
             raise ValidationError("leg counts must be non-negative")
+        _check_vertex_count(self.m + 1)
 
     @property
     def m_prime(self) -> int:
@@ -131,8 +133,7 @@ def extend_with_leaves(
         raise ValidationError(f"center must be labeled 0, got {f[center]}")
     if t_count == 0:
         return t, f
-    new_ids = range(t.n, t.n + t_count)
-    extended = Tree(t.n + t_count, list(t.edges) + [(center, w) for w in new_ids])
+    extended = Tree(t.n + t_count, parent=t.parent + (center,) * t_count)
     values = _with_leaves(f.as_sequence(t.n), t_count)
     return extended, certified(extended, values, "leaf extension broke gracefulness")
 

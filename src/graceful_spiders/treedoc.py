@@ -22,7 +22,8 @@ def to_document(
 ) -> dict:
     doc: dict = {"n": tree.n, "edges": [[a, b] for a, b in tree.edges]}
     if labeling is not None:
-        doc["labels"] = {str(v): labeling[v] for v in sorted(labeling.values)}
+        values = labeling.values
+        doc["labels"] = {str(v): values[v] for v in sorted(values)}
     if spider is not None:
         doc["center"] = spider.center
         doc["legs"] = [list(leg) for leg in spider.legs]

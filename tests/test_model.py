@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -57,6 +58,32 @@ def reference_tree(n, edges):
     return n, tuple(norm)
 
 
+def parents_toward_zero(n, edges):
+    """The parent array of the tree (n, edges): each vertex's neighbour on
+    its path to vertex 0, found by breadth-first search."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent, queue = [-1] + [None] * (n - 1), [0]
+    for v in queue:
+        for w in adj[v]:
+            if parent[w] is None:
+                parent[w] = v
+                queue.append(w)
+    return parent
+
+
+def same_tree(a, b):
+    """Assert that two trees are one value: equal, with the same hash, repr,
+    edges and neighbour sets, and that each survives a pickle round trip."""
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.edges == b.edges and a.parent == b.parent
+    assert [set(ns) for ns in a.adjacency()] == [set(ns) for ns in b.adjacency()]
+    for t in (a, b):
+        assert pickle.loads(pickle.dumps(t)) == t
+
+
 def outcome(build, *args):
     try:
         return build(*args)
@@ -109,6 +136,8 @@ class TestTree:
     def test_same_checks_as_reference(self):
         def new(n, edges):
             t = Tree(n, edges)
+            # The same tree, handed over as its parent array.
+            same_tree(t, Tree(n, parent=parents_toward_zero(n, t.edges)))
             return t.n, t.edges
 
         lists = 0
@@ -117,6 +146,50 @@ class TestTree:
                 lists += 1
                 assert outcome(new, n, edges) == outcome(reference_tree, n, edges), (n, edges)
         assert lists > 20000
+
+    def test_parent_array_checks_as_its_edges(self):
+        # A parent array with parent[v] < v is kept as it is; any other one
+        # is checked as the edge list (parent[v], v), v >= 1.
+        def new(n, parent):
+            t = Tree(n, parent=parent)
+            return t.n, t.edges
+
+        arrays = 0
+        for n in range(1, 7):
+            for rest in product(range(-1, n + 1), repeat=n - 1):
+                arrays += 1
+                edges = [(p, v) for v, p in enumerate(rest, start=1)]
+                assert outcome(new, n, [-1, *rest]) == outcome(reference_tree, n, edges), rest
+        assert arrays > 30000
+
+    @pytest.mark.parametrize("n, parent, message", [
+        (3, [-1, 0], "parent array of length 2 for n=3"),
+        (0, [-1], "parent array of length 1 for n=0"),
+        (2, [0, 0], "vertex 0 has parent 0, not -1"),
+        (0, [], "tree needs at least one vertex"),
+    ])
+    def test_parent_array_shape(self, n, parent, message):
+        with pytest.raises(ValidationError) as info:
+            Tree(n, parent=parent)
+        assert str(info.value) == message
+
+    def test_parent_array_int_like_entries_converted(self):
+        t = Tree(3, parent=[-1, 0, 1.0])
+        assert t == path_tree(3) and all(type(p) is int for p in t.parent)
+
+    def test_parent_array_not_aliased(self):
+        # The tree keeps a tuple of its own: changing the list it was given
+        # changes neither its parents nor its edges.
+        p = [-1, 0, 1]
+        t = Tree(3, parent=p)
+        p[2] = 0
+        assert t.parent == (-1, 0, 1) and t == path_tree(3)
+        with pytest.raises(TypeError):
+            t.parent[2] = 0
+
+    def test_edges_or_parent_not_both(self):
+        with pytest.raises(TypeError):
+            Tree(2, [(0, 1)], parent=[-1, 0])
 
     def test_connected_without_fast_path(self):
         # Vertex 2 is the larger endpoint of both edges.
@@ -225,12 +298,43 @@ class TestSpider:
 
         # Vertex 4 and center -1 are outside the 4-vertex trees.
         leg_choices = [()] + [leg for k in (1, 2) for leg in product(range(5), repeat=k)]
-        for tree in (build_spider([2, 1]).tree, Tree(4, [(0, 1), (0, 2), (2, 3)])):
+        # With center 2 of P_5, legs such as ((1, 0), (3, 4)) run toward
+        # vertex 0 and fail the parent-array check before the per-vertex one.
+        trees = (build_spider([2, 1]).tree, Tree(4, [(0, 1), (0, 2), (2, 3)]), path_tree(5))
+        for tree in trees:
             for center in (-1, 0, 2):
                 for k in range(4):
                     for legs in product(leg_choices, repeat=k):
                         assert outcome(new, tree, center, legs) == outcome(
                             reference, tree, center, legs), (tree.edges, center, legs)
+
+    @pytest.mark.parametrize("legs, center", [
+        (((1, 0), (3, 4)), 2),
+        (((3, 4), (1, 0)), 2),
+        (((3, 2, 1, 0),), 4),
+    ])
+    def test_legs_toward_vertex_zero_accepted(self, legs, center):
+        assert Spider(path_tree(5), center, legs).legs == legs
+
+    def test_build_spider_is_the_edge_list_tree(self):
+        def compositions(m):
+            if m == 0:
+                yield []
+            for first in range(1, m + 1):
+                for rest in compositions(m - first):
+                    yield [first, *rest]
+
+        shapes = 0
+        for m in range(1, 13):
+            for legs in compositions(m):
+                shapes += 1
+                edges, start = [], 1
+                for ell in legs:
+                    edges.append((0, start))
+                    edges += [(v, v + 1) for v in range(start, start + ell - 1)]
+                    start += ell
+                same_tree(build_spider(legs).tree, Tree(m + 1, sorted(edges)))
+        assert shapes == 2 ** 12 - 1
 
     def test_build_spider_edges_sorted(self):
         sp = build_spider([3, 1, 2])

@@ -390,6 +390,36 @@ class TestCli:
         assert [p for p in hermetic_home.rglob("*") if p.is_file()] == []
         assert _stat(USER_CACHE_FILE) == before
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spider", "doubling", "--legs", "99999999999999999999999"],
+            ["spider", "short", "--long", "99999999999999999999", "--two", "0", "--one", "0"],
+            ["spider", "short", "--long", "3", "--two", "99999999999999999999"],
+            ["spider", "three-long", "--legs", "3,3,99999999999999999999"],
+            ["path", "alpha", "--n", "99999999999999999999", "--position", "5"],
+            ["path", "alpha", "--n", "99999999999999999999", "--end-label", "5"],
+            ["path", "graceful", "--n", "99999999999999999999", "--position", "5"],
+            # This one and `path graceful` wrote the path's edge list before
+            # any array and grew until the process was killed.
+            ["path", "zigzag", "--n", "99999999999999999999"],
+        ],
+    )
+    def test_size_past_index_range_exit2(self, capsys, argv):
+        # The others ended in an OverflowError traceback.
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].endswith(
+            f"vertices exceed the index range (at most {sys.maxsize})")
+
+    def test_attach_past_index_range_exit2(self, capsys, tmp_path):
+        p = tmp_path / "host.json"
+        p.write_text(json.dumps({"n": 1, "edges": [], "labels": {"0": 0}}))
+        code, out = run_cli(capsys, "attach", "--graph", str(p), "--vertex", "0",
+                            "--path-len", "99999999999999999998")
+        assert code == 2
+        assert "vertices exceed the index range" in json.loads(out)["error"]["message"]
+
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "verify", "--graph", "/no/such/file.json")
         assert code == 2
