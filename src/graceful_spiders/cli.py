@@ -8,8 +8,10 @@ theorem-contradiction.
 Flags shared by several subcommands:
 - `--format json|dot`: the subcommands that emit a tree document (the three
   `spider` variants, `attach`, `amalgamate`, `path`, `export`) write it as
-  canonical JSON or as DOT. `oracle` and `verify` write a JSON report and
-  take no `--format`.
+  canonical JSON or as DOT. The values a subcommand adds to the document
+  (`alpha` of `path zigzag|alpha`; `shift`, `bridge_label` and `path_ids` of
+  `attach`) become DOT graph attributes. `oracle` and `verify` write a JSON
+  report and take no `--format`.
 - `--trace`: `spider doubling` adds its construction trace to the JSON
   document (with `--format dot` it exits 2, since DOT has no place for it);
   `oracle` adds the search time. No other subcommand takes it.
@@ -134,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, tree, labeling=None, spider=None, extra: dict | None = None):
     if args.format == "dot":
-        sys.stdout.write(to_dot(tree, labeling))
+        sys.stdout.write(to_dot(tree, labeling, extra))
         return
     doc = to_document(tree, labeling, spider)
     if extra:

@@ -13,13 +13,15 @@ one amalgamation at the center glues them.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+from operator import add
+
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
     AlphaLabeling,
     Labeling,
     Spider,
     Tree,
-    _alpha_flip_seq,
     _center_first,
     _check_legs,
     build_spider,
@@ -55,15 +57,15 @@ def amalgamate(
     if h_labeling[v] != 0:
         raise ValidationError(f"v must be labeled 0, got {h_labeling[v]}")
     n_g = g.tree.n
-
-    def h_id(w: int) -> int:
-        if w == v:
-            return u
-        return n_g + w if w < v else n_g + w - 1
-
-    edges = list(g.tree.edges)
-    edges.extend((h_id(a), h_id(b)) for a, b in h_tree.edges)
-    tree = Tree(n_g + h_tree.n - 1, edges)
+    ids = [*range(n_g, n_g + v), u, *range(n_g + v, n_g + h_tree.n - 1)]
+    if v == 0:
+        # H's parent array, rooted at its vertex 0 = u, continues G's.
+        h_parents = map(ids.__getitem__, islice(h_tree.parent, 1, None))
+        tree = Tree(n_g + h_tree.n - 1, parent=g.tree.parent + tuple(h_parents))
+    else:
+        edges = list(g.tree.edges)
+        edges += [(ids[a], ids[b]) for a, b in h_tree.edges]
+        tree = Tree(n_g + h_tree.n - 1, edges)
     labels = _amalgam_labels(
         g.labeling.as_sequence(n_g),
         g.alpha,
@@ -85,14 +87,21 @@ def _amalgam_labels(
     """Labels by vertex id (amalgamate's numbering) of the amalgam of an
     alpha-labeled G and a graceful H, identifying u with v (H labels v 0).
 
-    The inputs are not re-checked; the O(1) invariant that the identified
-    vertex carries alpha is.
+    G's labels go through one lookup table of its m_G + 1 possible labels:
+    reflected within their class first when u carries 0 (`alpha_flip`), then
+    raised by |E(H)| above alpha. H's labels, v's left out, are raised by
+    alpha. The inputs are not re-checked; that G's labels index the table
+    and that the identified vertex carries alpha are.
     """
+    m_g, e_h = len(g) - 1, len(h) - 1
+    if not 0 <= min(g) <= max(g) <= m_g:
+        raise ConstructionInvariantError(f"G has a label outside 0..{m_g}")
     if g[u] == 0 and alpha != 0:
-        g = _alpha_flip_seq(g, alpha)
-    e_h = len(h) - 1
-    out = [x if x <= alpha else x + e_h for x in g]
-    out.extend(x + alpha for w, x in enumerate(h) if w != v)
+        table = [*range(alpha, -1, -1), *range(m_g + e_h, alpha + e_h, -1)]
+    else:
+        table = [*range(alpha + 1), *range(alpha + 1 + e_h, m_g + 1 + e_h)]
+    out = list(map(table.__getitem__, g))
+    out += map(add, h[:v] + h[v + 1:], repeat(alpha))
     if out[u] != alpha:
         raise ConstructionInvariantError(
             f"identified vertex carries {out[u]}, expected alpha={alpha}"

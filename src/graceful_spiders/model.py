@@ -18,6 +18,18 @@ The validators make each check as a few whole-list passes (sets, min/max,
 names the first fault only once a check has failed, so the messages and the
 order of the checks do not depend on the fast path.
 
+- `Spider` first compares the legs with `build_spider`'s numbering as whole
+  lists: center 0, the legs' vertices in order are 1..n-1, and each leg edge
+  runs from a vertex to its parent. That alone makes the legs a partition of
+  the non-center vertices along the tree's edges. Any other layout takes the
+  general checks.
+- `is_graceful` asks that the labels, as a set, are n values covering
+  0..m = n-1: then they are exactly 0..m, each once. The m edge labels are
+  then integers in [1, m], so they cover it iff they are distinct, and one
+  count of the edge-label set decides. The vertex test must be this one:
+  distinct labels in [0, m] alone admit half-integers (0, 1.5, 0.5 on P_3
+  has two distinct edge labels, 1.5 and 1, and is not graceful).
+
 The records here and in the other modules are plain `__slots__` classes on
 `_Record`, not dataclasses: importing `dataclasses` (which pulls in
 `inspect`, `ast`, `dis` and `tokenize`) and generating the methods of the
@@ -294,6 +306,10 @@ class Spider(_Record):
             heads.append(c)
             heads += leg[:-1]
             tails += leg
+        # build_spider's numbering: center 0, the legs' vertices 1..n-1 in
+        # order, and each leg edge the edge from a vertex to its parent.
+        if c == 0 and tails == list(range(1, t.n)) and list(islice(t.parent, 1, None)) == heads:
+            return
         # Distinct leg vertices, none the center, with every leg edge in the
         # tree: then n-1 of them cover the tree and use all its edges, so no
         # non-center vertex can have degree > 2. A leg edge is in the tree if
@@ -442,13 +458,14 @@ def is_graceful(t: Tree, lab: Labeling) -> bool:
 
     A labeling missing some vertex of t is an error, not merely non-graceful.
     """
-    m = t.m
     f = lab.as_sequence(t.n)
-    if len(set(f)) != t.n or min(f) < 0 or max(f) > m:
+    labels = set(f)
+    if len(labels) != t.n or not labels.issuperset(range(t.n)):
         return False
-    # Edge v-parent[v] for every v >= 1.
+    # f is a permutation of 0..m, so the m edge labels |f(v) - f(parent[v])|,
+    # v >= 1, are integers in [1, m]: they cover it iff they are distinct.
     parent_labels = map(f.__getitem__, islice(t.parent, 1, None))
-    return set(map(abs, map(sub, islice(f, 1, None), parent_labels))) == set(range(1, m + 1))
+    return len(set(map(abs, map(sub, islice(f, 1, None), parent_labels)))) == t.m
 
 
 def certified(
@@ -512,15 +529,10 @@ def alpha_flip(al: AlphaLabeling) -> AlphaLabeling:
     on the high class. The result is again an alpha-labeling with the same
     index; labels 0 and alpha swap. The map is an involution.
     """
-    flipped = _alpha_flip_seq(al.labeling.as_sequence(al.tree.n), al.alpha)
-    return AlphaLabeling(al.tree, Labeling.from_sequence(flipped), al.alpha)
-
-
-def _alpha_flip_seq(labels: list[int], alpha: int) -> list[int]:
-    """`alpha_flip` on a label list by vertex id of a tree with
-    len(labels) - 1 edges."""
-    m = len(labels) - 1
-    return [alpha - x if x <= alpha else m + alpha + 1 - x for x in labels]
+    m, alpha = al.tree.m, al.alpha
+    table = [*range(alpha, -1, -1), *range(m, alpha, -1)]  # label -> flipped label
+    flipped = list(map(table.__getitem__, al.labeling.as_sequence(al.tree.n)))
+    return AlphaLabeling(al.tree, Labeling.from_sequence(flipped), alpha)
 
 
 class TraceStep(_Record):

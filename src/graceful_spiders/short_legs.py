@@ -7,6 +7,11 @@ Vertex naming convention (mirrored by the canonical spider numbering): the
 center is x0 = vertex 0; each length-2 leg i in [1, s] is x0-u_i-v_i with
 u_i = 2i-1 and v_i = 2i; the distinguished leg runs x1..x_ell with
 x_i = 2s + i; any length-1 legs are appended after that.
+
+Every role's labels are arithmetic progressions: u_i and v_i in steps of 2
+over i, and x_i in steps of 2 within each class of i mod 4. So the labels
+are written by vertex id as six slice assignments of a `range` each, with
+no per-vertex step.
 """
 
 from __future__ import annotations
@@ -51,38 +56,9 @@ def role_labels(ell: int, s: int) -> tuple[int, list[int], list[int], list[int]]
     """Evaluate the closed-form labeling for the (2 x s, ell) spider.
 
     Returns (center label, x labels for x1..x_ell, u labels, v labels).
-    The formulas split on the parity of ell; m = 2s + ell.
     """
-    m = 2 * s + ell
-    if ell % 2 == 1:
-        u = [m - (2 * i - 1) for i in range(1, s + 1)]
-        v = [2 * i - 1 for i in range(1, s + 1)]
-        x = []
-        for i in range(1, ell + 1):
-            r = i % 4
-            if r == 0:
-                x.append(i // 2)
-            elif r == 1:
-                x.append(m - (i - 1) // 2)
-            elif r == 2:
-                x.append(2 * s - 1 + (i + 2) // 2)
-            else:
-                x.append(m - (2 * s - 1) - (i + 1) // 2)
-    else:
-        u = [m - 2 * (i - 1) for i in range(1, s + 1)]
-        v = [2 * i - 1 for i in range(1, s + 1)]
-        x = []
-        for i in range(1, ell + 1):
-            r = i % 4
-            if r == 0:
-                x.append(i // 2)
-            elif r == 1:
-                x.append(m - 2 * s - (i - 1) // 2)
-            elif r == 2:
-                x.append(2 * s - 1 + (i + 2) // 2)
-            else:
-                x.append(m - 1 - (i - 3) // 2)
-    return 0, x, u, v
+    labels = _formula_labels(ell, s)
+    return labels[0], labels[2 * s + 1:], labels[1:2 * s:2], labels[2:2 * s + 1:2]
 
 
 def formula_spider(ell: int, s: int) -> Spider:
@@ -110,12 +86,23 @@ def short_leg_formula(ell: int, s: int) -> Labeling:
 
 
 def _formula_labels(ell: int, s: int) -> list[int]:
-    """role_labels laid out by vertex id: x0, then u_i, v_i, then x1..x_ell."""
-    center, x, u, v = role_labels(ell, s)
-    labels = [center]
-    for ui, vi in zip(u, v):
-        labels += (ui, vi)
-    return labels + x
+    """The closed-form labels laid out by vertex id: x0, then u_i, v_i, then
+    x1..x_ell. The formulas split on the parity of ell; m = 2s + ell."""
+    m = 2 * s + ell
+    odd = ell % 2
+    labels = [0] * (m + 1)
+    # u_i = m - (2i - 1) for odd ell and m - 2(i - 1) for even ell; v_i = 2i - 1.
+    labels[1:2 * s:2] = range(m - odd, m - odd - 2 * s, -2)
+    labels[2:2 * s + 1:2] = range(1, 2 * s, 2)
+    # x_i (id 2s + i) for i = c, c + 4, ... runs down or up in steps of 2:
+    #   i = 1 mod 4: m - (i - 1)/2 (odd ell), m - 2s - (i - 1)/2 (even ell);
+    #   i = 2 mod 4: 2s - 1 + (i + 2)/2;
+    #   i = 3 mod 4: m - (2s - 1) - (i + 1)/2 (odd ell), m - 1 - (i - 3)/2 (even ell);
+    #   i = 0 mod 4: i/2.
+    for c, first, step in ((1, m if odd else m - 2 * s, -2), (2, 2 * s + 1, 2),
+                           (3, m - 2 * s - 1 if odd else m - 1, -2), (4, 2, 2)):
+        labels[2 * s + c::4] = range(first, first + step * len(range(c, ell + 1, 4)), step)
+    return labels
 
 
 def extend_with_leaves(

@@ -94,20 +94,29 @@ def dumps_document(doc: dict) -> str:
 
 def load_document(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path} nests its JSON values too deeply to read") from None
 
 
-def to_dot(tree: Tree, labeling: Labeling | None = None) -> str:
+def to_dot(tree: Tree, labeling: Labeling | None = None, attrs: dict | None = None) -> str:
     """DOT rendering with vertex labels as node text and edge differences
     as edge text; without a labeling the node text is the vertex id. Under a
     partial labeling an unlabeled vertex has empty node text, and an edge
-    with an unlabeled end has no edge text."""
+    with an unlabeled end has no edge text. `attrs` become graph attributes
+    (`alpha=3;`), an int as it is and any other value as its JSON text in a
+    quoted string."""
     lines = ["graph G {", "  node [shape=circle];"]
+    for key, value in (attrs or {}).items():
+        text = value if type(value) is int else json.dumps(json.dumps(value))
+        lines.append(f"  {key}={text};")
     f = None if labeling is None else dict(labeling.values)
     for v in range(tree.n):
         text = v if f is None else f.get(v, "")

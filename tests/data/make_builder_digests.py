@@ -1,5 +1,6 @@
 """Regenerate builder_digests.json: one frozen sha256 per spider builder call,
-plus two sweep digests over small doubling spiders and path attachments.
+plus sweep digests over small doubling, short-leg and three-long spiders and
+path attachments.
 
 Run from the repository root:
 
@@ -24,6 +25,14 @@ newline (`json.dumps` of a list, default separators):
   at every vertex u and for every path size n <= 40 that meets the
   attachment preconditions; the row is [k, u, n, labels by vertex id, shift,
   bridge_label, path_ids].
+- "short_m": `label_short_leg_spider` on every `ShortLegSpec(ell, s, t)` with
+  ell <= 60, s <= 30 and t <= 2, ell outermost and t innermost; the row is
+  [ell, s, t, labels by vertex id].
+- "three_long_m40": `label_three_long_legs` on every non-increasing leg list
+  with m <= 40 edges and at most three legs of length >= 3 (every leg
+  multiset it accepts; its output does not depend on the order of the
+  legs), in ascending lexicographic order; the row is [legs, leg lengths of
+  the returned spider, labels by vertex id].
 
 The file is frozen: the tests recompute each digest, so a change to a
 builder, to `Tree`'s edge normalization or to `Labeling` that alters any
@@ -137,9 +146,51 @@ def attach_sweep_digest() -> str:
     return h.hexdigest()
 
 
+def short_sweep_digest() -> str:
+    from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
+
+    h = hashlib.sha256()
+    for ell in range(1, 61):
+        for s in range(31):
+            for t in range(3):
+                spider, lab = label_short_leg_spider(ShortLegSpec(ell, s, t))
+                row = [ell, s, t, lab.as_sequence(spider.tree.n)]
+                h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def three_long_shapes(max_m: int = 40) -> list[list[int]]:
+    """Every non-increasing leg list with at most max_m edges and at most
+    three legs of length >= 3."""
+    out = []
+
+    def grow(legs: list[int], m: int, long_count: int):
+        out.append(list(legs))
+        for nxt in range(1, min(legs[-1], max_m - m) + 1):
+            if nxt < 3 or long_count < 3:
+                grow(legs + [nxt], m + nxt, long_count + (nxt >= 3))
+
+    for first in range(1, max_m + 1):
+        grow([first], first, first >= 3)
+    return sorted(out)
+
+
+def three_long_sweep_digest() -> str:
+    from graceful_spiders.compose import label_three_long_legs
+
+    h = hashlib.sha256()
+    for legs in three_long_shapes():
+        spider, lab = label_three_long_legs(legs)
+        row = [legs, list(spider.leg_lengths), lab.as_sequence(spider.tree.n)]
+        h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
 SWEEPS = {
     "doubling_m60": doubling_sweep_digest,
     "attach_zigzag_p12": attach_sweep_digest,
+    "short_m": short_sweep_digest,
+    "three_long_m40": three_long_sweep_digest,
 }
 
 

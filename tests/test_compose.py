@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from graceful_spiders.compose import amalgamate, label_three_long_legs
-from graceful_spiders.errors import ValidationError
+from graceful_spiders.compose import _amalgam_labels, amalgamate, label_three_long_legs
+from graceful_spiders.errors import ConstructionInvariantError, ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
     Labeling,
@@ -11,7 +11,7 @@ from graceful_spiders.model import (
     is_graceful,
     path_tree,
 )
-from graceful_spiders.paths import alpha_path_zero_at
+from graceful_spiders.paths import alpha_path_zero_at, graceful_path_zero_at, zigzag_alpha_path
 from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
 
 
@@ -68,6 +68,47 @@ class TestAmalgamate:
         )
         assert h_diffs == list(range(1, e_h + 1))
         assert g_diffs == list(range(e_h + 1, tree.m + 1))
+
+    def test_same_tree_and_labels_as_reference(self):
+        # The joined tree is G's edges plus H's renumbered ones, whether it
+        # is built from G's parent array continued by H's (v = 0) or from
+        # the edges; G's parent array need not have parent[w] < w.
+        def reference(g, u, h_tree, h_lab, v):
+            n_g, e_h, alpha = g.tree.n, h_tree.m, g.alpha
+            h_id = [*range(n_g, n_g + v), u, *range(n_g + v, n_g + h_tree.n - 1)]
+            tree = Tree(n_g + e_h, [*g.tree.edges, *((h_id[a], h_id[b]) for a, b in h_tree.edges)])
+            flip = g[u] == 0 and alpha != 0
+            labels = []
+            for x in g.labeling.as_sequence(n_g):
+                if flip:
+                    x = alpha - x if x <= alpha else g.tree.m + alpha + 1 - x
+                labels.append(x if x <= alpha else x + e_h)
+            labels += [x + alpha for w, x in enumerate(h_lab.as_sequence(h_tree.n)) if w != v]
+            return tree, labels
+
+        hosts = [zigzag_alpha_path(k) for k in range(1, 8)]
+        hosts.append(AlphaLabeling(Tree(3, [(0, 2), (1, 2)]), Labeling.from_sequence([0, 1, 2]), 1))
+        assert hosts[-1].tree.parent == (-1, 2, 0)
+        guests = [(path_tree(n), graceful_path_zero_at(n, p), p) for n in range(1, 7) for p in range(n)]
+        guests += [(sp.tree, lab, 0) for sp, lab in
+                   (label_short_leg_spider(ShortLegSpec(ell, 2, 1)) for ell in range(1, 5))]
+        cases = 0
+        for g in hosts:
+            for u in range(g.tree.n):
+                if g[u] not in (0, g.alpha):
+                    continue
+                for h_tree, h_lab, v in guests:
+                    cases += 1
+                    tree, lab = amalgamate(g, u, h_tree, h_lab, v)
+                    want_tree, want_labels = reference(g, u, h_tree, h_lab, v)
+                    assert tree == want_tree and lab.as_sequence(tree.n) == want_labels
+
+        assert cases > 300
+
+    @pytest.mark.parametrize("g", [[-1, 1, 2], [0, 3, 1], [0, 1, 5]])
+    def test_label_outside_g_range_is_an_invariant_error(self, g):
+        with pytest.raises(ConstructionInvariantError, match=r"^G has a label outside 0\.\.2$"):
+            _amalgam_labels(g, 1, 0, [0, 1], 0)
 
 
 class TestThreeLongLegs:

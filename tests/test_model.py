@@ -1,5 +1,5 @@
 import pickle
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
@@ -308,6 +308,34 @@ class TestSpider:
                         assert outcome(new, tree, center, legs) == outcome(
                             reference, tree, center, legs), (tree.edges, center, legs)
 
+        # build_spider's trees with 1-6 legs of lengths 1-3, under their own
+        # legs and under layouts that are near them but not equal.
+        shapes = 0
+        for k in range(1, 7):
+            for lengths in product((1, 2, 3), repeat=k):
+                shapes += 1
+                sp = build_spider(list(lengths))
+                tree, legs = sp.tree, sp.legs
+                flat = [v for leg in legs for v in leg]
+                starts = list(accumulate(lengths[1:] + lengths[:1], initial=0))
+                resplit = tuple(tuple(flat[a:b]) for a, b in zip(starts, starts[1:]))
+                layouts = [
+                    legs,
+                    legs[::-1],
+                    tuple(leg[::-1] for leg in legs),
+                    resplit,  # leg boundaries moved
+                    legs[:-1] + (legs[-1][:-1],),  # one vertex left out
+                    legs[:-1] + (legs[-1] + (tree.n,),),  # a vertex outside the tree
+                    legs[:-1] + (legs[-1] + (legs[0][0],),),  # a vertex in two legs
+                    legs + ((),),
+                    [list(leg) for leg in legs],
+                ]
+                for layout in layouts:
+                    for center in (0, 1):
+                        assert outcome(new, tree, center, layout) == outcome(
+                            reference, tree, center, layout), (lengths, center, layout)
+        assert shapes == 1092
+
     @pytest.mark.parametrize("legs, center", [
         (((1, 0), (3, 4)), 2),
         (((3, 4), (1, 0)), 2),
@@ -425,13 +453,21 @@ class TestCheckers:
                     return True, None
             return True, alpha
 
+        # Half-integer labels can be distinct, lie in [0, m] and give m
+        # distinct edge labels without being graceful: a test of the edge
+        # label count alone would accept them.
+        fooled = 0
         for t in (path_tree(4), build_spider([1, 1, 1]).tree, build_spider([2, 1]).tree):
-            for labels in product(range(-1, t.n + 1), repeat=t.n):
+            for labels in product([*range(-1, t.n + 1), 0.5, 1.5, 2.5], repeat=t.n):
                 for lab in (Labeling.from_sequence(list(labels)),
                             Labeling(dict(enumerate(labels)))):
                     graceful = is_graceful(t, lab)
                     alpha = alpha_index(t, lab) if graceful else None
                     assert (graceful, alpha) == reference(t, lab), labels
+                fooled += (len(set(labels)) == t.n and 0 <= min(labels) <= max(labels) <= t.m
+                           and len({abs(labels[a] - labels[b]) for a, b in t.edges}) == t.m
+                           and not graceful)
+        assert fooled > 0
 
     def test_alpha_index_figure1_path(self):
         assert alpha_index(path_tree(7), Labeling.from_sequence([6, 0, 5, 1, 4, 2, 3])) == 2

@@ -424,6 +424,48 @@ class TestCli:
         code, _ = run_cli(capsys, "verify", "--graph", "/no/such/file.json")
         assert code == 2
 
+    def test_not_utf8_exit2(self, capsys, tmp_path):
+        p = tmp_path / "tree.json"
+        p.write_bytes(b"\xff\xfe")
+        code, out = run_cli(capsys, "verify", "--graph", str(p))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "validation" and error["message"].startswith(
+            f"{p} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+    def test_deeply_nested_document_exit2(self, tmp_path):
+        p = tmp_path / "tree.json"
+        p.write_text("[" * 10**5 + "]" * 10**5)
+        proc = run_cli_process(["verify", "--graph", str(p)])
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert json.loads(proc.stdout) == {"error": {
+            "type": "validation", "message": f"{p} nests its JSON values too deeply to read"}}
+
+    @pytest.mark.parametrize("argv, attrs", [
+        (["path", "zigzag", "--n", "4"], ["  alpha=1;"]),
+        (["path", "alpha", "--n", "9", "--position", "4"], ["  alpha=4;"]),
+        (["path", "alpha", "--n", "7", "--end-label", "6", "--index", "2"], ["  alpha=2;"]),
+        (["attach", "--vertex", "0", "--path-len", "3"],
+         ["  shift=1;", "  bridge_label=1;", '  path_ids="[1, 2, 3]";']),
+    ])
+    def test_dot_keeps_extra_values(self, capsys, tmp_path, argv, attrs):
+        # Every value the JSON document adds to the tree is a graph
+        # attribute of the DOT rendering, right after the node defaults.
+        if argv[0] == "attach":
+            p = tmp_path / "host.json"
+            p.write_text(json.dumps({"n": 1, "edges": [], "labels": {"0": 0}}))
+            argv = [argv[0], "--graph", str(p), *argv[1:]]
+        code, out = run_cli(capsys, *argv)
+        extra = {k: v for k, v in json.loads(out).items() if k not in ("n", "edges", "labels")}
+        code_dot, dot = run_cli(capsys, *argv, "--format", "dot")
+        assert code == code_dot == 0
+        lines = dot.splitlines()
+        assert lines[:2] == ["graph G {", "  node [shape=circle];"]
+        assert lines[2:2 + len(attrs)] == attrs and len(attrs) == len(extra)
+        for line, (key, value) in zip(attrs, extra.items()):
+            assert line.startswith(f"  {key}=") and str(value) in line
+        assert not any("=" in line and "[" not in line for line in lines[2 + len(attrs):])
+
 
 def _stat(path):
     try:
