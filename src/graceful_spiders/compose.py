@@ -13,7 +13,7 @@ one amalgamation at the center glues them.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add
 
 from .errors import ConstructionInvariantError, ValidationError
@@ -58,14 +58,9 @@ def amalgamate(
         raise ValidationError(f"v must be labeled 0, got {h_labeling[v]}")
     n_g = g.tree.n
     ids = [*range(n_g, n_g + v), u, *range(n_g + v, n_g + h_tree.n - 1)]
-    if v == 0:
-        # H's parent array, rooted at its vertex 0 = u, continues G's.
-        h_parents = map(ids.__getitem__, islice(h_tree.parent, 1, None))
-        tree = Tree(n_g + h_tree.n - 1, parent=g.tree.parent + tuple(h_parents))
-    else:
-        edges = list(g.tree.edges)
-        edges += [(ids[a], ids[b]) for a, b in h_tree.edges]
-        tree = Tree(n_g + h_tree.n - 1, edges)
+    edges = list(g.tree.edges)
+    edges += [(ids[a], ids[b]) for a, b in h_tree.edges]
+    tree = Tree(n_g + h_tree.n - 1, edges)
     labels = _amalgam_labels(
         g.labeling.as_sequence(n_g),
         g.alpha,

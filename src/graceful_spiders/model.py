@@ -21,8 +21,8 @@ order of the checks do not depend on the fast path.
 - `Spider` first compares the legs with `build_spider`'s numbering as whole
   lists: center 0, the legs' vertices in order are 1..n-1, and each leg edge
   runs from a vertex to its parent. That alone makes the legs a partition of
-  the non-center vertices along the tree's edges. Any other layout takes the
-  general checks.
+  the non-center vertices along the tree's edges. Any other layout is
+  checked against the tree's edge set.
 - `is_graceful` asks that the labels, as a set, are n values covering
   0..m = n-1: then they are exactly 0..m, each once. The m edge labels are
   then integers in [1, m], so they cover it iff they are distinct, and one
@@ -312,16 +312,9 @@ class Spider(_Record):
             return
         # Distinct leg vertices, none the center, with every leg edge in the
         # tree: then n-1 of them cover the tree and use all its edges, so no
-        # non-center vertex can have degree > 2. A leg edge is in the tree if
-        # the tail's parent is the head; legs that run toward vertex 0 fail
-        # that and are looked up in the edge set.
-        try:
-            canonical = (min(tails, default=0) >= 0
-                         and list(map(t.parent.__getitem__, tails)) == heads)
-        except (TypeError, IndexError):
-            canonical = False
-        if not (len({c, *tails}) == len(tails) + 1 == t.n and (canonical or set(t.edges).issuperset(
-                (a, b) if a < b else (b, a) for a, b in zip(heads, tails)))):
+        # non-center vertex can have degree > 2.
+        if not (len({c, *tails}) == len(tails) + 1 == t.n and set(t.edges).issuperset(
+                (a, b) if a < b else (b, a) for a, b in zip(heads, tails))):
             self._raise_first_fault()
 
     def _raise_first_fault(self):

@@ -28,11 +28,11 @@ newline (`json.dumps` of a list, default separators):
 - "short_m": `label_short_leg_spider` on every `ShortLegSpec(ell, s, t)` with
   ell <= 60, s <= 30 and t <= 2, ell outermost and t innermost; the row is
   [ell, s, t, labels by vertex id].
-- "three_long_m40": `label_three_long_legs` on every non-increasing leg list
-  with m <= 40 edges and at most three legs of length >= 3 (every leg
-  multiset it accepts; its output does not depend on the order of the
-  legs), in ascending lexicographic order; the row is [legs, leg lengths of
-  the returned spider, labels by vertex id].
+- "three_long_pairs_m40": `label_three_long_legs` on the leg lists of
+  `three_long_shapes()`: every pair of long legs with m <= 40, each with a
+  few short parts (non-increasing lists; the builder's output does not
+  depend on the order of the legs); the row is [legs, leg lengths of the
+  returned spider, labels by vertex id].
 
 The file is frozen: the tests recompute each digest, so a change to a
 builder, to `Tree`'s edge normalization or to `Labeling` that alters any
@@ -160,19 +160,30 @@ def short_sweep_digest() -> str:
 
 
 def three_long_shapes(max_m: int = 40) -> list[list[int]]:
-    """Every non-increasing leg list with at most max_m edges and at most
-    three legs of length >= 3."""
-    out = []
+    """Every pair of long legs ell1 >= ell2 >= 3 with ell1 + ell2 <= max_m,
+    each with the short parts below that fit in the r = max_m - ell1 - ell2
+    edges left, in ascending lexicographic order of the leg lists.
 
-    def grow(legs: list[int], m: int, long_count: int):
-        out.append(list(legs))
-        for nxt in range(1, min(legs[-1], max_m - m) + 1):
-            if nxt < 3 or long_count < 3:
-                grow(legs + [nxt], m + nxt, long_count + (nxt >= 3))
-
-    for first in range(1, max_m + 1):
-        grow([first], first, first >= 3)
-    return sorted(out)
+    The amalgamation table depends only on (ell1, ell2, alpha, |E(H)|), and
+    the "short_m" sweep pins the short part itself, so a few short parts per
+    pair suffice: none; only 1-legs (one, or r); only 2-legs (one, or
+    r // 2); mixed (a 2-leg and a 1-leg, or 2-legs filled up with 1-legs);
+    and a third long leg (3; 3, 2, 1; or min(ell2, r) filled up with
+    1-legs).
+    """
+    out = set()
+    for ell2 in range(3, max_m // 2 + 1):
+        for ell1 in range(ell2, max_m - ell2 + 1):
+            r = max_m - ell1 - ell2
+            s = max((r - 1) // 2, 0)
+            ell3 = min(ell2, r)
+            rests = [[], [1], [1] * r, [2], [2] * (r // 2), [2, 1],
+                     [2] * s + [1] * (r - 2 * s), [3], [3, 2, 1],
+                     [ell3] + [1] * (r - ell3)]
+            for rest in rests:
+                if sum(rest) <= r and all(0 < x <= ell2 for x in rest):
+                    out.add((ell1, ell2, *rest))
+    return sorted(map(list, out))
 
 
 def three_long_sweep_digest() -> str:
@@ -190,7 +201,7 @@ SWEEPS = {
     "doubling_m60": doubling_sweep_digest,
     "attach_zigzag_p12": attach_sweep_digest,
     "short_m": short_sweep_digest,
-    "three_long_m40": three_long_sweep_digest,
+    "three_long_pairs_m40": three_long_sweep_digest,
 }
 
 

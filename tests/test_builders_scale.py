@@ -99,9 +99,9 @@ def test_frozen_sweep_digests():
     # shapes, 396 of them with a y-leaf), labels and trace, and attach_path
     # on small zigzag hosts; frozen while the doubling builder still shifted
     # its whole host at every step and remapped at the end. Every short-leg
-    # spec with ell <= 60, s <= 30, t <= 2 and every leg multiset with m <= 40
-    # that the three-long builder accepts (67,541 of them); frozen while both
-    # builders still wrote their labels one vertex at a time.
+    # spec with ell <= 60, s <= 30, t <= 2, and every pair of long legs with
+    # m <= 40 under a few short parts each (2,745 leg lists); frozen while
+    # both builders still wrote their labels one vertex at a time.
     module = _digest_module()
     with open(os.path.join(DATA, "builder_digests.json")) as fh:
         sweeps = json.load(fh)["sweeps"]
@@ -109,6 +109,8 @@ def test_frozen_sweep_digests():
     shapes = module.doubling_shapes()
     assert len(shapes) == 1112
     assert sum(any(ell % 4 == 1 for ell in legs[1:]) for legs in shapes) == 396
-    assert len(module.three_long_shapes()) == 67541
+    three_long = module.three_long_shapes()
+    assert len(three_long) == 2745
+    assert len({tuple(legs[:2]) for legs in three_long}) == 324
     for name, want in sweeps.items():
         assert module.SWEEPS[name]() == want, name

@@ -70,9 +70,8 @@ class TestAmalgamate:
         assert g_diffs == list(range(e_h + 1, tree.m + 1))
 
     def test_same_tree_and_labels_as_reference(self):
-        # The joined tree is G's edges plus H's renumbered ones, whether it
-        # is built from G's parent array continued by H's (v = 0) or from
-        # the edges; G's parent array need not have parent[w] < w.
+        # The joined tree is G's edges plus H's renumbered ones, and G's
+        # parent array need not have parent[w] < w.
         def reference(g, u, h_tree, h_lab, v):
             n_g, e_h, alpha = g.tree.n, h_tree.m, g.alpha
             h_id = [*range(n_g, n_g + v), u, *range(n_g + v, n_g + h_tree.n - 1)]
