@@ -5,6 +5,13 @@ amalgamate | path | oracle | verify | export. Exit codes: 0 success, 2
 validation (including provable infeasibility), 3 resource budget, 4 internal
 theorem-contradiction.
 
+Each call writes one text to stdout, and only `run` writes it: the
+subcommand's result, or on exit 2, 3 or 4 the error document
+{"error": {"type": ..., "message": ...}}. `verify` of a labeling that is not
+graceful writes only the error document. `treedoc.to_document` decides the
+order of a tree document, `treedoc.dumps_document` the JSON format of every
+document (tree, report, error), and `treedoc.to_dot` the DOT text.
+
 Flags shared by several subcommands:
 - `--format json|dot`: the subcommands that emit a tree document (the three
   `spider` variants, `attach`, `amalgamate`, `path`, `export`) write it as
@@ -24,7 +31,6 @@ Flags shared by several subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .attach import attach_path
@@ -134,14 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, tree, labeling=None, spider=None, extra: dict | None = None):
+def _emit(args, tree, labeling=None, spider=None, extra: dict | None = None) -> str:
     if args.format == "dot":
-        sys.stdout.write(to_dot(tree, labeling, extra))
-        return
+        return to_dot(tree, labeling, extra)
     doc = to_document(tree, labeling, spider)
     if extra:
         doc.update(extra)
-    sys.stdout.write(dumps_document(doc))
+    return dumps_document(doc)
 
 
 def _trace_doc(trace) -> list[dict]:
@@ -155,50 +160,44 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _dispatch(args)
-        return 0
+        out, code = _dispatch(args), 0
     except ConstructionInvariantError as exc:
-        _error("internal", exc)
-        return 4
+        out, code = _error("internal", exc), 4
     except ResourceBudgetError as exc:
-        _error("resource", exc)
-        return 3
+        out, code = _error("resource", exc), 3
     except ValidationError as exc:
-        _error("validation", exc)
-        return 2
+        out, code = _error("validation", exc), 2
+    sys.stdout.write(out)
+    return code
 
 
-def _error(kind: str, exc: Exception):
-    sys.stdout.write(
-        json.dumps({"error": {"type": kind, "message": str(exc)}}, indent=2) + "\n"
-    )
+def _error(kind: str, exc: Exception) -> str:
+    return dumps_document({"error": {"type": kind, "message": str(exc)}})
 
 
-def _dispatch(args):
+def _dispatch(args) -> str:
+    """The text the command writes to stdout: one JSON document, or DOT."""
     if args.command == "spider":
         if args.variant == "doubling":
             if args.trace and args.format == "dot":
                 raise ValidationError("spider doubling --format dot does not take --trace")
             sp, lab, trace = label_doubling_spider(_parse_legs(args.legs))
             extra = {"trace": _trace_doc(trace)} if args.trace else None
-            _emit(args, sp.tree, lab, sp, extra)
-        elif args.variant == "short":
-            spec = ShortLegSpec(args.long_leg, args.two, args.one)
-            sp, lab = label_short_leg_spider(spec)
-            _emit(args, sp.tree, lab, sp)
+            return _emit(args, sp.tree, lab, sp, extra)
+        if args.variant == "short":
+            sp, lab = label_short_leg_spider(ShortLegSpec(args.long_leg, args.two, args.one))
         else:
-            legs = _parse_legs(args.legs)
-            sp, lab = label_three_long_legs(legs)
-            _emit(args, sp.tree, lab, sp)
-    elif args.command == "attach":
+            sp, lab = label_three_long_legs(_parse_legs(args.legs))
+        return _emit(args, sp.tree, lab, sp)
+    if args.command == "attach":
         tree, labeling, _ = from_document(load_document(args.graph))
         if labeling is None:
             raise ValidationError("attach requires a labeled graph document")
         result = attach_path(tree, labeling, args.vertex, args.path_len)
-        _emit(args, result.tree, result.labeling,
-              extra={"shift": result.shift, "bridge_label": result.bridge_label,
-                     "path_ids": list(result.path_ids)})
-    elif args.command == "amalgamate":
+        return _emit(args, result.tree, result.labeling,
+                     extra={"shift": result.shift, "bridge_label": result.bridge_label,
+                            "path_ids": list(result.path_ids)})
+    if args.command == "amalgamate":
         g_tree, g_lab, _ = from_document(load_document(args.alpha))
         h_tree, h_lab, _ = from_document(load_document(args.graceful))
         if g_lab is None or h_lab is None:
@@ -208,10 +207,10 @@ def _dispatch(args):
             raise ValidationError("G's labeling is not an alpha-labeling")
         tree, lab = amalgamate(AlphaLabeling(g_tree, g_lab, idx), args.u,
                                h_tree, h_lab, args.v)
-        _emit(args, tree, lab)
-    elif args.command == "path":
-        _path_cmd(args)
-    elif args.command == "oracle":
+        return _emit(args, tree, lab)
+    if args.command == "path":
+        return _path_cmd(args)
+    if args.command == "oracle":
         tree, _, _ = from_document(load_document(args.graph))
         fixed = _parse_fixed(args.fix)
         if args.count:
@@ -234,24 +233,20 @@ def _dispatch(args):
         }
         if args.trace:
             out["elapsed"] = report.elapsed
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
-    elif args.command == "verify":
+        return dumps_document(out)
+    if args.command == "verify":
         tree, labeling, _ = from_document(load_document(args.graph))
         if labeling is None:
             raise ValidationError("verify requires a labeled document")
-        graceful = is_graceful(tree, labeling)
-        idx = alpha_index(tree, labeling) if graceful else None
-        sys.stdout.write(
-            json.dumps({"graceful": graceful, "alpha_index": idx}, indent=2) + "\n"
-        )
-        if not graceful:
+        if not is_graceful(tree, labeling):
             raise ValidationError("labeling is not graceful")
-    elif args.command == "export":
-        tree, labeling, spider = from_document(load_document(args.graph))
-        _emit(args, tree, labeling, spider)
+        return dumps_document({"graceful": True, "alpha_index": alpha_index(tree, labeling)})
+    # export
+    tree, labeling, spider = from_document(load_document(args.graph))
+    return _emit(args, tree, labeling, spider)
 
 
-def _path_cmd(args):
+def _path_cmd(args) -> str:
     if args.kind == "alpha" and (args.position is None) == (args.end_label is None):
         raise ValidationError("path alpha requires exactly one of --position / --end-label")
     if args.kind == "graceful" and args.position is None:
@@ -265,19 +260,16 @@ def _path_cmd(args):
     for flag in ("position", "end_label", "index"):
         if getattr(args, flag) is not None and flag not in reads:
             raise ValidationError(f"{request} does not take --{flag.replace('_', '-')}")
-    if args.kind == "zigzag":
-        al = zigzag_alpha_path(args.n)
-        _emit(args, al.tree, al.labeling, extra={"alpha": al.alpha})
-        return
     if args.kind == "graceful":
         lab = graceful_path_zero_at(args.n, args.position)
-        _emit(args, path_tree(args.n), lab)
-        return
-    if args.position is not None:
+        return _emit(args, path_tree(args.n), lab)
+    if args.kind == "zigzag":
+        al = zigzag_alpha_path(args.n)
+    elif args.position is not None:
         al = alpha_path_zero_at(args.n, args.position)
     else:
         al = alpha_path_end_label(args.n, args.end_label, args.index)
-    _emit(args, al.tree, al.labeling, extra={"alpha": al.alpha})
+    return _emit(args, al.tree, al.labeling, extra={"alpha": al.alpha})
 
 
 def entrypoint():

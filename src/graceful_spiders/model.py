@@ -139,6 +139,8 @@ class Tree(_Record):
 
     def __init__(self, n: int, edges: abc.Iterable[abc.Sequence[int]] | None = None, *,
                  parent: abc.Sequence[int] | None = None):
+        if type(n) is not int:
+            raise ValidationError(f"vertex count {n!r} is not an int")
         if parent is not None:
             if edges is not None:
                 raise TypeError("Tree() takes edges or parent, not both")
@@ -185,7 +187,7 @@ class Tree(_Record):
         _SET_FIELD(self, "n", n)
         _SET_FIELD(self, "_edges", tuple(norm))
         if upper == n - 1:
-            parent = [-1] * (len(norm) + 1)  # n, which may be an int-valued float
+            parent = [-1] * n
             for a, b in norm:
                 parent[b] = a
         else:

@@ -2,8 +2,10 @@
 
 The document is the interchange unit for every CLI subcommand:
 {"n": int, "edges": [[a,b],...], "labels": {"0": int, ...}?, "center": int?,
-"legs": [[v1,...],...]?}. Emission is canonical (fixed key order, sorted
-edges, labels keyed by ascending vertex id) so export -> import -> export
+"legs": [[v1,...],...]?}. `to_document` alone decides the canonical order:
+keys as listed, sorted edges, labels keyed by ascending vertex id. The CLI
+appends its extra keys after those. `dumps_document` alone decides the JSON
+format and keeps the order it is given, so export -> import -> export
 round-trips byte-identically.
 """
 
@@ -77,19 +79,10 @@ def from_document(doc: dict) -> tuple[Tree, Labeling | None, Spider | None]:
 
 
 def dumps_document(doc: dict) -> str:
-    ordered: dict = {"n": doc["n"], "edges": doc["edges"]}
-    for key in ("labels", "center", "legs"):
-        if key in doc:
-            ordered[key] = doc[key]
-    if "labels" in ordered:
-        ordered["labels"] = {
-            str(k): ordered["labels"][k]
-            for k in sorted(ordered["labels"], key=lambda s: int(s))
-        }
-    for key, value in doc.items():
-        if key not in ordered:
-            ordered[key] = value
-    return json.dumps(ordered, indent=2) + "\n"
+    """The JSON text of `doc`: indented by 2, with a trailing newline, keys
+    in the order `doc` holds them. Every JSON text the CLI writes goes
+    through here."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_document(path: str) -> dict:

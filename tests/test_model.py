@@ -173,6 +173,19 @@ class TestTree:
             Tree(n, parent=parent)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n", [3.0, "3", True, None])
+    def test_edge_list_vertex_count_must_be_int(self, n):
+        # Tree(3.0, edges) used to keep n = 3.0, and is_graceful on it then
+        # raised TypeError; Tree("3", edges) raised TypeError itself.
+        with pytest.raises(ValidationError, match=f"^vertex count {n!r} is not an int$"):
+            Tree(n, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("n", [3.0, "3", True, None])
+    def test_parent_array_vertex_count_must_be_int(self, n):
+        # Tree(3.0, parent=...) used to raise a bare TypeError from range().
+        with pytest.raises(ValidationError, match=f"^vertex count {n!r} is not an int$"):
+            Tree(n, parent=[-1, 0, 1])
+
     def test_parent_array_int_like_entries_converted(self):
         t = Tree(3, parent=[-1, 0, 1.0])
         assert t == path_tree(3) and all(type(p) is int for p in t.parent)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -127,7 +128,10 @@ class TestCli:
         p.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
                                  "labels": {"0": 0, "1": 1, "2": 2}}))
         code, out = run_cli(capsys, "verify", "--graph", str(p))
+        # Only the error document: the report used to come first.
         assert code == 2
+        assert json.loads(out) == {"error": {"type": "validation",
+                                             "message": "labeling is not graceful"}}
 
     def test_oracle_count(self, capsys, tmp_path):
         p = tmp_path / "p4.json"
@@ -465,6 +469,20 @@ class TestCli:
         for line, (key, value) in zip(attrs, extra.items()):
             assert line.startswith(f"  {key}=") and str(value) in line
         assert not any("=" in line and "[" not in line for line in lines[2 + len(attrs):])
+
+
+def test_frozen_transcript(tmp_path):
+    # cli_transcript.json was written by make_cli_transcript.py before every
+    # JSON text of the CLI went through dumps_document; since then only
+    # `verify --graph bad.json` changed, to the error document alone.
+    path = os.path.join(os.path.dirname(__file__), "data", "make_cli_transcript.py")
+    spec = importlib.util.spec_from_file_location("make_cli_transcript", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with open(os.path.join(os.path.dirname(path), "cli_transcript.json")) as fh:
+        frozen = json.load(fh)["calls"]
+    assert [row["argv"] for row in frozen] == module.CALLS
+    assert module.transcript(str(tmp_path)) == frozen
 
 
 def _stat(path):
