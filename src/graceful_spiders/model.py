@@ -9,7 +9,13 @@ vertices is a plain dict.
 A tree is held as a parent array: `parent[v]` is v's neighbour toward
 vertex 0. The builders number every tree they make so that `parent[v] < v`,
 which alone makes the array a tree; they write it directly, and no edge
-tuple exists until something reads `Tree.edges`. The checks read edges as
+tuple exists until something reads `Tree.edges`. A tree has one fast
+check, on the parent array: every `parent[v]` is an int in [0, v). An edge
+list takes it too when it is n-1 (parent, child) pairs whose children are
+1..n-1, each once, in any order, as every list this package writes is: the
+list is read as the array (-1, parents by child) and keeps no edge tuple.
+Any other list (reversed or mixed pairs, faults, non-int entries) takes
+the checked route, which names the first fault. The checks read edges as
 the pairs (v, parent[v]): a spider's leg edge is `parent[tail] == head`,
 and a labeling's edge labels are |f(v) - f(parent[v])|.
 
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import sys
 from collections import abc
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import eq, itemgetter, lt, sub
 
 from .errors import ConstructionInvariantError, ValidationError
@@ -124,75 +130,56 @@ class Tree(_Record):
     """An unrooted tree on vertices 0..n-1, held as a parent array:
     `parent[v]` is v's neighbour toward vertex 0, and `parent[0] = -1`.
 
-    `Tree(n, edges)` takes any edge list and validates connectivity and
-    acyclicity. `Tree(n, parent=p)` takes a parent array as a tuple (a
-    tuple is kept, anything else copied into one, so no caller can change
-    a checked array) when every `p[v]` is an int in [0, v): that alone
-    makes a tree. Any other array is read as the edges (p[v], v), v >= 1, through
-    the edge-list checks. `edges` is the sorted tuple of (min, max) pairs;
-    an edge list seeds it, a parent array derives it on first read.
-    Equality, hash, repr and pickling go through `(n, edges)`, so a tree is
-    the same value either way it was built.
+    `Tree(n, parent=p)` takes a parent array as a tuple (a tuple is kept,
+    anything else copied into one, so no caller can change a checked array)
+    when every `p[v]` is an int in [0, v): that alone makes a tree, and it
+    is the one fast check. `Tree(n, edges)` takes any edge list. A list of
+    n-1 (parent, child) pairs whose children are 1..n-1, each once, in any
+    order, is read as the parent array (-1, parents by child) and goes
+    through that check. Every other list, and every array that fails the
+    check (read as the edges (p[v], v), v >= 1), takes the checked route:
+    the pairs one by one in input order (self-loops, range), sorted, a
+    duplicate scan, the vertex and edge counts, and a depth-first search
+    that decides connectivity and finds the parents; the first fault is
+    named. `edges` is the sorted tuple of (min, max) pairs; the checked
+    route seeds it, a tree that passed the fast check derives it on first
+    read. Equality, hash, repr and pickling go through `(n, edges)`, so a
+    tree is the same value either way it was built.
     """
 
     __slots__ = ("n", "parent", "_edges")
 
     def __init__(self, n: int, edges: abc.Iterable[abc.Sequence[int]] | None = None, *,
                  parent: abc.Sequence[int] | None = None):
-        if type(n) is not int:
-            raise ValidationError(f"vertex count {n!r} is not an int")
-        if parent is not None:
-            if edges is not None:
-                raise TypeError("Tree() takes edges or parent, not both")
-            if type(parent) is not tuple:
-                parent = tuple(parent)
-            if (len(parent) == n >= 1 and parent[0] == -1
-                    and set(map(type, parent)) == {int}
-                    and min(islice(parent, 1, None), default=0) >= 0
-                    and all(map(lt, islice(parent, 1, None), range(1, n)))):
-                _SET_FIELD(self, "n", n)
-                _SET_FIELD(self, "parent", parent)
-                _SET_FIELD(self, "_edges", None)
-                return
-            edges = _parent_pairs(n, parent)
-        if not isinstance(edges, (list, tuple)):
-            edges = list(edges)
-        try:
-            # None marks a self-loop; any fault sends the edges through
-            # _checked_pairs, which names the first one in input order.
-            norm = [(a, b) if a < b else (b, a) if b < a else None for a, b in edges]
-            fast = (
-                None not in norm
-                and set(map(type, chain.from_iterable(norm))) <= {int}
-                and (not norm or (min(map(_FIRST, norm)) >= 0
-                                  and max(map(_SECOND, norm)) < n))
-            )
-        except (TypeError, ValueError):
-            fast = False
-        if not fast:
-            norm = _checked_pairs(n, edges)
+        _check_int("vertex count", n)
+        if parent is None:
+            if not isinstance(edges, (list, tuple)):
+                edges = list(edges)
+            parent = _parent_read(n, edges)
+        elif edges is not None:
+            raise TypeError("Tree() takes edges or parent, not both")
+        elif type(parent) is not tuple:
+            parent = tuple(parent)
+        if (parent is not None and len(parent) == n >= 1 and parent[0] == -1
+                and set(map(type, parent)) == {int}
+                and min(islice(parent, 1, None), default=0) >= 0
+                and all(map(lt, islice(parent, 1, None), range(1, n)))):
+            _SET_FIELD(self, "n", n)
+            _SET_FIELD(self, "parent", parent)
+            _SET_FIELD(self, "_edges", None)
+            return
+        norm = _checked_pairs(n, _parent_pairs(n, parent) if edges is None else edges)
         norm.sort()
-        # Distinct larger endpoints rule out duplicate edges; n-1 of them give
-        # every v >= 1 a neighbor below it, its parent, so every vertex
-        # reaches 0.
-        upper = len(set(map(_SECOND, norm)))
-        if upper != len(norm) and any(map(eq, norm, islice(norm, 1, None))):
-            for prev, cur in zip(norm, norm[1:]):
-                if prev == cur:
-                    raise ValidationError(f"duplicate edge {cur}")
+        for prev, cur in zip(norm, islice(norm, 1, None)):
+            if prev == cur:
+                raise ValidationError(f"duplicate edge {cur}")
         if n < 1:
             raise ValidationError("tree needs at least one vertex")
         if len(norm) != n - 1:
             raise ValidationError(f"tree on {n} vertices needs {n-1} edges, got {len(norm)}")
         _SET_FIELD(self, "n", n)
         _SET_FIELD(self, "_edges", tuple(norm))
-        if upper == n - 1:
-            parent = [-1] * n
-            for a, b in norm:
-                parent[b] = a
-        else:
-            parent = self._parents_by_search()
-        _SET_FIELD(self, "parent", tuple(parent))
+        _SET_FIELD(self, "parent", tuple(self._parents_by_search()))
 
     def _parents_by_search(self) -> list[int]:
         """The parent array, by depth-first search from vertex 0; raises
@@ -247,9 +234,27 @@ class Tree(_Record):
         return sum(1 for a, b in self.edges if v in (a, b))
 
 
+def _parent_read(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | None:
+    """The edge list as the parent array (-1, a_1, ..., a_{n-1}) when it is
+    n-1 pairs (a_v, v) whose second entries are 1..n-1, each once, in any
+    order; None for any other list. The array is not checked here.
+
+    The length is compared first, so a vertex count far past the list's
+    length costs nothing. Second entries that cannot be read or ordered
+    also give None: the checked route then names the first fault in input
+    order, as it would for any other list."""
+    if len(edges) != n - 1:
+        return None
+    try:
+        pairs = sorted(edges, key=_SECOND)
+    except (TypeError, LookupError):
+        return None
+    return (-1, *map(_FIRST, pairs)) if all(map(eq, map(_SECOND, pairs), range(1, n))) else None
+
+
 def _parent_pairs(n: int, parent: tuple) -> list[tuple]:
     """The edges (parent[v], v), v >= 1, of a parent array that failed the
-    fast check, for the edge-list checks; raises unless the array has n
+    fast check, for the checked route; raises unless the array has n
     entries and parent[0] is -1."""
     if len(parent) != n:
         raise ValidationError(f"parent array of length {len(parent)} for n={n}")
@@ -272,18 +277,25 @@ def _checked_pairs(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> list[tuple
     return norm
 
 
+def _check_int(what: str, value) -> None:
+    """Raise unless value is an int (not a bool), naming it as `what`."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} {value!r} is not an int")
+
+
 def _check_vertex_count(n: int) -> None:
-    """Raise unless n vertices fit the index range of a list: past it every
-    list or range over the vertices overflows."""
+    """Raise unless n is an int and n vertices fit the index range of a
+    list: past it every list or range over the vertices overflows."""
+    _check_int("vertex count", n)
     if n > sys.maxsize:
         raise ValidationError(f"{n} vertices exceed the index range (at most {sys.maxsize})")
 
 
 def path_tree(n: int) -> Tree:
     """P_n with vertices numbered along the path."""
+    _check_vertex_count(n)
     if n < 1:
         raise ValidationError("path needs at least one vertex")
-    _check_vertex_count(n)
     return Tree(n, parent=tuple(range(-1, n - 1)))
 
 
@@ -363,11 +375,13 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
 
 
 def _check_legs(leg_lengths: abc.Sequence[int]) -> None:
-    """Raise unless the leg length list is non-empty, every length is
-    positive and the spider's vertices fit the index range."""
+    """Raise unless the leg length list is non-empty, every length is a
+    positive int and the spider's vertices fit the index range."""
     if not leg_lengths:
         raise ValidationError("leg length list must be non-empty")
-    if any(ell < 1 for ell in leg_lengths):
+    if set(map(type, leg_lengths)) != {int}:
+        _check_int("leg length", next(ell for ell in leg_lengths if type(ell) is not int))
+    if min(leg_lengths) < 1:
         raise ValidationError("leg lengths must be positive")
     _check_vertex_count(sum(leg_lengths) + 1)
 

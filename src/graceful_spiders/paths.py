@@ -61,7 +61,7 @@ import json
 import os
 
 from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
-from .model import AlphaLabeling, Labeling, _check_vertex_count, certified, path_tree
+from .model import AlphaLabeling, Labeling, _check_int, _check_vertex_count, certified, path_tree
 
 _CACHE_FORMAT = "graceful-spiders-path-cache"
 _CACHE_VERSION = 1
@@ -276,6 +276,7 @@ def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
 def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int]:
     """(label sequence, index) behind alpha_path_zero_at, not certified."""
     _check_vertex_count(n)
+    _check_int("position", position)
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
     if (n, position) == (5, 2):
@@ -399,6 +400,7 @@ def _alpha_end_seq(
     if n < 2:
         raise ValidationError("n must be >= 2")
     _check_vertex_count(n)
+    _check_int("end_label", end_label)
     if not 0 <= end_label <= n - 1:
         raise ValidationError(f"end_label {end_label} out of range for n={n}")
     hi_index = (n + 1) // 2 - 1

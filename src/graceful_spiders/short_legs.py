@@ -112,6 +112,7 @@ def extend_with_leaves(
 
     Preserves gracefulness and the center label.
     """
+    _check_vertex_count(t.n + t_count)
     if t_count < 0:
         raise ValidationError("leaf count must be non-negative")
     if not is_graceful(t, f):

@@ -1,10 +1,13 @@
 import pickle
+import random
+import sys
 from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
-from graceful_spiders.compose import label_three_long_legs
-from graceful_spiders.doubling import check_doubling
+from graceful_spiders import model
+from graceful_spiders.compose import amalgamate, label_three_long_legs
+from graceful_spiders.doubling import check_doubling, label_doubling_spider
 from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
@@ -19,6 +22,9 @@ from graceful_spiders.model import (
     is_graceful,
     path_tree,
 )
+from graceful_spiders.paths import alpha_path_end_label, alpha_path_zero_at
+from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
+from graceful_spiders.treedoc import from_document, to_document
 
 from conftest import figure1_instance
 
@@ -223,6 +229,49 @@ class TestTree:
         t = Tree(3, edges)
         assert t.edges == ((0, 1), (1, 2))
         assert all(type(x) is int for e in t.edges for x in e)
+
+
+class TestParentRead:
+    """An edge list of (parent, child) pairs, children 1..n-1, is read as a
+    parent array; every other list takes the checked route."""
+
+    @pytest.fixture
+    def no_checked_route(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("edge list took the checked route")
+
+        monkeypatch.setattr(model, "_checked_pairs", refuse)
+
+    @pytest.mark.parametrize("n, edges", [(10**30, []), (sys.maxsize, [(0, 1)])])
+    def test_huge_vertex_count_is_an_edge_count_fault(self, n, edges):
+        # Nothing sized by n is made before the edge count is compared.
+        with pytest.raises(ValidationError, match=f"^tree on {n} vertices needs {n - 1} edges, "
+                                                  f"got {len(edges)}$"):
+            Tree(n, edges)
+
+    def test_reversed_shuffled_pairs_give_the_same_tree(self, monkeypatch):
+        t = label_three_long_legs([50000, 30000, 19992, 2, 2, 1, 1, 1, 1])[0].tree
+        pairs = [(b, a) for a, b in t.edges]
+        random.Random(5).shuffle(pairs)
+        calls = []
+        checked = model._checked_pairs
+        monkeypatch.setattr(model, "_checked_pairs", lambda n, e: calls.append(n) or checked(n, e))
+        u = Tree(t.n, pairs)
+        assert calls == [t.n] and t.m == 10**5
+        assert u.parent == t.parent and u.edges == t.edges and hash(u) == hash(t)
+
+    def test_library_document_takes_the_parent_read(self, no_checked_route):
+        spider, lab = label_short_leg_spider(ShortLegSpec(9, 3, 2))
+        tree, labeling, read = from_document(to_document(spider.tree, lab, spider))
+        assert tree._edges is None
+        assert tree.parent == spider.tree.parent and read == spider and labeling == lab
+
+    def test_amalgamate_at_zero_takes_the_parent_read(self, no_checked_route):
+        g = alpha_path_zero_at(9, 4)
+        spider, lab = label_short_leg_spider(ShortLegSpec(5, 2, 1))
+        tree, joined = amalgamate(g, 4, spider.tree, lab, 0)
+        assert tree._edges is None
+        assert is_graceful(tree, joined) and tree.m == g.tree.m + spider.tree.m
 
 
 class TestSpider:
@@ -544,3 +593,17 @@ class TestTrace:
         trace.record("attach", {}, 7)
         with pytest.raises(ValidationError):
             trace.record("attach", {}, 7)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: label_three_long_legs([3.0, 3, 3]), "leg length 3.0"),
+    (lambda: build_spider([2.0]), "leg length 2.0"),
+    (lambda: path_tree(3.0), "vertex count 3.0"),
+    (lambda: label_doubling_spider(["1"]), "leg length '1'"),
+    (lambda: alpha_path_zero_at(7, 1.0), "position 1.0"),
+    (lambda: alpha_path_end_label(7, 1.0), "end_label 1.0"),
+], ids=["three_long", "build_spider", "path_tree", "doubling", "zero_at", "end_label"])
+def test_non_int_sizes_rejected(call, value):
+    # Each used to end in a TypeError from deep inside the construction.
+    with pytest.raises(ValidationError, match=f"^{value} is not an int$"):
+        call()

@@ -115,6 +115,11 @@ class TestExtendWithLeaves:
         with pytest.raises(ValidationError):
             extend_with_leaves(path_tree(2), Labeling.from_sequence([1, 0]), 0, 1)
 
+    def test_size_past_index_range(self):
+        # It used to end in OverflowError from building the parent array.
+        with pytest.raises(ValidationError, match="vertices exceed the index range"):
+            extend_with_leaves(path_tree(2), Labeling.from_sequence([0, 1]), 0, 10**19)
+
     def test_requires_graceful(self):
         with pytest.raises(ValidationError):
             extend_with_leaves(path_tree(3), Labeling.from_sequence([0, 1, 2]), 0, 1)
