@@ -11,7 +11,7 @@ high part of the path up by m + 1, so the bridge edge lands on label m + 1.
 from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
-from .model import Labeling, Tree, _Record, _check_vertex_count, certified, is_graceful
+from .model import Labeling, Tree, _Record, _check_int, _check_vertex_count, certified, is_graceful
 from .paths import _alpha_low_end
 
 
@@ -33,6 +33,8 @@ def attach_path(t: Tree, f: Labeling, u: int, n: int) -> AttachResult:
     the construction guarantees both. The doubling builder labels each leg
     with `_attach_block` instead and certifies the finished spider once.
     """
+    _check_int("u", u)
+    _check_int("n", n)
     if not 0 <= u < t.n:
         raise ValidationError(f"vertex {u} not in the host tree")
     if not is_graceful(t, f):

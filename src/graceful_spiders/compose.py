@@ -110,12 +110,11 @@ def label_three_long_legs(
     """Graceful labeling of a spider with at most three legs of length >= 3.
 
     With at most one long leg the short-leg construction already applies and
-    is delegated to. Otherwise the two longest legs (ties by position in the
-    input) become the path G through the center, alpha-labeled with the
-    center at 0; the rest of the spider is labeled by the short-leg
-    construction and amalgamated at the center. Every step is closed form,
-    so `budget` is accepted and ignored. The result is checked graceful
-    once, on the canonical spider.
+    is delegated to. Otherwise the two longest legs become the path G
+    through the center, alpha-labeled with the center at 0; the rest of the
+    spider is labeled by the short-leg construction and amalgamated at the
+    center. Every step is closed form, so `budget` is accepted and ignored.
+    The result is checked graceful once, on the canonical spider.
     """
     _check_legs(leg_lengths)
     long_count = sum(1 for ell in leg_lengths if ell >= 3)
@@ -126,12 +125,7 @@ def label_three_long_legs(
     if long_count <= 1:
         return label_short_leg_spider(_short_spec(leg_lengths))
 
-    ordered = sorted(
-        range(len(leg_lengths)), key=lambda i: (-leg_lengths[i], i)
-    )
-    ell1 = leg_lengths[ordered[0]]
-    ell2 = leg_lengths[ordered[1]]
-    rest = [leg_lengths[i] for i in ordered[2:]]
+    ell1, ell2, *rest = sorted(leg_lengths, reverse=True)
 
     n_path = ell1 + ell2 + 1
     assert n_path >= 7  # both legs >= 3, so Lemma 2(b)'s P_5 exception is moot
@@ -162,14 +156,12 @@ def label_three_long_legs(
 def _short_spec(leg_lengths: list[int]) -> ShortLegSpec:
     """Express a leg multiset with at most one length >= 3 as a ShortLegSpec.
 
-    The distinguished leg is the longest one; remaining legs must have
-    length at most 2.
+    The distinguished leg is the longest one; both callers pass lists whose
+    other legs have length at most 2.
     """
     lengths = sorted(leg_lengths, reverse=True)
     ell = lengths[0]
     others = lengths[1:]
-    if others and others[0] > 2:
-        raise ValidationError("more than one leg of length >= 3")
     s = sum(1 for x in others if x == 2)
     t = sum(1 for x in others if x == 1)
     return ShortLegSpec(ell, s, t)

@@ -27,8 +27,9 @@ order of the checks do not depend on the fast path.
 - `Spider` first compares the legs with `build_spider`'s numbering as whole
   lists: center 0, the legs' vertices in order are 1..n-1, and each leg edge
   runs from a vertex to its parent. That alone makes the legs a partition of
-  the non-center vertices along the tree's edges. Any other layout is
-  checked against the tree's edge set.
+  the non-center vertices along the tree's edges. Any other layout goes
+  through the one fault loop, which walks the legs vertex by vertex and
+  raises for the first fault.
 - `is_graceful` asks that the labels, as a set, are n values covering
   0..m = n-1: then they are exactly 0..m, each once. The m edge labels are
   then integers in [1, m], so they cover it iff they are distinct, and one
@@ -138,7 +139,7 @@ class Tree(_Record):
     order, is read as the parent array (-1, parents by child) and goes
     through that check. Every other list, and every array that fails the
     check (read as the edges (p[v], v), v >= 1), takes the checked route:
-    the pairs one by one in input order (self-loops, range), sorted, a
+    the pairs one by one in input order (endpoints, self-loops, range), sorted, a
     duplicate scan, the vertex and edge counts, and a depth-first search
     that decides connectivity and finds the parents; the first fault is
     named. `edges` is the sorted tuple of (min, max) pairs; the checked
@@ -264,17 +265,33 @@ def _parent_pairs(n: int, parent: tuple) -> list[tuple]:
 
 
 def _checked_pairs(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> list[tuple[int, int]]:
-    """Edges as (min, max) int pairs; raises for the first self-loop or
-    out-of-range edge in input order, naming its endpoints as given."""
+    """Edges as (min, max) int pairs; raises for the first self-loop,
+    out-of-range edge or unreadable endpoint in input order, naming its
+    endpoints as given."""
     norm = []
     for e in edges:
-        a, b = int(e[0]), int(e[1])
+        a, b = e[0], e[1]
+        if type(a) is not int or type(b) is not int:
+            a, b = _endpoint(a), _endpoint(b)
         if a == b:
             raise ValidationError(f"self-loop at vertex {a}")
         if not (0 <= a < n and 0 <= b < n):
             raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
         norm.append((min(a, b), max(a, b)))
     return norm
+
+
+def _endpoint(x) -> int:
+    """An edge endpoint that is not an int, read by int(): True, 1.0 and "1"
+    are vertex 1. Raises when int() cannot read it or would change its value,
+    so 1.5 is not read as 1."""
+    try:
+        v = int(x)
+        if v == x or type(x) is str:
+            return v
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"edge endpoint {x!r} is not an integer")
 
 
 def _check_int(what: str, value) -> None:
@@ -315,25 +332,24 @@ class Spider(_Record):
         heads: list[int] = []
         tails: list[int] = []
         for leg in self.legs:
-            if not leg:
-                self._raise_first_fault()
             heads.append(c)
             heads += leg[:-1]
             tails += leg
         # build_spider's numbering: center 0, the legs' vertices 1..n-1 in
-        # order, and each leg edge the edge from a vertex to its parent.
+        # order, and each leg edge the edge from a vertex to its parent. An
+        # empty leg fails it, since it makes `heads` longer than `tails`.
         if c == 0 and tails == list(range(1, t.n)) and list(islice(t.parent, 1, None)) == heads:
             return
-        # Distinct leg vertices, none the center, with every leg edge in the
-        # tree: then n-1 of them cover the tree and use all its edges, so no
-        # non-center vertex can have degree > 2.
-        if not (len({c, *tails}) == len(tails) + 1 == t.n and set(t.edges).issuperset(
-                (a, b) if a < b else (b, a) for a, b in zip(heads, tails))):
-            self._raise_first_fault()
+        self._check_layout()
 
-    def _raise_first_fault(self):
-        """Raise for the first fault in leg order, as the checks above find
-        them one vertex at a time."""
+    def _check_layout(self):
+        """The one fault loop, the check of every layout but build_spider's
+        numbering: it walks the legs vertex by vertex and raises for the
+        first fault in leg order (an empty leg, a vertex seen before or the
+        center, a leg edge missing from the tree, legs that leave a vertex
+        out), or returns. Distinct leg vertices that cover the tree along
+        its edges use all n-1 of them, so no non-center vertex can have
+        degree > 2."""
         t = self.tree
         seen: set[int] = {self.center}
         edge_set = set(t.edges)

@@ -123,6 +123,7 @@ def zigzag_alpha_path(n: int) -> AlphaLabeling:
     Position j gets j/2 when j is even and (n-1) - (j-1)/2 when odd; the
     first endpoint is labeled 0.
     """
+    _check_vertex_count(n)
     if n < 1:
         raise ValidationError("n must be >= 1")
     return AlphaLabeling(
@@ -170,12 +171,7 @@ def _alpha_low_end(
             out[pos::2] = range(lo, lo + s * (alpha + 1), s)
             out[pos + 1 :: 2] = range(s * m + hi, s * (m - n // 2) + hi, -s)
             return out
-        if j == alpha:
-            # Fan: lows descend from alpha, highs ascend from alpha + 1, so the
-            # differences ascend 1, 2, ..., m.
-            out[pos::2] = range(s * alpha + lo, lo - s, -s)
-            out[pos + 1 :: 2] = range(s * (alpha + 1) + hi, s * n + hi, s)
-            return out
+        # The fan (j = alpha) needs no case: the flip below turns it into the zigzag.
         if alpha == 2 * j:
             # n = 4j+2 (4j+1 is infeasible): a fan on the extreme labels, a
             # bridge of difference 2j+1, then a fan on the middle band.
@@ -397,10 +393,12 @@ def _alpha_end_seq(
     n: int, end_label: int, required_index: int | None = None
 ) -> tuple[list[int], int]:
     """(label sequence, index) behind alpha_path_end_label, not certified."""
+    _check_vertex_count(n)
     if n < 2:
         raise ValidationError("n must be >= 2")
-    _check_vertex_count(n)
     _check_int("end_label", end_label)
+    if required_index is not None:
+        _check_int("required_index", required_index)
     if not 0 <= end_label <= n - 1:
         raise ValidationError(f"end_label {end_label} out of range for n={n}")
     hi_index = (n + 1) // 2 - 1
@@ -421,10 +419,7 @@ def _alpha_end_seq(
         # Low endpoint; the low class carries the larger index and sits on
         # the even positions, endpoint included.
         return _alpha_low_end(n, end_label), _alpha_of_sequence(n, True)
-    if end_label > lo_index and (n - 1) - end_label <= hi_index and required_index in (
-        None,
-        lo_index,
-    ):
+    if end_label > lo_index and required_index in (None, lo_index):
         # High endpoint; complement a low-endpoint labeling, which swaps the
         # classes and turns the index into lo_index.
         seq = _alpha_low_end(n, (n - 1) - end_label, -1, n - 1, n - 1)

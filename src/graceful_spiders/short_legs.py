@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    Labeling, Spider, Tree, _Record, _center_first, _check_vertex_count, build_spider, certified,
-    is_graceful,
+    Labeling, Spider, Tree, _Record, _center_first, _check_int, _check_vertex_count, build_spider,
+    certified, is_graceful,
 )
 from .paths import _zero_at_seq
 
@@ -31,6 +31,8 @@ class ShortLegSpec(_Record):
     __slots__ = ("ell", "s", "t")
 
     def __post_init__(self):
+        for field in self.__slots__:
+            _check_int(field, getattr(self, field))
         if self.ell < 1:
             raise ValidationError("distinguished leg length must be >= 1")
         if self.s < 0 or self.t < 0:
@@ -71,6 +73,8 @@ def short_leg_formula(ell: int, s: int) -> Labeling:
 
     Proven for s >= 2.
     """
+    _check_int("ell", ell)
+    _check_int("s", s)
     if ell < 1:
         raise ValidationError("ell must be >= 1")
     if s < 2:
@@ -112,6 +116,7 @@ def extend_with_leaves(
 
     Preserves gracefulness and the center label.
     """
+    _check_int("t_count", t_count)
     _check_vertex_count(t.n + t_count)
     if t_count < 0:
         raise ValidationError("leaf count must be non-negative")
@@ -140,10 +145,11 @@ def label_short_leg_spider(
     """Graceful labeling, center 0, of the spider with legs
     (ell, 2 x s, 1 x t), on the canonical numbering of `short_leg_spider`.
 
-    s >= 2 uses the closed-form labeling; s <= 1 makes the reduced spider a
-    path, labeled by the zero-at-position provider (center at an endpoint
-    when s = 0, at the distance-2 interior vertex when s = 1). Length-1 legs
-    are appended as labeled leaves afterward. Every step is closed form, so
+    Only s = 1 is labeled as a path: the reduced spider is then a path,
+    labeled by the zero-at-position provider with the center at the
+    distance-2 interior vertex. Every other s uses the closed-form labeling;
+    at s = 0 that is the zigzag of the path x0..x_ell. Length-1 legs are
+    appended as labeled leaves afterward. Every step is closed form, so
     `budget` is accepted and ignored. The result is checked graceful once,
     on the canonical spider.
     """
@@ -159,13 +165,11 @@ def label_short_leg_spider(
 def _short_leg_labels(spec: ShortLegSpec) -> list[int]:
     """Labels by vertex id of `short_leg_spider(spec)`, center 0; not
     certified (the steps of label_short_leg_spider, on a plain list)."""
-    if spec.s >= 2:
-        labels = _formula_labels(spec.ell, spec.s)
-    elif spec.s == 1:
+    if spec.s == 1:
         # reduced spider is the path v1-u1-x0-x1-..-x_ell; ids 2,1,0,3,4,...
         labels = _center_first(_zero_at_seq(spec.ell + 3, 2), 2)
     else:
-        labels = _zero_at_seq(spec.ell + 1, 0)
+        labels = _formula_labels(spec.ell, spec.s)
     if labels[0] != 0:
         raise ConstructionInvariantError(
             f"short-leg center is labeled {labels[0]}, expected 0"

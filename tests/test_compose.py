@@ -1,4 +1,5 @@
 import time
+from itertools import permutations
 
 import pytest
 
@@ -140,6 +141,14 @@ class TestThreeLongLegs:
     def test_leg_multiset_preserved(self):
         sp, _ = label_three_long_legs([4, 3, 3, 2, 2])
         assert sorted(len(leg) for leg in sp.legs) == [2, 2, 3, 3, 4]
+
+    @pytest.mark.parametrize(
+        "legs", [[5, 4, 4, 2, 1], [7, 3, 3, 2], [9, 9, 2, 2, 1, 1], [3, 3, 3, 2], [4, 3]]
+    )
+    def test_leg_order_does_not_matter(self, legs):
+        first = label_three_long_legs(legs)
+        for order in permutations(legs):
+            assert label_three_long_legs(list(order)) == first, order
 
     def test_too_many_long_legs(self):
         with pytest.raises(ValidationError, match="three"):

@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import pytest
 
@@ -66,6 +67,12 @@ class TestLabelDoubling:
         assert is_graceful(sp.tree, lab)
         assert sp.tree.edges == build_spider(sorted(legs)).tree.edges
         assert sp.tree.m == sum(legs)
+
+    @pytest.mark.parametrize("legs", [[1, 6, 14], [2, 8, 19, 40]])
+    def test_leg_order_does_not_matter(self, legs):
+        first = label_doubling_spider(legs)
+        for order in permutations(legs):
+            assert label_doubling_spider(list(order)) == first, order
 
     def test_path_case_center_zero(self):
         sp, lab, _ = label_doubling_spider([2, 6])

@@ -22,8 +22,11 @@ from graceful_spiders.model import (
     is_graceful,
     path_tree,
 )
-from graceful_spiders.paths import alpha_path_end_label, alpha_path_zero_at
-from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
+from graceful_spiders.attach import attach_path
+from graceful_spiders.paths import alpha_path_end_label, alpha_path_zero_at, zigzag_alpha_path
+from graceful_spiders.short_legs import (
+    ShortLegSpec, extend_with_leaves, label_short_leg_spider, short_leg_formula,
+)
 from graceful_spiders.treedoc import from_document, to_document
 
 from conftest import figure1_instance
@@ -265,6 +268,21 @@ class TestParentRead:
         tree, labeling, read = from_document(to_document(spider.tree, lab, spider))
         assert tree._edges is None
         assert tree.parent == spider.tree.parent and read == spider and labeling == lab
+
+    @pytest.mark.parametrize("n, edges, parent, value", [
+        (3, [(0, 1.5), (1, 2)], None, "1.5"),
+        (2, [(1.9, 0)], None, "1.9"),
+        (3, [(0, 1), (1, 2.5)], None, "2.5"),
+        (3, [(1, 2), (0.5, 1)], None, "0.5"),
+        (2, [(0, "x")], None, "'x'"),
+        (2, [(None, 1)], None, "None"),
+        (2, None, [-1, 0.5], "0.5"),
+    ])
+    def test_non_integral_endpoint_named(self, n, edges, parent, value):
+        # Either route reads an endpoint by int() only when that keeps its
+        # value: (0, 1.5) used to be read as (0, 1), and "x" raised ValueError.
+        with pytest.raises(ValidationError, match=f"^edge endpoint {value} is not an integer$"):
+            Tree(n, edges) if parent is None else Tree(n, parent=parent)
 
     def test_amalgamate_at_zero_takes_the_parent_read(self, no_checked_route):
         g = alpha_path_zero_at(9, 4)
@@ -602,8 +620,22 @@ class TestTrace:
     (lambda: label_doubling_spider(["1"]), "leg length '1'"),
     (lambda: alpha_path_zero_at(7, 1.0), "position 1.0"),
     (lambda: alpha_path_end_label(7, 1.0), "end_label 1.0"),
-], ids=["three_long", "build_spider", "path_tree", "doubling", "zero_at", "end_label"])
+    (lambda: ShortLegSpec(3, 0, True), "t True"),
+    (lambda: ShortLegSpec(3.0, 1, 1), "ell 3.0"),
+    (lambda: extend_with_leaves(path_tree(2), Labeling.from_sequence([0, 1]), 0, 1.0),
+     "t_count 1.0"),
+    (lambda: zigzag_alpha_path("3"), "vertex count '3'"),
+    (lambda: alpha_path_end_label("3", 0), "vertex count '3'"),
+    (lambda: short_leg_formula("3", 2), "ell '3'"),
+    (lambda: short_leg_formula(3, 2.0), "s 2.0"),
+    (lambda: attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 0.0, 3), "u 0.0"),
+    (lambda: attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 0, "3"), "n '3'"),
+    (lambda: alpha_path_end_label(7, 0, 3.0), "required_index 3.0"),
+], ids=["three_long", "build_spider", "path_tree", "doubling", "zero_at", "end_label",
+        "spec_t", "spec_ell", "t_count", "zigzag", "end_label_n", "formula_ell", "formula_s",
+        "attach_u", "attach_n", "required_index"])
 def test_non_int_sizes_rejected(call, value):
-    # Each used to end in a TypeError from deep inside the construction.
+    # Each used to end in a TypeError from deep inside the construction, or
+    # was accepted (a bool leg count, a float index).
     with pytest.raises(ValidationError, match=f"^{value} is not an int$"):
         call()
