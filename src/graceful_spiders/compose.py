@@ -23,6 +23,7 @@ from .model import (
     Spider,
     Tree,
     _center_first,
+    _check_int,
     _check_legs,
     build_spider,
     certified,
@@ -44,6 +45,8 @@ def amalgamate(
     becomes g.n + w when w < v and g.n + w - 1 when w > v. The result is
     checked graceful before it is returned.
     """
+    _check_int("u", u)
+    _check_int("v", v)
     if not 0 <= u < g.tree.n:
         raise ValidationError(f"vertex {u} not in G")
     if not 0 <= v < h_tree.n:

@@ -15,8 +15,11 @@ list takes it too when it is n-1 (parent, child) pairs whose children are
 1..n-1, each once, in any order, as every list this package writes is: the
 list is read as the array (-1, parents by child) and keeps no edge tuple.
 Any other list (reversed or mixed pairs, faults, non-int entries) takes
-the checked route, which names the first fault. The checks read edges as
-the pairs (v, parent[v]): a spider's leg edge is `parent[tail] == head`,
+the checked route, which names the first fault. The parent check and the
+checked route keep the one int rule of `_check_int`, of every size
+argument and of every document: a vertex is an int and not a bool, so an
+endpoint 1.0, True or "1" is a fault, not vertex 1. The checks read edges
+as the pairs (v, parent[v]): a spider's leg edge is `parent[tail] == head`,
 and a labeling's edge labels are |f(v) - f(parent[v])|.
 
 The validators make each check as a few whole-list passes (sets, min/max,
@@ -139,13 +142,14 @@ class Tree(_Record):
     order, is read as the parent array (-1, parents by child) and goes
     through that check. Every other list, and every array that fails the
     check (read as the edges (p[v], v), v >= 1), takes the checked route:
-    the pairs one by one in input order (endpoints, self-loops, range), sorted, a
-    duplicate scan, the vertex and edge counts, and a depth-first search
-    that decides connectivity and finds the parents; the first fault is
-    named. `edges` is the sorted tuple of (min, max) pairs; the checked
-    route seeds it, a tree that passed the fast check derives it on first
-    read. Equality, hash, repr and pickling go through `(n, edges)`, so a
-    tree is the same value either way it was built.
+    the pairs one by one in input order (two endpoints, each an int and not
+    a bool, no self-loop, in range), sorted, a duplicate scan, the vertex
+    and edge counts, and a depth-first search that decides connectivity and
+    finds the parents; the first fault is named. `edges` is the sorted
+    tuple of (min, max) pairs; the checked route seeds it, a tree that
+    passed the fast check derives it on first read. Equality, hash, repr
+    and pickling go through `(n, edges)`, so a tree is the same value
+    either way it was built.
     """
 
     __slots__ = ("n", "parent", "_edges")
@@ -265,33 +269,24 @@ def _parent_pairs(n: int, parent: tuple) -> list[tuple]:
 
 
 def _checked_pairs(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> list[tuple[int, int]]:
-    """Edges as (min, max) int pairs; raises for the first self-loop,
-    out-of-range edge or unreadable endpoint in input order, naming its
-    endpoints as given."""
+    """Edges as (min, max) int pairs; raises for the first entry with no two
+    endpoints, endpoint that is not an int, self-loop or out-of-range edge
+    in input order, naming it as given."""
     norm = []
     for e in edges:
-        a, b = e[0], e[1]
+        try:
+            a, b = e[0], e[1]
+        except (TypeError, LookupError):
+            raise ValidationError(f"edge {e!r} is not a pair of endpoints") from None
         if type(a) is not int or type(b) is not int:
-            a, b = _endpoint(a), _endpoint(b)
+            bad = b if type(a) is int else a
+            raise ValidationError(f"edge endpoint {bad!r} is not an integer")
         if a == b:
             raise ValidationError(f"self-loop at vertex {a}")
         if not (0 <= a < n and 0 <= b < n):
             raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
         norm.append((min(a, b), max(a, b)))
     return norm
-
-
-def _endpoint(x) -> int:
-    """An edge endpoint that is not an int, read by int(): True, 1.0 and "1"
-    are vertex 1. Raises when int() cannot read it or would change its value,
-    so 1.5 is not read as 1."""
-    try:
-        v = int(x)
-        if v == x or type(x) is str:
-            return v
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"edge endpoint {x!r} is not an integer")
 
 
 def _check_int(what: str, value) -> None:
@@ -327,6 +322,7 @@ class Spider(_Record):
 
     def __post_init__(self):
         t, c = self.tree, self.center
+        _check_int("center", c)
         if not (0 <= c < t.n):
             raise ValidationError(f"center {c} out of range")
         heads: list[int] = []
@@ -345,11 +341,11 @@ class Spider(_Record):
     def _check_layout(self):
         """The one fault loop, the check of every layout but build_spider's
         numbering: it walks the legs vertex by vertex and raises for the
-        first fault in leg order (an empty leg, a vertex seen before or the
-        center, a leg edge missing from the tree, legs that leave a vertex
-        out), or returns. Distinct leg vertices that cover the tree along
-        its edges use all n-1 of them, so no non-center vertex can have
-        degree > 2."""
+        first fault in leg order (an empty leg, a vertex that is not an int,
+        a vertex seen before or the center, a leg edge missing from the
+        tree, legs that leave a vertex out), or returns. Distinct leg
+        vertices that cover the tree along its edges use all n-1 of them, so
+        no non-center vertex can have degree > 2."""
         t = self.tree
         seen: set[int] = {self.center}
         edge_set = set(t.edges)
@@ -358,6 +354,7 @@ class Spider(_Record):
                 raise ValidationError("empty leg")
             prev = self.center
             for v in leg:
+                _check_int("leg vertex", v)
                 if v in seen:
                     raise ValidationError(f"vertex {v} appears in two legs")
                 seen.add(v)
@@ -517,10 +514,10 @@ def alpha_index(t: Tree, lab: Labeling) -> int | None:
     """
     if not is_graceful(t, lab):
         raise ValidationError("alpha_index requires a graceful labeling")
-    if t.n == 1:
-        return 0
     f = lab.as_sequence(t.n)
-    alpha, above = -1, t.n  # labels lie in [0, m]; m + 1 = n
+    # Labels lie in [0, m], m + 1 = n; the vertex labeled 0 is the low end of
+    # its edges, so the maximum low end starts at 0 (and stays 0 on one vertex).
+    alpha, above = 0, t.n
     for lo, hi in zip(islice(f, 1, None), map(f.__getitem__, islice(t.parent, 1, None))):
         if lo > hi:
             lo, hi = hi, lo
@@ -537,6 +534,7 @@ class AlphaLabeling(_Record):
     __slots__ = ("tree", "labeling", "alpha")
 
     def __post_init__(self):
+        _check_int("alpha", self.alpha)
         got = alpha_index(self.tree, self.labeling)
         if got != self.alpha:
             raise ValidationError(

@@ -46,7 +46,7 @@ import time
 from collections.abc import Mapping
 
 from .errors import ValidationError
-from .model import Labeling, Tree, _Record
+from .model import Labeling, Tree, _Record, _check_int
 
 DEFAULT_ORACLE_BUDGET = 10**8
 
@@ -164,9 +164,12 @@ def _run(
     ("count": weigh each labeling by the symmetries it stands for) and
     enumerate ("enumerate": keep every labeling, use no symmetry)."""
     m = t.m
+    _check_int("budget", budget)
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget}")
     for v, lab in fixed.items():
+        _check_int("fixed vertex", v)
+        _check_int("fixed label", lab)
         if not 0 <= v < t.n:
             raise ValidationError(f"fixed vertex {v} not in the tree")
         if not 0 <= lab <= m:

@@ -44,6 +44,13 @@ rules carry the choices, both forced by Lemma 2(c)'s infeasible pair
   block twice. With it, 362 pairs with n <= 400 are residues, 912 with
   n <= 1000.
 
+Every zero-position labeling that is not a zigzag or a literal ends in the
+one band step, `_extend_by_band`: a block with 0 at index z keeps its lows,
+lifts its highs to the top of P_n, and continues past its last label with a
+low-endpoint band on the middle labels, entered by a bridge of difference
+the band's size. `_zero_at_construct` applies it to a zigzag arm,
+`_zero_at_residue` to a smaller zero-position block.
+
 Each choice is backed by an O(1) check that raises
 `ConstructionInvariantError`, never by a fallback. Nothing here searches:
 listing every alpha-labeling of a small path is the oracle's job
@@ -51,8 +58,12 @@ listing every alpha-labeling of a small path is the oracle's job
 
 Each public provider certifies its result as it returns it (an
 `AlphaLabeling` re-verifies the index; `graceful_path_zero_at` checks
-gracefulness). The spider builders call the private `_*_seq` helpers, which
-return bare label sequences, and certify the finished spider once instead.
+gracefulness). The spider builders call the private helpers
+`_zero_at_seq`, `_alpha_zero_seq` and `_alpha_low_end`, which return bare
+label sequences, and certify the finished spider once instead.
+`alpha_path_end_label` has no `_seq` twin: no builder asks for an end label
+(the attachment step calls `_alpha_low_end` directly), so its checks, its
+choice of class and its index sit in the public function.
 """
 
 from __future__ import annotations
@@ -248,8 +259,6 @@ def graceful_path_zero_at(n: int, position: int) -> Labeling:
 
 def _zero_at_seq(n: int, position: int) -> list[int]:
     """Label sequence behind graceful_path_zero_at, not certified."""
-    if (n, position) == (5, 2):
-        return [1, 4, 0, 2, 3]  # graceful, but P_5 has no such alpha-labeling
     return _alpha_zero_seq(n, position)[0]
 
 
@@ -266,17 +275,21 @@ def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
     certify their whole spider once.
     """
     seq, alpha = _alpha_zero_seq(n, position)
+    if alpha is None:
+        raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
     return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
 
 
-def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int]:
-    """(label sequence, index) behind alpha_path_zero_at, not certified."""
+def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
+    """(label sequence, index) behind alpha_path_zero_at, not certified.
+    The center of P_5 has no alpha-labeling: its graceful labeling is a
+    literal, returned with the index None."""
     _check_vertex_count(n)
     _check_int("position", position)
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
     if (n, position) == (5, 2):
-        raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
+        return [1, 4, 0, 2, 3], None
     alpha = _alpha_of_sequence(n, position % 2 == 0)
     if position in (0, n - 1):
         seq = _alpha_low_end(n, 0)
@@ -294,14 +307,16 @@ def _zero_at_construct(n: int, position: int) -> list[int] | None:
     differences, the lows [0, q//2] and the top highs. The other arm then
     lives on a contiguous label band of its own size r = n-1-q, entered
     through a bridge edge of difference exactly r, which pins its endpoint
-    label to q//2 (`_band_after`). The arm at `position` is taken when that
-    label is feasible, else the other arm; None when neither is.
+    label to q//2. That is the band step of `_extend_by_band` on the
+    reversed zigzag of P_{q+1}, whose lows are [0, q//2]: lifting its highs
+    by r puts them on the top labels. The arm at `position` is taken when
+    the band's endpoint is feasible, else the other arm; None when neither
+    is.
     """
     for q in (position, n - 1 - position):
         if 0 < q < n - 1 and _low_end_feasible(n - 1 - q, q // 2):
-            # The arm is the zigzag's first q+1 labels, reversed to end at 0.
-            arm = _alpha_low_end(q + 1, 0, 1, 0, n - 1 - q)[::-1]
-            seq = _band_after(arm, q // 2, n)
+            # The arm is the zigzag of P_{q+1}, reversed to end at 0.
+            seq = _extend_by_band(_alpha_low_end(q + 1, 0)[::-1], q, n)
             return seq if q == position else seq[::-1]
     return None
 
@@ -339,26 +354,18 @@ def _extend_by_band(blk: list[int], z: int, n: int) -> list[int]:
     """Extend an alpha-labeling `blk` of P_b with 0 at index z (so its lows
     sit on z's parity) to an alpha-labeling of P_n with 0 at index z.
 
-    The block keeps its lows [0, a] and lifts its highs by n - b, so it
-    uses the top differences; `_band_after` appends the rest.
+    The one band step. The block keeps its lows [0, a] and lifts its highs
+    by r = n - b onto the top labels, so it uses the top differences. Past
+    its last vertex, label e, the path continues with r vertices on the
+    labels [a+1, a+r], entered by a bridge of difference r: the band's first
+    label is e + r when e is low and e - r when high, so it sits in the
+    class opposite e. A high first label is the complement of a low-end
+    labeling, a low one the low-end labeling itself, both written through
+    the map of `_alpha_low_end`.
     """
-    b = len(blk)
-    a = _alpha_of_sequence(b, z % 2 == 0)
-    return _band_after([x if x <= a else x + n - b for x in blk], a, n)
-
-
-def _band_after(out: list[int], a: int, n: int) -> list[int]:
-    """Append to `out` the band that completes an alpha-labeling of P_n.
-
-    `out` is an alpha-labeled block whose lows are [0, a] and whose highs
-    are the top labels of P_n. Past its last vertex, label e, the path
-    continues with r = n - len(out) vertices on the labels [a+1, a+r],
-    entered by a bridge of difference r: the band's first label is e + r
-    when e is low and e - r when high, so it sits in the class opposite e.
-    A high first label is the complement of a low-end labeling, a low one
-    the low-end labeling itself, both written through the map.
-    """
-    r = n - len(out)
+    r = n - len(blk)
+    a = _alpha_of_sequence(len(blk), z % 2 == 0)
+    out = [x if x <= a else x + r for x in blk]
     e = out[-1]
     if e <= a:
         j, s, lo = a - e, -1, a + r
@@ -385,14 +392,6 @@ def alpha_path_end_label(
     the complement symmetry when the endpoint is a high label). The
     returned `AlphaLabeling` certifies gracefulness and the index.
     """
-    seq, alpha = _alpha_end_seq(n, end_label, required_index)
-    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
-
-
-def _alpha_end_seq(
-    n: int, end_label: int, required_index: int | None = None
-) -> tuple[list[int], int]:
-    """(label sequence, index) behind alpha_path_end_label, not certified."""
     _check_vertex_count(n)
     if n < 2:
         raise ValidationError("n must be >= 2")
@@ -418,14 +417,15 @@ def _alpha_end_seq(
     if end_label <= hi_index and required_index in (None, hi_index):
         # Low endpoint; the low class carries the larger index and sits on
         # the even positions, endpoint included.
-        return _alpha_low_end(n, end_label), _alpha_of_sequence(n, True)
-    if end_label > lo_index and required_index in (None, lo_index):
+        seq, alpha = _alpha_low_end(n, end_label), hi_index
+    elif end_label > lo_index and required_index in (None, lo_index):
         # High endpoint; complement a low-endpoint labeling, which swaps the
         # classes and turns the index into lo_index.
-        seq = _alpha_low_end(n, (n - 1) - end_label, -1, n - 1, n - 1)
-        return seq, _alpha_of_sequence(n, False)
-    raise InfeasibleError(
-        f"no alpha-labeling of P_{n} has endpoint label {end_label}"
-        + (f" with index {required_index}" if required_index is not None else "")
-    )
+        seq, alpha = _alpha_low_end(n, (n - 1) - end_label, -1, n - 1, n - 1), lo_index
+    else:
+        raise InfeasibleError(
+            f"no alpha-labeling of P_{n} has endpoint label {end_label}"
+            + (f" with index {required_index}" if required_index is not None else "")
+        )
+    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
 

@@ -40,13 +40,8 @@ class ShortLegSpec(_Record):
         _check_vertex_count(self.m + 1)
 
     @property
-    def m_prime(self) -> int:
-        """Edge count of the reduced spider (length-1 legs stripped)."""
-        return 2 * self.s + self.ell
-
-    @property
     def m(self) -> int:
-        return self.m_prime + self.t
+        return 2 * self.s + self.ell + self.t
 
     @property
     def leg_lengths(self) -> list[int]:
@@ -116,6 +111,7 @@ def extend_with_leaves(
 
     Preserves gracefulness and the center label.
     """
+    _check_int("center", center)
     _check_int("t_count", t_count)
     _check_vertex_count(t.n + t_count)
     if t_count < 0:

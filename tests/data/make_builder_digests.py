@@ -33,6 +33,13 @@ newline (`json.dumps` of a list, default separators):
   few short parts (non-increasing lists; the builder's output does not
   depend on the order of the legs); the row is [legs, leg lengths of the
   returned spider, labels by vertex id].
+- "paths_n60": the public path providers on every P_n, n <= 60: for each n,
+  `zigzag_alpha_path(n)`; `alpha_path_zero_at` and `graceful_path_zero_at`
+  at every position; and `alpha_path_end_label` at every end label, each
+  with the index None, n // 2 - 1 and (n + 1) // 2 - 1. The row is [provider,
+  n, arguments..., result]: the result is [labels by vertex id, alpha] for
+  an alpha-labeling, the label list for `graceful_path_zero_at`, and [error
+  type, message] when the call raises a `GracefulError`.
 
 The file is frozen: the tests recompute each digest, so a change to a
 builder, to `Tree`'s edge normalization or to `Labeling` that alters any
@@ -197,11 +204,41 @@ def three_long_sweep_digest() -> str:
     return h.hexdigest()
 
 
+def paths_sweep_digest(max_n: int = 60) -> str:
+    from graceful_spiders import paths
+    from graceful_spiders.errors import GracefulError
+
+    def result(provider, *args):
+        try:
+            lab = provider(*args)
+        except GracefulError as exc:
+            return [type(exc).__name__, str(exc)]
+        if hasattr(lab, "alpha"):
+            return [lab.labeling.as_sequence(lab.tree.n), lab.alpha]
+        return lab.as_sequence(len(lab))
+
+    h = hashlib.sha256()
+
+    def row(*fields):
+        h.update(json.dumps(list(fields)).encode() + b"\n")
+
+    for n in range(1, max_n + 1):
+        row("zigzag", n, result(paths.zigzag_alpha_path, n))
+        for p in range(n):
+            row("alpha_zero_at", n, p, result(paths.alpha_path_zero_at, n, p))
+            row("graceful_zero_at", n, p, result(paths.graceful_path_zero_at, n, p))
+        for e in range(n):
+            for index in (None, n // 2 - 1, (n + 1) // 2 - 1):
+                row("end_label", n, e, index, result(paths.alpha_path_end_label, n, e, index))
+    return h.hexdigest()
+
+
 SWEEPS = {
     "doubling_m60": doubling_sweep_digest,
     "attach_zigzag_p12": attach_sweep_digest,
     "short_m": short_sweep_digest,
     "three_long_pairs_m40": three_long_sweep_digest,
+    "paths_n60": paths_sweep_digest,
 }
 
 

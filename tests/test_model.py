@@ -23,7 +23,10 @@ from graceful_spiders.model import (
     path_tree,
 )
 from graceful_spiders.attach import attach_path
-from graceful_spiders.paths import alpha_path_end_label, alpha_path_zero_at, zigzag_alpha_path
+from graceful_spiders.oracle import count_graceful, find_graceful
+from graceful_spiders.paths import (
+    alpha_path_end_label, alpha_path_zero_at, graceful_path_zero_at, zigzag_alpha_path,
+)
 from graceful_spiders.short_legs import (
     ShortLegSpec, extend_with_leaves, label_short_leg_spider, short_leg_formula,
 )
@@ -195,10 +198,6 @@ class TestTree:
         with pytest.raises(ValidationError, match=f"^vertex count {n!r} is not an int$"):
             Tree(n, parent=[-1, 0, 1])
 
-    def test_parent_array_int_like_entries_converted(self):
-        t = Tree(3, parent=[-1, 0, 1.0])
-        assert t == path_tree(3) and all(type(p) is int for p in t.parent)
-
     def test_parent_array_not_aliased(self):
         # The tree keeps a tuple of its own: changing the list it was given
         # changes neither its parents nor its edges.
@@ -226,12 +225,6 @@ class TestTree:
             Tree(3, [(3, -1), (2, 2)])
         with pytest.raises(ValidationError, match="^self-loop at vertex 2$"):
             Tree(3, [(2, 2), (3, -1)])
-
-    @pytest.mark.parametrize("edges", [[("2", 1.0), [True, 0]], [(2, 1.0), (True, 0)]])
-    def test_int_like_endpoints_converted(self, edges):
-        t = Tree(3, edges)
-        assert t.edges == ((0, 1), (1, 2))
-        assert all(type(x) is int for e in t.edges for x in e)
 
 
 class TestParentRead:
@@ -277,12 +270,25 @@ class TestParentRead:
         (2, [(0, "x")], None, "'x'"),
         (2, [(None, 1)], None, "None"),
         (2, None, [-1, 0.5], "0.5"),
+        (3, [("2", 1.0), [True, 0]], None, "'2'"),
+        (3, [(2, 1), (True, 0)], None, "True"),
+        (3, None, [-1, 0, 1.0], "1.0"),
     ])
     def test_non_integral_endpoint_named(self, n, edges, parent, value):
-        # Either route reads an endpoint by int() only when that keeps its
-        # value: (0, 1.5) used to be read as (0, 1), and "x" raised ValueError.
+        # An endpoint is an int or a fault, by the one rule of every size
+        # argument and document: (0, 1.5) used to be read as (0, 1), "x"
+        # raised ValueError, and "2", 1.0 and True were read as vertices.
         with pytest.raises(ValidationError, match=f"^edge endpoint {value} is not an integer$"):
             Tree(n, edges) if parent is None else Tree(n, parent=parent)
+
+    @pytest.mark.parametrize("n, edges, entry", [
+        (2, [(0,)], r"\(0,\)"),
+        (3, [(0, 1), 7], "7"),
+    ], ids=["one_endpoint", "not_a_sequence"])
+    def test_entry_without_two_endpoints_named(self, n, edges, entry):
+        # These used to end in an IndexError and a TypeError.
+        with pytest.raises(ValidationError, match=f"^edge {entry} is not a pair of endpoints$"):
+            Tree(n, edges)
 
     def test_amalgamate_at_zero_takes_the_parent_read(self, no_checked_route):
         g = alpha_path_zero_at(9, 4)
@@ -631,11 +637,33 @@ class TestTrace:
     (lambda: attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 0.0, 3), "u 0.0"),
     (lambda: attach_path(path_tree(2), Labeling.from_sequence([0, 1]), 0, "3"), "n '3'"),
     (lambda: alpha_path_end_label(7, 0, 3.0), "required_index 3.0"),
+    (lambda: graceful_path_zero_at(5, 2.0), "position 2.0"),
+    (lambda: AlphaLabeling(path_tree(3), Labeling.from_sequence([0, 2, 1]), 1.0), "alpha 1.0"),
+    (lambda: AlphaLabeling(path_tree(3), Labeling.from_sequence([0, 2, 1]), True), "alpha True"),
+    (lambda: AlphaLabeling(path_tree(3), Labeling.from_sequence([0, 2, 1]), "1"), "alpha '1'"),
+    (lambda: Spider(path_tree(3), 0.0, ((1, 2),)), "center 0.0"),
+    (lambda: Spider(path_tree(3), "0", ((1, 2),)), "center '0'"),
+    (lambda: Spider(path_tree(3), 0, (("x", 2),)), "leg vertex 'x'"),
+    (lambda: amalgamate(zigzag_alpha_path(3), "0", path_tree(2),
+                        Labeling.from_sequence([0, 1]), 0), "u '0'"),
+    (lambda: amalgamate(zigzag_alpha_path(3), 0, path_tree(2),
+                        Labeling.from_sequence([0, 1]), 0.0), "v 0.0"),
+    (lambda: extend_with_leaves(path_tree(2), Labeling.from_sequence([0, 1]), "0", 1),
+     "center '0'"),
+    (lambda: find_graceful(path_tree(3), fixed={True: 0}), "fixed vertex True"),
+    (lambda: find_graceful(path_tree(3), fixed={"a": 1}), "fixed vertex 'a'"),
+    (lambda: find_graceful(path_tree(3), fixed={0: 1.0}), "fixed label 1.0"),
+    (lambda: find_graceful(path_tree(3), budget=None), "budget None"),
+    (lambda: count_graceful(path_tree(3), budget=2.5), "budget 2.5"),
 ], ids=["three_long", "build_spider", "path_tree", "doubling", "zero_at", "end_label",
         "spec_t", "spec_ell", "t_count", "zigzag", "end_label_n", "formula_ell", "formula_s",
-        "attach_u", "attach_n", "required_index"])
+        "attach_u", "attach_n", "required_index", "graceful_zero_at", "alpha_float",
+        "alpha_bool", "alpha_str", "spider_center_float", "spider_center_str",
+        "spider_leg_vertex", "amalgamate_u", "amalgamate_v", "leaves_center",
+        "fixed_vertex_bool", "fixed_vertex_str", "fixed_label", "budget_none", "budget_float"])
 def test_non_int_sizes_rejected(call, value):
     # Each used to end in a TypeError from deep inside the construction, or
-    # was accepted (a bool leg count, a float index).
+    # was accepted (a bool leg count, a float index, a float center), or was
+    # refused with a message about something else ("vertex 0 is not labeled").
     with pytest.raises(ValidationError, match=f"^{value} is not an int$"):
         call()
