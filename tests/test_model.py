@@ -179,6 +179,7 @@ class TestTree:
         (0, [-1], "parent array of length 1 for n=0"),
         (2, [0, 0], "vertex 0 has parent 0, not -1"),
         (0, [], "tree needs at least one vertex"),
+        (2, [-1.0, 0], "vertex 0 has parent -1.0, not -1"),
     ])
     def test_parent_array_shape(self, n, parent, message):
         with pytest.raises(ValidationError) as info:
@@ -228,13 +229,15 @@ class TestTree:
 
 
 class TestParentRead:
-    """An edge list of (parent, child) pairs, children 1..n-1, is read as a
-    parent array; every other list takes the checked route."""
+    """An edge list in any order and orientation is read by one reader, leaf
+    peeling, into the parent array; the fault loop (`_checked_pairs`, then
+    the sort, the duplicate scan and the counts) runs only for a list that
+    the reader refuses, and names its first fault."""
 
     @pytest.fixture
     def no_checked_route(self, monkeypatch):
         def refuse(n, edges):
-            raise AssertionError("edge list took the checked route")
+            raise AssertionError("edge list reached the fault loop")
 
         monkeypatch.setattr(model, "_checked_pairs", refuse)
 
@@ -245,22 +248,19 @@ class TestParentRead:
                                                   f"got {len(edges)}$"):
             Tree(n, edges)
 
-    def test_reversed_shuffled_pairs_give_the_same_tree(self, monkeypatch):
+    def test_reversed_shuffled_pairs_give_the_same_tree(self, no_checked_route):
         t = label_three_long_legs([50000, 30000, 19992, 2, 2, 1, 1, 1, 1])[0].tree
         pairs = [(b, a) for a, b in t.edges]
         random.Random(5).shuffle(pairs)
-        calls = []
-        checked = model._checked_pairs
-        monkeypatch.setattr(model, "_checked_pairs", lambda n, e: calls.append(n) or checked(n, e))
         u = Tree(t.n, pairs)
-        assert calls == [t.n] and t.m == 10**5
+        assert t.m == 10**5
         assert u.parent == t.parent and u.edges == t.edges and hash(u) == hash(t)
 
     def test_library_document_takes_the_parent_read(self, no_checked_route):
         spider, lab = label_short_leg_spider(ShortLegSpec(9, 3, 2))
         tree, labeling, read = from_document(to_document(spider.tree, lab, spider))
-        assert tree._edges is None
-        assert tree.parent == spider.tree.parent and read == spider and labeling == lab
+        assert tree.parent == spider.tree.parent and tree.edges == spider.tree.edges
+        assert hash(tree) == hash(spider.tree) and read == spider and labeling == lab
 
     @pytest.mark.parametrize("n, edges, parent, value", [
         (3, [(0, 1.5), (1, 2)], None, "1.5"),
@@ -273,6 +273,8 @@ class TestParentRead:
         (3, [("2", 1.0), [True, 0]], None, "'2'"),
         (3, [(2, 1), (True, 0)], None, "True"),
         (3, None, [-1, 0, 1.0], "1.0"),
+        (3, [(0, 1.0), (1, 2)], None, "1.0"),
+        (3, [(0, True), (1, 2)], None, "True"),
     ])
     def test_non_integral_endpoint_named(self, n, edges, parent, value):
         # An endpoint is an int or a fault, by the one rule of every size
@@ -284,9 +286,12 @@ class TestParentRead:
     @pytest.mark.parametrize("n, edges, entry", [
         (2, [(0,)], r"\(0,\)"),
         (3, [(0, 1), 7], "7"),
-    ], ids=["one_endpoint", "not_a_sequence"])
+        (3, [(0, 1, 9), (1, 2, 9)], r"\(0, 1, 9\)"),
+        (2, [{0, 1}], r"\{0, 1\}"),
+    ], ids=["one_endpoint", "not_a_sequence", "three_endpoints", "a_set"])
     def test_entry_without_two_endpoints_named(self, n, edges, entry):
-        # These used to end in an IndexError and a TypeError.
+        # The first two used to end in an IndexError and a TypeError, and
+        # (0, 1, 9) was read as the edge (0, 1).
         with pytest.raises(ValidationError, match=f"^edge {entry} is not a pair of endpoints$"):
             Tree(n, edges)
 
@@ -294,7 +299,11 @@ class TestParentRead:
         g = alpha_path_zero_at(9, 4)
         spider, lab = label_short_leg_spider(ShortLegSpec(5, 2, 1))
         tree, joined = amalgamate(g, 4, spider.tree, lab, 0)
-        assert tree._edges is None
+        # At v = 0 H's vertex w > 0 becomes g.n + w - 1, and H's center is u.
+        ids = [4, *range(g.tree.n, tree.n)]
+        edges = sorted([*g.tree.edges, *((ids[a], ids[b]) for a, b in spider.tree.edges)])
+        assert tree.parent == tuple(parents_toward_zero(tree.n, edges))
+        assert tree.edges == tuple(edges) and hash(tree) == hash((tree.n, tuple(edges)))
         assert is_graceful(tree, joined) and tree.m == g.tree.m + spider.tree.m
 
 
