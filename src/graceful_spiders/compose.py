@@ -13,7 +13,7 @@ one amalgamation at the center glues them.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add
 
 from .errors import ConstructionInvariantError, ValidationError
@@ -61,9 +61,14 @@ def amalgamate(
         raise ValidationError(f"v must be labeled 0, got {h_labeling[v]}")
     n_g = g.tree.n
     ids = [*range(n_g, n_g + v), u, *range(n_g + v, n_g + h_tree.n - 1)]
-    edges = list(g.tree.edges)
-    edges += [(ids[a], ids[b]) for a, b in h_tree.edges]
-    tree = Tree(n_g + h_tree.n - 1, edges)
+    if v == 0:
+        # H's vertices keep their order after G's, so the joined parent
+        # array keeps parent[x] < x whenever both arrays have it.
+        tree = Tree(n_g + h_tree.n - 1, parent=(
+            *g.tree.parent, *map(ids.__getitem__, islice(h_tree.parent, 1, None))))
+    else:
+        tree = Tree(n_g + h_tree.n - 1,
+                    [*g.tree.edges, *((ids[a], ids[b]) for a, b in h_tree.edges)])
     labels = _amalgam_labels(
         g.labeling.as_sequence(n_g),
         g.alpha,

@@ -11,18 +11,18 @@ vertex 0. The builders number every tree they make so that `parent[v] < v`,
 which alone makes the array a tree; they write it directly, and
 `Tree.edges` derives the edge tuples from it on each read. A tree has one
 fast check, on the parent array: every `parent[v]` is an int in [0, v). An
-edge list has one reader, `_peeled`, for any order and orientation: checks
-of the whole list (n-1 entries, each of length 2 with two int endpoints in
-range), then one pass of leaf peeling, in which each vertex keeps its
-degree and the XOR of its neighbours, so a leaf's one neighbour, its
-parent, is that XOR. A parent array that fails the fast check is read the
-same way, as its edges (parent[v], v). Only a list the reader refuses
-reaches the fault loop, which names the first fault in input order. Every
-check keeps the one int rule of `_check_int`, of every size argument and
-of every document: a vertex is an int and not a bool, so an endpoint 1.0,
-True or "1" is a fault, not vertex 1. At 10^6 edges the reader takes about
-0.7 us per edge in either orientation and 2.0-2.4 us on shuffled pairs
-(Python 3.11, two shared vCPUs). The checks read edges as the pairs
+edge list has one reader, `_edge_parents`, for any order and orientation:
+checks of the whole list (n-1 entries, each of length 2 with two int
+endpoints in range), then a direct read when the pairs are (parent, child)
+with each parent below its child, as in every list this package writes,
+and else one pass of leaf peeling, in which each vertex keeps its degree
+and the XOR of its neighbours, so a leaf's one neighbour, its parent, is
+that XOR. A parent array that fails the fast check is read the same way,
+as its edges (parent[v], v). Only a list the reader refuses reaches the
+fault loop, which names the first fault in input order. Every check keeps
+the one int rule of `_check_int`, of every size argument and of every
+document: a vertex is an int and not a bool, so an endpoint 1.0, True or
+"1" is a fault, not vertex 1. The checks read edges as the pairs
 (v, parent[v]): a spider's leg edge is `parent[tail] == head`, and a
 labeling's edge labels are |f(v) - f(parent[v])|.
 
@@ -141,17 +141,19 @@ class Tree(_Record):
     anything else copied into one, so no caller can change a checked array)
     when every `p[v]` is an int in [0, v): that alone makes a tree, and it
     is the one fast check. `Tree(n, edges)` takes an edge list in any order
-    and orientation through one reader, `_peeled`: whole-list checks (n-1
-    entries, each of length 2 with two int endpoints in range), then one
-    pass of leaf peeling that finds the parents. An array that fails the
-    fast check goes to the same reader as the edges (p[v], v), v >= 1. Only
-    a list the reader refuses reaches the fault loop, which names the first
-    fault: the pairs one by one in input order (two endpoints, each an int
-    and not a bool, no self-loop, in range), sorted, a duplicate scan, the
-    vertex and edge counts, and else "edge set is not connected". `edges`
-    is the sorted tuple of (min, max) pairs, derived from the parent array
-    on each read. Equality, hash, repr and pickling go through
-    `(n, edges)`, so a tree is the same value however it was built.
+    and orientation through one reader, `_edge_parents`: whole-list checks
+    (n-1 entries, each of length 2 with two int endpoints in range), then
+    a direct read of (parent, child) pairs with each parent below its
+    child, or else one pass of leaf peeling that finds the parents. An
+    array that fails the fast check goes to the same reader as the edges
+    (p[v], v), v >= 1. Only a list the reader refuses reaches the fault
+    loop, which names the first fault: the pairs one by one in input order
+    (two endpoints, each an int and not a bool, no self-loop, in range),
+    sorted, a duplicate scan, the vertex and edge counts, and else "edge
+    set is not connected". `edges` is the sorted tuple of (min, max)
+    pairs, derived from the parent array on each read. Equality, hash,
+    repr and pickling go through `(n, edges)`, so a tree is the same value
+    however it was built.
     """
 
     __slots__ = ("n", "parent")
@@ -171,7 +173,7 @@ class Tree(_Record):
                     and all(map(lt, islice(parent, 1, None), range(1, n)))):
                 edges = _parent_pairs(n, parent)
         if edges is not None:
-            parent = _peeled(n, edges)
+            parent = _edge_parents(n, edges)
         if parent is None:
             norm = sorted(_checked_pairs(n, edges))
             for prev, cur in zip(norm, islice(norm, 1, None)):
@@ -214,22 +216,26 @@ class Tree(_Record):
         return self.n - 1
 
     def degree(self, v: int) -> int:
-        """Degree of v; one O(m) scan, so callers needing every degree should
-        count over `edges` once instead."""
-        return sum(1 for a, b in self.edges if v in (a, b))
+        """Degree of v: its children in the parent array, and its parent
+        unless v is vertex 0; one O(n) count."""
+        return self.parent[1:].count(v) + (0 < v < self.n)
 
 
-def _peeled(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | None:
+def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | None:
     """The parent array of the edge list when it is a tree on 0..n-1, else
     None. Whole-list checks come first: n-1 entries, each of length 2 with
     two int endpoints in range, read as `e[0]`, `e[1]` by the rule of
     `_checked_pairs`. Nothing sized by n is made before they pass, so a
-    vertex count far past the list's length costs nothing. Each vertex
-    keeps its degree and the XOR of its neighbours, so a leaf's one
-    neighbour is that XOR: peeling the leaves other than 0 one at a time
-    gives each its parent, and the list is a tree exactly when all n-1 of
-    them peel. A leaf whose degree has dropped to 0 by its turn lies in a
-    component without vertex 0."""
+    vertex count far past the list's length costs nothing.
+
+    A list of (parent, child) pairs whose children are 1..n-1, each once,
+    each parent below its child, is read directly, as every list this
+    package writes is. Any other list is peeled: each vertex keeps its
+    degree and the XOR of its neighbours, so a leaf's one neighbour is that
+    XOR, and peeling the leaves other than 0 one at a time gives each its
+    parent. The list is a tree exactly when all n-1 of them peel. A leaf
+    whose degree has dropped to 0 by its turn lies in a component without
+    vertex 0."""
     try:
         ends = [*map(_FIRST, edges), *map(itemgetter(1), edges)]
         if (len(edges) != n - 1 or set(map(len, edges)) - {2} or set(map(type, ends)) - {int}
@@ -237,8 +243,15 @@ def _peeled(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | None:
             return None
     except (TypeError, LookupError):
         return None
+    # ends holds every first endpoint, then every second one. A slot that
+    # no pair sets keeps n, which fails parent[v] < v; so does a pair that
+    # sets slot 0, since some other slot is then left unset.
+    parent = [-1] + [n] * (n - 1)
+    for child, p in zip(islice(ends, n - 1, None), ends):
+        parent[child] = p
+    if all(map(lt, islice(parent, 1, None), range(1, n))):
+        return tuple(parent)
     degree, xor, parent = [0] * n, [0] * n, [-1] * n
-    # ends holds every first endpoint, then every second one.
     for a, b in zip(ends, islice(ends, n - 1, None)):
         degree[a] += 1
         degree[b] += 1

@@ -213,6 +213,11 @@ class TestTree:
         with pytest.raises(TypeError):
             Tree(2, [(0, 1)], parent=[-1, 0])
 
+    def test_degree_counts_edges(self):
+        t = Tree(6, [(2, 0), (2, 1), (2, 3), (3, 4), (5, 4)])
+        ends = [x for e in t.edges for x in e]
+        assert [t.degree(v) for v in range(-1, 7)] == [ends.count(v) for v in range(-1, 7)]
+
     def test_connected_without_fast_path(self):
         # Vertex 2 is the larger endpoint of both edges.
         assert Tree(3, [(0, 2), (1, 2)]).edges == ((0, 2), (1, 2))
@@ -229,10 +234,10 @@ class TestTree:
 
 
 class TestParentRead:
-    """An edge list in any order and orientation is read by one reader, leaf
-    peeling, into the parent array; the fault loop (`_checked_pairs`, then
-    the sort, the duplicate scan and the counts) runs only for a list that
-    the reader refuses, and names its first fault."""
+    """An edge list in any order and orientation is read by one reader into
+    the parent array; the fault loop (`_checked_pairs`, then the sort, the
+    duplicate scan and the counts) runs only for a list that the reader
+    refuses, and names its first fault."""
 
     @pytest.fixture
     def no_checked_route(self, monkeypatch):
@@ -240,6 +245,13 @@ class TestParentRead:
             raise AssertionError("edge list reached the fault loop")
 
         monkeypatch.setattr(model, "_checked_pairs", refuse)
+
+    @pytest.fixture
+    def no_edge_read(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("parent array was read as an edge list")
+
+        monkeypatch.setattr(model, "_edge_parents", refuse)
 
     @pytest.mark.parametrize("n, edges", [(10**30, []), (sys.maxsize, [(0, 1)])])
     def test_huge_vertex_count_is_an_edge_count_fault(self, n, edges):
@@ -290,12 +302,10 @@ class TestParentRead:
         (2, [{0, 1}], r"\{0, 1\}"),
     ], ids=["one_endpoint", "not_a_sequence", "three_endpoints", "a_set"])
     def test_entry_without_two_endpoints_named(self, n, edges, entry):
-        # The first two used to end in an IndexError and a TypeError, and
-        # (0, 1, 9) was read as the edge (0, 1).
         with pytest.raises(ValidationError, match=f"^edge {entry} is not a pair of endpoints$"):
             Tree(n, edges)
 
-    def test_amalgamate_at_zero_takes_the_parent_read(self, no_checked_route):
+    def test_amalgamate_at_zero_takes_the_parent_read(self, no_checked_route, no_edge_read):
         g = alpha_path_zero_at(9, 4)
         spider, lab = label_short_leg_spider(ShortLegSpec(5, 2, 1))
         tree, joined = amalgamate(g, 4, spider.tree, lab, 0)
