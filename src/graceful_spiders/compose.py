@@ -13,7 +13,7 @@ one amalgamation at the center glues them.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add
 
 from .errors import ConstructionInvariantError, ValidationError
@@ -42,7 +42,12 @@ def amalgamate(
 
     When u carries 0 rather than alpha, the flip is applied first. Result
     vertex ids: G keeps its ids (the identified vertex is u); an H vertex w
-    becomes g.n + w when w < v and g.n + w - 1 when w > v. The result is
+    becomes g.n + w when w < v and g.n + w - 1 when w > v. The tree is one
+    parent array: G's, then H's rooted at v (the links on v's path to H's
+    vertex 0 reversed) with v's slot dropped and the rest renumbered, so
+    v's neighbours hang from u. At v = 0 H's vertices keep their order after
+    G's and the array passes `Tree`'s fast check whenever both arrays do;
+    at other v it may not, and `Tree` reads it as its edges. The result is
     checked graceful before it is returned.
     """
     _check_int("u", u)
@@ -61,14 +66,12 @@ def amalgamate(
         raise ValidationError(f"v must be labeled 0, got {h_labeling[v]}")
     n_g = g.tree.n
     ids = [*range(n_g, n_g + v), u, *range(n_g + v, n_g + h_tree.n - 1)]
-    if v == 0:
-        # H's vertices keep their order after G's, so the joined parent
-        # array keeps parent[x] < x whenever both arrays have it.
-        tree = Tree(n_g + h_tree.n - 1, parent=(
-            *g.tree.parent, *map(ids.__getitem__, islice(h_tree.parent, 1, None))))
-    else:
-        tree = Tree(n_g + h_tree.n - 1,
-                    [*g.tree.edges, *((ids[a], ids[b]) for a, b in h_tree.edges)])
+    # Root H at v: reverse the parent links on v's path to H's vertex 0.
+    up, w, p = list(h_tree.parent), v, -1
+    while w >= 0:
+        up[w], w, p = p, up[w], w
+    del up[v]
+    tree = Tree(n_g + h_tree.n - 1, parent=(*g.tree.parent, *map(ids.__getitem__, up)))
     labels = _amalgam_labels(
         g.labeling.as_sequence(n_g),
         g.alpha,

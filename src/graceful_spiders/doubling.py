@@ -22,7 +22,7 @@ from .errors import ConstructionInvariantError, ValidationError
 from .model import (
     ConstructionTrace, Labeling, Spider, _center_first, _check_legs, build_spider, certified,
 )
-from .paths import _alpha_low_end, _zero_at_seq
+from .paths import _alpha_low_end, _alpha_zero_seq
 
 # The message of the one gracefulness check of a doubling build.
 _CONTRADICTION = (
@@ -79,7 +79,7 @@ def label_doubling_spider(
         # first leg's leaf (position 0 when s = 1).
         n = sum(lengths) + 1
         pos = lengths[0] if s == 2 else 0
-        path = _zero_at_seq(n, pos)
+        path = _alpha_zero_seq(n, pos)[0]
         trace.record("path_base", {"n": n, "zero_position": pos}, n - 1)
         final = _center_first(path, pos)
         return spider, certified(spider.tree, final, _CONTRADICTION, trace), trace

@@ -8,8 +8,12 @@ vertices is a plain dict.
 
 A tree is held as a parent array: `parent[v]` is v's neighbour toward
 vertex 0. The builders number every tree they make so that `parent[v] < v`,
-which alone makes the array a tree; they write it directly, and
-`Tree.edges` derives the edge tuples from it on each read. A tree has one
+which alone makes the array a tree, and they write it directly. The array
+is a tree's value: it is unique to the edge set, however it was read, so
+equality and hash go by `(n, parent)`, and library code reads nothing else.
+`Tree.edges` derives the sorted edge tuples on each read; only the document
+writers (`treedoc.to_document`, `treedoc.to_dot`), `repr` and pickling
+call it. A tree has one
 fast check, on the parent array: every `parent[v]` is an int in [0, v). An
 edge list has one reader, `_edge_parents`, for any order and orientation:
 checks of the whole list (n-1 entries, each of length 2 with two int
@@ -23,8 +27,9 @@ fault loop, which names the first fault in input order. Every check keeps
 the one int rule of `_check_int`, of every size argument and of every
 document: a vertex is an int and not a bool, so an endpoint 1.0, True or
 "1" is a fault, not vertex 1. The checks read edges as the pairs
-(v, parent[v]): a spider's leg edge is `parent[tail] == head`, and a
-labeling's edge labels are |f(v) - f(parent[v])|.
+(v, parent[v]): a spider's leg edge has one end the other's parent,
+`adjacency` lists each v >= 1 beside `parent[v]`, and a labeling's edge
+labels are |f(v) - f(parent[v])|.
 
 The validators make each check as a few whole-list passes (sets, min/max,
 `map` over the parent array) and run the per-edge or per-vertex loop that
@@ -150,10 +155,12 @@ class Tree(_Record):
     loop, which names the first fault: the pairs one by one in input order
     (two endpoints, each an int and not a bool, no self-loop, in range),
     sorted, a duplicate scan, the vertex and edge counts, and else "edge
-    set is not connected". `edges` is the sorted tuple of (min, max)
-    pairs, derived from the parent array on each read. Equality, hash,
-    repr and pickling go through `(n, edges)`, so a tree is the same value
-    however it was built.
+    set is not connected". The parent array toward vertex 0 is unique to
+    the edge set, so equality and hash go by the fields `(n, parent)` and a
+    tree is the same value however it was built. `edges` is the sorted
+    tuple of (min, max) pairs, derived from the parent array on each read;
+    `repr` and pickling go through `(n, edges)`, so a restored tree is read
+    and checked again.
     """
 
     __slots__ = ("n", "parent")
@@ -197,17 +204,17 @@ class Tree(_Record):
             return tuple(sorted(zip(islice(parent, 1, None), range(1, n)), key=_FIRST))
         return tuple(sorted((p, v) if p < v else (v, p) for v, p in enumerate(parent) if v))
 
-    def _astuple(self) -> tuple:
-        return self.n, self.edges
+    def __reduce__(self):
+        return Tree, (self.n, self.edges)
 
     def __repr__(self):
         return f"Tree(n={self.n!r}, edges={self.edges!r})"
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
+        for v, p in zip(range(1, self.n), islice(self.parent, 1, None)):
+            adj[v].append(p)
+            adj[p].append(v)
         return adj
 
     @property
@@ -346,9 +353,12 @@ class Spider(_Record):
             heads += leg[:-1]
             tails += leg
         # build_spider's numbering: center 0, the legs' vertices 1..n-1 in
-        # order, and each leg edge the edge from a vertex to its parent. An
-        # empty leg fails it, since it makes `heads` longer than `tails`.
-        if c == 0 and tails == list(range(1, t.n)) and list(islice(t.parent, 1, None)) == heads:
+        # order, each an int, and each leg edge the edge from a vertex to its
+        # parent. An empty leg fails it, since it makes `heads` longer than
+        # `tails`; the type pass sends a leg vertex 1.0 or True, which the
+        # list compare takes for 1, to the fault loop.
+        if (c == 0 and tails == list(range(1, t.n)) and set(map(type, tails)) == {int}
+                and list(islice(t.parent, 1, None)) == heads):
             return
         self._check_layout()
 
@@ -357,12 +367,13 @@ class Spider(_Record):
         numbering: it walks the legs vertex by vertex and raises for the
         first fault in leg order (an empty leg, a vertex that is not an int,
         a vertex seen before or the center, a leg edge missing from the
-        tree, legs that leave a vertex out), or returns. Distinct leg
-        vertices that cover the tree along its edges use all n-1 of them, so
-        no non-center vertex can have degree > 2."""
-        t = self.tree
+        tree, legs that leave a vertex out), or returns. A leg edge (prev, v)
+        is in the tree when either end is the other's parent; v is checked in
+        range first, as `parent[-1]` would wrap. Distinct leg vertices that
+        cover the tree along its edges use all n-1 of them, so no non-center
+        vertex can have degree > 2."""
+        t, parent = self.tree, self.tree.parent
         seen: set[int] = {self.center}
-        edge_set = set(t.edges)
         for leg in self.legs:
             if not leg:
                 raise ValidationError("empty leg")
@@ -372,7 +383,7 @@ class Spider(_Record):
                 if v in seen:
                     raise ValidationError(f"vertex {v} appears in two legs")
                 seen.add(v)
-                if (min(prev, v), max(prev, v)) not in edge_set:
+                if not (0 <= v < t.n and (parent[v] == prev or parent[prev] == v)):
                     raise ValidationError(f"leg edge ({prev},{v}) missing from tree")
                 prev = v
         if len(seen) != t.n:

@@ -59,8 +59,8 @@ listing every alpha-labeling of a small path is the oracle's job
 Each public provider certifies its result as it returns it (an
 `AlphaLabeling` re-verifies the index; `graceful_path_zero_at` checks
 gracefulness). The spider builders call the private helpers
-`_zero_at_seq`, `_alpha_zero_seq` and `_alpha_low_end`, which return bare
-label sequences, and certify the finished spider once instead.
+`_alpha_zero_seq` and `_alpha_low_end`, which return bare label
+sequences, and certify the finished spider once instead.
 `alpha_path_end_label` has no `_seq` twin: no builder asks for an end label
 (the attachment step calls `_alpha_low_end` directly), so its checks, its
 choice of class and its index sit in the public function.
@@ -251,15 +251,10 @@ def graceful_path_zero_at(n: int, position: int) -> Labeling:
     """
     return certified(
         path_tree(n),
-        _zero_at_seq(n, position),
+        _alpha_zero_seq(n, position)[0],
         f"path provider produced a non-graceful labeling of P_{n} with 0 at "
         f"position {position}",
     )
-
-
-def _zero_at_seq(n: int, position: int) -> list[int]:
-    """Label sequence behind graceful_path_zero_at, not certified."""
-    return _alpha_zero_seq(n, position)[0]
 
 
 def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
@@ -281,9 +276,10 @@ def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
 
 
 def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
-    """(label sequence, index) behind alpha_path_zero_at, not certified.
-    The center of P_5 has no alpha-labeling: its graceful labeling is a
-    literal, returned with the index None."""
+    """(label sequence, index) behind alpha_path_zero_at, not certified;
+    the sequence alone is behind graceful_path_zero_at. The center of P_5
+    has no alpha-labeling: its graceful labeling is a literal, returned
+    with the index None."""
     _check_vertex_count(n)
     _check_int("position", position)
     if not 0 <= position < n:

@@ -21,7 +21,7 @@ from .model import (
     Labeling, Spider, Tree, _Record, _center_first, _check_int, _check_vertex_count, build_spider,
     certified, is_graceful,
 )
-from .paths import _zero_at_seq
+from .paths import _alpha_zero_seq
 
 
 class ShortLegSpec(_Record):
@@ -163,7 +163,7 @@ def _short_leg_labels(spec: ShortLegSpec) -> list[int]:
     certified (the steps of label_short_leg_spider, on a plain list)."""
     if spec.s == 1:
         # reduced spider is the path v1-u1-x0-x1-..-x_ell; ids 2,1,0,3,4,...
-        labels = _center_first(_zero_at_seq(spec.ell + 3, 2), 2)
+        labels = _center_first(_alpha_zero_seq(spec.ell + 3, 2)[0], 2)
     else:
         labels = _formula_labels(spec.ell, spec.s)
     if labels[0] != 0:

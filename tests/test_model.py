@@ -305,7 +305,8 @@ class TestParentRead:
         with pytest.raises(ValidationError, match=f"^edge {entry} is not a pair of endpoints$"):
             Tree(n, edges)
 
-    def test_amalgamate_at_zero_takes_the_parent_read(self, no_checked_route, no_edge_read):
+    def test_amalgamate_at_zero_takes_the_parent_read(self, no_checked_route, no_edge_read,
+                                                      monkeypatch):
         g = alpha_path_zero_at(9, 4)
         spider, lab = label_short_leg_spider(ShortLegSpec(5, 2, 1))
         tree, joined = amalgamate(g, 4, spider.tree, lab, 0)
@@ -313,8 +314,39 @@ class TestParentRead:
         ids = [4, *range(g.tree.n, tree.n)]
         edges = sorted([*g.tree.edges, *((ids[a], ids[b]) for a, b in spider.tree.edges)])
         assert tree.parent == tuple(parents_toward_zero(tree.n, edges))
-        assert tree.edges == tuple(edges) and hash(tree) == hash((tree.n, tuple(edges)))
+        assert tree.edges == tuple(edges)
+        monkeypatch.undo()  # the reference tree is read from the edge list
+        assert tree == Tree(tree.n, edges) and hash(tree) == hash(Tree(tree.n, edges))
         assert is_graceful(tree, joined) and tree.m == g.tree.m + spider.tree.m
+
+    @pytest.fixture
+    def no_edges(self, monkeypatch):
+        def refuse(tree):
+            raise AssertionError("Tree.edges was read")
+
+        monkeypatch.setattr(model.Tree, "edges", property(refuse))
+
+    def test_library_reads_only_the_parent_array(self, no_edges):
+        # Only the document writers, repr and pickling derive Tree.edges.
+        doubling, lab, _ = label_doubling_spider([2, 6, 14])
+        short, short_lab = label_short_leg_spider(ShortLegSpec(6, 2, 3))
+        three, three_lab = label_three_long_legs([7, 5, 4, 2, 1])
+        for spider, labeling in ((doubling, lab), (short, short_lab), (three, three_lab)):
+            assert is_graceful(spider.tree, labeling)
+        attached = attach_path(short.tree, short_lab, 0, 6)
+        assert is_graceful(attached.tree, attached.labeling)
+        assert is_graceful(*extend_with_leaves(short.tree, short_lab, 0, 4))
+        g = alpha_path_zero_at(9, 4)
+        assert is_graceful(*amalgamate(g, 4, short.tree, short_lab, 0))
+        assert is_graceful(*amalgamate(g, 4, path_tree(7), graceful_path_zero_at(7, 3), 3))
+        Spider(path_tree(5), 2, ((1, 0), (3, 4)))
+        with pytest.raises(ValidationError, match=r"^leg edge \(2,0\) missing from tree$"):
+            Spider(path_tree(5), 2, ((0, 1), (3, 4)))
+        small = build_spider([4, 3, 2, 1]).tree
+        assert is_graceful(small, find_graceful(small).found) and count_graceful(small).count
+        reversed_pairs = [(v, p) for v, p in enumerate(three.tree.parent) if v][::-1]
+        read = Tree(three.tree.n, reversed_pairs)
+        assert read == three.tree and hash(read) == hash(three.tree)
 
 
 class TestSpider:
@@ -370,6 +402,8 @@ class TestSpider:
             # The first fault in leg order is the one named.
             ([(0, 1), (1, 2)], ((2, 1), ()), "leg edge (0,2) missing from tree"),
             ([(0, 1), (0, 2)], ((1,), (0,)), "vertex 0 appears in two legs"),
+            # parent[-1] would wrap to the last vertex, so v is range-checked.
+            ([(0, 1), (1, 2)], ((-1,),), "leg edge (0,-1) missing from tree"),
         ],
     )
     def test_messages(self, edges, legs, message):
@@ -663,6 +697,8 @@ class TestTrace:
     (lambda: Spider(path_tree(3), 0.0, ((1, 2),)), "center 0.0"),
     (lambda: Spider(path_tree(3), "0", ((1, 2),)), "center '0'"),
     (lambda: Spider(path_tree(3), 0, (("x", 2),)), "leg vertex 'x'"),
+    (lambda: Spider(build_spider([2]).tree, 0, ((1.0, 2),)), "leg vertex 1.0"),
+    (lambda: Spider(build_spider([2]).tree, 0, ((True, 2),)), "leg vertex True"),
     (lambda: amalgamate(zigzag_alpha_path(3), "0", path_tree(2),
                         Labeling.from_sequence([0, 1]), 0), "u '0'"),
     (lambda: amalgamate(zigzag_alpha_path(3), 0, path_tree(2),
@@ -678,7 +714,8 @@ class TestTrace:
         "spec_t", "spec_ell", "t_count", "zigzag", "end_label_n", "formula_ell", "formula_s",
         "attach_u", "attach_n", "required_index", "graceful_zero_at", "alpha_float",
         "alpha_bool", "alpha_str", "spider_center_float", "spider_center_str",
-        "spider_leg_vertex", "amalgamate_u", "amalgamate_v", "leaves_center",
+        "spider_leg_vertex", "spider_canonical_leg_float", "spider_canonical_leg_bool",
+        "amalgamate_u", "amalgamate_v", "leaves_center",
         "fixed_vertex_bool", "fixed_vertex_str", "fixed_label", "budget_none", "budget_float"])
 def test_non_int_sizes_rejected(call, value):
     # Each used to end in a TypeError from deep inside the construction, or
