@@ -47,7 +47,7 @@ def amalgamate(
     vertex 0 reversed) with v's slot dropped and the rest renumbered, so
     v's neighbours hang from u. At v = 0 H's vertices keep their order after
     G's and the array passes `Tree`'s fast check whenever both arrays do;
-    at other v it may not, and `Tree` reads it as its edges. The result is
+    at other v it may not, and `Tree` peels it in place. The result is
     checked graceful before it is returned.
     """
     _check_int("u", u)

@@ -21,12 +21,14 @@ endpoints in range), then a direct read when the pairs are (parent, child)
 with each parent below its child, as in every list this package writes,
 and else one pass of leaf peeling, in which each vertex keeps its degree
 and the XOR of its neighbours, so a leaf's one neighbour, its parent, is
-that XOR. A parent array that fails the fast check is read the same way,
-as its edges (parent[v], v). Only a list the reader refuses reaches the
-fault loop, which names the first fault in input order. Every check keeps
-the one int rule of `_check_int`, of every size argument and of every
-document: a vertex is an int and not a bool, so an endpoint 1.0, True or
-"1" is a fault, not vertex 1. The checks read edges as the pairs
+that XOR. A parent array that fails the fast check but is rooted at 0
+(n int entries in range, parent[0] = -1) is peeled in place: each vertex
+keeps its count of children, and the leaves other than 0 are popped toward
+0. Only a list or array that is refused reaches the fault loop, which names
+the first fault in input order, an array's as its edges (parent[v], v).
+Every check keeps the one int rule of `_check_int`, of every size argument
+and of every document: a vertex is an int and not a bool, so an endpoint
+1.0, True or "1" is a fault, not vertex 1. The checks read edges as the pairs
 (v, parent[v]): a spider's leg edge has one end the other's parent,
 `adjacency` lists each v >= 1 beside `parent[v]`, and a labeling's edge
 labels are |f(v) - f(parent[v])|.
@@ -36,12 +38,17 @@ The validators make each check as a few whole-list passes (sets, min/max,
 names the first fault only once a check has failed, so the messages and the
 order of the checks do not depend on the fast path.
 
-- `Spider` first compares the legs with `build_spider`'s numbering as whole
-  lists: center 0, the legs' vertices in order are 1..n-1, and each leg edge
-  runs from a vertex to its parent. That alone makes the legs a partition of
-  the non-center vertices along the tree's edges. Any other layout goes
-  through the one fault loop, which walks the legs vertex by vertex and
-  raises for the first fault.
+- A spider from `build_spider` keeps its leg lengths, not a tuple per leg,
+  and `Spider` checks it from them: center 0, n = the lengths' sum + 1, and
+  the tree's parent array equal to the canonical one for those lengths (its
+  parent[v] = v - 1 but 0 at each leg's first vertex), which costs O(legs)
+  steps and whole-array passes. Legs given explicitly are compared with
+  `build_spider`'s numbering as whole lists: center 0, the legs' vertices
+  in order are 1..n-1, each an int, and each leg edge runs from a vertex to
+  its parent. Either alone makes the legs a partition of the non-center
+  vertices along the tree's edges. Any other layout goes through the one
+  fault loop, which walks the legs vertex by vertex and raises for the
+  first fault.
 - `is_graceful` asks that the labels, as a set, are n values covering
   0..m = n-1: then they are exactly 0..m, each once. The m edge labels are
   then integers in [1, m], so they cover it iff they are distinct, and one
@@ -76,17 +83,23 @@ class _Record:
     field values, a `Name(field=value, ...)` repr, no assignment or deletion
     after construction, and pickling and copying through the constructor, so
     a restored record is validated again. `_defaults` maps a field to its
-    default value."""
+    default value. A subclass that keeps a field in a slot of another name,
+    read through a property of the field's name, lists its field names as
+    `_fields`, in the order of its slots."""
 
     __slots__ = ()
     _defaults: dict = {}
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
+
     def __init__(self, *args, **kwargs):
-        fields = self.__slots__
-        if kwargs or len(args) != len(fields):
+        if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
-        for field, value in zip(fields, args):
-            _SET_FIELD(self, field, value)
+        for slot, value in zip(self.__slots__, args):
+            _SET_FIELD(self, slot, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -96,7 +109,7 @@ class _Record:
         """The field values of a call with keywords, defaults or a wrong
         argument count; raises TypeError where a `def` with these parameters
         would."""
-        fields, name = self.__slots__, type(self).__qualname__
+        fields, name = self._fields, type(self).__qualname__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} positional arguments "
                             f"but {len(args)} were given")
@@ -114,7 +127,7 @@ class _Record:
         return [values[f] if f in values else self._defaults[f] for f in fields]
 
     def _astuple(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -125,7 +138,7 @@ class _Record:
         return hash(self._astuple())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -150,9 +163,10 @@ class Tree(_Record):
     (n-1 entries, each of length 2 with two int endpoints in range), then
     a direct read of (parent, child) pairs with each parent below its
     child, or else one pass of leaf peeling that finds the parents. An
-    array that fails the fast check goes to the same reader as the edges
-    (p[v], v), v >= 1. Only a list the reader refuses reaches the fault
-    loop, which names the first fault: the pairs one by one in input order
+    array that fails the fast check but is rooted at 0 is peeled in place
+    by `_rooted_peels`. Only a list or array that is refused reaches the
+    fault loop, an array as its edges (p[v], v), v >= 1, which names the
+    first fault: the pairs one by one in input order
     (two endpoints, each an int and not a bool, no self-loop, in range),
     sorted, a duplicate scan, the vertex and edge counts, and else "edge
     set is not connected". The parent array toward vertex 0 is unique to
@@ -170,6 +184,7 @@ class Tree(_Record):
         _check_int("vertex count", n)
         if parent is None:
             edges = list(edges)
+            parent = _edge_parents(n, edges)
         elif edges is not None:
             raise TypeError("Tree() takes edges or parent, not both")
         else:
@@ -177,10 +192,9 @@ class Tree(_Record):
             if not (len(parent) == n >= 1 and parent[0] == -1
                     and set(map(type, parent)) == {int}
                     and min(islice(parent, 1, None), default=0) >= 0
-                    and all(map(lt, islice(parent, 1, None), range(1, n)))):
-                edges = _parent_pairs(n, parent)
-        if edges is not None:
-            parent = _edge_parents(n, edges)
+                    and (all(map(lt, islice(parent, 1, None), range(1, n)))
+                         or _rooted_peels(n, parent))):
+                edges, parent = _parent_pairs(n, parent), None
         if parent is None:
             norm = sorted(_checked_pairs(n, edges))
             for prev, cur in zip(norm, islice(norm, 1, None)):
@@ -276,10 +290,33 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
     return tuple(parent) if len(leaves) == n - 1 else None
 
 
+def _rooted_peels(n: int, parent: tuple) -> bool:
+    """Whether a parent array of n ints with parent[0] = -1 and every other
+    entry at least 0, which failed the fast check only on its order, is a
+    tree rooted at vertex 0: every entry is below n, and every vertex but 0
+    peels. Each vertex keeps its count of children; one other than 0 with
+    none left is a leaf, and popping it takes one child from its parent. The
+    vertices of a cycle never lose their last child, so the array is a tree
+    exactly when all n-1 of them pop, and it is then its own parent array
+    toward vertex 0."""
+    if max(islice(parent, 1, None)) >= n:
+        return False
+    children = [0] * n
+    for p in islice(parent, 1, None):
+        children[p] += 1
+    leaves = [v for v in range(1, n) if not children[v]]
+    for v in leaves:
+        p = parent[v]
+        children[p] -= 1
+        if not children[p] and p:
+            leaves.append(p)
+    return len(leaves) == n - 1
+
+
 def _parent_pairs(n: int, parent: tuple) -> list[tuple]:
-    """The edges (parent[v], v), v >= 1, of a parent array that failed the
-    fast check; raises unless the array has n entries and parent[0] is the
-    int -1."""
+    """The edges (parent[v], v), v >= 1, of a parent array that `Tree`
+    refused, for the fault loop; raises unless the array has n entries and
+    parent[0] is the int -1."""
     if len(parent) != n:
         raise ValidationError(f"parent array of length {len(parent)} for n={n}")
     if n and (parent[0] != -1 or type(parent[0]) is not int):
@@ -332,34 +369,54 @@ def path_tree(n: int) -> Tree:
     return Tree(n, parent=tuple(range(-1, n - 1)))
 
 
+class _LegLengths(tuple):
+    """The leg lengths of a spider in `build_spider`'s numbering, as
+    `build_spider` hands them to `Spider` in place of the legs, once
+    `_check_legs` has passed them."""
+
+    __slots__ = ()
+
+
 class Spider(_Record):
     """A tree with at most one vertex of degree > 2 (the center).
 
     Legs are ordered tuples of vertex ids running from the center-adjacent
     vertex out to the leaf. They partition V minus the center.
+
+    A spider from `build_spider` keeps only its leg lengths, and `legs`
+    derives the tuples from them on each read; legs given explicitly are
+    kept as given. Either way the field is `legs`, so equality, hash, repr
+    and pickling see the same value however the spider was built.
     """
 
-    __slots__ = ("tree", "center", "legs")
+    __slots__ = ("tree", "center", "_legs")
+    _fields = ("tree", "center", "legs")
 
     def __post_init__(self):
-        t, c = self.tree, self.center
+        t, c, legs = self.tree, self.center, self._legs
         _check_int("center", c)
         if not (0 <= c < t.n):
             raise ValidationError(f"center {c} out of range")
-        heads: list[int] = []
-        tails: list[int] = []
-        for leg in self.legs:
-            heads.append(c)
-            heads += leg[:-1]
-            tails += leg
-        # build_spider's numbering: center 0, the legs' vertices 1..n-1 in
-        # order, each an int, and each leg edge the edge from a vertex to its
-        # parent. An empty leg fails it, since it makes `heads` longer than
-        # `tails`; the type pass sends a leg vertex 1.0 or True, which the
-        # list compare takes for 1, to the fault loop.
-        if (c == 0 and tails == list(range(1, t.n)) and set(map(type, tails)) == {int}
-                and list(islice(t.parent, 1, None)) == heads):
-            return
+        if type(legs) is _LegLengths:
+            # build_spider's lengths: center 0 and the canonical parent array.
+            # n is compared first, so no array is built for a wrong one.
+            if c == 0 and sum(legs) + 1 == t.n and t.parent == _canonical_parent(legs):
+                return
+        else:
+            heads: list[int] = []
+            tails: list[int] = []
+            for leg in legs:
+                heads.append(c)
+                heads += leg[:-1]
+                tails += leg
+            # build_spider's numbering: center 0, the legs' vertices 1..n-1
+            # in order, each an int, and each leg edge the edge from a vertex
+            # to its parent. An empty leg fails it, since it makes `heads`
+            # longer than `tails`; the type pass sends a leg vertex 1.0 or
+            # True, which the list compare takes for 1, to the fault loop.
+            if (c == 0 and tails == list(range(1, t.n)) and set(map(type, tails)) == {int}
+                    and list(islice(t.parent, 1, None)) == heads):
+                return
         self._check_layout()
 
     def _check_layout(self):
@@ -390,8 +447,25 @@ class Spider(_Record):
             raise ValidationError("legs do not cover the tree")
 
     @property
+    def legs(self) -> tuple:
+        """The legs: derived as tuples of vertex ids on each read for a
+        spider from `build_spider`, else as given."""
+        if type(self._legs) is _LegLengths:
+            return tuple(map(tuple, self._leg_vertices()))
+        return self._legs
+
+    def _leg_vertices(self) -> abc.Iterable[abc.Iterable[int]]:
+        """Each leg's vertices in order: a range per leg for a spider from
+        `build_spider`, else the legs as given."""
+        legs = self._legs
+        if type(legs) is _LegLengths:
+            starts = list(accumulate(legs, initial=1))
+            return map(range, starts, islice(starts, 1, None))
+        return legs
+
+    @property
     def leg_lengths(self) -> tuple[int, ...]:
-        return tuple(len(leg) for leg in self.legs)
+        return tuple(map(len, self._leg_vertices()))
 
 
 def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
@@ -400,16 +474,23 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     Center is vertex 0; legs are laid out in the given order, each leg's
     vertices numbered consecutively from the center-adjacent vertex outward.
     So each vertex's parent is the vertex before it, except at each leg's
-    first vertex, whose parent is the center.
+    first vertex, whose parent is the center. The spider keeps the lengths,
+    not a tuple per leg.
     """
     _check_legs(leg_lengths)
+    lengths = _LegLengths(leg_lengths)
+    parent = _canonical_parent(lengths)
+    return Spider(Tree(len(parent), parent=parent), 0, lengths)
+
+
+def _canonical_parent(leg_lengths: abc.Sequence[int]) -> tuple[int, ...]:
+    """The parent array of `build_spider(leg_lengths)`: parent[v] = v - 1,
+    except 0 at each leg's first vertex."""
     starts = list(accumulate(leg_lengths, initial=1))
-    n = starts.pop()
-    legs = tuple(map(tuple, map(range, starts, starts[1:] + [n])))
-    parent = list(range(-1, n - 1))
+    parent = list(range(-1, starts.pop() - 1))
     for s in starts:
         parent[s] = 0
-    return Spider(Tree(n, parent=parent), 0, legs)
+    return tuple(parent)
 
 
 def _check_legs(leg_lengths: abc.Sequence[int]) -> None:

@@ -28,7 +28,7 @@ def to_document(
         doc["labels"] = {str(v): values[v] for v in sorted(values)}
     if spider is not None:
         doc["center"] = spider.center
-        doc["legs"] = [list(leg) for leg in spider.legs]
+        doc["legs"] = [list(leg) for leg in spider._leg_vertices()]
     return doc
 
 

@@ -6,10 +6,12 @@ per attachment) costs tens of seconds; the linear builders take well under a
 second each.
 """
 
+import gc
 import importlib.util
 import json
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -41,6 +43,43 @@ def test_large_build_is_graceful(name):
     spider, lab = BUILDS[name]()
     assert spider.tree.m >= 19000
     assert is_graceful(spider.tree, lab)
+
+
+# The short-leg build of CI's 10^5-edge `spider short` call, which has the
+# most legs, and the other two builders at the sizes above.
+MEMORY_BUILDS = {
+    "short_1e5": lambda: label_short_leg_spider(ShortLegSpec(50000, 20000, 10000)),
+    "doubling": BUILDS["doubling"],
+    "three_long": BUILDS["three_long"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_BUILDS))
+def test_certified_build_holds_its_arrays_only(name):
+    # A certified spider holds its parent array and its label list, one int
+    # object and one pointer in each per vertex, and its leg lengths: about
+    # 74-80 bytes per vertex, where a tuple per leg and an int per leg vertex
+    # made it 120-126. A build that makes no container per vertex or per leg
+    # runs no garbage collection.
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spider, lab = MEMORY_BUILDS[name]()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.callbacks.remove(count)
+    assert spider.tree.m >= 19000 and is_graceful(spider.tree, lab)
+    assert held < 100 * spider.tree.n, held / spider.tree.n
+    assert collections == []
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_BUILDS))

@@ -161,7 +161,8 @@ class TestTree:
 
     def test_parent_array_checks_as_its_edges(self):
         # A parent array with parent[v] < v is kept as it is; any other one
-        # is checked as the edge list (parent[v], v), v >= 1.
+        # is peeled in place, with the outcome of the edge list
+        # (parent[v], v), v >= 1.
         def new(n, parent):
             t = Tree(n, parent=parent)
             return t.n, t.edges
@@ -318,6 +319,25 @@ class TestParentRead:
         monkeypatch.undo()  # the reference tree is read from the edge list
         assert tree == Tree(tree.n, edges) and hash(tree) == hash(Tree(tree.n, edges))
         assert is_graceful(tree, joined) and tree.m == g.tree.m + spider.tree.m
+
+    def test_rooted_array_is_peeled_in_place(self, no_edge_read):
+        # An array rooted at vertex 0 that is not increasing is kept as it is
+        # once it peels; one that does not peel goes to the fault loop, and
+        # neither is read as an edge list.
+        g = alpha_path_zero_at(9, 4)
+        tree, joined = amalgamate(g, 4, path_tree(7), graceful_path_zero_at(7, 3), 3)
+        assert not all(p < v for v, p in enumerate(tree.parent) if v)
+        assert is_graceful(tree, joined) and Tree(tree.n, parent=tree.parent) == tree
+        assert Tree(4, parent=[-1, 2, 0, 1]).edges == ((0, 2), (1, 2), (1, 3))
+        for parent, message in [
+            ([-1, 3, 1, 2], "edge set is not connected"),
+            ([-1, 2, 1], "duplicate edge (1, 2)"),
+            ([-1, 1, 0], "self-loop at vertex 1"),
+            ([-1, 3, 1], "edge (3,1) out of range for n=3"),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                Tree(len(parent), parent=parent)
+            assert str(info.value) == message
 
     @pytest.fixture
     def no_edges(self, monkeypatch):
@@ -507,6 +527,18 @@ class TestSpider:
         sp = build_spider([3, 1, 2])
         assert sp.tree.edges == ((0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (5, 6))
         assert sp.legs == ((1, 2, 3), (4,), (5, 6))
+
+    def test_lengths_checked_as_their_legs(self):
+        # The leg lengths build_spider hands to Spider are checked against
+        # the tree, with the outcome of the tuple legs they stand for.
+        trees = [path_tree(5), build_spider([2, 2]).tree, build_spider([1, 3]).tree,
+                 build_spider([1, 1, 1, 1]).tree, Tree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])]
+        for tree in trees:
+            for center in (0, 1):
+                for lengths in ([4], [2, 2], [1, 3], [3, 1], [1, 1, 1, 1], [2, 1], [5]):
+                    legs = build_spider(lengths).legs
+                    assert outcome(Spider, tree, center, model._LegLengths(lengths)) == outcome(
+                        Spider, tree, center, legs), (tree, center, lengths)
 
     def test_validation_counts_degrees_in_one_pass(self, monkeypatch):
         def per_vertex_scan(self, v):

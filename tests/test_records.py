@@ -3,10 +3,12 @@ constructor, and the start-up cost they must not bring back: importing the
 CLI pulls in neither `dataclasses` nor `inspect`."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -24,6 +26,7 @@ from graceful_spiders.model import (
 )
 from graceful_spiders.oracle import SearchReport
 from graceful_spiders.short_legs import ShortLegSpec
+from graceful_spiders.treedoc import to_document
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -99,6 +102,32 @@ class TestRecordValueSemantics:
             assert type(b) is cls and b == a
         for dup in (copy.copy(a), copy.deepcopy(a)):
             assert type(dup) is cls and dup == a
+
+
+def test_canonical_spider_is_the_value_of_its_explicit_legs():
+    # build_spider keeps the leg lengths; a spider given the same legs as
+    # tuples keeps them. The two are one value, and `legs` reads the same.
+    shapes = 0
+    for k in range(1, 7):
+        for lengths in product(range(1, 5), repeat=k):
+            shapes += 1
+            starts = [1]
+            for ell in lengths:
+                starts.append(starts[-1] + ell)
+            legs = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+            built, read = build_spider(list(lengths)), build_spider(list(lengths))
+            explicit = Spider(built.tree, 0, legs)
+            docs = [json.dumps(to_document(sp.tree, None, sp)) for sp in (built, explicit)]
+            assert read.legs == legs and read.leg_lengths == lengths
+            docs.append(json.dumps(to_document(read.tree, None, read)))
+            assert docs[0] == docs[1] == docs[2]
+            assert built == explicit and hash(built) == hash(explicit)
+            assert repr(built) == repr(explicit)
+            for dup in (pickle.loads(pickle.dumps(built)), copy.copy(built)):
+                assert dup == explicit and repr(dup) == repr(explicit)
+            assert built.legs == legs and built.leg_lengths == lengths
+            assert type(built.legs) is tuple and type(built.leg_lengths) is tuple
+    assert shapes == 5460
 
 
 def test_one_differing_field_breaks_equality():

@@ -1,0 +1,108 @@
+"""Time and memory of one certified build by each spider builder at m edges.
+
+Run from the repository root, with the package importable:
+
+    PYTHONPATH=src python3 tools/build_cost.py
+    PYTHONPATH=src python3 tools/build_cost.py --m 100000
+
+The leg lists are those of the CI's 10^5-edge `spider doubling`, `spider
+short` and `spider three-long` calls, scaled to m edges: doubling
+[m/100, m/25, m/5, the rest], short ShortLegSpec(m/2, m/5, the rest) and
+three-long [3m/5, 3m/10, the rest, 2, 2, 1]. For each builder the script
+prints one line:
+
+- `build_s`, the process time of one certified build;
+- `to_document_s`, the process time of `treedoc.to_document` on its result;
+- `held_B` and `peak_B`, the bytes that tracemalloc sees the build's result
+  hold and the peak it reaches during a second, traced build, both above
+  what was allocated before it, and `held_B` per vertex;
+- `gc`, the number of garbage-collector runs during the untraced build.
+
+Each build starts after a full collection, so the collector's counters do
+not carry over from the build before it. The script prints figures and
+checks no threshold.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+import tracemalloc
+from time import process_time
+
+from graceful_spiders.compose import label_three_long_legs
+from graceful_spiders.doubling import label_doubling_spider
+from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
+from graceful_spiders.treedoc import to_document
+
+
+def builders(m: int) -> list:
+    """(name, build) for each builder at m edges; build() returns
+    (spider, labeling)."""
+    legs = [m // 100, m // 25, m // 5]
+    doubling = legs + [m - sum(legs)]
+    ell, s = m // 2, m // 5
+    three = [3 * m // 5, 3 * m // 10]
+    three += [m - sum(three) - 5, 2, 2, 1]
+    return [
+        ("doubling", lambda: label_doubling_spider(doubling)[:2]),
+        ("short", lambda: label_short_leg_spider(ShortLegSpec(ell, s, m - ell - 2 * s))),
+        ("three-long", lambda: label_three_long_legs(three)),
+    ]
+
+
+def measure(build) -> dict:
+    """The figures of one builder: an untraced build and `to_document`
+    timed, then a traced build for memory."""
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        start = process_time()
+        spider, lab = build()
+        build_s = process_time() - start
+    finally:
+        gc.callbacks.remove(count)
+    start = process_time()
+    to_document(spider.tree, lab, spider)
+    doc_s = process_time() - start
+    n = spider.tree.n
+    del spider, lab
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return {"n": n, "build_s": build_s, "to_document_s": doc_s, "held_B": held - base,
+            "peak_B": peak - base, "held_B_per_vertex": (held - base) / n, "gc": len(runs)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--m", type=int, default=10**6,
+                    help="edges per spider, at least 1,000 (default 10^6)")
+    args = ap.parse_args(argv)
+    if args.m < 1000:
+        ap.error("--m must be at least 1000")
+    print(f"python {sys.version.split()[0]}, m = {args.m:,}")
+    for name, build in builders(args.m):
+        r = measure(build)
+        print(f"{name:<10} n={r['n']:,} build_s={r['build_s']:.3f} "
+              f"to_document_s={r['to_document_s']:.3f} held_B={r['held_B']:,} "
+              f"peak_B={r['peak_B']:,} held_B_per_vertex={r['held_B_per_vertex']:.1f} "
+              f"gc={r['gc']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
