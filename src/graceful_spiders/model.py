@@ -13,19 +13,20 @@ is a tree's value: it is unique to the edge set, however it was read, so
 equality and hash go by `(n, parent)`, and library code reads nothing else.
 `Tree.edges` derives the sorted edge tuples on each read; only the document
 writers (`treedoc.to_document`, `treedoc.to_dot`), `repr` and pickling
-call it. A tree has one
-fast check, on the parent array: every `parent[v]` is an int in [0, v). An
-edge list has one reader, `_edge_parents`, for any order and orientation:
-checks of the whole list (n-1 entries, each of length 2 with two int
-endpoints in range), then a direct read when the pairs are (parent, child)
-with each parent below its child, as in every list this package writes,
-and else one pass of leaf peeling, in which each vertex keeps its degree
-and the XOR of its neighbours, so a leaf's one neighbour, its parent, is
-that XOR. A parent array that fails the fast check but is rooted at 0
-(n int entries in range, parent[0] = -1) is peeled in place: each vertex
-keeps its count of children, and the leaves other than 0 are popped toward
-0. Only a list or array that is refused reaches the fault loop, which names
-the first fault in input order, an array's as its edges (parent[v], v).
+call it. One rooted check, `_rooted`, accepts every parent array, whether
+given or read from an edge list: n int entries, parent[0] = -1 and the
+others in [0, n), then one pass that accepts an array with every
+`parent[v]` in [0, v), and else peeling in place, in which each vertex
+keeps its count of children and the leaves other than 0 are popped toward
+0. An edge list has one reader, `_edge_parents`, for any order and
+orientation: checks of the whole list (n-1 entries, each of length 2 with
+two int endpoints in range), then a direct read of the pairs as (parent,
+child), which the rooted check accepts for every list this package
+writes, and else one pass of leaf peeling, in which each vertex keeps its
+degree and the XOR of its neighbours, so a leaf's one neighbour, its
+parent, is that XOR. Only a list or array that is refused reaches the
+fault loop, which names the first fault in input order, an array's as its
+edges (parent[v], v).
 Every check keeps the one int rule of `_check_int`, of every size argument
 and of every document: a vertex is an int and not a bool, so an endpoint
 1.0, True or "1" is a fault, not vertex 1. The checks read edges as the pairs
@@ -38,17 +39,17 @@ The validators make each check as a few whole-list passes (sets, min/max,
 names the first fault only once a check has failed, so the messages and the
 order of the checks do not depend on the fast path.
 
-- A spider from `build_spider` keeps its leg lengths, not a tuple per leg,
-  and `Spider` checks it from them: center 0, n = the lengths' sum + 1, and
-  the tree's parent array equal to the canonical one for those lengths (its
-  parent[v] = v - 1 but 0 at each leg's first vertex), which costs O(legs)
-  steps and whole-array passes. Legs given explicitly are compared with
-  `build_spider`'s numbering as whole lists: center 0, the legs' vertices
-  in order are 1..n-1, each an int, and each leg edge runs from a vertex to
-  its parent. Either alone makes the legs a partition of the non-center
-  vertices along the tree's edges. Any other layout goes through the one
-  fault loop, which walks the legs vertex by vertex and raises for the
-  first fault.
+- A spider in `build_spider`'s numbering keeps its leg lengths, not a
+  tuple per leg, and `Spider` checks it from them: center 0, n = the
+  lengths' sum + 1, and the tree's parent array equal to the canonical one
+  for those lengths (its parent[v] = v - 1 but 0 at each leg's first
+  vertex), which costs O(legs) steps and whole-array passes. Legs given
+  explicitly are first copied into a tuple of tuples, and kept as their
+  lengths when no leg is empty and their vertices, in order, are the ints
+  1..n-1; that alone makes the legs a partition of the non-center
+  vertices, and the parent array compare puts them along the tree's
+  edges. Any other layout goes through the one fault loop, which walks the
+  legs vertex by vertex and raises for the first fault.
 - `is_graceful` asks that the labels, as a set, are n values covering
   0..m = n-1: then they are exactly 0..m, each once. The m edge labels are
   then integers in [1, m], so they cover it iff they are distinct, and one
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import sys
 from collections import abc
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import itemgetter, lt, sub
 
 from .errors import ConstructionInvariantError, ValidationError
@@ -157,19 +158,19 @@ class Tree(_Record):
 
     `Tree(n, parent=p)` takes a parent array as a tuple (a tuple is kept,
     anything else copied into one, so no caller can change a checked array)
-    when every `p[v]` is an int in [0, v): that alone makes a tree, and it
-    is the one fast check. `Tree(n, edges)` takes an edge list in any order
-    and orientation through one reader, `_edge_parents`: whole-list checks
-    (n-1 entries, each of length 2 with two int endpoints in range), then
-    a direct read of (parent, child) pairs with each parent below its
-    child, or else one pass of leaf peeling that finds the parents. An
-    array that fails the fast check but is rooted at 0 is peeled in place
-    by `_rooted_peels`. Only a list or array that is refused reaches the
-    fault loop, an array as its edges (p[v], v), v >= 1, which names the
-    first fault: the pairs one by one in input order
-    (two endpoints, each an int and not a bool, no self-loop, in range),
-    sorted, a duplicate scan, the vertex and edge counts, and else "edge
-    set is not connected". The parent array toward vertex 0 is unique to
+    when the one rooted check, `_rooted`, accepts it: n int entries,
+    `p[0] = -1`, every other `p[v]` in [0, v), which alone makes a tree, or
+    else in [0, n) with every vertex peeling toward 0. `Tree(n, edges)` takes
+    an edge list in any order and orientation through one reader,
+    `_edge_parents`: whole-list checks (n-1 entries, each of length 2 with
+    two int endpoints in range), then a direct read of the pairs as
+    (parent, child) that the same rooted check accepts, or else one pass of
+    leaf peeling that finds the parents. Only a list or array that is
+    refused reaches the fault loop, an array as its edges (p[v], v), v >= 1,
+    which names the first fault: the pairs one by one in input order (two
+    endpoints, each an int and not a bool, no self-loop, in range), sorted,
+    a duplicate scan, the vertex and edge counts, and else "edge set is not
+    connected". The parent array toward vertex 0 is unique to
     the edge set, so equality and hash go by the fields `(n, parent)` and a
     tree is the same value however it was built. `edges` is the sorted
     tuple of (min, max) pairs, derived from the parent array on each read;
@@ -189,11 +190,7 @@ class Tree(_Record):
             raise TypeError("Tree() takes edges or parent, not both")
         else:
             parent = parent if type(parent) is tuple else tuple(parent)
-            if not (len(parent) == n >= 1 and parent[0] == -1
-                    and set(map(type, parent)) == {int}
-                    and min(islice(parent, 1, None), default=0) >= 0
-                    and (all(map(lt, islice(parent, 1, None), range(1, n)))
-                         or _rooted_peels(n, parent))):
+            if not _rooted(n, parent):
                 edges, parent = _parent_pairs(n, parent), None
         if parent is None:
             norm = sorted(_checked_pairs(n, edges))
@@ -250,11 +247,11 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
     vertex count far past the list's length costs nothing.
 
     A list of (parent, child) pairs whose children are 1..n-1, each once,
-    each parent below its child, is read directly, as every list this
-    package writes is. Any other list is peeled: each vertex keeps its
-    degree and the XOR of its neighbours, so a leaf's one neighbour is that
-    XOR, and peeling the leaves other than 0 one at a time gives each its
-    parent. The list is a tree exactly when all n-1 of them peel. A leaf
+    is read directly when `_rooted` accepts the array it gives, as it does
+    for every list this package writes. Any other list is peeled: each
+    vertex keeps its degree and the XOR of its neighbours, so a leaf's one
+    neighbour is that XOR, and peeling the leaves other than 0 one at a
+    time gives each its parent. The list is a tree exactly when all n-1 of them peel. A leaf
     whose degree has dropped to 0 by its turn lies in a component without
     vertex 0."""
     try:
@@ -265,12 +262,12 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
     except (TypeError, LookupError):
         return None
     # ends holds every first endpoint, then every second one. A slot that
-    # no pair sets keeps n, which fails parent[v] < v; so does a pair that
-    # sets slot 0, since some other slot is then left unset.
+    # no pair sets keeps n, which fails `_rooted`'s range check; so does a
+    # pair that sets slot 0, since some other slot is then left unset.
     parent = [-1] + [n] * (n - 1)
     for child, p in zip(islice(ends, n - 1, None), ends):
         parent[child] = p
-    if all(map(lt, islice(parent, 1, None), range(1, n))):
+    if _rooted(n, parent):
         return tuple(parent)
     degree, xor, parent = [0] * n, [0] * n, [-1] * n
     for a, b in zip(ends, islice(ends, n - 1, None)):
@@ -290,15 +287,21 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
     return tuple(parent) if len(leaves) == n - 1 else None
 
 
-def _rooted_peels(n: int, parent: tuple) -> bool:
-    """Whether a parent array of n ints with parent[0] = -1 and every other
-    entry at least 0, which failed the fast check only on its order, is a
-    tree rooted at vertex 0: every entry is below n, and every vertex but 0
-    peels. Each vertex keeps its count of children; one other than 0 with
-    none left is a leaf, and popping it takes one child from its parent. The
-    vertices of a cycle never lose their last child, so the array is a tree
-    exactly when all n-1 of them pop, and it is then its own parent array
-    toward vertex 0."""
+def _rooted(n: int, parent: abc.Sequence) -> bool:
+    """Whether a parent array is a tree on 0..n-1 rooted at vertex 0: n >= 1
+    int entries, parent[0] = -1 and every other entry in [0, n), and every
+    vertex but 0 peels. One pass accepts an array with each parent[v] in
+    [0, v), as the builders write it: that alone makes a tree. Any other
+    array is peeled in place. Each vertex keeps its count of children; one
+    other than 0 with none left is a leaf, and popping it takes one child
+    from its parent. The vertices of a cycle never lose their last child, so
+    the array is a tree exactly when all n-1 of them pop, and it is then its
+    own parent array toward vertex 0."""
+    if not (len(parent) == n >= 1 and parent[0] == -1 and set(map(type, parent)) == {int}
+            and min(islice(parent, 1, None), default=0) >= 0):
+        return False
+    if all(map(lt, islice(parent, 1, None), range(1, n))):
+        return True
     if max(islice(parent, 1, None)) >= n:
         return False
     children = [0] * n
@@ -370,9 +373,8 @@ def path_tree(n: int) -> Tree:
 
 
 class _LegLengths(tuple):
-    """The leg lengths of a spider in `build_spider`'s numbering, as
-    `build_spider` hands them to `Spider` in place of the legs, once
-    `_check_legs` has passed them."""
+    """The leg lengths of a spider in `build_spider`'s numbering, which
+    `Spider` keeps in place of its legs."""
 
     __slots__ = ()
 
@@ -383,10 +385,13 @@ class Spider(_Record):
     Legs are ordered tuples of vertex ids running from the center-adjacent
     vertex out to the leaf. They partition V minus the center.
 
-    A spider from `build_spider` keeps only its leg lengths, and `legs`
-    derives the tuples from them on each read; legs given explicitly are
-    kept as given. Either way the field is `legs`, so equality, hash, repr
-    and pickling see the same value however the spider was built.
+    Legs given explicitly, as any iterable of iterables, are copied into a
+    tuple of tuples, so no caller can change them once checked. Legs in
+    `build_spider`'s numbering (no leg empty, and their vertices, in order,
+    the ints 1..n-1), and the lengths `build_spider` hands over, are kept as
+    the leg lengths, and `legs` derives the tuples from them on each read.
+    Either way the field is `legs`, so equality, hash, repr and pickling see
+    the same value however the spider was built.
     """
 
     __slots__ = ("tree", "center", "_legs")
@@ -397,27 +402,19 @@ class Spider(_Record):
         _check_int("center", c)
         if not (0 <= c < t.n):
             raise ValidationError(f"center {c} out of range")
-        if type(legs) is _LegLengths:
-            # build_spider's lengths: center 0 and the canonical parent array.
-            # n is compared first, so no array is built for a wrong one.
-            if c == 0 and sum(legs) + 1 == t.n and t.parent == _canonical_parent(legs):
-                return
-        else:
-            heads: list[int] = []
-            tails: list[int] = []
-            for leg in legs:
-                heads.append(c)
-                heads += leg[:-1]
-                tails += leg
-            # build_spider's numbering: center 0, the legs' vertices 1..n-1
-            # in order, each an int, and each leg edge the edge from a vertex
-            # to its parent. An empty leg fails it, since it makes `heads`
-            # longer than `tails`; the type pass sends a leg vertex 1.0 or
-            # True, which the list compare takes for 1, to the fault loop.
-            if (c == 0 and tails == list(range(1, t.n)) and set(map(type, tails)) == {int}
-                    and list(islice(t.parent, 1, None)) == heads):
-                return
-        self._check_layout()
+        if type(legs) is not _LegLengths:
+            legs = tuple(map(tuple, legs))
+            # The type pass keeps a leg vertex 1.0 or True, which the list
+            # compare takes for 1, out of the numbering.
+            flat = list(chain.from_iterable(legs))
+            if all(legs) and flat == list(range(1, t.n)) and set(map(type, flat)) == {int}:
+                legs = _LegLengths(map(len, legs))
+            _SET_FIELD(self, "_legs", legs)
+        # build_spider's numbering: center 0 and the canonical parent array.
+        # n is compared first, so no array is built for a wrong one.
+        if not (type(legs) is _LegLengths and c == 0 and sum(legs) + 1 == t.n
+                and t.parent == _canonical_parent(legs)):
+            self._check_layout()
 
     def _check_layout(self):
         """The one fault loop, the check of every layout but build_spider's
@@ -447,16 +444,14 @@ class Spider(_Record):
             raise ValidationError("legs do not cover the tree")
 
     @property
-    def legs(self) -> tuple:
-        """The legs: derived as tuples of vertex ids on each read for a
-        spider from `build_spider`, else as given."""
-        if type(self._legs) is _LegLengths:
-            return tuple(map(tuple, self._leg_vertices()))
-        return self._legs
+    def legs(self) -> tuple[tuple[int, ...], ...]:
+        """The legs as tuples of vertex ids, derived on each read when the
+        spider keeps its leg lengths."""
+        return tuple(map(tuple, self._leg_vertices()))
 
     def _leg_vertices(self) -> abc.Iterable[abc.Iterable[int]]:
-        """Each leg's vertices in order: a range per leg for a spider from
-        `build_spider`, else the legs as given."""
+        """Each leg's vertices in order: a range per leg when the spider
+        keeps its leg lengths, else the tuples it keeps."""
         legs = self._legs
         if type(legs) is _LegLengths:
             starts = list(accumulate(legs, initial=1))
@@ -522,11 +517,8 @@ class _LabelList(abc.Mapping):
         self.labels = labels
 
     def __getitem__(self, v: int) -> int:
-        try:
-            if 0 <= v < len(self.labels):
-                return self.labels[v]
-        except TypeError:
-            pass
+        if type(v) is int and 0 <= v < len(self.labels):
+            return self.labels[v]
         raise KeyError(v)
 
     def __len__(self) -> int:
@@ -544,19 +536,22 @@ class Labeling(_Record):
 
     `Labeling.from_sequence` keeps the label list it is given; a
     `Labeling` built from a dict keeps the dict. Either way `values` is a
-    read-only mapping from vertex id to label.
+    read-only mapping from vertex id to label, and a vertex is an int:
+    `lab[v]` raises and `v in lab` is False for a v of 1.0 or True.
     """
 
     __slots__ = ("values",)
 
     def __getitem__(self, v: int) -> int:
         try:
-            return self.values[v]
+            if type(v) is int:
+                return self.values[v]
         except KeyError:
-            raise ValidationError(f"vertex {v} is not labeled") from None
+            pass
+        raise ValidationError(f"vertex {v} is not labeled")
 
     def __contains__(self, v: int) -> bool:
-        return v in self.values
+        return type(v) is int and v in self.values
 
     def __len__(self) -> int:
         return len(self.values)

@@ -540,6 +540,35 @@ class TestSpider:
                     assert outcome(Spider, tree, center, model._LegLengths(lengths)) == outcome(
                         Spider, tree, center, legs), (tree, center, lengths)
 
+    @pytest.mark.parametrize("legs", [[[1, 2], [3]], [[3], [1, 2]]])
+    def test_list_legs_changed_later_stay_as_checked(self, legs):
+        sp = Spider(build_spider([2, 1]).tree, 0, legs)
+        checked = tuple(map(tuple, legs))
+        legs[0].append(9)
+        legs.append([7])
+        assert sp.legs == checked and sp.leg_lengths == tuple(map(len, checked))
+        assert to_document(sp.tree, spider=sp)["legs"] == [list(leg) for leg in checked]
+
+    @pytest.mark.parametrize("legs", [((1, 2), (3,)), ((3,), (1, 2))])
+    def test_generator_legs_kept_whole(self, legs):
+        sp = Spider(build_spider([2, 1]).tree, 0, (iter(leg) for leg in legs))
+        assert sp.legs == legs and sp.leg_lengths == tuple(map(len, legs))
+        assert to_document(sp.tree, spider=sp)["legs"] == [list(leg) for leg in legs]
+
+    def test_explicit_canonical_legs_are_the_built_spider(self):
+        built = build_spider([2, 1])
+        sp = Spider(built.tree, 0, [[1, 2], [3]])
+        assert sp == built and hash(sp) == hash(built) and repr(sp) == repr(built)
+        assert sp.legs == ((1, 2), (3,))
+
+    def test_read_back_spider_keeps_lengths_only_in_canonical_numbering(self):
+        built = build_spider([3, 1, 2])
+        _, _, sp = from_document(to_document(built.tree, spider=built))
+        assert type(sp._legs) is model._LegLengths and sp == built
+        layout = Spider(built.tree, 0, built.legs[::-1])
+        _, _, sp = from_document(to_document(built.tree, spider=layout))
+        assert type(sp._legs) is tuple and sp.legs == built.legs[::-1]
+
     def test_validation_counts_degrees_in_one_pass(self, monkeypatch):
         def per_vertex_scan(self, v):
             raise AssertionError("Spider validation scanned the edges per vertex")
@@ -562,12 +591,15 @@ class TestLabeling:
         assert len(lab) == 4 and 3 in lab and 4 not in lab and -1 not in lab
         assert lab != Labeling.from_sequence([3, 0, 1, 2])
 
-    @pytest.mark.parametrize("v", [-1, 4, "0", 1.5])
+    @pytest.mark.parametrize("v", [-1, 4, "0", 1.5, True, 1.0])
     def test_out_of_range_vertex_not_labeled(self, v):
-        lab = Labeling.from_sequence([3, 0, 2, 1])
-        with pytest.raises(ValidationError) as info:
-            lab[v]
-        assert str(info.value) == f"vertex {v} is not labeled"
+        # A vertex is an int and not a bool, on the list and the dict backing.
+        xs = [3, 0, 2, 1]
+        for lab in (Labeling.from_sequence(xs), Labeling(dict(enumerate(xs)))):
+            assert v not in lab
+            with pytest.raises(ValidationError) as info:
+                lab[v]
+            assert str(info.value) == f"vertex {v} is not labeled"
 
     def test_values_read_only(self):
         lab = Labeling.from_sequence([0, 1])

@@ -13,6 +13,10 @@ prints one line:
 
 - `build_s`, the process time of one certified build;
 - `to_document_s`, the process time of `treedoc.to_document` on its result;
+- `from_document_s`, the process time of `treedoc.from_document` on that
+  document after a JSON round trip, as the CLI reads a file, and
+  `read_held_B`, the bytes that tracemalloc sees what it returns hold,
+  read again under tracing;
 - `held_B` and `peak_B`, the bytes that tracemalloc sees the build's result
   hold and the peak it reaches during a second, traced build, both above
   what was allocated before it, and `held_B` per vertex;
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 import tracemalloc
 from time import process_time
@@ -34,7 +39,7 @@ from time import process_time
 from graceful_spiders.compose import label_three_long_legs
 from graceful_spiders.doubling import label_doubling_spider
 from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
-from graceful_spiders.treedoc import to_document
+from graceful_spiders.treedoc import from_document, to_document
 
 
 def builders(m: int) -> list:
@@ -52,9 +57,25 @@ def builders(m: int) -> list:
     ]
 
 
+def traced(make) -> tuple[int, int]:
+    """The bytes that tracemalloc sees what make() returns hold, and the
+    peak reached while making it, both above what was allocated before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held - base, peak - base
+
+
 def measure(build) -> dict:
-    """The figures of one builder: an untraced build and `to_document`
-    timed, then a traced build for memory."""
+    """The figures of one builder: an untraced build, `to_document` and
+    `from_document` timed, then a traced build and a traced read for
+    memory."""
     runs = []
 
     def count(phase, info):
@@ -70,21 +91,20 @@ def measure(build) -> dict:
     finally:
         gc.callbacks.remove(count)
     start = process_time()
-    to_document(spider.tree, lab, spider)
+    doc = to_document(spider.tree, lab, spider)
     doc_s = process_time() - start
     n = spider.tree.n
     del spider, lab
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = build()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del result
-    return {"n": n, "build_s": build_s, "to_document_s": doc_s, "held_B": held - base,
-            "peak_B": peak - base, "held_B_per_vertex": (held - base) / n, "gc": len(runs)}
+    doc = json.loads(json.dumps(doc))
+    start = process_time()
+    from_document(doc)
+    read_s = process_time() - start
+    read_held = traced(lambda: from_document(doc))[0]
+    del doc
+    held, peak = traced(build)
+    return {"n": n, "build_s": build_s, "to_document_s": doc_s, "from_document_s": read_s,
+            "read_held_B": read_held, "held_B": held, "peak_B": peak,
+            "held_B_per_vertex": held / n, "gc": len(runs)}
 
 
 def main(argv=None) -> int:
@@ -98,7 +118,9 @@ def main(argv=None) -> int:
     for name, build in builders(args.m):
         r = measure(build)
         print(f"{name:<10} n={r['n']:,} build_s={r['build_s']:.3f} "
-              f"to_document_s={r['to_document_s']:.3f} held_B={r['held_B']:,} "
+              f"to_document_s={r['to_document_s']:.3f} "
+              f"from_document_s={r['from_document_s']:.3f} read_held_B={r['read_held_B']:,} "
+              f"held_B={r['held_B']:,} "
               f"peak_B={r['peak_B']:,} held_B_per_vertex={r['held_B_per_vertex']:.1f} "
               f"gc={r['gc']}")
     return 0
