@@ -18,19 +18,13 @@ from operator import add
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    AlphaLabeling,
-    Labeling,
-    Spider,
-    Tree,
-    _center_first,
-    _check_int,
-    _check_legs,
-    build_spider,
-    certified,
-    is_graceful,
+    AlphaLabeling, Labeling, Spider, Tree, _canonical_spider, _center_first, _check_int,
+    _check_legs, certified, is_graceful,
 )
 from .paths import _alpha_zero_seq
-from .short_legs import ShortLegSpec, _short_leg_labels, label_short_leg_spider
+from .short_legs import (
+    ShortLegSpec, _short_leg_labels, _short_leg_lengths, label_short_leg_spider,
+)
 
 
 def amalgamate(
@@ -57,9 +51,7 @@ def amalgamate(
     if not 0 <= v < h_tree.n:
         raise ValidationError(f"vertex {v} not in H")
     if g[u] not in (0, g.alpha):
-        raise ValidationError(
-            f"u must be labeled 0 or alpha={g.alpha}, got {g[u]}"
-        )
+        raise ValidationError(f"u must be labeled 0 or alpha={g.alpha}, got {g[u]}")
     if not is_graceful(h_tree, h_labeling):
         raise ValidationError("H's labeling is not graceful")
     if h_labeling[v] != 0:
@@ -72,13 +64,8 @@ def amalgamate(
         up[w], w, p = p, up[w], w
     del up[v]
     tree = Tree(n_g + h_tree.n - 1, parent=(*g.tree.parent, *map(ids.__getitem__, up)))
-    labels = _amalgam_labels(
-        g.labeling.as_sequence(n_g),
-        g.alpha,
-        u,
-        h_labeling.as_sequence(h_tree.n),
-        v,
-    )
+    labels = _amalgam_labels(g.labeling.as_sequence(n_g), g.alpha, u,
+                             h_labeling.as_sequence(h_tree.n), v)
     return tree, certified(
         tree,
         labels,
@@ -87,9 +74,7 @@ def amalgamate(
     )
 
 
-def _amalgam_labels(
-    g: list[int], alpha: int, u: int, h: list[int], v: int
-) -> list[int]:
+def _amalgam_labels(g: list[int], alpha: int, u: int, h: list[int], v: int) -> list[int]:
     """Labels by vertex id (amalgamate's numbering) of the amalgam of an
     alpha-labeled G and a graceful H, identifying u with v (H labels v 0).
 
@@ -125,16 +110,17 @@ def label_three_long_legs(
     through the center, alpha-labeled with the center at 0; the rest of the
     spider is labeled by the short-leg construction and amalgamated at the
     center. Every step is closed form, so `budget` is accepted and ignored.
-    The result is checked graceful once, on the canonical spider.
+    The lengths are checked once, here, and the result is checked graceful
+    once, on the canonical spider.
     """
     _check_legs(leg_lengths)
-    long_count = sum(1 for ell in leg_lengths if ell >= 3)
+    long_count = sum(map((3).__le__, leg_lengths))
     if long_count > 3:
         raise ValidationError(
             f"at most three legs of length >= 3 are supported, got {long_count}"
         )
     if long_count <= 1:
-        return label_short_leg_spider(_short_spec(leg_lengths))
+        return label_short_leg_spider(ShortLegSpec(*_short_counts(leg_lengths)))
 
     ell1, ell2, *rest = sorted(leg_lengths, reverse=True)
 
@@ -143,9 +129,8 @@ def label_three_long_legs(
     g, alpha = _alpha_zero_seq(n_path, ell1)
 
     if rest:
-        spec = _short_spec(rest)
-        h = _short_leg_labels(spec)
-        star_lengths = spec.leg_lengths
+        ell, s, t = _short_counts(rest)
+        h, star_lengths = _short_leg_labels(ell, s, t), _short_leg_lengths(ell, s, t)
     else:
         h, star_lengths = [0], []
 
@@ -155,7 +140,7 @@ def label_three_long_legs(
     # own legs. Path position ell1 is the center (id 0); leg L1 walks the
     # positions ell1-1 .. 0, leg L2 keeps positions ell1+1 .. n_path-1 as
     # ids, and so do the star vertices, which amalgamate numbers from n_path.
-    spider = build_spider([ell1, ell2] + star_lengths)
+    spider = _canonical_spider([ell1, ell2, *star_lengths])
     return spider, certified(
         spider.tree,
         _center_first(lab, ell1),
@@ -164,15 +149,9 @@ def label_three_long_legs(
     )
 
 
-def _short_spec(leg_lengths: list[int]) -> ShortLegSpec:
-    """Express a leg multiset with at most one length >= 3 as a ShortLegSpec.
-
-    The distinguished leg is the longest one; both callers pass lists whose
-    other legs have length at most 2.
-    """
-    lengths = sorted(leg_lengths, reverse=True)
-    ell = lengths[0]
-    others = lengths[1:]
-    s = sum(1 for x in others if x == 2)
-    t = sum(1 for x in others if x == 1)
-    return ShortLegSpec(ell, s, t)
+def _short_counts(leg_lengths: list[int]) -> tuple[int, int, int]:
+    """The short-leg counts (ell, s, t) of a leg list whose legs other than
+    its longest have length at most 2, as both callers' lists do: the
+    longest leg ell, and how many of the others have length 2 and 1."""
+    ell = max(leg_lengths)
+    return ell, leg_lengths.count(2) - (ell == 2), leg_lengths.count(1) - (ell == 1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .attach import _attach_block
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    ConstructionTrace, Labeling, Spider, _center_first, _check_legs, build_spider, certified,
+    ConstructionTrace, Labeling, Spider, _canonical_spider, _center_first, _check_legs, certified,
 )
 from .paths import _alpha_low_end, _alpha_zero_seq
 
@@ -71,7 +71,7 @@ def label_doubling_spider(
     """
     lengths = check_doubling(leg_lengths)
     s = len(lengths)
-    spider = build_spider(list(lengths))
+    spider = _canonical_spider(lengths)
     trace = ConstructionTrace()
 
     if s <= 2:

@@ -3,8 +3,8 @@ certify every construction in this package.
 
 Vertex ids are dense integers in [0, n-1]; this keeps the search modules
 bitmask-friendly and lets a labeling be a list indexed by vertex id, read
-through a mapping interface (`Labeling.values`). A labeling of only some
-vertices is a plain dict.
+through a read-only mapping interface (`Labeling.values`). A labeling of
+only some vertices is a dict behind the same interface.
 
 A tree is held as a parent array: `parent[v]` is v's neighbour toward
 vertex 0. The builders number every tree they make so that `parent[v] < v`,
@@ -473,6 +473,13 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     not a tuple per leg.
     """
     _check_legs(leg_lengths)
+    return _canonical_spider(leg_lengths)
+
+
+def _canonical_spider(leg_lengths: abc.Sequence[int]) -> Spider:
+    """`build_spider` without its check of the lengths, for the builders
+    that have made that check already; `Tree` and `Spider` still check the
+    result."""
     lengths = _LegLengths(leg_lengths)
     parent = _canonical_parent(lengths)
     return Spider(Tree(len(parent), parent=parent), 0, lengths)
@@ -528,19 +535,38 @@ class _LabelList(abc.Mapping):
         return iter(range(len(self.labels)))
 
     def __repr__(self) -> str:
-        return repr(dict(enumerate(self.labels)))
+        return repr(dict(self.items()))
+
+
+class _LabelDict(_LabelList):
+    """Read-only mapping view of a label dict: vertex v -> labels[v]."""
+
+    __slots__ = ()
+
+    def __getitem__(self, v: int) -> int:
+        return self.labels[v]
+
+    def __iter__(self) -> abc.Iterator[int]:
+        return iter(self.labels)
 
 
 class Labeling(_Record):
     """A vertex -> integer map. Checkers decide whether it is graceful.
 
-    `Labeling.from_sequence` keeps the label list it is given; a
-    `Labeling` built from a dict keeps the dict. Either way `values` is a
-    read-only mapping from vertex id to label, and a vertex is an int:
+    `Labeling.from_sequence` copies the labels it is given into a list and
+    `Labeling(d)` copies the mapping d into a dict, as `Tree` and `Spider`
+    copy theirs, and `values` is a read-only view of that list or dict, so
+    no caller can change a labeling once it is made. A vertex is an int:
     `lab[v]` raises and `v in lab` is False for a v of 1.0 or True.
     """
 
     __slots__ = ("values",)
+
+    def __post_init__(self):
+        # A `_LabelList` is only made over a list that nothing else holds
+        # (`from_sequence`, `_fresh_labeling`), or shared read-only.
+        if type(self.values) is not _LabelList:
+            _SET_FIELD(self, "values", _LabelDict(dict(self.values)))
 
     def __getitem__(self, v: int) -> int:
         try:
@@ -558,9 +584,8 @@ class Labeling(_Record):
 
     @staticmethod
     def from_sequence(labels: abc.Sequence[int]) -> "Labeling":
-        """Label vertex i with labels[i]. A list is kept, not copied, so the
-        caller must not change it afterwards."""
-        return Labeling(_LabelList(labels if type(labels) is list else list(labels)))
+        """Label vertex i with labels[i], from a copy of `labels`."""
+        return _fresh_labeling(list(labels))
 
     def as_sequence(self, n: int) -> list[int]:
         """Labels of vertices 0..n-1 as a new list; raises for the first
@@ -591,6 +616,13 @@ def is_graceful(t: Tree, lab: Labeling) -> bool:
     return len(set(map(abs, map(sub, islice(f, 1, None), parent_labels)))) == t.m
 
 
+def _fresh_labeling(labels: list[int]) -> Labeling:
+    """The labeling of vertex i by labels[i] over `labels` itself, not a
+    copy, for a caller that has just built the list and keeps no other
+    reference to it."""
+    return Labeling(_LabelList(labels))
+
+
 def certified(
     t: Tree,
     labels: list[int],
@@ -599,8 +631,10 @@ def certified(
 ) -> Labeling:
     """The labeling of t by `labels` (vertex i gets labels[i]), checked
     graceful; raises ConstructionInvariantError(message, trace) when it is
-    not, since every caller's construction guarantees it."""
-    lab = Labeling.from_sequence(labels)
+    not, since every caller's construction guarantees it. The labeling
+    keeps `labels`, not a copy: each caller has just written the list and
+    keeps no other reference to it."""
+    lab = _fresh_labeling(labels)
     if not is_graceful(t, lab):
         raise ConstructionInvariantError(message, trace)
     return lab
@@ -656,7 +690,7 @@ def alpha_flip(al: AlphaLabeling) -> AlphaLabeling:
     m, alpha = al.tree.m, al.alpha
     table = [*range(alpha, -1, -1), *range(m, alpha, -1)]  # label -> flipped label
     flipped = list(map(table.__getitem__, al.labeling.as_sequence(al.tree.n)))
-    return AlphaLabeling(al.tree, Labeling.from_sequence(flipped), alpha)
+    return AlphaLabeling(al.tree, _fresh_labeling(flipped), alpha)
 
 
 class TraceStep(_Record):

@@ -46,7 +46,7 @@ import time
 from collections.abc import Mapping
 
 from .errors import ValidationError
-from .model import Labeling, Tree, _Record, _check_int
+from .model import Labeling, Tree, _Record, _check_int, _fresh_labeling
 
 DEFAULT_ORACLE_BUDGET = 10**8
 
@@ -283,7 +283,7 @@ def _run(
             if i + 1 == n:
                 count += weight
                 if mode != "count":
-                    kept.append(Labeling.from_sequence([label[p] for p in where]))
+                    kept.append(_fresh_labeling([label[p] for p in where]))
                     if mode == "find":
                         break
                 continue

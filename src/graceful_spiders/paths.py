@@ -44,12 +44,15 @@ rules carry the choices, both forced by Lemma 2(c)'s infeasible pair
   block twice. With it, 362 pairs with n <= 400 are residues, 912 with
   n <= 1000.
 
-Every zero-position labeling that is not a zigzag or a literal ends in the
-one band step, `_extend_by_band`: a block with 0 at index z keeps its lows,
-lifts its highs to the top of P_n, and continues past its last label with a
-low-endpoint band on the middle labels, entered by a bridge of difference
-the band's size. `_zero_at_construct` applies it to a zigzag arm,
-`_zero_at_residue` to a smaller zero-position block.
+Every zero-position labeling that is not a zigzag or a literal ends in one
+band step: a block with 0 at index z keeps its lows, lifts its highs to the
+top of P_n, and continues past its last label with a low-endpoint band on
+the middle labels, entered by a bridge of difference the band's size.
+`_zero_at_construct` takes the step on a zigzag arm in two
+`_alpha_low_end` calls, one for the arm and one for the band, each through
+its map, so the arm is written already lifted. Only `_zero_at_residue`
+lifts a block it has built, a smaller zero-position block, by
+`_extend_by_band`.
 
 Each choice is backed by an O(1) check that raises
 `ConstructionInvariantError`, never by a fallback. Nothing here searches:
@@ -72,7 +75,9 @@ import json
 import os
 
 from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
-from .model import AlphaLabeling, Labeling, _check_int, _check_vertex_count, certified, path_tree
+from .model import (
+    AlphaLabeling, Labeling, _check_int, _check_vertex_count, _fresh_labeling, certified, path_tree,
+)
 
 _CACHE_FORMAT = "graceful-spiders-path-cache"
 _CACHE_VERSION = 1
@@ -137,9 +142,7 @@ def zigzag_alpha_path(n: int) -> AlphaLabeling:
     _check_vertex_count(n)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return AlphaLabeling(
-        path_tree(n), Labeling.from_sequence(_alpha_low_end(n, 0)), (n - 1) // 2
-    )
+    return AlphaLabeling(path_tree(n), _fresh_labeling(_alpha_low_end(n, 0)), (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +275,7 @@ def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
     seq, alpha = _alpha_zero_seq(n, position)
     if alpha is None:
         raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
-    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+    return AlphaLabeling(path_tree(n), _fresh_labeling(seq), alpha)
 
 
 def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
@@ -303,16 +306,21 @@ def _zero_at_construct(n: int, position: int) -> list[int] | None:
     differences, the lows [0, q//2] and the top highs. The other arm then
     lives on a contiguous label band of its own size r = n-1-q, entered
     through a bridge edge of difference exactly r, which pins its endpoint
-    label to q//2. That is the band step of `_extend_by_band` on the
-    reversed zigzag of P_{q+1}, whose lows are [0, q//2]: lifting its highs
-    by r puts them on the top labels. The arm at `position` is taken when
-    the band's endpoint is feasible, else the other arm; None when neither
-    is.
+    label to q//2. So the arm is the zigzag of P_{q+1} read from its far
+    end, whose lows are [0, q//2], with its highs lifted by r onto the top
+    labels, and the band is the low-end labeling of P_r with endpoint q//2,
+    complemented onto [q//2+1, q//2+r]. Both are written through the map
+    of `_alpha_low_end`: the arm is P_{q+1} with endpoint q//2, lifted for
+    even q and complemented for odd q, whose far end is high. The arm at
+    `position` is taken when the band's endpoint is feasible, else the
+    other arm; None when neither is.
     """
     for q in (position, n - 1 - position):
-        if 0 < q < n - 1 and _low_end_feasible(n - 1 - q, q // 2):
-            # The arm is the zigzag of P_{q+1}, reversed to end at 0.
-            seq = _extend_by_band(_alpha_low_end(q + 1, 0)[::-1], q, n)
+        j, r = q // 2, n - 1 - q
+        if 0 < q < n - 1 and _low_end_feasible(r, j):
+            s, lo, hi = (1, 0, r) if q % 2 == 0 else (-1, q + r, q)
+            seq = _alpha_low_end(q + 1, j, s, lo, hi)
+            seq += _alpha_low_end(r, j, -1, j + r, j + r)
             return seq if q == position else seq[::-1]
     return None
 
@@ -423,5 +431,5 @@ def alpha_path_end_label(
             f"no alpha-labeling of P_{n} has endpoint label {end_label}"
             + (f" with index {required_index}" if required_index is not None else "")
         )
-    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+    return AlphaLabeling(path_tree(n), _fresh_labeling(seq), alpha)
 

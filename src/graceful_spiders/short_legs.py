@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    Labeling, Spider, Tree, _Record, _center_first, _check_int, _check_vertex_count, build_spider,
-    certified, is_graceful,
+    Labeling, Spider, Tree, _Record, _canonical_spider, _center_first, _check_int,
+    _check_vertex_count, build_spider, certified, is_graceful,
 )
 from .paths import _alpha_zero_seq
 
@@ -46,7 +46,13 @@ class ShortLegSpec(_Record):
     @property
     def leg_lengths(self) -> list[int]:
         """Leg lengths in canonical order: 2-legs, distinguished leg, 1-legs."""
-        return [2] * self.s + [self.ell] + [1] * self.t
+        return _short_leg_lengths(self.ell, self.s, self.t)
+
+
+def _short_leg_lengths(ell: int, s: int, t: int) -> list[int]:
+    """Leg lengths in the canonical order of this module's spiders: s
+    2-legs, the distinguished leg ell, then t 1-legs."""
+    return [2] * s + [ell] + [1] * t
 
 
 def role_labels(ell: int, s: int) -> tuple[int, list[int], list[int], list[int]]:
@@ -60,7 +66,7 @@ def role_labels(ell: int, s: int) -> tuple[int, list[int], list[int], list[int]]
 
 def formula_spider(ell: int, s: int) -> Spider:
     """The canonical spider the closed-form labeling applies to."""
-    return build_spider([2] * s + [ell])
+    return build_spider(_short_leg_lengths(ell, s, 0))
 
 
 def short_leg_formula(ell: int, s: int) -> Labeling:
@@ -152,28 +158,30 @@ def label_short_leg_spider(
     spider = short_leg_spider(spec)
     return spider, certified(
         spider.tree,
-        _short_leg_labels(spec),
+        _short_leg_labels(spec.ell, spec.s, spec.t),
         "short-leg construction produced a non-graceful labeling; this "
         "contradicts Theorem 4",
     )
 
 
-def _short_leg_labels(spec: ShortLegSpec) -> list[int]:
-    """Labels by vertex id of `short_leg_spider(spec)`, center 0; not
-    certified (the steps of label_short_leg_spider, on a plain list)."""
-    if spec.s == 1:
+def _short_leg_labels(ell: int, s: int, t: int) -> list[int]:
+    """Labels by vertex id of `short_leg_spider(ShortLegSpec(ell, s, t))`,
+    center 0; not certified (the steps of label_short_leg_spider, on a
+    plain list). The counts are not checked again."""
+    if s == 1:
         # reduced spider is the path v1-u1-x0-x1-..-x_ell; ids 2,1,0,3,4,...
-        labels = _center_first(_alpha_zero_seq(spec.ell + 3, 2)[0], 2)
+        labels = _center_first(_alpha_zero_seq(ell + 3, 2)[0], 2)
     else:
-        labels = _formula_labels(spec.ell, spec.s)
+        labels = _formula_labels(ell, s)
     if labels[0] != 0:
         raise ConstructionInvariantError(
             f"short-leg center is labeled {labels[0]}, expected 0"
         )
-    return _with_leaves(labels, spec.t)
+    return _with_leaves(labels, t)
 
 
 def short_leg_spider(spec: ShortLegSpec) -> Spider:
     """Canonical spider for a ShortLegSpec: legs ordered 2-legs, distinguished
-    leg, then 1-legs, matching the role numbering in this module."""
-    return build_spider(spec.leg_lengths)
+    leg, then 1-legs, matching the role numbering in this module. The spec
+    has checked the lengths."""
+    return _canonical_spider(spec.leg_lengths)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .errors import ValidationError
-from .model import Labeling, Spider, Tree
+from .model import Labeling, Spider, Tree, _fresh_labeling
 
 
 def to_document(
@@ -64,7 +64,7 @@ def from_document(doc: dict) -> tuple[Tree, Labeling | None, Spider | None]:
         if outside:
             raise ValidationError(f"label for vertex {outside[0]} outside 0..{n - 1}")
         if len(values) == n:
-            labeling = Labeling.from_sequence([values[v] for v in range(n)])
+            labeling = _fresh_labeling([values[v] for v in range(n)])
         else:
             labeling = Labeling(values)
     spider = None

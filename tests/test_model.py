@@ -591,6 +591,24 @@ class TestLabeling:
         assert len(lab) == 4 and 3 in lab and 4 not in lab and -1 not in lab
         assert lab != Labeling.from_sequence([3, 0, 1, 2])
 
+    def test_sequence_is_copied(self):
+        # A checked labeling stays graceful when its caller reuses the list.
+        xs = [0, 2, 1]
+        al = AlphaLabeling(path_tree(3), Labeling.from_sequence(xs), 1)
+        xs[0] = 5
+        assert al.labeling.as_sequence(3) == [0, 2, 1]
+        assert is_graceful(al.tree, al.labeling)
+
+    def test_dict_is_copied(self):
+        # ... and when it reuses the dict; its own copy cannot be written to.
+        d = {0: 0, 1: 2, 2: 1}
+        al = AlphaLabeling(path_tree(3), Labeling(d), 1)
+        d[0] = 5
+        assert al.labeling.values == {0: 0, 1: 2, 2: 1}
+        with pytest.raises(TypeError):
+            al.labeling.values[0] = 5
+        assert is_graceful(al.tree, al.labeling)
+
     @pytest.mark.parametrize("v", [-1, 4, "0", 1.5, True, 1.0])
     def test_out_of_range_vertex_not_labeled(self, v):
         # A vertex is an int and not a bool, on the list and the dict backing.
@@ -602,9 +620,11 @@ class TestLabeling:
             assert str(info.value) == f"vertex {v} is not labeled"
 
     def test_values_read_only(self):
-        lab = Labeling.from_sequence([0, 1])
-        with pytest.raises(TypeError):
-            lab.values[0] = 1
+        for lab in (Labeling.from_sequence([0, 1]), Labeling({0: 0, 1: 1})):
+            with pytest.raises(TypeError):
+                lab.values[0] = 1
+            assert repr(lab) == "Labeling(values={0: 0, 1: 1})"
+            assert pickle.loads(pickle.dumps(lab)) == lab
 
     def test_short_sequence_is_error_not_false(self):
         with pytest.raises(ValidationError) as info:

@@ -308,6 +308,30 @@ class TestLowEndConstruction:
         assert not hasattr(paths, "_zigzag_seq")
         assert not hasattr(attach, "_alpha_end_seq")
 
+    def test_zero_at_arm_through_the_map(self, monkeypatch):
+        # `_zero_at_construct` writes its arm already lifted, as P_{q+1} with
+        # endpoint q//2 through a map, then its band: it builds no zigzag to
+        # reverse and lifts nothing, so only `_zero_at_residue` lifts a block.
+        calls, lifts = [], []
+        low_end, extend = paths._alpha_low_end, paths._extend_by_band
+        monkeypatch.setattr(paths, "_alpha_low_end", lambda *a: calls.append(a) or low_end(*a))
+        monkeypatch.setattr(paths, "_extend_by_band", lambda *a: lifts.append(a) or extend(*a))
+        for n in range(3, 80):
+            for p in range(1, n - 1):
+                if _construct_misses(n, p):
+                    continue
+                q = next(q for q in (p, n - 1 - p) if paths._low_end_feasible(n - 1 - q, q // 2))
+                j, r = q // 2, n - 1 - q
+                calls.clear()
+                paths._zero_at_construct(n, p)
+                arm = (1, 0, r) if q % 2 == 0 else (-1, q + r, q)
+                assert calls[0] == (q + 1, j, *arm), (n, p)
+                assert (r, j, -1, j + r, j + r) in calls, (n, p)
+                assert all(len(a) == 5 for a in calls), (n, p)
+        assert lifts == []
+        paths._alpha_zero_seq(14, 4)  # a residue: the shorter arm closed by a block
+        assert len(lifts) == 1
+
     def test_peel_rule_at_6j_plus_3(self):
         # n = 6j+3 peels a block of 2j+4 vertices, not the plain fan, whose
         # rest would be Lemma 2(c)'s infeasible P_{4j+1} with endpoint j.
