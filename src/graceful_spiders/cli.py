@@ -26,31 +26,56 @@ Flags shared by several subcommands:
   searches, so only `oracle` uses `--budget` and can exit 3; every other
   subcommand is closed form and ignores both, so existing command lines
   keep working.
+
+Importing this module runs only `model` and `errors` (with the package's
+`__init__`). `attach`, `compose`, `doubling`, `oracle`, `paths`, `short_legs`
+and `treedoc` go into `sys.modules` at import through
+`importlib.util.LazyLoader`, and each one's body runs on its first attribute
+read, so a call compiles only the layers its subcommand reaches: `spider
+short` runs `short_legs`, `paths` and `treedoc`, never the oracle,
+`compose`, `doubling` or `attach`. The `--budget` default is read from
+`errors`, so parsing loads no layer. A tool that wraps a layer's functions
+from outside finds every layer in `sys.modules`, and its first read loads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 
-from .attach import attach_path
-from .compose import amalgamate, label_three_long_legs
-from .doubling import label_doubling_spider
 from .errors import (
+    DEFAULT_ORACLE_BUDGET,
     ConstructionInvariantError,
     ResourceBudgetError,
     ValidationError,
 )
-from .model import AlphaLabeling, Labeling, alpha_index, is_graceful, path_tree
-from .oracle import DEFAULT_ORACLE_BUDGET, count_graceful, find_graceful
-from .paths import (
-    alpha_path_end_label,
-    alpha_path_zero_at,
-    graceful_path_zero_at,
-    zigzag_alpha_path,
-)
-from .short_legs import ShortLegSpec, label_short_leg_spider
-from .treedoc import dumps_document, from_document, load_document, to_document, to_dot
+from .model import AlphaLabeling, alpha_index, is_graceful, path_tree
+
+
+def _lazy(name: str):
+    """The package's module `name`, put in `sys.modules` (and on the
+    package) now, its body run on the first attribute read. A module that
+    is already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+attach = _lazy("attach")
+compose = _lazy("compose")
+doubling = _lazy("doubling")
+oracle = _lazy("oracle")
+paths = _lazy("paths")
+short_legs = _lazy("short_legs")
+treedoc = _lazy("treedoc")
 
 
 def _parse_legs(text: str) -> list[int]:
@@ -142,11 +167,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, tree, labeling=None, spider=None, extra: dict | None = None) -> str:
     if args.format == "dot":
-        return to_dot(tree, labeling, extra)
-    doc = to_document(tree, labeling, spider)
+        return treedoc.to_dot(tree, labeling, extra)
+    doc = treedoc.to_document(tree, labeling, spider)
     if extra:
         doc.update(extra)
-    return dumps_document(doc)
+    return treedoc.dumps_document(doc)
 
 
 def _trace_doc(trace) -> list[dict]:
@@ -171,8 +196,13 @@ def run(argv: list[str]) -> int:
     return code
 
 
+def _read(path: str):
+    """(tree, labeling or None, spider or None) of the document at `path`."""
+    return treedoc.from_document(treedoc.load_document(path))
+
+
 def _error(kind: str, exc: Exception) -> str:
-    return dumps_document({"error": {"type": kind, "message": str(exc)}})
+    return treedoc.dumps_document({"error": {"type": kind, "message": str(exc)}})
 
 
 def _dispatch(args) -> str:
@@ -181,44 +211,45 @@ def _dispatch(args) -> str:
         if args.variant == "doubling":
             if args.trace and args.format == "dot":
                 raise ValidationError("spider doubling --format dot does not take --trace")
-            sp, lab, trace = label_doubling_spider(_parse_legs(args.legs))
+            sp, lab, trace = doubling.label_doubling_spider(_parse_legs(args.legs))
             extra = {"trace": _trace_doc(trace)} if args.trace else None
             return _emit(args, sp.tree, lab, sp, extra)
         if args.variant == "short":
-            sp, lab = label_short_leg_spider(ShortLegSpec(args.long_leg, args.two, args.one))
+            spec = short_legs.ShortLegSpec(args.long_leg, args.two, args.one)
+            sp, lab = short_legs.label_short_leg_spider(spec)
         else:
-            sp, lab = label_three_long_legs(_parse_legs(args.legs))
+            sp, lab = compose.label_three_long_legs(_parse_legs(args.legs))
         return _emit(args, sp.tree, lab, sp)
     if args.command == "attach":
-        tree, labeling, _ = from_document(load_document(args.graph))
+        tree, labeling, _ = _read(args.graph)
         if labeling is None:
             raise ValidationError("attach requires a labeled graph document")
-        result = attach_path(tree, labeling, args.vertex, args.path_len)
+        result = attach.attach_path(tree, labeling, args.vertex, args.path_len)
         return _emit(args, result.tree, result.labeling,
                      extra={"shift": result.shift, "bridge_label": result.bridge_label,
                             "path_ids": list(result.path_ids)})
     if args.command == "amalgamate":
-        g_tree, g_lab, _ = from_document(load_document(args.alpha))
-        h_tree, h_lab, _ = from_document(load_document(args.graceful))
+        g_tree, g_lab, _ = _read(args.alpha)
+        h_tree, h_lab, _ = _read(args.graceful)
         if g_lab is None or h_lab is None:
             raise ValidationError("amalgamate requires labeled documents")
         idx = alpha_index(g_tree, g_lab)
         if idx is None:
             raise ValidationError("G's labeling is not an alpha-labeling")
-        tree, lab = amalgamate(AlphaLabeling(g_tree, g_lab, idx), args.u,
-                               h_tree, h_lab, args.v)
+        tree, lab = compose.amalgamate(AlphaLabeling(g_tree, g_lab, idx), args.u,
+                                       h_tree, h_lab, args.v)
         return _emit(args, tree, lab)
     if args.command == "path":
         return _path_cmd(args)
     if args.command == "oracle":
-        tree, _, _ = from_document(load_document(args.graph))
+        tree, _, _ = _read(args.graph)
         fixed = _parse_fixed(args.fix)
         if args.count:
-            report = count_graceful(tree, budget=args.budget,
-                                    alpha_constrained=args.alpha_only, fixed=fixed)
+            report = oracle.count_graceful(tree, budget=args.budget,
+                                           alpha_constrained=args.alpha_only, fixed=fixed)
         else:
-            report = find_graceful(tree, fixed=fixed, budget=args.budget,
-                                   alpha_constrained=args.alpha_only)
+            report = oracle.find_graceful(tree, fixed=fixed, budget=args.budget,
+                                          alpha_constrained=args.alpha_only)
         if not report.exhausted:
             raise ResourceBudgetError(
                 f"oracle stopped at its budget of {args.budget} nodes "
@@ -233,16 +264,17 @@ def _dispatch(args) -> str:
         }
         if args.trace:
             out["elapsed"] = report.elapsed
-        return dumps_document(out)
+        return treedoc.dumps_document(out)
     if args.command == "verify":
-        tree, labeling, _ = from_document(load_document(args.graph))
+        tree, labeling, _ = _read(args.graph)
         if labeling is None:
             raise ValidationError("verify requires a labeled document")
         if not is_graceful(tree, labeling):
             raise ValidationError("labeling is not graceful")
-        return dumps_document({"graceful": True, "alpha_index": alpha_index(tree, labeling)})
+        return treedoc.dumps_document({"graceful": True,
+                                       "alpha_index": alpha_index(tree, labeling)})
     # export
-    tree, labeling, spider = from_document(load_document(args.graph))
+    tree, labeling, spider = _read(args.graph)
     return _emit(args, tree, labeling, spider)
 
 
@@ -261,14 +293,14 @@ def _path_cmd(args) -> str:
         if getattr(args, flag) is not None and flag not in reads:
             raise ValidationError(f"{request} does not take --{flag.replace('_', '-')}")
     if args.kind == "graceful":
-        lab = graceful_path_zero_at(args.n, args.position)
+        lab = paths.graceful_path_zero_at(args.n, args.position)
         return _emit(args, path_tree(args.n), lab)
     if args.kind == "zigzag":
-        al = zigzag_alpha_path(args.n)
+        al = paths.zigzag_alpha_path(args.n)
     elif args.position is not None:
-        al = alpha_path_zero_at(args.n, args.position)
+        al = paths.alpha_path_zero_at(args.n, args.position)
     else:
-        al = alpha_path_end_label(args.n, args.end_label, args.index)
+        al = paths.alpha_path_end_label(args.n, args.end_label, args.index)
     return _emit(args, al.tree, al.labeling, extra={"alpha": al.alpha})
 
 

@@ -1,8 +1,11 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the oracle's default node
+budget, which the CLI's `--budget` default reads without loading the oracle.
 
 The CLI maps these onto exit codes: ValidationError (and its subclass
 InfeasibleError) -> 2, ResourceBudgetError -> 3, ConstructionInvariantError -> 4.
 """
+
+DEFAULT_ORACLE_BUDGET = 10**8
 
 
 class GracefulError(Exception):

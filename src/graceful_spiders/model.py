@@ -43,7 +43,9 @@ order of the checks do not depend on the fast path.
   tuple per leg, and `Spider` checks it from them: center 0, n = the
   lengths' sum + 1, and the tree's parent array equal to the canonical one
   for those lengths (its parent[v] = v - 1 but 0 at each leg's first
-  vertex), which costs O(legs) steps and whole-array passes. Legs given
+  vertex), which costs O(legs) steps and whole-array passes.
+  `_canonical_spider` hands `Spider` the array it made the tree from, and
+  a tree that keeps that very array is not compared again. Legs given
   explicitly are first copied into a tuple of tuples, and kept as their
   lengths when no leg is empty and their vertices, in order, are the ints
   1..n-1; that alone makes the legs a partition of the non-center
@@ -397,7 +399,10 @@ class Spider(_Record):
     __slots__ = ("tree", "center", "_legs")
     _fields = ("tree", "center", "legs")
 
-    def __post_init__(self):
+    def __post_init__(self, parent: tuple[int, ...] | None = None):
+        """`parent` is the canonical array of the spider's leg lengths, given
+        only by `_canonical_spider`, which made the tree from it: a tree that
+        keeps that very array needs no second one to compare."""
         t, c, legs = self.tree, self.center, self._legs
         _check_int("center", c)
         if not (0 <= c < t.n):
@@ -413,7 +418,7 @@ class Spider(_Record):
         # build_spider's numbering: center 0 and the canonical parent array.
         # n is compared first, so no array is built for a wrong one.
         if not (type(legs) is _LegLengths and c == 0 and sum(legs) + 1 == t.n
-                and t.parent == _canonical_parent(legs)):
+                and (t.parent is parent or t.parent == _canonical_parent(legs))):
             self._check_layout()
 
     def _check_layout(self):
@@ -479,10 +484,15 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
 def _canonical_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     """`build_spider` without its check of the lengths, for the builders
     that have made that check already; `Tree` and `Spider` still check the
-    result."""
+    result, and `Spider` is handed the array the tree was made from, so it
+    builds no second one."""
     lengths = _LegLengths(leg_lengths)
     parent = _canonical_parent(lengths)
-    return Spider(Tree(len(parent), parent=parent), 0, lengths)
+    spider = object.__new__(Spider)
+    for slot, value in zip(Spider.__slots__, (Tree(len(parent), parent=parent), 0, lengths)):
+        _SET_FIELD(spider, slot, value)
+    spider.__post_init__(parent)
+    return spider
 
 
 def _canonical_parent(leg_lengths: abc.Sequence[int]) -> tuple[int, ...]:

@@ -45,10 +45,8 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 
-from .errors import ValidationError
+from .errors import DEFAULT_ORACLE_BUDGET, ValidationError
 from .model import Labeling, Tree, _Record, _check_int, _fresh_labeling
-
-DEFAULT_ORACLE_BUDGET = 10**8
 
 
 class SearchReport(_Record):
