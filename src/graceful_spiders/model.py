@@ -547,6 +547,10 @@ class _LabelList(abc.Mapping):
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
+    def __hash__(self) -> int:
+        # Equal mappings hash equally, whichever of the two views holds them.
+        return hash(frozenset(self.items()))
+
 
 class _LabelDict(_LabelList):
     """Read-only mapping view of a label dict: vertex v -> labels[v]."""
@@ -566,7 +570,8 @@ class Labeling(_Record):
     `Labeling.from_sequence` copies the labels it is given into a list and
     `Labeling(d)` copies the mapping d into a dict, as `Tree` and `Spider`
     copy theirs, and `values` is a read-only view of that list or dict, so
-    no caller can change a labeling once it is made. A vertex is an int:
+    no caller can change a labeling once it is made. Equal labelings hash
+    equally, whichever of the two backs them. A vertex is an int:
     `lab[v]` raises and `v in lab` is False for a v of 1.0 or True.
     """
 

@@ -20,6 +20,17 @@ where the conflicts live -- are explored before the interchangeable leaves.
   has an unplaced parent. The branch is cut when one of the three largest
   unused differences has no such pair. The condition is necessary, so
   counts and witnesses are unchanged.
+- Root children. The root (the first vertex) is labeled r, and each of its
+  unplaced children will take its own label from C, the unused labels at an
+  unused difference from r. So the branch is cut when C has fewer labels
+  than the root has unplaced children. When r = 0 and C has exactly that
+  many, the children take exactly the labels C and so the differences C;
+  the forward check then runs again on the other differences, with C taken
+  out of the unused labels, the root out of the open vertices, and C in
+  them while a root child with children of its own is unplaced. Both
+  conditions hold in every completion of the branch, so they only cut
+  branches with no labeling. The check is skipped when every unplaced root
+  child is fixed.
 - Sibling leaves. Unfixed leaves of one parent are interchangeable: find
   and count give them increasing labels, and a count weighs each labeling
   by the product of k! over groups of k such siblings.
@@ -196,6 +207,20 @@ def _run(
     for i, v in enumerate(order):
         pending -= len(adj[v]) - (i > 0)
         deep[i] = -1 if pending else 0
+    # rest[i]: the root's children placed after order[i] (those j with
+    # up[j] == 0), or 0 when every one of them is fixed, where the root
+    # children check would only repeat the fixed labels. inner[i]: one of
+    # them has children (-1 as a mask when so, 0 when not).
+    rest = [0] * n
+    inner = [0] * n
+    k = unfixed = nest = 0
+    for i in range(n - 1, -1, -1):
+        rest[i], inner[i] = (k if unfixed else 0), nest
+        if up[i] == 0:
+            k += 1
+            unfixed += order[i] not in fixed
+            if kids[i]:
+                nest = -1
 
     # Unfixed leaf siblings are interchangeable: permuting their labels
     # maps labelings onto labelings, fixes every other label and the class
@@ -230,25 +255,24 @@ def _run(
     where = [0] * n  # by vertex: its depth
     for i, v in enumerate(order):
         where[v] = i
+    top = n - 1
     nodes = 0
     count = 0
     kept: list[Labeling] = []  # find: the witness; enumerate: every labeling
     ran_out = False
     label = [0] * n
     cand = [0] * n  # untried candidate labels, as a bitmask
-    unused = [0] * n  # labels not in use before order[i] is labeled
-    free = [0] * n  # unused differences
-    mirror = [0] * n  # free with bit d moved to bit m - d
-    opened = [0] * n  # labels of open vertices: placed, with unplaced children
+    # Before order[i] is labeled: (labels not in use, unused differences,
+    # the unused differences with bit d moved to bit m - d, labels of open
+    # vertices: placed, with unplaced children); and its parent's label.
+    state = [()] * n
+    above = [0] * n
 
     for allowed in layouts:
         for v, lab in fixed.items():
             allowed[where[v]] &= 1 << lab  # a fixed label keeps its class range
         cand[0] = allowed[0] & root_mask
-        unused[0] = (1 << (m + 1)) - 1
-        free[0] = (1 << (m + 1)) - 2
-        mirror[0] = (1 << m) - 1
-        opened[0] = 0
+        state[0] = ((1 << (m + 1)) - 1, (1 << (m + 1)) - 2, (1 << m) - 1, 0)
         i = 0
         while i >= 0:
             c = cand[i]
@@ -263,22 +287,21 @@ def _run(
             cand[i] = c ^ bit
             lab = bit.bit_length() - 1
             label[i] = lab
-            a = unused[i] ^ bit
-            f = free[i]
-            r = mirror[i]
-            o = opened[i]
+            a, f, r, o = state[i]
+            a ^= bit
             if i:
-                x = label[up[i]]
+                x = above[i]
                 d = lab - x if lab > x else x - lab
                 f ^= 1 << d
                 r ^= 1 << (m - d)
                 if last[i]:
                     o ^= 1 << x
             else:
+                root = lab
                 # At m = 0, f -> m - f is the identity and swaps nothing.
                 alpha_pair = alpha_constrained and m > 0
                 weight = 2 if halve and (alpha_pair or 2 * lab != m) else 1
-            if i + 1 == n:
+            if i == top:
                 count += weight
                 if mode != "count":
                     kept.append(_fresh_labeling([label[p] for p in where]))
@@ -290,30 +313,59 @@ def _run(
             # Each of the top three unused differences d still needs a
             # future edge (b, b + d): one end unplaced, on an unused label,
             # the other on an unused label too (only while some future edge
-            # has both ends unplaced) or on an open vertex's label.
-            # The loop breaks with k and g both left nonzero only on a cut.
+            # has both ends unplaced) or on an open vertex's label. At least
+            # one difference is unused here.
             w = o | (a & deep[i])
-            g = f
-            k = 3
-            while k and g:
+            d = f.bit_length() - 1
+            if not (a & (w >> d) or o & (a >> d)):
+                continue
+            g = f ^ (1 << d)
+            if g:
                 d = g.bit_length() - 1
                 if not (a & (w >> d) or o & (a >> d)):
-                    break
+                    continue
                 g ^= 1 << d
-                k -= 1
-            if k and g:
-                continue
+                if g:
+                    d = g.bit_length() - 1
+                    if not (a & (w >> d) or o & (a >> d)):
+                        continue
+            # Each unplaced root child needs its own unused label at an
+            # unused difference from the root's label: one of C.
+            k = rest[i]
+            if k:
+                C = a & ((r >> (m - root)) | (f << root))
+                s = C.bit_count()
+                if s < k:
+                    continue
+                if s == k and not root:
+                    # The root is labeled 0, so the root children take
+                    # exactly the labels C and the differences C. Every
+                    # other difference joins an unplaced vertex, on an
+                    # unused label outside C, to a parent that is open and
+                    # not the root, unplaced outside C (while deep), or an
+                    # unplaced root child with children, on C.
+                    b = a & ~C
+                    p = (o ^ 1) | (C & inner[i])
+                    w = p | (b & deep[i])
+                    g = f & ~C
+                    t = 3
+                    while t and g:
+                        d = g.bit_length() - 1
+                        if not (b & (w >> d) or p & (b >> d)):
+                            break
+                        g ^= 1 << d
+                        t -= 1
+                    if t and g:
+                        continue
             i += 1
             x = label[up[i]]
+            above[i] = x
             # Labels x - d and x + d over the unused differences d.
             c = allowed[i] & a & ((r >> (m - x)) | (f << x))
             if sym_prev[i] >= 0:
                 c &= -2 << label[sym_prev[i]]  # above the previous sibling
             cand[i] = c
-            unused[i] = a
-            free[i] = f
-            mirror[i] = r
-            opened[i] = o
+            state[i] = (a, f, r, o)
         if ran_out or (mode == "find" and kept):
             break
 

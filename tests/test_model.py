@@ -626,6 +626,19 @@ class TestLabeling:
             assert repr(lab) == "Labeling(values={0: 0, 1: 1})"
             assert pickle.loads(pickle.dumps(lab)) == lab
 
+    def test_hash_agrees_with_equality(self):
+        # Equal labelings hash equally, whether a list or a dict backs them.
+        xs = [3, 0, 2, 1]
+        by_list, by_dict = Labeling.from_sequence(xs), Labeling(dict(enumerate(xs)))
+        assert by_list == by_dict and hash(by_list) == hash(by_dict)
+        assert len({by_list, by_dict, Labeling.from_sequence([3, 0, 1, 2])}) == 2
+        assert hash(Labeling.from_sequence([0, 1])) == hash(Labeling({1: 1, 0: 0}))
+        partial = Labeling({0: 3, 2: 2})
+        assert hash(partial) == hash(Labeling({2: 2, 0: 3}))
+        al = AlphaLabeling(path_tree(3), Labeling.from_sequence([0, 2, 1]), 1)
+        same = AlphaLabeling(path_tree(3), Labeling({0: 0, 1: 2, 2: 1}), 1)
+        assert al == same and hash(al) == hash(same) and len({al, same}) == 1
+
     def test_short_sequence_is_error_not_false(self):
         with pytest.raises(ValidationError) as info:
             is_graceful(path_tree(3), Labeling.from_sequence([0, 2]))

@@ -43,6 +43,17 @@ FROZEN_WITNESSES = [
 # The nodes the search whose forward check looked at the largest unused
 # difference only spent on the same witnesses.
 TOP_DIFFERENCE_NODES = {(9, 1, 1): 51_084, (8, 2, 1): 20_332, (4, 4, 3): 5_546}
+# One long leg and 1-legs: the center takes label 0 first, and without the
+# root-children check the search spent 5,676, 7,922, 13,792, 21,333 and
+# 29,300 nodes in long-leg branches that left the 1-legs no labels. The
+# witness (by vertex id) and the nodes the search spends with the check.
+ROOT_CHECK_NODES = {
+    (5, 1, 1, 1, 1, 1, 1): ([0, 5, 1, 4, 2, 3, 6, 7, 8, 9, 10, 11], 453),
+    (6, 1, 1, 1, 1, 1): ([0, 6, 1, 5, 2, 4, 3, 7, 8, 9, 10, 11], 2_036),
+    (7, 1, 1, 1, 1): ([0, 7, 1, 6, 2, 5, 3, 4, 8, 9, 10, 11], 5_189),
+    (8, 1, 1, 1): ([0, 8, 1, 7, 2, 6, 3, 5, 4, 9, 10, 11], 12_758),
+    (9, 1, 1): ([0, 9, 1, 8, 2, 7, 3, 6, 4, 5, 10, 11], 23_998),
+}
 
 
 class TestFind:
@@ -118,6 +129,14 @@ class TestFind:
         assert report.found.as_sequence(t.n) == witness
         assert report.nodes_explored < old_nodes
         assert report.nodes_explored < TOP_DIFFERENCE_NODES[tuple(legs)]
+
+    @pytest.mark.parametrize("legs", sorted(ROOT_CHECK_NODES))
+    def test_root_children_check_nodes(self, legs):
+        witness, nodes = ROOT_CHECK_NODES[legs]
+        t = build_spider(list(legs)).tree
+        report = find_graceful(t)
+        assert report.found.as_sequence(t.n) == witness
+        assert report.nodes_explored <= nodes
 
     def test_deep_fully_fixed_path(self):
         # 1200 vertices: deeper than the interpreter's recursion limit.
@@ -253,6 +272,34 @@ class TestFixedCountsAgainstBruteForce:
                     report = count_graceful(t, alpha_constrained=alpha, fixed=fixed)
                     assert report.exhausted
                     assert report.count == expected, (t.edges, alpha, fixed)
+
+
+class TestCenterZeroCounts:
+    def test_every_spider_with_5_to_7_edges(self):
+        # The root-children check cuts harder when the root, here the
+        # center, is labeled 0. Against a scan of the (n-1)! labelings with
+        # the center at 0, with and without the alpha constraint.
+        spiders = [
+            list(legs)
+            for m in range(5, 8)
+            for k in range(3, m + 1)
+            for legs in itertools.combinations_with_replacement(range(1, m - 1), k)
+            if sum(legs) == m
+        ]
+        assert len(spiders) == 22
+        for legs in spiders:
+            t = build_spider(legs).tree
+            graceful = alpha = 0
+            for rest in itertools.permutations(range(1, t.n)):
+                f = (0,) + rest
+                if len({abs(f[a] - f[b]) for a, b in t.edges}) != t.m:
+                    continue
+                graceful += 1
+                alpha += alpha_index(t, Labeling.from_sequence(f)) is not None
+            for constrained, expected in ((False, graceful), (True, alpha)):
+                report = count_graceful(t, fixed={0: 0}, alpha_constrained=constrained)
+                assert report.exhausted
+                assert report.count == expected, (legs, constrained)
 
 
 class TestEnumerate:

@@ -53,8 +53,10 @@ def _examples():
 
 EXAMPLES = _examples()
 IDS = [cls.__name__ for cls, _, _ in EXAMPLES]
-# Records whose example holds no mapping or list, so it can be hashed.
-HASHABLE = {Tree, Spider, TraceStep, SearchReport, ShortLegSpec}
+# Records whose example holds no list, so it can be hashed: a labeling
+# hashes by its items.
+HASHABLE = {Tree, Spider, Labeling, AlphaLabeling, TraceStep, SearchReport,
+            AttachResult, ShortLegSpec}
 MUTABLE = {ConstructionTrace}
 
 
