@@ -256,8 +256,7 @@ def _dispatch(args) -> str:
                 f"before a verdict"
             )
         out = {
-            "found": None if report.found is None else
-            {str(v): report.found[v] for v in sorted(report.found.values)},
+            "found": None if report.found is None else treedoc.document_labels(report.found),
             "count": report.count,
             "nodes_explored": report.nodes_explored,
             "exhausted": report.exhausted,

@@ -57,7 +57,7 @@ import time
 from collections.abc import Mapping
 
 from .errors import DEFAULT_ORACLE_BUDGET, ValidationError
-from .model import Labeling, Tree, _Record, _check_int, _fresh_labeling
+from .model import Labeling, Tree, _Record, _check_int
 
 
 class SearchReport(_Record):
@@ -304,7 +304,7 @@ def _run(
             if i == top:
                 count += weight
                 if mode != "count":
-                    kept.append(_fresh_labeling([label[p] for p in where]))
+                    kept.append(Labeling.from_sequence([label[p] for p in where]))
                     if mode == "find":
                         break
                 continue

@@ -76,7 +76,7 @@ import os
 
 from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
 from .model import (
-    AlphaLabeling, Labeling, _check_int, _check_vertex_count, _fresh_labeling, certified, path_tree,
+    AlphaLabeling, Labeling, _check_int, _check_vertex_count, certified, path_tree,
 )
 
 _CACHE_FORMAT = "graceful-spiders-path-cache"
@@ -142,7 +142,7 @@ def zigzag_alpha_path(n: int) -> AlphaLabeling:
     _check_vertex_count(n)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return AlphaLabeling(path_tree(n), _fresh_labeling(_alpha_low_end(n, 0)), (n - 1) // 2)
+    return AlphaLabeling(path_tree(n), Labeling.from_sequence(_alpha_low_end(n, 0)), (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
     seq, alpha = _alpha_zero_seq(n, position)
     if alpha is None:
         raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
-    return AlphaLabeling(path_tree(n), _fresh_labeling(seq), alpha)
+    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
 
 
 def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
@@ -431,5 +431,5 @@ def alpha_path_end_label(
             f"no alpha-labeling of P_{n} has endpoint label {end_label}"
             + (f" with index {required_index}" if required_index is not None else "")
         )
-    return AlphaLabeling(path_tree(n), _fresh_labeling(seq), alpha)
+    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
 

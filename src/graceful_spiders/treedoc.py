@@ -3,8 +3,9 @@
 The document is the interchange unit for every CLI subcommand:
 {"n": int, "edges": [[a,b],...], "labels": {"0": int, ...}?, "center": int?,
 "legs": [[v1,...],...]?}. `to_document` alone decides the canonical order:
-keys as listed, sorted edges, labels keyed by ascending vertex id. The CLI
-appends its extra keys after those. `dumps_document` alone decides the JSON
+keys as listed, sorted edges, labels keyed by ascending vertex id (by
+`document_labels`, which the CLI's oracle report shares). The CLI appends
+its extra keys after those. `dumps_document` alone decides the JSON
 format and keeps the order it is given, so export -> import -> export
 round-trips byte-identically.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .errors import ValidationError
-from .model import Labeling, Spider, Tree, _fresh_labeling
+from .model import Labeling, Spider, Tree
 
 
 def to_document(
@@ -24,12 +25,18 @@ def to_document(
 ) -> dict:
     doc: dict = {"n": tree.n, "edges": [[a, b] for a, b in tree.edges]}
     if labeling is not None:
-        values = labeling.values
-        doc["labels"] = {str(v): values[v] for v in sorted(values)}
+        doc["labels"] = document_labels(labeling)
     if spider is not None:
         doc["center"] = spider.center
         doc["legs"] = [list(leg) for leg in spider._leg_vertices()]
     return doc
+
+
+def document_labels(labeling: Labeling) -> dict[str, int]:
+    """The "labels" value of a document: each labeled vertex's id in
+    decimal, ascending, with its label, read from the label list in one
+    pass in vertex order."""
+    return {str(v): x for v, x in enumerate(labeling.values.labels) if x is not None}
 
 
 def _int(x) -> int:
@@ -63,10 +70,7 @@ def from_document(doc: dict) -> tuple[Tree, Labeling | None, Spider | None]:
         outside = [v for v in values if not 0 <= v < n]
         if outside:
             raise ValidationError(f"label for vertex {outside[0]} outside 0..{n - 1}")
-        if len(values) == n:
-            labeling = _fresh_labeling([values[v] for v in range(n)])
-        else:
-            labeling = Labeling(values)
+        labeling = Labeling(values)
     spider = None
     if "center" in doc and "legs" in doc:
         try:
@@ -110,12 +114,12 @@ def to_dot(tree: Tree, labeling: Labeling | None = None, attrs: dict | None = No
     for key, value in (attrs or {}).items():
         text = value if type(value) is int else json.dumps(json.dumps(value))
         lines.append(f"  {key}={text};")
-    f = None if labeling is None else dict(labeling.values)
-    for v in range(tree.n):
-        text = v if f is None else f.get(v, "")
-        lines.append(f'  v{v} [label="{text}"];')
+    # The labels of vertices 0..n-1, with None past the end of the list.
+    f = None if labeling is None else (labeling.values.labels + [None] * tree.n)[:tree.n]
+    for v, x in enumerate(range(tree.n) if f is None else f):
+        lines.append(f'  v{v} [label="{"" if x is None else x}"];')
     for a, b in tree.edges:
-        if f is not None and a in f and b in f:
+        if f is not None and f[a] is not None and f[b] is not None:
             lines.append(f'  v{a} -- v{b} [label="{abs(f[a] - f[b])}"];')
         else:
             lines.append(f"  v{a} -- v{b};")

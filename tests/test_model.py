@@ -611,13 +611,42 @@ class TestLabeling:
 
     @pytest.mark.parametrize("v", [-1, 4, "0", 1.5, True, 1.0])
     def test_out_of_range_vertex_not_labeled(self, v):
-        # A vertex is an int and not a bool, on the list and the dict backing.
+        # A vertex is an int and not a bool, from a sequence or a mapping.
         xs = [3, 0, 2, 1]
         for lab in (Labeling.from_sequence(xs), Labeling(dict(enumerate(xs)))):
             assert v not in lab
             with pytest.raises(ValidationError) as info:
                 lab[v]
             assert str(info.value) == f"vertex {v} is not labeled"
+
+    @pytest.mark.parametrize("d, message", [
+        ({0: 0, 1.0: 1}, "vertex 1.0 is not an int"),
+        ({0: 0, True: 1}, "vertex True is not an int"),
+        ({0: 0, "1": 1}, "vertex '1' is not an int"),
+        ({-1: 0}, "vertex -1 is negative"),
+        ({0: 0, sys.maxsize: 1}, f"{sys.maxsize + 1} vertices exceed the index range"),
+    ])
+    def test_vertex_key_is_an_int(self, d, message):
+        # The one int rule of every vertex: a key 1.0 or True is not vertex 1.
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            Labeling(d)
+
+    def test_unlabeled_vertices(self):
+        # None marks an unlabeled vertex, in a sequence or a mapping; a
+        # labeling is the same value however it was made.
+        gaps = [Labeling.from_sequence([3, None, 1, None]), Labeling({2: 1, 0: 3}),
+                Labeling({0: 3, 1: None, 2: 1})]
+        for lab in gaps:
+            assert lab == gaps[0] and hash(lab) == hash(gaps[0])
+            assert len(lab) == 2 and list(lab.values) == [0, 2]
+            assert 1 not in lab and 3 not in lab and lab[2] == 1
+            assert repr(lab) == "Labeling(values={0: 3, 2: 1})"
+            assert lab.as_sequence(1) == [3]
+            with pytest.raises(ValidationError, match="^vertex 1 is not labeled$"):
+                lab.as_sequence(3)
+            with pytest.raises(ValidationError, match="^vertex 1 is not labeled$"):
+                is_graceful(path_tree(3), lab)
+        assert Labeling({}) == Labeling.from_sequence([None]) and len(Labeling({})) == 0
 
     def test_values_read_only(self):
         for lab in (Labeling.from_sequence([0, 1]), Labeling({0: 0, 1: 1})):

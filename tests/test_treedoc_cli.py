@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -62,6 +63,21 @@ class TestTreeDoc:
         assert dot == ('graph G {\n  node [shape=circle];\n'
                        '  v0 [label="0"];\n  v1 [label=""];\n  v2 [label="1"];\n'
                        '  v0 -- v1;\n  v1 -- v2;\n}\n')
+
+    def test_every_labeling_round_trips(self):
+        # Full and partial labelings, made from a sequence or a mapping, read
+        # back as the same labeling; a gap is a vertex the document leaves out.
+        sp = build_spider([2, 1])
+        t = sp.tree
+        for labels in product([None, 0, 3], repeat=t.n):
+            d = {v: x for v, x in enumerate(labels) if x is not None}
+            for lab in (Labeling.from_sequence(labels), Labeling(d),
+                        Labeling(dict(reversed(d.items())))):
+                doc = to_document(t, lab, sp)
+                assert list(doc["labels"]) == [str(v) for v in sorted(d)]
+                tree2, lab2, sp2 = from_document(json.loads(dumps_document(doc)))
+                assert (tree2, lab2, sp2) == (t, lab, sp)
+                assert dumps_document(to_document(tree2, lab2, sp2)) == dumps_document(doc)
 
     def test_dict_and_list_labelings_give_one_document(self):
         sp = build_spider([2, 3])
