@@ -58,7 +58,9 @@ order of the checks do not depend on the fast path.
   then integers in [1, m], so they cover it iff they are distinct, and one
   count of the edge-label set decides. The vertex test must be this one:
   distinct labels in [0, m] alone admit half-integers (0, 1.5, 0.5 on P_3
-  has two distinct edge labels, 1.5 and 1, and is not graceful).
+  has two distinct edge labels, 1.5 and 1, and is not graceful). Once
+  vertices 0..n-1 are known labeled, the count of labeled vertices tells
+  in O(1) whether some vertex >= n is labeled too, which is an error.
 
 The records here and in the other modules are plain `__slots__` classes on
 `_Record`, not dataclasses: importing `dataclasses` (which pulls in
@@ -557,9 +559,25 @@ class _LabelList(abc.Mapping):
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
+    def _key(self) -> list:
+        """The list without its trailing Nones: two views are equal
+        mappings iff their keys are equal."""
+        labels, end = self.labels, len(self.labels)
+        if self.count < end:
+            while end and labels[end - 1] is None:
+                end -= 1
+        return labels if end == len(labels) else labels[:end]
+
+    def __eq__(self, other) -> bool:
+        # Two views compare their lists at C speed; anything else compares
+        # as a `Mapping`.
+        if isinstance(other, _LabelList):
+            return self.count == other.count and self._key() == other._key()
+        return super().__eq__(other)
+
     def __hash__(self) -> int:
-        # Equal mappings hash equally, as `Mapping` equality asks.
-        return hash(frozenset(self.items()))
+        # Equal views have equal keys, so they hash equally.
+        return hash(tuple(self._key()))
 
 
 class Labeling(_Record):
@@ -636,9 +654,13 @@ def edge_label(lab: Labeling, u: int, v: int) -> int:
 def is_graceful(t: Tree, lab: Labeling) -> bool:
     """True iff lab is injective into [0, m] and edge labels cover [1, m].
 
-    A labeling missing some vertex of t is an error, not merely non-graceful.
+    A labeling missing some vertex of t, or labeling a vertex outside t, is
+    an error, not merely non-graceful.
     """
     f = lab.as_sequence(t.n)
+    if lab.values.count != t.n:  # 0..n-1 are labeled, so more labels means some v >= n
+        v = next(v for v in lab.values if v >= t.n)
+        raise ValidationError(f"label for vertex {v} outside 0..{t.n - 1}")
     labels = set(f)
     if len(labels) != t.n or not labels.issuperset(range(t.n)):
         return False

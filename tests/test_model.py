@@ -668,6 +668,14 @@ class TestLabeling:
         same = AlphaLabeling(path_tree(3), Labeling({0: 0, 1: 2, 2: 1}), 1)
         assert al == same and hash(al) == hash(same) and len({al, same}) == 1
 
+    def test_trailing_unlabeled_vertices_do_not_count(self):
+        # A view compares its list without the trailing Nones; a view and a
+        # dict still compare as mappings.
+        lab, padded = Labeling.from_sequence([0, 1]), Labeling.from_sequence([0, 1, None])
+        assert lab == padded and hash(lab) == hash(padded) and len({lab, padded}) == 1
+        assert padded.values == {0: 0, 1: 1} and padded.values != {0: 0}
+        assert Labeling.from_sequence([0, None, 1]) != Labeling.from_sequence([0, 1])
+
     def test_short_sequence_is_error_not_false(self):
         with pytest.raises(ValidationError) as info:
             is_graceful(path_tree(3), Labeling.from_sequence([0, 2]))
@@ -702,6 +710,17 @@ class TestCheckers:
     def test_partial_labeling_is_error_not_false(self):
         with pytest.raises(ValidationError):
             is_graceful(path_tree(3), Labeling({0: 0, 1: 2}))
+
+    def test_label_outside_the_tree_is_error_not_true(self):
+        # The message is the one the document reader gives the same labels.
+        lab = Labeling.from_sequence([0, 1, 7])
+        for check in (lambda: is_graceful(path_tree(2), lab),
+                      lambda: AlphaLabeling(path_tree(2), lab, 0),
+                      lambda: from_document({"n": 2, "edges": [[0, 1]],
+                                             "labels": {"0": 0, "1": 1, "2": 7}})):
+            with pytest.raises(ValidationError, match=r"^label for vertex 2 outside 0\.\.1$"):
+                check()
+        assert is_graceful(path_tree(2), Labeling.from_sequence([0, 1, None]))
 
     def test_same_verdicts_as_reference(self):
         def reference(t, lab):
