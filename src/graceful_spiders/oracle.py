@@ -31,6 +31,16 @@ where the conflicts live -- are explored before the interchangeable leaves.
   conditions hold in every completion of the branch, so they only cut
   branches with no labeling. The check is skipped when every unplaced root
   child is fixed.
+- Root leaves. When the root is labeled 0 and its unplaced children are
+  leaves, an unused difference d with no pair away from the root (one end
+  on an unused label, the other on an open vertex other than the root or,
+  while deep, on an unused label) can only be the edge from the root to a
+  leaf labeled d. Scanning down from the largest difference, each such d
+  reserves label d, which then ends no other pair, and uses up one root
+  child; the branch is cut when no child is left or label d is not free.
+  The scan stops at the first difference with a pair away from the root.
+- Fixed labels. A fixed label is taken from every other vertex's allowed
+  labels, and a layout that leaves some vertex no label is not searched.
 - Sibling leaves. Unfixed leaves of one parent are interchangeable: find
   and count give them increasing labels, and a count weighs each labeling
   by the product of k! over groups of k such siblings.
@@ -268,9 +278,13 @@ def _run(
     state = [()] * n
     above = [0] * n
 
+    # A fixed label keeps its class range and is taken from every other vertex.
+    own = {where[v]: 1 << lab for v, lab in fixed.items()}
+    free = ~sum(own.values())
     for allowed in layouts:
-        for v, lab in fixed.items():
-            allowed[where[v]] &= 1 << lab  # a fixed label keeps its class range
+        allowed = [c & own.get(j, free) for j, c in enumerate(allowed)]
+        if not all(allowed):
+            continue
         cand[0] = allowed[0] & root_mask
         state[0] = ((1 << (m + 1)) - 1, (1 << (m + 1)) - 2, (1 << m) - 1, 0)
         i = 0
@@ -356,6 +370,25 @@ def _run(
                         g ^= 1 << d
                         t -= 1
                     if t and g:
+                        continue
+                elif not (root or inner[i]):
+                    # The root is labeled 0 and its unplaced children are
+                    # leaves. From the largest down, an unused difference d
+                    # with no pair away from the root goes to a root leaf
+                    # labeled d, which ends no other edge.
+                    b, g, p = a, f, o ^ 1
+                    while g:
+                        d = g.bit_length() - 1
+                        w = p | (b & deep[i])
+                        if b & (w >> d) or p & (b >> d):
+                            g = 0
+                        elif k and b >> d & 1:
+                            b ^= 1 << d  # reserved for that leaf
+                            g ^= 1 << d
+                            k -= 1
+                        else:
+                            break
+                    if g:
                         continue
             i += 1
             x = label[up[i]]

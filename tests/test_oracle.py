@@ -45,14 +45,15 @@ FROZEN_WITNESSES = [
 TOP_DIFFERENCE_NODES = {(9, 1, 1): 51_084, (8, 2, 1): 20_332, (4, 4, 3): 5_546}
 # One long leg and 1-legs: the center takes label 0 first, and without the
 # root-children check the search spent 5,676, 7,922, 13,792, 21,333 and
-# 29,300 nodes in long-leg branches that left the 1-legs no labels. The
-# witness (by vertex id) and the nodes the search spends with the check.
+# 29,300 nodes in long-leg branches that left the 1-legs no labels; with it
+# but without the forced root leaves, 453, 2,036, 5,189, 12,758 and 23,998.
+# The witness (by vertex id) and the nodes the search spends with both.
 ROOT_CHECK_NODES = {
-    (5, 1, 1, 1, 1, 1, 1): ([0, 5, 1, 4, 2, 3, 6, 7, 8, 9, 10, 11], 453),
-    (6, 1, 1, 1, 1, 1): ([0, 6, 1, 5, 2, 4, 3, 7, 8, 9, 10, 11], 2_036),
-    (7, 1, 1, 1, 1): ([0, 7, 1, 6, 2, 5, 3, 4, 8, 9, 10, 11], 5_189),
-    (8, 1, 1, 1): ([0, 8, 1, 7, 2, 6, 3, 5, 4, 9, 10, 11], 12_758),
-    (9, 1, 1): ([0, 9, 1, 8, 2, 7, 3, 6, 4, 5, 10, 11], 23_998),
+    (5, 1, 1, 1, 1, 1, 1): ([0, 5, 1, 4, 2, 3, 6, 7, 8, 9, 10, 11], 18),
+    (6, 1, 1, 1, 1, 1): ([0, 6, 1, 5, 2, 4, 3, 7, 8, 9, 10, 11], 21),
+    (7, 1, 1, 1, 1): ([0, 7, 1, 6, 2, 5, 3, 4, 8, 9, 10, 11], 24),
+    (8, 1, 1, 1): ([0, 8, 1, 7, 2, 6, 3, 5, 4, 9, 10, 11], 28),
+    (9, 1, 1): ([0, 9, 1, 8, 2, 7, 3, 6, 4, 5, 10, 11], 32),
 }
 
 
@@ -72,11 +73,14 @@ class TestFind:
         fixed = dict(enumerate([1, 2, 4, 0, 3]))
         report = find_graceful(path_tree(5), fixed=fixed, alpha_constrained=True)
         assert report.found is None and report.exhausted
+        assert report.nodes_explored == 0  # every layout leaves a vertex no label
 
     def test_alpha_zero_at_witnesses(self):
         # The 0 at every position of P_2..P_12: the first witnesses are
         # frozen by the sha256 of their JSON list, taken when a fixed label
-        # still overrode its class range, which cost 226,483 nodes in all.
+        # still overrode its class range, which cost 226,483 nodes in all;
+        # 109,673 before the forced root leaves and the taken fixed labels,
+        # 47,592 with the first alone and 23,818 with the second alone.
         witnesses, nodes = [], 0
         for n in range(2, 13):
             for p in range(n):
@@ -86,7 +90,7 @@ class TestFind:
                 witnesses.append(None if found is None else found.as_sequence(n))
         digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
         assert digest == ALPHA_ZERO_AT_WITNESSES
-        assert nodes < 226_483
+        assert nodes <= 21_194
 
     def test_graceful_but_not_alpha_exists(self):
         report = find_graceful(path_tree(5), fixed={2: 0})
@@ -324,6 +328,17 @@ class TestEnumerate:
             assert (graceful.count, alpha.count) == (row["graceful"], row["alpha"]), row
             assert len(graceful.labelings) == graceful.count
             assert len(alpha.labelings) == alpha.count
+
+    def test_every_single_fixed_label_up_to_seven_vertices(self, small_trees):
+        for t, found in small_trees:
+            for alpha, labelings in found.items():
+                for v, lab in itertools.product(range(t.n), repeat=2):
+                    report = enumerate_graceful(t, fixed={v: lab}, alpha_constrained=alpha)
+                    assert report.exhausted
+                    got = [tuple(f.as_sequence(t.n)) for f in report.labelings]
+                    want = {f for f in labelings if f[v] == lab}
+                    assert report.count == len(got) == len(set(got)) == len(want)
+                    assert set(got) == want, (t.edges, alpha, v, lab)
 
     def test_fixed_labels(self):
         # The zero at the center of P_5: graceful, but no alpha-labeling.

@@ -20,13 +20,15 @@ holds the round's input documents, timed in the child's CPU time.
 The script first serves every request once on each side and exits 1 at the
 first request where the two outputs differ (parent array and labels of a
 build; witness, count and `exhausted` of a search; exit code and stdout of a
-call), where the new side spends more search nodes, or where a call's exit
-code is not the one the request expects. It then runs `--pairs` pairs of
-timed passes for each workload. A pass serves every request once on one
-side, after a full collection; the two passes of a pair run in alternating
-order, old first in even pairs. For each workload it prints each side's
-median over the passes of the benchmark's three figures (edges per second,
-with edges from `workloads.request_edges`; the median request; the tail of
+call, except that an `oracle` call's report is compared field by field
+without `nodes_explored`), where the new side spends more search nodes (in
+process or in an `oracle` call's report), or where a call's exit code is not
+the one the request expects. It then runs `--pairs` pairs of timed passes
+for each workload. A pass serves every request once on one side, after a
+full collection; the two passes of a pair run in alternating order, old
+first in even pairs. For each workload it prints each side's median over
+the passes of the benchmark's three figures (edges per second, with edges
+from `workloads.request_edges`; the median request; the tail of
 `perfbench/run.py`), then the pairs' ratios new/old of the total CPU time,
 as a median with quartiles, below 1 where the new side is faster.
 """
@@ -92,7 +94,7 @@ def drop_package() -> None:
         del sys.modules[name]
 
 
-def outcome(out) -> tuple:
+def outcome(out, req: dict) -> tuple:
     """(plain data, search nodes) of one request's output."""
     if isinstance(out, Exception):
         return (type(out).__name__, str(out)), 0
@@ -100,9 +102,13 @@ def outcome(out) -> tuple:
         found = None if out.found is None else dict(out.found.values)
         return (found, out.count, out.exhausted), out.nodes_explored
     if isinstance(out[0], int):  # a call: exit code and stdout
+        code, stdout = out
+        if code == 0 and req["argv"][0] == "oracle":  # a report: nodes apart
+            doc = json.loads(stdout)
+            return (code, doc), doc.pop("nodes_explored")
         return out, 0
     spider, lab, *report = out  # a build, or a recheck's build and its search
-    search, nodes = outcome(report[0]) if report else (None, 0)
+    search, nodes = outcome(report[0], req) if report else (None, 0)
     return (list(spider.tree.parent), lab.as_sequence(spider.tree.n), search), nodes
 
 
@@ -115,7 +121,7 @@ def check(old: Side, new: Side, workload: str, reqs: list[dict], workdir: str) -
     """Serve every request once on each side; False at the first fault."""
     nodes = [0, 0]
     for i, req in enumerate(reqs):
-        (a, nodes_a), (b, nodes_b) = (outcome(side.serve(workload, req, workdir)[0])
+        (a, nodes_a), (b, nodes_b) = (outcome(side.serve(workload, req, workdir)[0], req)
                                       for side in (old, new))
         nodes[0] += nodes_a
         nodes[1] += nodes_b
