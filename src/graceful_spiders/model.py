@@ -30,7 +30,9 @@ edges (parent[v], v).
 Every check keeps the one int rule of `_check_int`, of every size argument
 and of every document: a vertex is an int and not a bool, so an endpoint
 or a `Labeling(d)` key of 1.0, True or "1" is a fault, not vertex 1, and a
-negative key is one too. The checks read edges as the pairs
+negative key is one too. A label is an int too: `Labeling.from_sequence`
+and `Labeling(d)` refuse a label of 1.0, True or "1", which would
+otherwise compare equal to 1. The checks read edges as the pairs
 (v, parent[v]): a spider's leg edge has one end the other's parent,
 `adjacency` lists each v >= 1 beside `parent[v]`, and a labeling's edge
 labels are |f(v) - f(parent[v])|.
@@ -56,9 +58,10 @@ order of the checks do not depend on the fast path.
 - `is_graceful` asks that the labels, as a set, are n values covering
   0..m = n-1: then they are exactly 0..m, each once. The m edge labels are
   then integers in [1, m], so they cover it iff they are distinct, and one
-  count of the edge-label set decides. The vertex test must be this one:
-  distinct labels in [0, m] alone admit half-integers (0, 1.5, 0.5 on P_3
-  has two distinct edge labels, 1.5 and 1, and is not graceful). Once
+  count of the edge-label set decides. The vertex test must be this one
+  for a labeling that `certified` makes without a type pass: distinct
+  labels in [0, m] alone admit half-integers (0, 1.5, 0.5 on P_3 has two
+  distinct edge labels, 1.5 and 1, and is not graceful). Once
   vertices 0..n-1 are known labeled, the count of labeled vertices tells
   in O(1) whether some vertex >= n is labeled too, which is an error.
 
@@ -79,6 +82,7 @@ from operator import itemgetter, lt, sub
 from .errors import ConstructionInvariantError, ValidationError
 
 _FIRST = itemgetter(0)
+_LABEL_TYPES = {int, type(None)}  # a label, or no label
 _SET_FIELD = object.__setattr__
 
 
@@ -591,7 +595,9 @@ class Labeling(_Record):
     list, so no caller can change a labeling once it is made. Equal
     labelings hash equally. A vertex is an int and not a bool: `Labeling(d)`
     refuses a key of 1.0, True, "1" or -1, and `lab[v]` raises and
-    `v in lab` is False for such a v.
+    `v in lab` is False for such a v. A label is an int and not a bool
+    either: both constructors refuse a label of 1.0, True or "1", naming
+    the first such label by vertex.
     """
 
     __slots__ = ("values",)
@@ -606,7 +612,7 @@ class Labeling(_Record):
             raise ValidationError(f"vertex {v} is negative")
         n = max(d, default=-1) + 1
         _check_vertex_count(n)
-        labels = list(map(d.get, range(n)))
+        labels = _int_labels(list(map(d.get, range(n))))
         _SET_FIELD(self, "values", _LabelList(labels, n - labels.count(None)))
 
     def __getitem__(self, v: int) -> int:
@@ -623,9 +629,9 @@ class Labeling(_Record):
 
     @staticmethod
     def from_sequence(labels: abc.Iterable[int]) -> Labeling:
-        """Label vertex i with labels[i], from a copy of `labels`; a None
-        entry leaves its vertex unlabeled."""
-        labels = list(labels)
+        """Label vertex i with labels[i], an int, from a copy of `labels`;
+        a None entry leaves its vertex unlabeled."""
+        labels = _int_labels(list(labels))
         return _over(labels, len(labels) - labels.count(None))
 
     def as_sequence(self, n: int) -> list[int]:
@@ -636,6 +642,16 @@ class Labeling(_Record):
         if len(f) < n or (len(self) < len(self.values.labels) and None in f):
             self[(f + [None]).index(None)]  # raises for the first unlabeled vertex
         return f
+
+
+def _int_labels(labels: list) -> list:
+    """`labels` itself when each entry is an int (not a bool) or None; else
+    raise for the first other entry, by vertex. A whole-list type pass
+    first; only a failed one looks for the fault."""
+    if not _LABEL_TYPES.issuperset(map(type, labels)):
+        v = next(v for v, x in enumerate(labels) if type(x) not in _LABEL_TYPES)
+        raise ValidationError(f"label {labels[v]!r} of vertex {v} is not an int")
+    return labels
 
 
 def _over(labels: list, count: int) -> Labeling:

@@ -25,12 +25,20 @@ where the conflicts live -- are explored before the interchangeable leaves.
   unused difference from r. So the branch is cut when C has fewer labels
   than the root has unplaced children. When r = 0 and C has exactly that
   many, the children take exactly the labels C and so the differences C;
-  the forward check then runs again on the other differences, with C taken
-  out of the unused labels, the root out of the open vertices, and C in
-  them while a root child with children of its own is unplaced. Both
-  conditions hold in every completion of the branch, so they only cut
-  branches with no labeling. The check is skipped when every unplaced root
-  child is fixed.
+  the forward check's one pair test then runs on the other differences,
+  with C taken out of the unused labels, the root out of the open
+  vertices, and C in them while a root child with children of its own is
+  unplaced. Both conditions hold in every completion of the branch, so
+  they only cut branches with no labeling. The narrowed test implies the
+  plain one, so it runs in its place: with r = 0 and a root child
+  unplaced, the root is open and C is the unused labels at unused
+  differences, so a difference d in C has the plain pair (0, d); any other
+  difference among the plain test's top three is among the top three
+  outside C; and a pair the narrowed test finds is a plain pair, since
+  each set it draws the ends from lies in the plain test's set. (C joins
+  the open labels only while a root child with children is unplaced, and
+  then unused labels already count.) The check is skipped when every
+  unplaced root child is fixed.
 - Root leaves. When the root is labeled 0 and its unplaced children are
   leaves, an unused difference d with no pair away from the root (one end
   on an unused label, the other on an open vertex other than the root or,
@@ -204,33 +212,33 @@ def _run(
     # preorder when it is reached: its parent, at depth up[i].
     order, up = _search_order(adj)
     # kids[i]: order[i] has children. last[i]: order[i] is its parent's last
-    # child, so placing it closes the parent. deep[i]: after placing
-    # order[i], some unplaced vertex still has an unplaced parent (-1 as a
-    # mask when so, 0 when not).
+    # child, so placing it closes the parent. rest[i]: the root's children
+    # placed after order[i] (those j with up[j] == 0), or 0 when every one of
+    # them is fixed, where the root children check would only repeat the
+    # fixed labels. inner[i]: one of them has children (-1 as a mask when so,
+    # 0 when not). A vertex's children come after it, so one reverse pass
+    # knows kids[i] when it reaches i.
     kids = [False] * n
     last = [False] * n
-    for i in range(n - 1, 0, -1):
-        if not kids[up[i]]:
-            kids[up[i]] = last[i] = True
-    deep = [0] * n
-    pending = n - 1  # edges with both ends unplaced
-    for i, v in enumerate(order):
-        pending -= len(adj[v]) - (i > 0)
-        deep[i] = -1 if pending else 0
-    # rest[i]: the root's children placed after order[i] (those j with
-    # up[j] == 0), or 0 when every one of them is fixed, where the root
-    # children check would only repeat the fixed labels. inner[i]: one of
-    # them has children (-1 as a mask when so, 0 when not).
     rest = [0] * n
     inner = [0] * n
     k = unfixed = nest = 0
     for i in range(n - 1, -1, -1):
         rest[i], inner[i] = (k if unfixed else 0), nest
+        if i and not kids[up[i]]:
+            kids[up[i]] = last[i] = True
         if up[i] == 0:
             k += 1
             unfixed += order[i] not in fixed
             if kids[i]:
                 nest = -1
+    # deep[i]: after placing order[i], some unplaced vertex still has an
+    # unplaced parent (-1 as a mask when so, 0 when not).
+    deep = [0] * n
+    pending = n - 1  # edges with both ends unplaced
+    for i, v in enumerate(order):
+        pending -= len(adj[v]) - (i > 0)
+        deep[i] = -1 if pending else 0
 
     # Unfixed leaf siblings are interchangeable: permuting their labels
     # maps labelings onto labelings, fixes every other label and the class
@@ -324,54 +332,46 @@ def _run(
                 continue
             if kids[i]:
                 o |= bit
-            # Each of the top three unused differences d still needs a
-            # future edge (b, b + d): one end unplaced, on an unused label,
-            # the other on an unused label too (only while some future edge
-            # has both ends unplaced) or on an open vertex's label. At least
-            # one difference is unused here.
-            w = o | (a & deep[i])
-            d = f.bit_length() - 1
-            if not (a & (w >> d) or o & (a >> d)):
-                continue
-            g = f ^ (1 << d)
-            if g:
-                d = g.bit_length() - 1
-                if not (a & (w >> d) or o & (a >> d)):
-                    continue
-                g ^= 1 << d
-                if g:
-                    d = g.bit_length() - 1
-                    if not (a & (w >> d) or o & (a >> d)):
-                        continue
             # Each unplaced root child needs its own unused label at an
-            # unused difference from the root's label: one of C.
+            # unused difference from the root's label: one of C. At root
+            # label 0, C is a & f, and when it has exactly k labels the root
+            # children take exactly the labels C and the differences C: the
+            # pair test below then runs on the other differences, with C
+            # out of the unused labels, the root out of the open vertices,
+            # and C in them while an unplaced root child has children.
             k = rest[i]
-            if k:
-                C = a & ((r >> (m - root)) | (f << root))
+            b, p, g = a, o, f
+            if k and not root:
+                C = a & f
                 s = C.bit_count()
                 if s < k:
                     continue
-                if s == k and not root:
-                    # The root is labeled 0, so the root children take
-                    # exactly the labels C and the differences C. Every
-                    # other difference joins an unplaced vertex, on an
-                    # unused label outside C, to a parent that is open and
-                    # not the root, unplaced outside C (while deep), or an
-                    # unplaced root child with children, on C.
-                    b = a & ~C
-                    p = (o ^ 1) | (C & inner[i])
-                    w = p | (b & deep[i])
-                    g = f & ~C
-                    t = 3
-                    while t and g:
-                        d = g.bit_length() - 1
-                        if not (b & (w >> d) or p & (b >> d)):
-                            break
-                        g ^= 1 << d
-                        t -= 1
-                    if t and g:
+                if s == k:
+                    b, p, g = a & ~C, (o ^ 1) | (C & inner[i]), f & ~C
+            # Each of the top three differences d in g still needs a future
+            # edge (c, c + d): one end unplaced, on a label in b, the other
+            # on a label in b too (only while some future edge has both ends
+            # unplaced) or on an open vertex's label, in p.
+            w = p | (b & deep[i])
+            if g:
+                d = g.bit_length() - 1
+                if not (b & (w >> d) or p & (b >> d)):
+                    continue
+                g ^= 1 << d
+            if g:
+                d = g.bit_length() - 1
+                if not (b & (w >> d) or p & (b >> d)):
+                    continue
+                g ^= 1 << d
+            if g:
+                d = g.bit_length() - 1
+                if not (b & (w >> d) or p & (b >> d)):
+                    continue
+            if k:
+                if root:
+                    if (a & ((r >> (m - root)) | (f << root))).bit_count() < k:
                         continue
-                elif not (root or inner[i]):
+                elif s > k and not inner[i]:
                     # The root is labeled 0 and its unplaced children are
                     # leaves. From the largest down, an unused difference d
                     # with no pair away from the root goes to a root leaf

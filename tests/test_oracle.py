@@ -370,6 +370,44 @@ class TestFrozenCounts:
             assert (graceful.count, alpha.count) == (row["graceful"], row["alpha"]), row
 
 
+class TestNodeTotals:
+    # nodes_explored summed per (mode, alpha) over every tree with at most 8
+    # vertices and nothing fixed, and over every tree with at most 7
+    # vertices and each single fixed (vertex, label). A change to the search
+    # that moves any node count updates these totals and reports the old
+    # and new figures in CHANGES.md.
+    NOTHING_FIXED = {
+        ("find", False): 977, ("find", True): 2_078,
+        ("count", False): 22_636, ("count", True): 5_645,
+        ("enumerate", False): 95_447, ("enumerate", True): 47_563,
+    }
+    ONE_FIXED = {
+        ("find", False): 26_549, ("find", True): 14_155,
+        ("count", False): 108_444, ("count", True): 29_101,
+        ("enumerate", False): 152_645, ("enumerate", True): 64_999,
+    }
+
+    def test_frozen_node_totals(self):
+        with open(ORACLE_COUNTS) as fh:
+            trees = [Tree(row["n"], row["edges"]) for row in json.load(fh)["trees"]
+                     if row["n"] <= 8]
+        searches = {"find": find_graceful, "count": count_graceful,
+                    "enumerate": enumerate_graceful}
+        nothing, one = Counter(), Counter()
+        for t in trees:
+            fixes = [{v: lab} for v in range(t.n) for lab in range(t.n)] if t.n <= 7 else []
+            for (mode, search), alpha in itertools.product(searches.items(), (False, True)):
+                report = search(t, alpha_constrained=alpha)
+                assert report.exhausted
+                nothing[mode, alpha] += report.nodes_explored
+                for fixed in fixes:
+                    report = search(t, fixed=fixed, alpha_constrained=alpha)
+                    assert report.exhausted
+                    one[mode, alpha] += report.nodes_explored
+        assert dict(nothing) == self.NOTHING_FIXED
+        assert dict(one) == self.ONE_FIXED
+
+
 class TestComplementClosure:
     def test_on_enumerated_instances(self):
         t = build_spider([2, 2, 1]).tree

@@ -15,8 +15,8 @@ prints one line:
 - `to_document_s`, the process time of `treedoc.to_document` on its result;
 - `from_document_s`, the process time of `treedoc.from_document` on that
   document after a JSON round trip, as the CLI reads a file, and
-  `read_held_B`, the bytes that tracemalloc sees what it returns hold,
-  read again under tracing;
+  `read_held_B` and `read_peak_B`, the bytes that tracemalloc sees what it
+  returns hold and the peak it reaches, read again under tracing;
 - `held_B` and `peak_B`, the bytes that tracemalloc sees the build's result
   hold and the peak it reaches during a second, traced build, both above
   what was allocated before it, and `held_B` per vertex;
@@ -99,11 +99,12 @@ def measure(build) -> dict:
     start = process_time()
     from_document(doc)
     read_s = process_time() - start
-    read_held = traced(lambda: from_document(doc))[0]
+    read_held, read_peak = traced(lambda: from_document(doc))
     del doc
     held, peak = traced(build)
     return {"n": n, "build_s": build_s, "to_document_s": doc_s, "from_document_s": read_s,
-            "read_held_B": read_held, "held_B": held, "peak_B": peak,
+            "read_held_B": read_held, "read_peak_B": read_peak,
+            "held_B": held, "peak_B": peak,
             "held_B_per_vertex": held / n, "gc": len(runs)}
 
 
@@ -120,6 +121,7 @@ def main(argv=None) -> int:
         print(f"{name:<10} n={r['n']:,} build_s={r['build_s']:.3f} "
               f"to_document_s={r['to_document_s']:.3f} "
               f"from_document_s={r['from_document_s']:.3f} read_held_B={r['read_held_B']:,} "
+              f"read_peak_B={r['read_peak_B']:,} "
               f"held_B={r['held_B']:,} "
               f"peak_B={r['peak_B']:,} held_B_per_vertex={r['held_B_per_vertex']:.1f} "
               f"gc={r['gc']}")
