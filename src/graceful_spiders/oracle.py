@@ -49,6 +49,14 @@ where the conflicts live -- are explored before the interchangeable leaves.
   The scan stops at the first difference with a pair away from the root.
 - Fixed labels. A fixed label is taken from every other vertex's allowed
   labels, and a layout that leaves some vertex no label is not searched.
+- Fully fixed. When every vertex is fixed and alpha_constrained is off,
+  the labels are a bijection onto [0, m], and one pass over the edges
+  (parent[v], v) decides it: the labeling is graceful when the m
+  differences are distinct. The search would report such a labeling with n
+  nodes, exhausted: each depth has one candidate and no cut drops a
+  completable branch. So the pass returns that report when the budget
+  allows n nodes. A rejected labeling, an alpha search, or a budget below
+  n goes to the search, whose report, nodes included, is unchanged.
 - Sibling leaves. Unfixed leaves of one parent are interchangeable: find
   and count give them increasing labels, and a count weighs each labeling
   by the product of k! over groups of k such siblings.
@@ -73,6 +81,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
+from operator import sub
 
 from .errors import DEFAULT_ORACLE_BUDGET, ValidationError
 from .model import Labeling, Tree, _Record, _check_int
@@ -206,6 +215,17 @@ def _run(
 
     start_time = time.monotonic()
     n = t.n
+    if len(fixed) == n and budget >= n and not alpha_constrained:
+        # Fully fixed: the labels are a bijection onto [0, m], so one pass
+        # over the edges (parent[v], v) decides what the search would.
+        f = [fixed[v] for v in range(n)]
+        ups = [f[p] for p in t.parent[1:]]
+        if len(set(map(abs, map(sub, f[1:], ups)))) == m:
+            lab = Labeling.from_sequence(f)
+            find = mode == "find"
+            return SearchReport(lab if find else None, None if find else 1, n,
+                                time.monotonic() - start_time, True,
+                                (lab,) if mode == "enumerate" else ())
     adj = t.adjacency()
     # Everything below is indexed by depth, the position in the preorder.
     # Every vertex after the first has exactly one neighbor earlier in the

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .errors import ValidationError
-from .model import Labeling, Spider, Tree
+from .model import Labeling, Spider, Tree, _over
 
 
 def to_document(
@@ -65,14 +65,21 @@ def from_document(doc: dict) -> tuple[Tree, Labeling | None, Spider | None]:
     tree = Tree(n, edges)
     labeling = None
     if "labels" in doc and doc["labels"] is not None:
+        # One pass fills a list by vertex; a vertex outside the tree is
+        # named only after every label has been read.
+        labels, outside = [None] * n, []
         try:
-            values = {_vertex_key(v): _int(x) for v, x in doc["labels"].items()}
+            for v, x in doc["labels"].items():
+                v, x = _vertex_key(v), _int(x)
+                if 0 <= v < n:
+                    labels[v] = x
+                else:
+                    outside.append(v)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed labels: {exc}") from exc
-        outside = [v for v in values if not 0 <= v < n]
         if outside:
             raise ValidationError(f"label for vertex {outside[0]} outside 0..{n - 1}")
-        labeling = Labeling(values)
+        labeling = _over(labels, n - labels.count(None))
     spider = None
     if "center" in doc and "legs" in doc:
         try:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import time
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from graceful_spiders.model import (
 )
 from graceful_spiders.oracle import count_graceful, enumerate_graceful, find_graceful
 from graceful_spiders.paths import zigzag_alpha_path
+from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
 
 # Frozen by exhaustive enumeration; regression constants.
 GRACEFUL_COUNTS = {"P2": 2, "P4": 4, "P5": 8, "K13": 12}
@@ -149,10 +151,73 @@ class TestFind:
         report = find_graceful(al.tree, fixed=fixed)
         assert report.found is not None and report.exhausted
         assert report.found.values == fixed
+        # With one vertex free the search itself runs all 1200 levels deep.
+        del fixed[1199]
+        report = find_graceful(al.tree, fixed=fixed)
+        assert report.found == al.labeling and report.nodes_explored == 1200
 
     def test_deterministic_node_count(self):
         t = build_spider([3, 3, 2]).tree
         assert find_graceful(t).nodes_explored == find_graceful(t).nodes_explored
+
+
+# sha256 of the reports of fully fixed searches, frozen from the search that
+# checked a fully fixed labeling by backtracking: every permutation labeling
+# of every tree with at most 6 vertices, under find, count and enumerate,
+# plain and alpha, at budget n, and again at budget n - 1 where budget n
+# accepts the labeling. (The default budget read the same as budget n on
+# every one of them: a fully fixed search tries at most n nodes.)
+FULLY_FIXED_REPORTS = "5f8345c0e7caebc2fcb1f8d30281d33a20679cbb02398995e54d8aea7ba0d22c"
+
+
+class TestFullyFixed:
+    def test_every_permutation_up_to_six_vertices(self):
+        with open(ORACLE_COUNTS) as fh:
+            trees = [Tree(row["n"], row["edges"]) for row in json.load(fh)["trees"]
+                     if row["n"] <= 6]
+        searches = (find_graceful, count_graceful, enumerate_graceful)
+        digest, searched = hashlib.sha256(), 0
+        for t in trees:
+            n = t.n
+            for perm in itertools.permutations(range(n)):
+                fixed = dict(enumerate(perm))
+                for search, alpha in itertools.product(searches, (False, True)):
+                    for budget in (n, n - 1):
+                        report = search(t, fixed=fixed, budget=budget, alpha_constrained=alpha)
+                        found = None if report.found is None else report.found.as_sequence(n)
+                        digest.update(json.dumps([
+                            found, report.count, report.nodes_explored, report.exhausted,
+                            [lab.as_sequence(n) for lab in report.labelings]]).encode())
+                        searched += 1
+                        if found is None and not report.count:
+                            break
+        assert searched == 30_972
+        assert digest.hexdigest() == FULLY_FIXED_REPORTS
+
+    @pytest.mark.parametrize("build", ["zigzag", "short"])
+    def test_any_size_in_one_pass(self, build):
+        # 10^5 edges: the search spent about 5 s on the zigzag path.
+        if build == "zigzag":
+            al = zigzag_alpha_path(100_001)
+            t, lab = al.tree, al.labeling
+        else:
+            sp, lab = label_short_leg_spider(ShortLegSpec(50_000, 20_000, 10_000))
+            t = sp.tree
+        assert t.m == 100_000
+        start = time.process_time()
+        report = find_graceful(t, fixed=dict(lab.values))
+        assert time.process_time() - start < 1.0
+        assert report.found == lab
+        assert report.nodes_explored == t.n and report.exhausted
+
+    def test_budget_below_n_searches(self):
+        al = zigzag_alpha_path(7)
+        fixed = dict(al.labeling.values)
+        report = find_graceful(al.tree, fixed=fixed, budget=6)
+        assert report.found is None and not report.exhausted
+        assert report.nodes_explored == 6
+        report = find_graceful(al.tree, fixed=fixed, budget=7)
+        assert report.found == al.labeling and report.exhausted
 
 
 class TestFrozenWitnesses:

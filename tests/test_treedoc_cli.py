@@ -312,6 +312,10 @@ class TestCli:
             ({"edges": [["0", 1]]}, 'malformed tree document: "0" is not an integer'),
             ({"center": 0.0, "legs": [[1]]}, "malformed spider: 0.0 is not an integer"),
             ({"center": 0, "legs": [[1.0]]}, "malformed spider: 1.0 is not an integer"),
+            # Every label is read before the first vertex outside the tree
+            # is named.
+            ({"labels": {"7": 0, "-1": 1, "0": 0.5}}, "malformed labels: 0.5 is not an integer"),
+            ({"labels": {"7": 0, "-1": 1, "0": 0}}, "label for vertex 7 outside 0..1"),
         ],
     )
     def test_malformed_document_exit2(self, tmp_path, doc, message):
