@@ -113,7 +113,7 @@ def label_three_long_legs(
     The lengths are checked once, here, and the result is checked graceful
     once, on the canonical spider.
     """
-    _check_legs(leg_lengths)
+    leg_lengths = _check_legs(leg_lengths)
     long_count = sum(map((3).__le__, leg_lengths))
     if long_count > 3:
         raise ValidationError(

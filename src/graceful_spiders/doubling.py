@@ -38,8 +38,7 @@ def check_doubling(leg_lengths: list[int]) -> tuple[int, ...]:
     satisfiable) in that order. Raises a validation error naming the first
     violated inequality.
     """
-    _check_legs(leg_lengths)
-    lengths = tuple(sorted(leg_lengths))
+    lengths = tuple(sorted(_check_legs(leg_lengths)))
     s = len(lengths)
     if s >= 2:
         bound = 2 * lengths[0] + (4 if lengths[1] % 4 == 1 else 2)

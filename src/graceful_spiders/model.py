@@ -13,20 +13,20 @@ is a tree's value: it is unique to the edge set, however it was read, so
 equality and hash go by `(n, parent)`, and library code reads nothing else.
 `Tree.edges` derives the sorted edge tuples on each read; only the document
 writers (`treedoc.to_document`, `treedoc.to_dot`), `repr` and pickling
-call it. One rooted check, `_rooted`, accepts every parent array, whether
-given or read from an edge list: n int entries, parent[0] = -1 and the
-others in [0, n), then one pass that accepts an array with every
-`parent[v]` in [0, v), and else peeling in place, in which each vertex
-keeps its count of children and the leaves other than 0 are popped toward
-0. An edge list has one reader, `_edge_parents`, for any order and
-orientation: checks of the whole list (n-1 entries, each of length 2 with
-two int endpoints in range), then a direct read of the pairs as (parent,
-child), which the rooted check accepts for every list this package
-writes, and else one pass of leaf peeling, in which each vertex keeps its
-degree and the XOR of its neighbours, so a leaf's one neighbour, its
-parent, is that XOR. Only a list or array that is refused reaches the
-fault loop, which names the first fault in input order, an array's as its
-edges (parent[v], v).
+call it. One rooted check, `_rooted`, accepts a given parent array: n int
+entries, parent[0] = -1 and the others in [0, n), then one pass that
+accepts an array with every `parent[v]` in [0, v), and else peeling in
+place, in which each vertex keeps its count of children and the leaves
+other than 0 are popped toward 0. An edge list has one reader,
+`_edge_parents`, for any order and orientation: checks of the whole list
+(n-1 entries, each of length 2 with two int endpoints in range), then a
+direct read of the pairs as (parent, child), kept when one pass finds
+every `parent[v]` below v, as in every list this package writes, and else
+one pass of leaf peeling, in which each vertex keeps its degree and the
+XOR of its neighbours, so a leaf's one neighbour, its parent, is that
+XOR. Only a list or array that is refused reaches the fault loop, which
+names the first fault in input order, an array's as its edges
+(parent[v], v).
 Every check keeps the one int rule of `_check_int`, of every size argument
 and of every document: a vertex is an int and not a bool, so an endpoint
 or a `Labeling(d)` key of 1.0, True or "1" is a fault, not vertex 1, and a
@@ -173,8 +173,8 @@ class Tree(_Record):
     an edge list in any order and orientation through one reader,
     `_edge_parents`: whole-list checks (n-1 entries, each of length 2 with
     two int endpoints in range), then a direct read of the pairs as
-    (parent, child) that the same rooted check accepts, or else one pass of
-    leaf peeling that finds the parents. Only a list or array that is
+    (parent, child), kept when every parent is below its child, or else one
+    pass of leaf peeling that finds the parents. Only a list or array that is
     refused reaches the fault loop, an array as its edges (p[v], v), v >= 1,
     which names the first fault: the pairs one by one in input order (two
     endpoints, each an int and not a bool, no self-loop, in range), sorted,
@@ -256,8 +256,9 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
     vertex count far past the list's length costs nothing.
 
     A list of (parent, child) pairs whose children are 1..n-1, each once,
-    is read directly when `_rooted` accepts the array it gives, as it does
-    for every list this package writes. Any other list is peeled: each
+    with every parent below its child, is read directly in one pass, as
+    every list this package writes is: that alone makes a tree. Any other
+    list, a rooted one in another order too, is peeled: each
     vertex keeps its degree and the XOR of its neighbours, so a leaf's one
     neighbour is that XOR, and peeling the leaves other than 0 one at a
     time gives each its parent. The list is a tree exactly when all n-1 of them peel. A leaf
@@ -271,12 +272,12 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
     except (TypeError, LookupError):
         return None
     # ends holds every first endpoint, then every second one. A slot that
-    # no pair sets keeps n, which fails `_rooted`'s range check; so does a
-    # pair that sets slot 0, since some other slot is then left unset.
+    # no pair sets keeps n, which fails parent[v] < v; so does a pair that
+    # sets slot 0, since some other slot is then left unset.
     parent = [-1] + [n] * (n - 1)
     for child, p in zip(islice(ends, n - 1, None), ends):
         parent[child] = p
-    if _rooted(n, parent):
+    if all(map(lt, islice(parent, 1, None), range(1, n))):
         return tuple(parent)
     degree, xor, parent = [0] * n, [0] * n, [-1] * n
     for a, b in zip(ends, islice(ends, n - 1, None)):
@@ -297,15 +298,15 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
 
 
 def _rooted(n: int, parent: abc.Sequence) -> bool:
-    """Whether a parent array is a tree on 0..n-1 rooted at vertex 0: n >= 1
-    int entries, parent[0] = -1 and every other entry in [0, n), and every
-    vertex but 0 peels. One pass accepts an array with each parent[v] in
-    [0, v), as the builders write it: that alone makes a tree. Any other
-    array is peeled in place. Each vertex keeps its count of children; one
-    other than 0 with none left is a leaf, and popping it takes one child
-    from its parent. The vertices of a cycle never lose their last child, so
-    the array is a tree exactly when all n-1 of them pop, and it is then its
-    own parent array toward vertex 0."""
+    """Whether a parent array given to `Tree(n, parent=...)` is a tree on
+    0..n-1 rooted at vertex 0: n >= 1 int entries, parent[0] = -1 and every
+    other entry in [0, n), and every vertex but 0 peels. One pass accepts an
+    array with each parent[v] in [0, v), as the builders write it: that
+    alone makes a tree. Any other array is peeled in place. Each vertex
+    keeps its count of children; one other than 0 with none left is a leaf,
+    and popping it takes one child from its parent. The vertices of a cycle
+    never lose their last child, so the array is a tree exactly when all n-1
+    of them pop, and it is then its own parent array toward vertex 0."""
     if not (len(parent) == n >= 1 and parent[0] == -1 and set(map(type, parent)) == {int}
             and min(islice(parent, 1, None), default=0) >= 0):
         return False
@@ -475,7 +476,7 @@ class Spider(_Record):
         return tuple(map(len, self._leg_vertices()))
 
 
-def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
+def build_spider(leg_lengths: abc.Iterable[int]) -> Spider:
     """Build the canonically numbered spider with the given leg lengths.
 
     Center is vertex 0; legs are laid out in the given order, each leg's
@@ -484,8 +485,7 @@ def build_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     first vertex, whose parent is the center. The spider keeps the lengths,
     not a tuple per leg.
     """
-    _check_legs(leg_lengths)
-    return _canonical_spider(leg_lengths)
+    return _canonical_spider(_check_legs(leg_lengths))
 
 
 def _canonical_spider(leg_lengths: abc.Sequence[int]) -> Spider:
@@ -512,16 +512,19 @@ def _canonical_parent(leg_lengths: abc.Sequence[int]) -> tuple[int, ...]:
     return tuple(parent)
 
 
-def _check_legs(leg_lengths: abc.Sequence[int]) -> None:
-    """Raise unless the leg length list is non-empty, every length is a
-    positive int and the spider's vertices fit the index range."""
-    if not leg_lengths:
+def _check_legs(leg_lengths: abc.Iterable[int]) -> list[int]:
+    """The leg lengths as a list, read once, so a one-shot iterable is
+    checked and used like a list; raise unless the list is non-empty, every
+    length is a positive int and the spider's vertices fit the index range."""
+    legs = list(leg_lengths) if leg_lengths else []
+    if not legs:
         raise ValidationError("leg length list must be non-empty")
-    if set(map(type, leg_lengths)) != {int}:
-        _check_int("leg length", next(ell for ell in leg_lengths if type(ell) is not int))
-    if min(leg_lengths) < 1:
+    if set(map(type, legs)) != {int}:
+        _check_int("leg length", next(ell for ell in legs if type(ell) is not int))
+    if min(legs) < 1:
         raise ValidationError("leg lengths must be positive")
-    _check_vertex_count(sum(leg_lengths) + 1)
+    _check_vertex_count(sum(legs) + 1)
+    return legs
 
 
 def _center_first(labels: list[int], p: int) -> list[int]:

@@ -275,6 +275,25 @@ class TestParentRead:
         assert tree.parent == spider.tree.parent and tree.edges == spider.tree.edges
         assert hash(tree) == hash(spider.tree) and read == spider and labeling == lab
 
+    def test_library_document_needs_no_rooted_check(self, monkeypatch):
+        # Every list this package writes has each parent below its child,
+        # which one pass confirms; the rooted check serves only parent arrays.
+        spider, lab = label_short_leg_spider(ShortLegSpec(9, 3, 2))
+        doubling, doubling_lab, _ = label_doubling_spider([2, 6, 14])
+        docs = [to_document(spider.tree, lab, spider),
+                to_document(doubling.tree, doubling_lab, doubling)]
+
+        def refuse(n, parent):
+            raise AssertionError("an edge list took the rooted check")
+
+        monkeypatch.setattr(model, "_rooted", refuse)
+        for doc, (sp, labeling) in zip(docs, [(spider, lab), (doubling, doubling_lab)]):
+            tree, read_lab, read = from_document(doc)
+            assert tree.parent == sp.tree.parent and hash(tree) == hash(sp.tree)
+            assert read == sp and read_lab == labeling
+        # A rooted (parent, child) list in another order is peeled to the same array.
+        assert Tree(4, [(2, 1), (0, 2), (1, 3)]).parent == (-1, 2, 0, 1)
+
     @pytest.mark.parametrize("n, edges, parent, value", [
         (3, [(0, 1.5), (1, 2)], None, "1.5"),
         (2, [(1.9, 0)], None, "1.9"),
@@ -401,10 +420,29 @@ class TestSpider:
     @pytest.mark.parametrize("legs, message", [
         ([], "leg length list must be non-empty"),
         ([3, 0], "leg lengths must be positive"),
+        (None, "leg length list must be non-empty"),
     ])
     def test_leg_list_check_is_shared(self, builder, legs, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             builder(legs)
+
+    @pytest.mark.parametrize("builder, legs", [
+        (build_spider, [2]), (build_spider, [3, 1, 2]), (check_doubling, [1, 4, 10]),
+        (label_doubling_spider, [2, 6, 14]), (label_three_long_legs, [7, 5, 4, 2, 1]),
+        (check_doubling, [1, 3]),
+    ])
+    def test_one_shot_iterable_reads_like_its_list(self, builder, legs):
+        assert outcome(builder, iter(legs)) == outcome(builder, legs)
+
+    @pytest.mark.parametrize("builder", [build_spider, check_doubling, label_doubling_spider,
+                                         label_three_long_legs])
+    @pytest.mark.parametrize("legs", [[], [2.0], [3, 0], [None]])
+    def test_one_shot_iterable_faults_like_its_list(self, builder, legs):
+        with pytest.raises(ValidationError) as listed:
+            builder(legs)
+        with pytest.raises(ValidationError) as once:
+            builder(iter(legs))
+        assert str(once.value) == str(listed.value)
 
     def test_non_center_degree_three_rejected(self):
         # Vertex 1 has degree 3; the legs through the center cannot cover it.

@@ -16,7 +16,12 @@ from graceful_spiders.model import (
     is_graceful,
     path_tree,
 )
-from graceful_spiders.oracle import count_graceful, enumerate_graceful, find_graceful
+from graceful_spiders.oracle import (
+    _search_order,
+    count_graceful,
+    enumerate_graceful,
+    find_graceful,
+)
 from graceful_spiders.paths import zigzag_alpha_path
 from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
 
@@ -471,6 +476,22 @@ class TestNodeTotals:
                     one[mode, alpha] += report.nodes_explored
         assert dict(nothing) == self.NOTHING_FIXED
         assert dict(one) == self.ONE_FIXED
+
+
+class TestDepthThreshold:
+    def test_max_up_is_the_last_depth_with_an_edge_unplaced_at_both_ends(self):
+        # The reference: after depths 0..i are placed, the edges touching
+        # them number the sum over j <= i of len(adj[order[j]]) - (j > 0),
+        # and some edge has both ends unplaced iff fewer than n - 1 do.
+        with open(ORACLE_COUNTS) as fh:
+            trees = [Tree(row["n"], row["edges"]) for row in json.load(fh)["trees"]]
+        for t in trees:
+            adj = t.adjacency()
+            order, up = _search_order(adj)
+            touched = 0
+            for i, v in enumerate(order):
+                touched += len(adj[v]) - (i > 0)
+                assert (i < max(up)) == (touched < t.n - 1), (t, i)
 
 
 class TestComplementClosure:
