@@ -15,18 +15,17 @@ equality and hash go by `(n, parent)`, and library code reads nothing else.
 writers (`treedoc.to_document`, `treedoc.to_dot`), `repr` and pickling
 call it. One rooted check, `_rooted`, accepts a given parent array: n int
 entries, parent[0] = -1 and the others in [0, n), then one pass that
-accepts an array with every `parent[v]` in [0, v), and else peeling in
-place, in which each vertex keeps its count of children and the leaves
-other than 0 are popped toward 0. An edge list has one reader,
-`_edge_parents`, for any order and orientation: checks of the whole list
-(n-1 entries, each of length 2 with two int endpoints in range), then a
-direct read of the pairs as (parent, child), kept when one pass finds
-every `parent[v]` below v, as in every list this package writes, and else
-one pass of leaf peeling, in which each vertex keeps its degree and the
-XOR of its neighbours, so a leaf's one neighbour, its parent, is that
-XOR. Only a list or array that is refused reaches the fault loop, which
-names the first fault in input order, an array's as its edges
-(parent[v], v).
+accepts an array with every `parent[v]` in [0, v). An edge list has one
+reader, `_edge_parents`, for any order and orientation: checks of the whole
+list (n-1 entries, each of length 2 with two int endpoints in range), then
+a direct read of the pairs as (parent, child), kept when one pass finds
+every `parent[v]` below v, as in every list this package writes. An array
+or a list that fails its pass goes to the one leaf peel, `_peel`, which
+takes the two endpoint sequences (an array's are `parent[1:]` and 1..n-1,
+read in place): each vertex keeps its degree and the XOR of its
+neighbours, so a leaf's one neighbour, its parent, is that XOR. Only a
+list or array that is refused reaches the fault loop, which names the
+first fault in input order, an array's as its edges (parent[v], v).
 Every check keeps the one int rule of `_check_int`, of every size argument
 and of every document: a vertex is an int and not a bool, so an endpoint
 or a `Labeling(d)` key of 1.0, True or "1" is a fault, not vertex 1, and a
@@ -81,7 +80,6 @@ from operator import itemgetter, lt, sub
 
 from .errors import ConstructionInvariantError, ValidationError
 
-_FIRST = itemgetter(0)
 _LABEL_TYPES = {int, type(None)}  # a label, or no label
 _SET_FIELD = object.__setattr__
 
@@ -169,22 +167,22 @@ class Tree(_Record):
     anything else copied into one, so no caller can change a checked array)
     when the one rooted check, `_rooted`, accepts it: n int entries,
     `p[0] = -1`, every other `p[v]` in [0, v), which alone makes a tree, or
-    else in [0, n) with every vertex peeling toward 0. `Tree(n, edges)` takes
-    an edge list in any order and orientation through one reader,
-    `_edge_parents`: whole-list checks (n-1 entries, each of length 2 with
-    two int endpoints in range), then a direct read of the pairs as
-    (parent, child), kept when every parent is below its child, or else one
-    pass of leaf peeling that finds the parents. Only a list or array that is
-    refused reaches the fault loop, an array as its edges (p[v], v), v >= 1,
-    which names the first fault: the pairs one by one in input order (two
-    endpoints, each an int and not a bool, no self-loop, in range), sorted,
-    a duplicate scan, the vertex and edge counts, and else "edge set is not
-    connected". The parent array toward vertex 0 is unique to
-    the edge set, so equality and hash go by the fields `(n, parent)` and a
-    tree is the same value however it was built. `edges` is the sorted
-    tuple of (min, max) pairs, derived from the parent array on each read;
-    `repr` and pickling go through `(n, edges)`, so a restored tree is read
-    and checked again.
+    else in [0, n) with its edges (p[v], v) passing the one leaf peel,
+    `_peel`. `Tree(n, edges)` takes an edge list in any order and
+    orientation through one reader, `_edge_parents`: whole-list checks (n-1
+    entries, each of length 2 with two int endpoints in range), then a
+    direct read of the pairs as (parent, child), kept when every parent is
+    below its child, or else the same leaf peel, which finds the parents.
+    Only a list or array that is refused reaches the fault loop, an array as
+    its edges (p[v], v), v >= 1, which names the first fault: the pairs one
+    by one in input order (two endpoints, each an int and not a bool, no
+    self-loop, in range), sorted, a duplicate scan, the vertex and edge
+    counts, and else "edge set is not connected". The parent array toward
+    vertex 0 is unique to the edge set, so equality and hash go by the
+    fields `(n, parent)` and a tree is the same value however it was built.
+    `edges` is the sorted tuple of (min, max) pairs, derived from the parent
+    array on each read; `repr` and pickling go through `(n, edges)`, so a
+    restored tree is read and checked again.
     """
 
     __slots__ = ("n", "parent")
@@ -217,12 +215,7 @@ class Tree(_Record):
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as a sorted tuple of (min, max) pairs."""
-        parent, n = self.parent, self.n
-        if all(map(lt, islice(parent, 1, None), range(1, n))):
-            # Each (parent[v], v) is already (min, max); a stable sort on the
-            # parent keeps each parent's children ascending.
-            return tuple(sorted(zip(islice(parent, 1, None), range(1, n)), key=_FIRST))
-        return tuple(sorted((p, v) if p < v else (v, p) for v, p in enumerate(parent) if v))
+        return tuple(sorted((p, v) if p < v else (v, p) for v, p in enumerate(self.parent) if v))
 
     def __reduce__(self):
         return Tree, (self.n, self.edges)
@@ -258,14 +251,10 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
     A list of (parent, child) pairs whose children are 1..n-1, each once,
     with every parent below its child, is read directly in one pass, as
     every list this package writes is: that alone makes a tree. Any other
-    list, a rooted one in another order too, is peeled: each
-    vertex keeps its degree and the XOR of its neighbours, so a leaf's one
-    neighbour is that XOR, and peeling the leaves other than 0 one at a
-    time gives each its parent. The list is a tree exactly when all n-1 of them peel. A leaf
-    whose degree has dropped to 0 by its turn lies in a component without
-    vertex 0."""
+    list, a rooted one in another order too, goes to the one leaf peel,
+    `_peel`, as its first and its second endpoints."""
     try:
-        ends = [*map(_FIRST, edges), *map(itemgetter(1), edges)]
+        ends = [*map(itemgetter(0), edges), *map(itemgetter(1), edges)]
         if (len(edges) != n - 1 or set(map(len, edges)) - {2} or set(map(type, ends)) - {int}
                 or min(ends, default=0) < 0 or max(ends, default=0) >= n):
             return None
@@ -279,8 +268,21 @@ def _edge_parents(n: int, edges: abc.Sequence[abc.Sequence[int]]) -> tuple | Non
         parent[child] = p
     if all(map(lt, islice(parent, 1, None), range(1, n))):
         return tuple(parent)
+    return _peel(n, ends, islice(ends, n - 1, None))
+
+
+def _peel(n: int, firsts: abc.Iterable[int], seconds: abc.Iterable[int]) -> tuple | None:
+    """The parent array toward vertex 0 of the n-1 edges zipped from
+    `firsts` and `seconds`, endpoints in [0, n), when they form a tree, else
+    None.
+    Each vertex keeps its degree and the XOR of its neighbours, so a leaf's
+    one neighbour is that XOR, and peeling the leaves other than 0 one at a
+    time gives each its parent. The edges are a tree exactly when all n-1
+    of them peel. A leaf whose degree has dropped to 0 by its turn lies in
+    a component without vertex 0; a self-loop or a doubled edge never lets
+    its ends' degree fall to 1."""
     degree, xor, parent = [0] * n, [0] * n, [-1] * n
-    for a, b in zip(ends, islice(ends, n - 1, None)):
+    for a, b in zip(firsts, seconds):
         degree[a] += 1
         degree[b] += 1
         xor[a] ^= b
@@ -302,28 +304,16 @@ def _rooted(n: int, parent: abc.Sequence) -> bool:
     0..n-1 rooted at vertex 0: n >= 1 int entries, parent[0] = -1 and every
     other entry in [0, n), and every vertex but 0 peels. One pass accepts an
     array with each parent[v] in [0, v), as the builders write it: that
-    alone makes a tree. Any other array is peeled in place. Each vertex
-    keeps its count of children; one other than 0 with none left is a leaf,
-    and popping it takes one child from its parent. The vertices of a cycle
-    never lose their last child, so the array is a tree exactly when all n-1
-    of them pop, and it is then its own parent array toward vertex 0."""
+    alone makes a tree. Any other array goes to the one leaf peel, `_peel`,
+    as its edges (parent[v], v), read in place with no pair built; a tree's
+    parent array toward vertex 0 is unique, so an array that peels is its
+    own."""
     if not (len(parent) == n >= 1 and parent[0] == -1 and set(map(type, parent)) == {int}
             and min(islice(parent, 1, None), default=0) >= 0):
         return False
     if all(map(lt, islice(parent, 1, None), range(1, n))):
         return True
-    if max(islice(parent, 1, None)) >= n:
-        return False
-    children = [0] * n
-    for p in islice(parent, 1, None):
-        children[p] += 1
-    leaves = [v for v in range(1, n) if not children[v]]
-    for v in leaves:
-        p = parent[v]
-        children[p] -= 1
-        if not children[p] and p:
-            leaves.append(p)
-    return len(leaves) == n - 1
+    return max(parent) < n and _peel(n, islice(parent, 1, None), range(1, n)) is not None
 
 
 def _parent_pairs(n: int, parent: tuple) -> list[tuple]:

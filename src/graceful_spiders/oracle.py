@@ -54,14 +54,19 @@ where the conflicts live -- are explored before the interchangeable leaves.
   The scan stops at the first difference with a pair away from the root.
 - Fixed labels. A fixed label is taken from every other vertex's allowed
   labels, and a layout that leaves some vertex no label is not searched.
-- Fully fixed. When every vertex is fixed and alpha_constrained is off,
-  the labels are a bijection onto [0, m], and one pass over the edges
-  (parent[v], v) decides it: the labeling is graceful when the m
-  differences are distinct. The search would report such a labeling with n
-  nodes, exhausted: each depth has one candidate and no cut drops a
-  completable branch. So the pass returns that report when the budget
-  allows n nodes. A rejected labeling, an alpha search, or a budget below
-  n goes to the search, whose report, nodes included, is unchanged.
+- Fully fixed. When every vertex is fixed, the labels are a bijection
+  onto [0, m], and one pass over the edges (parent[v], v) decides it: the
+  labeling is graceful when the m differences are distinct. The search
+  would report such a labeling with n nodes, exhausted: each depth has one
+  candidate and no cut drops a completable branch. Under alpha_constrained
+  the same pass also asks that every edge's low end lies below every
+  edge's high end (always so on one vertex). A graceful labeling that
+  fails it fits no class layout, since the low class of a layout it fitted
+  would hold labels 0..alpha with every edge crossing it; so every layout
+  leaves some vertex no label, and the search reports 0 nodes, exhausted,
+  with nothing found. The pass returns these reports when the budget
+  allows n nodes. A labeling that is not graceful, or a budget below n,
+  goes to the search, whose report, nodes included, is unchanged.
 - Sibling leaves. Unfixed leaves of one parent are interchangeable: find
   and count give them increasing labels, and a count weighs each labeling
   by the product of k! over groups of k such siblings.
@@ -220,17 +225,21 @@ def _run(
 
     start_time = time.monotonic()
     n = t.n
-    if len(fixed) == n and budget >= n and not alpha_constrained:
+    if len(fixed) == n and budget >= n:
         # Fully fixed: the labels are a bijection onto [0, m], so one pass
-        # over the edges (parent[v], v) decides what the search would.
+        # over the edges (parent[v], v) decides what the search would. A
+        # graceful labeling that is not alpha fits no class layout, so an
+        # alpha search places nothing.
         f = [fixed[v] for v in range(n)]
         ups = [f[p] for p in t.parent[1:]]
         if len(set(map(abs, map(sub, f[1:], ups)))) == m:
-            lab = Labeling.from_sequence(f)
+            fits = (not (alpha_constrained and m)
+                    or max(map(min, f[1:], ups)) < min(map(max, f[1:], ups)))
+            kept = [Labeling.from_sequence(f)] if fits else []
             find = mode == "find"
-            return SearchReport(lab if find else None, None if find else 1, n,
-                                time.monotonic() - start_time, True,
-                                (lab,) if mode == "enumerate" else ())
+            return SearchReport(kept[0] if find and kept else None, None if find else len(kept),
+                                n * len(kept), time.monotonic() - start_time, True,
+                                tuple(kept) if mode == "enumerate" else ())
     adj = t.adjacency()
     # Everything below is indexed by depth, the position in the preorder.
     # Every vertex after the first has exactly one neighbor earlier in the

@@ -50,6 +50,12 @@ class TestAmalgamate:
         with pytest.raises(ValidationError, match="labeled 0"):
             amalgamate(p3_alpha(), 0, path_tree(2), Labeling.from_sequence([0, 1]), 1)
 
+    @pytest.mark.parametrize("u, v, message", [(9, 0, "vertex 9 not in G"),
+                                                (0, 9, "vertex 9 not in H")])
+    def test_vertex_out_of_range(self, u, v, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            amalgamate(p3_alpha(), u, path_tree(2), Labeling.from_sequence([0, 1]), v)
+
     def test_h_graceful_hypothesis(self):
         with pytest.raises(ValidationError, match="graceful"):
             amalgamate(p3_alpha(), 0, path_tree(3), Labeling.from_sequence([0, 1, 2]), 0)

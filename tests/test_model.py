@@ -1,6 +1,7 @@
 import pickle
 import random
 import sys
+import time
 from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
@@ -120,6 +121,10 @@ class TestTree:
     def test_path_tree(self):
         t = path_tree(4)
         assert t.n == 4 and t.edges == ((0, 1), (1, 2), (2, 3))
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValidationError, match="^path needs at least one vertex$"):
+            path_tree(0)
 
     def test_edge_count_enforced(self):
         with pytest.raises(ValidationError):
@@ -357,6 +362,25 @@ class TestParentRead:
             with pytest.raises(ValidationError) as info:
                 Tree(len(parent), parent=parent)
             assert str(info.value) == message
+
+    def test_rooted_array_peels_at_scale(self):
+        # 10^5 edges amalgamated at v != 0: H's vertices before v hang from
+        # their successors, so the joined array takes the leaf peel that an
+        # edge list in another order takes.
+        g = zigzag_alpha_path(50_001)
+        tree, _ = amalgamate(g, 0, path_tree(50_001), graceful_path_zero_at(50_001, 16_667),
+                             16_667)
+        assert tree.m == 10**5 and not all(p < v for v, p in enumerate(tree.parent) if v)
+        start = time.process_time()
+        assert Tree(tree.n, parent=tree.parent) == Tree(tree.n, tree.edges) == tree
+        assert time.process_time() - start < 1.0
+        # H's vertex 0, a leaf, becomes the parent of its grandparent: a
+        # triangle cut off from vertex 0.
+        parent = list(tree.parent)
+        leaf = g.tree.n
+        parent[parent[parent[leaf]]] = leaf
+        with pytest.raises(ValidationError, match="^edge set is not connected$"):
+            Tree(tree.n, parent=parent)
 
     @pytest.fixture
     def no_edges(self, monkeypatch):

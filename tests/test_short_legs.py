@@ -49,6 +49,10 @@ class TestFormulaGoldens:
         with pytest.raises(ValidationError):
             short_leg_formula(5, 0)
 
+    def test_ell_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="^ell must be >= 1$"):
+            short_leg_formula(0, 2)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("ell,s", [(11, 2), (10, 2), (7, 3), (8, 4), (13, 5), (20, 2)])
@@ -119,6 +123,10 @@ class TestExtendWithLeaves:
         # It used to end in OverflowError from building the parent array.
         with pytest.raises(ValidationError, match="vertices exceed the index range"):
             extend_with_leaves(path_tree(2), Labeling.from_sequence([0, 1]), 0, 10**19)
+
+    def test_negative_leaf_count(self):
+        with pytest.raises(ValidationError, match="^leaf count must be non-negative$"):
+            extend_with_leaves(path_tree(2), Labeling.from_sequence([0, 1]), 0, -1)
 
     def test_requires_graceful(self):
         with pytest.raises(ValidationError):

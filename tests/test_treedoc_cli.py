@@ -237,6 +237,35 @@ class TestCli:
         assert code == 2
         assert json.loads(out)["error"] == {"type": "validation", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["path", "alpha", "--n", "5"],
+             "path alpha requires exactly one of --position / --end-label"),
+            (["path", "graceful", "--n", "5"], "path graceful requires --position"),
+            (["spider", "doubling", "--legs", "a,b"], "cannot parse leg lengths from 'a,b'"),
+            (["oracle", "--graph", "{unlabeled}", "--fix", "1"],
+             "--fix expects v=label, got '1'"),
+            (["attach", "--graph", "{unlabeled}", "--vertex", "0", "--path-len", "2"],
+             "attach requires a labeled graph document"),
+            (["verify", "--graph", "{unlabeled}"], "verify requires a labeled document"),
+            (["amalgamate", "--alpha", "{graceful}", "--u", "0", "--graceful", "{graceful}",
+              "--v", "0"], "G's labeling is not an alpha-labeling"),
+        ],
+    )
+    def test_validation_message_exit2(self, capsys, tmp_path, argv, message):
+        unlabeled = tmp_path / "unlabeled.json"
+        unlabeled.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+        # A graceful labeling of P_5 that is not an alpha-labeling.
+        code, out = run_cli(capsys, "path", "graceful", "--n", "5", "--position", "2")
+        assert code == 0
+        graceful = tmp_path / "graceful.json"
+        graceful.write_text(out)
+        argv = [a.format(unlabeled=unlabeled, graceful=graceful) for a in argv]
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "validation", "message": message}
+
     def test_oracle_trace_adds_elapsed(self, capsys, tmp_path):
         p = tmp_path / "p4.json"
         p.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))

@@ -22,6 +22,12 @@ prints one line:
   what was allocated before it, and `held_B` per vertex;
 - `gc`, the number of garbage-collector runs during the untraced build.
 
+It then prints one `amalgamate` line at m edges: a zigzag alpha path G with
+m/5 edges and a graceful path H with the rest, joined at H's vertex
+v = n_H/3, whose joined parent array is not increasing and so takes the
+leaf peel of `Tree`. `amalgamate_s` is the process time of the join, and
+`tree_s` that of `Tree(n, parent=p)` on the joined array.
+
 Each build starts after a full collection, so the collector's counters do
 not carry over from the build before it. The script prints figures and
 checks no threshold.
@@ -36,8 +42,10 @@ import sys
 import tracemalloc
 from time import process_time
 
-from graceful_spiders.compose import label_three_long_legs
+from graceful_spiders.compose import amalgamate, label_three_long_legs
 from graceful_spiders.doubling import label_doubling_spider
+from graceful_spiders.model import Tree, path_tree
+from graceful_spiders.paths import graceful_path_zero_at, zigzag_alpha_path
 from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
 from graceful_spiders.treedoc import from_document, to_document
 
@@ -108,6 +116,21 @@ def measure(build) -> dict:
             "held_B_per_vertex": held / n, "gc": len(runs)}
 
 
+def amalgamated(m: int) -> tuple[int, int, float, float]:
+    """(n, v, amalgamate_s, tree_s) of the `amalgamate` at v != 0 on m edges."""
+    g = zigzag_alpha_path(m // 5 + 1)
+    n_h = m - m // 5 + 1
+    v = n_h // 3
+    h_tree, h_lab = path_tree(n_h), graceful_path_zero_at(n_h, v)
+    gc.collect()
+    start = process_time()
+    tree, _ = amalgamate(g, 0, h_tree, h_lab, v)
+    amalgamate_s = process_time() - start
+    start = process_time()
+    Tree(tree.n, parent=tree.parent)
+    return tree.n, v, amalgamate_s, process_time() - start
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, default=10**6,
@@ -125,6 +148,8 @@ def main(argv=None) -> int:
               f"held_B={r['held_B']:,} "
               f"peak_B={r['peak_B']:,} held_B_per_vertex={r['held_B_per_vertex']:.1f} "
               f"gc={r['gc']}")
+    n, v, amalgamate_s, tree_s = amalgamated(args.m)
+    print(f"{'amalgamate':<10} n={n:,} v={v:,} amalgamate_s={amalgamate_s:.3f} tree_s={tree_s:.3f}")
     return 0
 
 
