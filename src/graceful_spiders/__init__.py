@@ -1,9 +1,10 @@
 """Constructive graceful labelings of spider trees.
 
 Builders for four constructive routes (path attachment, iterative doubling
-spiders, closed-form short-leg spiders, alpha-amalgamation), closed-form
-path labeling providers, and a brute-force oracle that certifies every
-output.
+spiders, closed-form short-leg spiders, alpha-amalgamation) and closed-form
+path labeling providers, each certifying its output once through
+`model.certified`, plus a brute-force oracle: the independent search that
+the tests check the constructions against.
 """
 
 from .model import (

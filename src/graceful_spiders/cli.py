@@ -2,8 +2,8 @@
 
 Subcommands: spider doubling | spider short | spider three-long | attach |
 amalgamate | path | oracle | verify | export. Exit codes: 0 success, 2
-validation (including provable infeasibility), 3 resource budget, 4 internal
-theorem-contradiction.
+validation (including provable infeasibility), 3 resource (a search budget,
+or a request too large for memory), 4 internal theorem-contradiction.
 
 Each call writes one text to stdout, and only `run` writes it: the
 subcommand's result, or on exit 2, 3 or 4 the error document
@@ -23,9 +23,10 @@ Flags shared by several subcommands:
   document (with `--format dot` it exits 2, since DOT has no place for it);
   `oracle` adds the search time. No other subcommand takes it.
 - `--budget`, `--cache`: every subcommand accepts both. Only `oracle`
-  searches, so only `oracle` uses `--budget` and can exit 3; every other
-  subcommand is closed form and ignores both, so existing command lines
-  keep working.
+  searches, so only `oracle` uses `--budget` and can exit 3 at it; every
+  other subcommand is closed form and ignores both, so existing command
+  lines keep working. Any subcommand exits 3, with a fixed message, when
+  its request is too large for memory (a `MemoryError`).
 
 Importing this module runs only `model` and `errors` (with the package's
 `__init__`). `attach`, `compose`, `doubling`, `oracle`, `paths`, `short_legs`
@@ -190,6 +191,8 @@ def run(argv: list[str]) -> int:
         out, code = _error("internal", exc), 4
     except ResourceBudgetError as exc:
         out, code = _error("resource", exc), 3
+    except MemoryError:
+        out, code = _error("resource", "the request needs more memory than is available"), 3
     except ValidationError as exc:
         out, code = _error("validation", exc), 2
     sys.stdout.write(out)
@@ -201,7 +204,7 @@ def _read(path: str):
     return treedoc.from_document(treedoc.load_document(path))
 
 
-def _error(kind: str, exc: Exception) -> str:
+def _error(kind: str, exc: Exception | str) -> str:
     return treedoc.dumps_document({"error": {"type": kind, "message": str(exc)}})
 
 

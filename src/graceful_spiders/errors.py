@@ -3,6 +3,7 @@ budget, which the CLI's `--budget` default reads without loading the oracle.
 
 The CLI maps these onto exit codes: ValidationError (and its subclass
 InfeasibleError) -> 2, ResourceBudgetError -> 3, ConstructionInvariantError -> 4.
+A built-in MemoryError, a request too large for memory, also maps to 3.
 """
 
 DEFAULT_ORACLE_BUDGET = 10**8

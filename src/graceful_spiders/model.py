@@ -159,6 +159,15 @@ class _Record:
         return type(self), self._astuple()
 
 
+def _unchecked(cls: type, *values) -> _Record:
+    """The record of `cls` whose slots hold `values`, in order, made without
+    its constructor and so without its checks."""
+    rec = object.__new__(cls)
+    for slot, value in zip(cls.__slots__, values):
+        _SET_FIELD(rec, slot, value)
+    return rec
+
+
 class Tree(_Record):
     """An unrooted tree on vertices 0..n-1, held as a parent array:
     `parent[v]` is v's neighbour toward vertex 0, and `parent[0] = -1`.
@@ -485,9 +494,7 @@ def _canonical_spider(leg_lengths: abc.Sequence[int]) -> Spider:
     builds no second one."""
     lengths = _LegLengths(leg_lengths)
     parent = _canonical_parent(lengths)
-    spider = object.__new__(Spider)
-    for slot, value in zip(Spider.__slots__, (Tree(len(parent), parent=parent), 0, lengths)):
-        _SET_FIELD(spider, slot, value)
+    spider = _unchecked(Spider, Tree(len(parent), parent=parent), 0, lengths)
     spider.__post_init__(parent)
     return spider
 
@@ -650,9 +657,7 @@ def _int_labels(labels: list) -> list:
 def _over(labels: list, count: int) -> Labeling:
     """The labeling whose view holds `labels` itself, with `count` labeled
     vertices, made without `Labeling.__post_init__`'s spread."""
-    lab = object.__new__(Labeling)
-    _SET_FIELD(lab, "values", _LabelList(labels, count))
-    return lab
+    return _unchecked(Labeling, _LabelList(labels, count))
 
 
 def edge_label(lab: Labeling, u: int, v: int) -> int:
@@ -684,17 +689,19 @@ def certified(
     labels: list[int],
     message: str,
     trace: ConstructionTrace | None = None,
-) -> Labeling:
+    alpha: int | None = None,
+) -> Labeling | AlphaLabeling:
     """The labeling of t by `labels` (vertex i gets labels[i]), checked
-    graceful; raises ConstructionInvariantError(message, trace) when it is
-    not, since every caller's construction guarantees it. The labeling
-    keeps `labels`, not a copy, and counts it full without a scan: each
-    caller has just written the list and keeps no other reference to it,
-    and a None in it fails the check."""
+    graceful, and when `alpha` is given the `AlphaLabeling` of it, checked
+    to have that index; raises ConstructionInvariantError(message, trace)
+    when a check fails, since every caller's construction guarantees it.
+    The labeling keeps `labels`, not a copy, and counts it full without a
+    scan: each caller has just written the list and keeps no other
+    reference to it, and a None in it fails the check."""
     lab = _over(labels, len(labels))
-    if not is_graceful(t, lab):
+    if not is_graceful(t, lab) or alpha is not None and _alpha_of(t, labels) != alpha:
         raise ConstructionInvariantError(message, trace)
-    return lab
+    return lab if alpha is None else _unchecked(AlphaLabeling, t, lab, alpha)
 
 
 def alpha_index(t: Tree, lab: Labeling) -> int | None:
@@ -706,7 +713,12 @@ def alpha_index(t: Tree, lab: Labeling) -> int | None:
     """
     if not is_graceful(t, lab):
         raise ValidationError("alpha_index requires a graceful labeling")
-    f = lab.as_sequence(t.n)
+    return _alpha_of(t, lab.as_sequence(t.n))
+
+
+def _alpha_of(t: Tree, f: list[int]) -> int | None:
+    """`alpha_index` of a graceful labeling of t, given as its label list
+    by vertex."""
     # Labels lie in [0, m], m + 1 = n; the vertex labeled 0 is the low end of
     # its edges, so the maximum low end starts at 0 (and stays 0 on one vertex).
     alpha, above = 0, t.n

@@ -45,25 +45,27 @@ rules carry the choices, both forced by Lemma 2(c)'s infeasible pair
   n <= 1000.
 
 Every zero-position labeling that is not a zigzag or a literal ends in one
-band step: a block with 0 at index z keeps its lows, lifts its highs to the
-top of P_n, and continues past its last label with a low-endpoint band on
-the middle labels, entered by a bridge of difference the band's size.
-`_zero_at_construct` takes the step on a zigzag arm in two
-`_alpha_low_end` calls, one for the arm and one for the band, each through
-its map, so the arm is written already lifted. Only `_zero_at_residue`
-lifts a block it has built, a smaller zero-position block, by
-`_extend_by_band`.
+band step, `_extend_by_band`: a block with 0 at index z, its lows kept and
+its highs already at the top of P_n, continues past its last label with a
+low-endpoint band on the middle labels, entered by a bridge of difference
+the band's size. No block is lifted after it is built: each is written
+with its highs raised by every band still to come, the `lift` that
+`_zero_at_construct` and the step take. `_zero_at_construct` writes its
+zigzag arm through the map of `_alpha_low_end`, raised, and takes one step.
+`_zero_at_residue` takes one more step on a smaller zero-position block,
+`_zero_at_construct(q+2, q)` raised by the outer band, or two on a P_6
+literal written raised.
 
 Each choice is backed by an O(1) check that raises
 `ConstructionInvariantError`, never by a fallback. Nothing here searches:
 listing every alpha-labeling of a small path is the oracle's job
 (`oracle.enumerate_graceful(path_tree(n), alpha_constrained=True)`).
 
-Each public provider certifies its result as it returns it (an
-`AlphaLabeling` re-verifies the index; `graceful_path_zero_at` checks
-gracefulness). The spider builders call the private helpers
-`_alpha_zero_seq` and `_alpha_low_end`, which return bare label
-sequences, and certify the finished spider once instead.
+Each public provider certifies its result as it returns it, through
+`model.certified`: gracefulness, and for an alpha provider the index it
+built, so a fault is a `ConstructionInvariantError`. The spider builders
+call the private helpers `_alpha_zero_seq` and `_alpha_low_end`, which
+return bare label sequences, and certify the finished spider once instead.
 `alpha_path_end_label` has no `_seq` twin: no builder asks for an end label
 (the attachment step calls `_alpha_low_end` directly), so its checks, its
 choice of class and its index sit in the public function.
@@ -75,9 +77,7 @@ import json
 import os
 
 from .errors import ConstructionInvariantError, InfeasibleError, ValidationError
-from .model import (
-    AlphaLabeling, Labeling, _check_int, _check_vertex_count, certified, path_tree,
-)
+from .model import AlphaLabeling, Labeling, _check_int, _check_vertex_count, certified, path_tree
 
 _CACHE_FORMAT = "graceful-spiders-path-cache"
 _CACHE_VERSION = 1
@@ -137,12 +137,14 @@ def zigzag_alpha_path(n: int) -> AlphaLabeling:
     """The classical alternating path labeling 0, m, 1, m-1, ...
 
     Position j gets j/2 when j is even and (n-1) - (j-1)/2 when odd; the
-    first endpoint is labeled 0.
+    first endpoint is labeled 0. The result is certified graceful with its
+    index (n-1)//2.
     """
     _check_vertex_count(n)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return AlphaLabeling(path_tree(n), Labeling.from_sequence(_alpha_low_end(n, 0)), (n - 1) // 2)
+    return certified(path_tree(n), _alpha_low_end(n, 0),
+                     f"zigzag provider produced no alpha-labeling of P_{n}", alpha=(n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +242,6 @@ def _alpha_low_end(
             )
 
 
-def _alpha_of_sequence(n: int, low_is_even: bool) -> int:
-    n_low = (n + 1) // 2 if low_is_even else n // 2
-    return n_low - 1
-
-
 def graceful_path_zero_at(n: int, position: int) -> Labeling:
     """A graceful labeling of P_n with the vertex at `position` labeled 0.
 
@@ -268,14 +265,15 @@ def alpha_path_zero_at(n: int, position: int) -> AlphaLabeling:
     differences) and reduces the other arm to an endpoint-constrained
     labeling of the remaining label band; the pairs where neither arm admits
     that reduction (see the module docstring) extend a small zero-position
-    block by an end-label band instead. The returned `AlphaLabeling`
-    certifies gracefulness and the index; the spider builders skip that and
-    certify their whole spider once.
+    block by an end-label band instead. The result is certified graceful
+    with its index here; the spider builders skip that and certify their
+    whole spider once.
     """
     seq, alpha = _alpha_zero_seq(n, position)
     if alpha is None:
         raise InfeasibleError("P_5 has no alpha-labeling with the central vertex at 0")
-    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+    return certified(path_tree(n), seq, f"path provider produced no alpha-labeling of P_{n} "
+                     f"with 0 at position {position}", alpha=alpha)
 
 
 def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
@@ -289,7 +287,7 @@ def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
         raise ValidationError(f"position {position} out of range for n={n}")
     if (n, position) == (5, 2):
         return [1, 4, 0, 2, 3], None
-    alpha = _alpha_of_sequence(n, position % 2 == 0)
+    alpha = (n - 1 - position % 2) // 2  # lows on position's parity
     if position in (0, n - 1):
         seq = _alpha_low_end(n, 0)
         return (seq[::-1] if position == n - 1 else seq), alpha
@@ -299,28 +297,29 @@ def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
     return seq, alpha
 
 
-def _zero_at_construct(n: int, position: int) -> list[int] | None:
-    """Closed-form alpha-labeling with 0 at an interior position, or None.
+def _zero_at_construct(n: int, position: int, lift: int = 0) -> list[int] | None:
+    """Closed-form alpha-labeling with 0 at an interior position, its high
+    labels raised by `lift`, or None.
 
     Zigzag along the arm of q vertices beyond zero: it consumes the top q
     differences, the lows [0, q//2] and the top highs. The other arm then
     lives on a contiguous label band of its own size r = n-1-q, entered
     through a bridge edge of difference exactly r, which pins its endpoint
     label to q//2. So the arm is the zigzag of P_{q+1} read from its far
-    end, whose lows are [0, q//2], with its highs lifted by r onto the top
-    labels, and the band is the low-end labeling of P_r with endpoint q//2,
-    complemented onto [q//2+1, q//2+r]. Both are written through the map
-    of `_alpha_low_end`: the arm is P_{q+1} with endpoint q//2, lifted for
-    even q and complemented for odd q, whose far end is high. The arm at
-    `position` is taken when the band's endpoint is feasible, else the
-    other arm; None when neither is.
+    end, whose lows are [0, q//2], written through the map of
+    `_alpha_low_end` as P_{q+1} with endpoint q//2, its highs raised by
+    r + lift (lifted for even q, complemented for odd q, whose far end is
+    high). It ends on 0 at index q, and `_extend_by_band` appends the band:
+    the low-end labeling of P_r with endpoint q//2, complemented onto
+    [q//2+1, q//2+r].
+    The arm at `position` is taken when the band's endpoint is feasible,
+    else the other arm; None when neither is.
     """
     for q in (position, n - 1 - position):
         j, r = q // 2, n - 1 - q
         if 0 < q < n - 1 and _low_end_feasible(r, j):
-            s, lo, hi = (1, 0, r) if q % 2 == 0 else (-1, q + r, q)
-            seq = _alpha_low_end(q + 1, j, s, lo, hi)
-            seq += _alpha_low_end(r, j, -1, j + r, j + r)
+            s, lo, hi = (1, 0, r + lift) if q % 2 == 0 else (-1, q + r + lift, q)
+            seq = _extend_by_band(_alpha_low_end(q + 1, j, s, lo, hi), q, n, lift)
             return seq if q == position else seq[::-1]
     return None
 
@@ -330,58 +329,60 @@ def _zero_at_residue(n: int, position: int) -> list[int]:
     `_zero_at_construct` misses: the center of P_{4s+1}, and n = 6k+2 or
     6k+3 with a shorter arm of 2k or 2k+1 vertices beyond zero.
 
-    The center of P_{4s+1} extends a P_6 block twice: to P_{2s+2} with 0 at
-    index 1, then, reversed, to P_{4s+1} with 0 at index 2s (P_13 is a
-    literal). Every other pair takes the shorter arm q, closes it with one
-    vertex on the far side of zero (the block `_zero_at_construct(q+2, q)`)
-    and extends that block by a band (P_9 is a literal).
+    The center of P_{4s+1} writes a P_6 block with 0 at index 1, its highs
+    already raised by n-6, extends it to P_{2s+2}, its band's highs raised
+    by the 2s-1 vertices still to come, then, reversed, to P_{4s+1} with 0
+    at index 2s (P_13 is a literal). Every other pair takes the shorter arm
+    q, closes it with one vertex on the far side of zero (the block
+    `_zero_at_construct(q+2, q)`, its highs raised by the band still to
+    come) and extends that block by a band (P_9 is a literal).
     """
     if 2 * position == n - 1 and n % 4 == 1:
         # The P_6 block extends to P_{2s+2} only when its band is longer
         # than 2, that is for s > 3; s = 3 is a literal.
         if n == 13:
             return [1, 10, 4, 8, 3, 11, 0, 12, 2, 9, 6, 7, 5]
-        inner = [4, 0, 5, 2, 3, 1]
+        inner = [n - 2, 0, n - 1, 2, n - 3, 1]
         if n > 9:
-            inner = _extend_by_band(inner, 1, position + 2)
+            inner = _extend_by_band(inner, 1, position + 2, n - position - 2)
         return _extend_by_band(inner[::-1], position, n)
     if n == 9:
         # The band of P_9's 5-vertex block has an infeasible endpoint.
         seq = [7, 2, 6, 0, 8, 1, 4, 3, 5]
         return seq if position == 3 else seq[::-1]
     q = min(position, n - 1 - position)
-    seq = _extend_by_band(_zero_at_construct(q + 2, q), q, n)
+    seq = _extend_by_band(_zero_at_construct(q + 2, q, n - q - 2), q, n)
     return seq if q == position else seq[::-1]
 
 
-def _extend_by_band(blk: list[int], z: int, n: int) -> list[int]:
-    """Extend an alpha-labeling `blk` of P_b with 0 at index z (so its lows
-    sit on z's parity) to an alpha-labeling of P_n with 0 at index z.
+def _extend_by_band(blk: list[int], z: int, n: int, lift: int = 0) -> list[int]:
+    """Extend `blk` in place to an alpha-labeling of P_n with 0 at index z,
+    its high labels raised by `lift`, and return it. `blk` is an
+    alpha-labeling of P_b with 0 at index z (so its lows [0, a] sit on z's
+    parity) whose highs are already raised by r + lift, r = n - b.
 
-    The one band step. The block keeps its lows [0, a] and lifts its highs
-    by r = n - b onto the top labels, so it uses the top differences. Past
-    its last vertex, label e, the path continues with r vertices on the
-    labels [a+1, a+r], entered by a bridge of difference r: the band's first
-    label is e + r when e is low and e - r when high, so it sits in the
-    class opposite e. A high first label is the complement of a low-end
+    The one band step. The raised highs sit on the top labels, so the
+    block uses the top differences. Past its last vertex, label e, the path
+    continues with r vertices on the labels [a+1, a+r], entered by a bridge
+    of difference r (r + lift once raised): the band's first label sits in
+    the class opposite e. A high first label is the complement of a low-end
     labeling, a low one the low-end labeling itself, both written through
-    the map of `_alpha_low_end`.
+    the map of `_alpha_low_end`, which adds `lift` to the band's highs.
     """
     r = n - len(blk)
-    a = _alpha_of_sequence(len(blk), z % 2 == 0)
-    out = [x if x <= a else x + r for x in blk]
-    e = out[-1]
+    a = (len(blk) - 1 - z % 2) // 2
+    e = blk[-1]
     if e <= a:
-        j, s, lo = a - e, -1, a + r
+        j, s, lo, hi = a - e, -1, a + r + lift, a + r
     else:
-        j, s, lo = e - r - a - 1, 1, a + 1
+        j, s, lo, hi = e - r - lift - a - 1, 1, a + 1, a + 1 + lift
     if not _low_end_feasible(r, j):
         raise ConstructionInvariantError(
             f"the band of {r} vertices after label {e} needs endpoint label {j}, "
             f"which has no alpha-labeling"
         )
-    out += _alpha_low_end(r, j, s, lo, lo)
-    return out
+    blk += _alpha_low_end(r, j, s, lo, hi)
+    return blk
 
 
 def alpha_path_end_label(
@@ -393,8 +394,8 @@ def alpha_path_end_label(
     low-class size, hence which class the endpoint may sit in. The
     (n = 4s+1, end_label in {s, 3s}) pairs are provably infeasible; every
     other in-range request is served by the closed-form construction (via
-    the complement symmetry when the endpoint is a high label). The
-    returned `AlphaLabeling` certifies gracefulness and the index.
+    the complement symmetry when the endpoint is a high label). The result
+    is certified graceful with its index here.
     """
     _check_vertex_count(n)
     if n < 2:
@@ -431,5 +432,6 @@ def alpha_path_end_label(
             f"no alpha-labeling of P_{n} has endpoint label {end_label}"
             + (f" with index {required_index}" if required_index is not None else "")
         )
-    return AlphaLabeling(path_tree(n), Labeling.from_sequence(seq), alpha)
+    return certified(path_tree(n), seq, f"path provider produced no alpha-labeling of P_{n} "
+                     f"with endpoint label {end_label}", alpha=alpha)
 

@@ -65,7 +65,8 @@ EMITS_TREE = ("spider", "path", "attach", "amalgamate", "export")
 SIZE_FLAGS = ("--n", "--path-len", "--long", "--two", "--one")
 INDEX_FLAGS = ("--vertex", "--u", "--v", "--position", "--end-label", "--index")
 # Sizes past sys.maxsize exit 2 before any list is made; a size that fits
-# the index range but not memory is out of scope, so sizes stay small.
+# the index range but not memory exits 3 (test_treedoc_cli.py), so sizes
+# here stay small.
 SIZES = [-1, 0, 1, 2, 3, 5, 13, 40, sys.maxsize + 1, 10**30]
 INDICES = [-1, 0, 1, 2, 7, 2**31, sys.maxsize - 1, sys.maxsize, -sys.maxsize - 1]
 JUNK = ["", "x", "1e3", "0x10", "1.5", "--n", "=", "1,,2", "-", "dot"]

@@ -1,0 +1,113 @@
+"""Every construction's final check: with the `is_graceful` that
+`model.certified` calls made to refuse, each builder and provider raises
+`ConstructionInvariantError` with its own message, and the CLI exits 4
+(`internal`). The two checks a construction makes before certifying, the
+short-leg center and the amalgam's identified vertex, have a case each."""
+
+import json
+
+import pytest
+
+from graceful_spiders import model, short_legs
+from graceful_spiders.attach import attach_path
+from graceful_spiders.cli import run
+from graceful_spiders.compose import _amalgam_labels, amalgamate, label_three_long_legs
+from graceful_spiders.doubling import label_doubling_spider
+from graceful_spiders.errors import ConstructionInvariantError
+from graceful_spiders.model import Labeling, path_tree
+from graceful_spiders.paths import (
+    alpha_path_end_label,
+    alpha_path_zero_at,
+    graceful_path_zero_at,
+    zigzag_alpha_path,
+)
+from graceful_spiders.short_legs import ShortLegSpec, extend_with_leaves, label_short_leg_spider
+from graceful_spiders.treedoc import dumps_document, to_document
+
+P3 = [0, 2, 1]  # a graceful labeling of P_3 with 0 at an endpoint
+G6 = zigzag_alpha_path(6)  # alpha = 2, carried by the vertex at position 4
+
+CASES = {
+    "doubling": (lambda: label_doubling_spider([1, 9, 20]),
+                 "doubling construction produced a non-graceful labeling; this "
+                 "contradicts Theorem 3"),
+    "short": (lambda: label_short_leg_spider(ShortLegSpec(9, 2, 1)),
+              "short-leg construction produced a non-graceful labeling; this "
+              "contradicts Theorem 4"),
+    "three-long": (lambda: label_three_long_legs([5, 4, 3, 2, 1]),
+                   "three-long-leg construction produced a non-graceful labeling; "
+                   "this contradicts Theorem 5"),
+    "graceful_path_zero_at": (lambda: graceful_path_zero_at(7, 2),
+                              "path provider produced a non-graceful labeling of P_7 with 0 "
+                              "at position 2"),
+    "attach_path": (lambda: attach_path(path_tree(3), Labeling.from_sequence(P3), 0, 4),
+                    "attach_path produced a non-graceful labeling; this contradicts the "
+                    "attachment guarantee"),
+    "amalgamate": (lambda: amalgamate(G6, 4, path_tree(3), Labeling.from_sequence(P3), 0),
+                   "amalgamation produced a non-graceful labeling; this contradicts Lemma 1"),
+    "extend_with_leaves": (lambda: extend_with_leaves(path_tree(3), Labeling.from_sequence(P3),
+                                                      0, 2),
+                           "leaf extension broke gracefulness"),
+    "zigzag_alpha_path": (lambda: zigzag_alpha_path(6),
+                          "zigzag provider produced no alpha-labeling of P_6"),
+    "alpha_path_zero_at": (lambda: alpha_path_zero_at(7, 2),
+                           "path provider produced no alpha-labeling of P_7 with 0 at "
+                           "position 2"),
+    "alpha_path_end_label": (lambda: alpha_path_end_label(7, 6, 2),
+                             "path provider produced no alpha-labeling of P_7 with endpoint "
+                             "label 6"),
+}
+
+
+@pytest.fixture
+def refusing(monkeypatch):
+    """Make `model.certified`'s gracefulness check refuse every labeling."""
+    monkeypatch.setattr(model, "is_graceful", lambda t, lab: False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_final_check_raises(name, refusing):
+    make, message = CASES[name]
+    with pytest.raises(ConstructionInvariantError) as err:
+        make()
+    assert str(err.value) == message
+    if name == "doubling":
+        # The trace of every step taken comes with the error.
+        assert [s.operation for s in err.value.trace.steps][0] == "base"
+        assert len(err.value.trace.steps) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spider", "doubling", "--legs", "1,9,20"],
+        ["spider", "short", "--long", "9", "--two", "2"],
+        ["spider", "three-long", "--legs", "5,4,3"],
+        ["path", "zigzag", "--n", "6"],
+        ["path", "graceful", "--n", "7", "--position", "2"],
+        ["path", "alpha", "--n", "7", "--position", "2"],
+        ["path", "alpha", "--n", "7", "--end-label", "6"],
+        ["attach", "--graph", "{host}", "--vertex", "0", "--path-len", "4"],
+    ],
+)
+def test_final_check_exit4(argv, tmp_path, capsys, refusing):
+    # `amalgamate` is left out: its input check, `alpha_index`, reads the
+    # same refusing name and exits 2 first.
+    host = tmp_path / "host.json"
+    host.write_text(dumps_document(to_document(path_tree(3), Labeling.from_sequence(P3))))
+    assert run([a.format(host=host) for a in argv]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "internal"
+
+
+def test_short_leg_center_check(monkeypatch):
+    monkeypatch.setattr(short_legs, "_formula_labels", lambda ell, s: [3, 0, 1, 2])
+    with pytest.raises(ConstructionInvariantError) as err:
+        short_legs._short_leg_labels(1, 2, 0)
+    assert str(err.value) == "short-leg center is labeled 3, expected 0"
+
+
+def test_amalgam_identified_vertex_check():
+    # u carries 2, neither 0 nor alpha = 1, so the table sends it to 2 + |E(H)|.
+    with pytest.raises(ConstructionInvariantError) as err:
+        _amalgam_labels([0, 2, 1], 1, 1, [0, 1], 0)
+    assert str(err.value) == "identified vertex carries 3, expected alpha=1"

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from graceful_spiders import attach, paths
+from graceful_spiders.cli import run
 from graceful_spiders.errors import (
     ConstructionInvariantError,
     InfeasibleError,
@@ -146,6 +147,38 @@ class TestAlphaZeroAt:
         assert a == b
 
 
+class TestProvidersCertify:
+    """The alpha providers certify through `model.certified`, index
+    included, so a faulty construction is internal (exit 4), not a
+    validation error. A non-graceful one is covered in
+    test_final_checks.py."""
+
+    CASES = [
+        (lambda: zigzag_alpha_path(5), "zigzag provider produced no alpha-labeling of P_5",
+         ["zigzag", "--n", "5"]),
+        (lambda: alpha_path_zero_at(5, 0),
+         "path provider produced no alpha-labeling of P_5 with 0 at position 0",
+         ["alpha", "--n", "5", "--position", "0"]),
+        (lambda: alpha_path_end_label(5, 0),
+         "path provider produced no alpha-labeling of P_5 with endpoint label 0",
+         ["alpha", "--n", "5", "--end-label", "0"]),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_wrong_index_is_internal(self, monkeypatch, capsys, case):
+        make, message, argv = self.CASES[case]
+        low_end = paths._alpha_low_end
+        # Graceful, but P_5's complemented zigzag has index 1, not 2.
+        monkeypatch.setattr(paths, "_alpha_low_end",
+                            lambda n, *a: [n - 1 - x for x in low_end(n, *a)])
+        with pytest.raises(ConstructionInvariantError) as err:
+            make()
+        assert str(err.value) == message
+        assert run(["path", *argv]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "internal", "message": message}}
+
+
 def _construct_misses(n: int, p: int) -> bool:
     """Whether `_zero_at_construct(n, p)` has no decomposition: neither arm
     leaves a band whose endpoint label is feasible."""
@@ -176,7 +209,7 @@ class TestZeroAtResidue:
                 (3, (n - 3) // 3 + 1),
             ), (n, p)
             assert paths._zero_at_construct(n, p) is None
-            al = alpha_path_zero_at(n, p)  # AlphaLabeling certifies the index
+            al = alpha_path_zero_at(n, p)  # certified with its index
             assert al.labeling[p] == 0
             assert al.alpha == (n + 1 - p % 2) // 2 - 1
 
@@ -196,14 +229,15 @@ class TestZeroAtResidue:
         for n, q in ((6 * k + 2, 2 * k), (6 * k + 3, 2 * k + 1)):
             for p in (q, n - 1 - q):
                 assert paths._zero_at_construct(n, p) is None
-                al = alpha_path_zero_at(n, p)  # AlphaLabeling certifies the index
+                al = alpha_path_zero_at(n, p)  # certified with its index
                 assert al.labeling[p] == 0
 
     def test_p9_band_is_infeasible(self):
-        # P_9's shorter-arm block leaves P_4 with endpoint 2, hence the literal;
-        # the band step raises rather than fall back.
-        blk = paths._zero_at_construct(5, 3)
-        with pytest.raises(ConstructionInvariantError):
+        # P_9's shorter-arm block, its highs raised by the 4 band vertices,
+        # leaves P_4 with endpoint 2, hence the literal; the band step raises
+        # rather than fall back.
+        blk = paths._zero_at_construct(5, 3, 4)
+        with pytest.raises(ConstructionInvariantError, match="needs endpoint label 2,"):
             paths._extend_by_band(blk, 3, 9)
         assert paths._zero_at_residue(9, 3) == [7, 2, 6, 0, 8, 1, 4, 3, 5]
 
@@ -310,27 +344,38 @@ class TestLowEndConstruction:
 
     def test_zero_at_arm_through_the_map(self, monkeypatch):
         # `_zero_at_construct` writes its arm already lifted, as P_{q+1} with
-        # endpoint q//2 through a map, then its band: it builds no zigzag to
-        # reverse and lifts nothing, so only `_zero_at_residue` lifts a block.
-        calls, lifts = [], []
+        # endpoint q//2 through a map, and hands it to the one band step,
+        # once: it builds no zigzag to reverse. Every block a step is handed,
+        # the residues' included, already carries the top label.
+        calls, steps = [], []
         low_end, extend = paths._alpha_low_end, paths._extend_by_band
         monkeypatch.setattr(paths, "_alpha_low_end", lambda *a: calls.append(a) or low_end(*a))
-        monkeypatch.setattr(paths, "_extend_by_band", lambda *a: lifts.append(a) or extend(*a))
+        monkeypatch.setattr(paths, "_extend_by_band",
+                            lambda blk, *a: steps.append((list(blk), *a)) or extend(blk, *a))
         for n in range(3, 80):
             for p in range(1, n - 1):
                 if _construct_misses(n, p):
                     continue
                 q = next(q for q in (p, n - 1 - p) if paths._low_end_feasible(n - 1 - q, q // 2))
                 j, r = q // 2, n - 1 - q
-                calls.clear()
-                paths._zero_at_construct(n, p)
-                arm = (1, 0, r) if q % 2 == 0 else (-1, q + r, q)
-                assert calls[0] == (q + 1, j, *arm), (n, p)
-                assert (r, j, -1, j + r, j + r) in calls, (n, p)
-                assert all(len(a) == 5 for a in calls), (n, p)
-        assert lifts == []
-        paths._alpha_zero_seq(14, 4)  # a residue: the shorter arm closed by a block
-        assert len(lifts) == 1
+                alpha = (n - 1 - p % 2) // 2
+                plain = paths._zero_at_construct(n, p)
+                for lift in (0, 3):
+                    calls.clear()
+                    steps.clear()
+                    seq = paths._zero_at_construct(n, p, lift)
+                    arm = (1, 0, r + lift) if q % 2 == 0 else (-1, q + r + lift, q)
+                    assert calls[0] == (q + 1, j, *arm), (n, p)
+                    assert steps == [(low_end(q + 1, j, *arm), q, n, lift)], (n, p)
+                    assert max(steps[0][0]) == n - 1 + lift, (n, p)
+                    assert (r, j, -1, j + r + lift, j + r) in calls, (n, p)
+                    assert all(len(a) == 5 for a in calls), (n, p)
+                    assert seq == [x if x <= alpha else x + lift for x in plain], (n, p)
+        for n, p in ((14, 4), (9, 4), (17, 8)):  # both residue routes
+            steps.clear()
+            paths._alpha_zero_seq(n, p)
+            assert len(steps) == 1 + (n > 9), (n, p)
+            assert all(max(blk) == n - 1 for blk, *_ in steps), (n, p)
 
     def test_peel_rule_at_6j_plus_3(self):
         # n = 6j+3 peels a block of 2j+4 vertices, not the plain fan, whose

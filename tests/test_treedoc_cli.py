@@ -465,6 +465,24 @@ class TestCli:
         assert json.loads(out)["error"]["message"].endswith(
             f"vertices exceed the index range (at most {sys.maxsize})")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["path", "zigzag", "--n", "100000000000000000"],
+            ["path", "alpha", "--n", "100000000000000001", "--end-label", "3"],
+            ["spider", "short", "--long", "100000000000000000"],
+            ["spider", "three-long", "--legs", "100000000000000000,5,4"],
+        ],
+    )
+    def test_size_past_memory_exit3(self, capsys, argv):
+        # Within the index range, but no address space holds the first list
+        # of 10^17 entries, so its allocation is refused before anything is
+        # allocated. The MemoryError once ended in a traceback.
+        code, out = run_cli(capsys, *argv)
+        assert code == 3
+        assert json.loads(out) == {"error": {
+            "type": "resource", "message": "the request needs more memory than is available"}}
+
     def test_attach_past_index_range_exit2(self, capsys, tmp_path):
         p = tmp_path / "host.json"
         p.write_text(json.dumps({"n": 1, "edges": [], "labels": {"0": 0}}))

@@ -28,6 +28,12 @@ v = n_H/3, whose joined parent array is not increasing and so takes the
 leaf peel of `Tree`. `amalgamate_s` is the process time of the join, and
 `tree_s` that of `Tree(n, parent=p)` on the joined array.
 
+Last it prints one `zero_at` line: the process time of `alpha_path_zero_at`
+on each of its three routes at about m edges. `one_step` is P_{m+1} at
+position (m+1)/4, which one band step labels; `residue` is P_{6k+2} at
+position 2k, the shorter arm closed by a block and then a band; `center` is
+the center of P_{4s+1}, a P_6 block taken through two band steps.
+
 Each build starts after a full collection, so the collector's counters do
 not carry over from the build before it. The script prints figures and
 checks no threshold.
@@ -45,7 +51,7 @@ from time import process_time
 from graceful_spiders.compose import amalgamate, label_three_long_legs
 from graceful_spiders.doubling import label_doubling_spider
 from graceful_spiders.model import Tree, path_tree
-from graceful_spiders.paths import graceful_path_zero_at, zigzag_alpha_path
+from graceful_spiders.paths import alpha_path_zero_at, graceful_path_zero_at, zigzag_alpha_path
 from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
 from graceful_spiders.treedoc import from_document, to_document
 
@@ -131,6 +137,14 @@ def amalgamated(m: int) -> tuple[int, int, float, float]:
     return tree.n, v, amalgamate_s, process_time() - start
 
 
+def zero_at_routes(m: int) -> list[tuple[str, int, int]]:
+    """(route, n, position) of each `alpha_path_zero_at` route at about m
+    edges, m >= 1,000."""
+    k, s = (m - 1) // 6, m // 4
+    return [("one_step", m + 1, (m + 1) // 4), ("residue", 6 * k + 2, 2 * k),
+            ("center", 4 * s + 1, 2 * s)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, default=10**6,
@@ -150,6 +164,13 @@ def main(argv=None) -> int:
               f"gc={r['gc']}")
     n, v, amalgamate_s, tree_s = amalgamated(args.m)
     print(f"{'amalgamate':<10} n={n:,} v={v:,} amalgamate_s={amalgamate_s:.3f} tree_s={tree_s:.3f}")
+    routes = []
+    for route, n, p in zero_at_routes(args.m):
+        gc.collect()
+        start = process_time()
+        alpha_path_zero_at(n, p)
+        routes.append(f"{route} n={n:,} p={p:,} s={process_time() - start:.3f}")
+    print(f"{'zero_at':<10} " + "; ".join(routes))
     return 0
 
 
