@@ -33,7 +33,7 @@ Importing this module runs only `model` and `errors` (with the package's
 and `treedoc` go into `sys.modules` at import through
 `importlib.util.LazyLoader`, and each one's body runs on its first attribute
 read, so a call compiles only the layers its subcommand reaches: `spider
-short` runs `short_legs`, `paths` and `treedoc`, never the oracle,
+short` runs `short_legs` and `treedoc`, never the oracle, `paths`,
 `compose`, `doubling` or `attach`. The `--budget` default is read from
 `errors`, so parsing loads no layer. A tool that wraps a layer's functions
 from outside finds every layer in `sys.modules`, and its first read loads it.
@@ -51,7 +51,7 @@ from .errors import (
     ResourceBudgetError,
     ValidationError,
 )
-from .model import AlphaLabeling, alpha_index, is_graceful, path_tree
+from .model import AlphaLabeling, _alpha_of, _unchecked, alpha_index, is_graceful, path_tree
 
 
 def _lazy(name: str):
@@ -239,7 +239,8 @@ def _dispatch(args) -> str:
         idx = alpha_index(g_tree, g_lab)
         if idx is None:
             raise ValidationError("G's labeling is not an alpha-labeling")
-        tree, lab = compose.amalgamate(AlphaLabeling(g_tree, g_lab, idx), args.u,
+        # alpha_index has checked G, so the record takes the index unchecked.
+        tree, lab = compose.amalgamate(_unchecked(AlphaLabeling, g_tree, g_lab, idx), args.u,
                                        h_tree, h_lab, args.v)
         return _emit(args, tree, lab)
     if args.command == "path":
@@ -273,8 +274,9 @@ def _dispatch(args) -> str:
             raise ValidationError("verify requires a labeled document")
         if not is_graceful(tree, labeling):
             raise ValidationError("labeling is not graceful")
-        return treedoc.dumps_document({"graceful": True,
-                                       "alpha_index": alpha_index(tree, labeling)})
+        # The index is read off the label list that is_graceful has checked.
+        alpha = _alpha_of(tree, labeling.as_sequence(tree.n))
+        return treedoc.dumps_document({"graceful": True, "alpha_index": alpha})
     # export
     tree, labeling, spider = _read(args.graph)
     return _emit(args, tree, labeling, spider)

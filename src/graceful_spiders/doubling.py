@@ -12,7 +12,9 @@ to hold at every step -- a failure is reported as an internal contradiction,
 not user error. Each step shifts the host by floor(n/2), fixed by the lengths,
 so every label is written once, already raised by the shifts of the later
 steps, straight into the canonical numbering; the finished spider is
-certified once.
+certified once. The same steps run for every s >= 1: a single leg is the base
+alone, and a second leg is attached at x, or grown from y_2, like any later
+one, although two legs make the spider a path.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 from .attach import _attach_block
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    ConstructionTrace, Labeling, Spider, _canonical_spider, _center_first, _check_legs, certified,
+    ConstructionTrace, Labeling, Spider, _canonical_spider, _check_legs, certified,
 )
-from .paths import _alpha_low_end, _alpha_zero_seq
+from .paths import _alpha_low_end
 
 # The message of the one gracefulness check of a doubling build.
 _CONTRADICTION = (
@@ -62,26 +64,17 @@ def label_doubling_spider(
     """Graceful labeling of the doubling spider, on the canonical numbering
     of build_spider(sorted lengths).
 
-    Two or fewer legs make the spider a path, labeled directly with the
-    center at 0; otherwise the iterated attachment runs, asserting the
-    attachment precondition and the bridge label at every step. Every step
-    is closed form, so `budget` is accepted and ignored. The result is
-    checked graceful once, on the canonical spider.
+    The base and the iterated attachment run for every number of legs,
+    asserting the attachment precondition and the bridge label at every
+    step: one leg is the zigzag base with the center at 0, and from the
+    second leg on each step raises the center by its shift. Every step is
+    closed form, so `budget` is accepted and ignored. The result is checked
+    graceful once, on the canonical spider.
     """
     lengths = check_doubling(leg_lengths)
     s = len(lengths)
     spider = _canonical_spider(lengths)
     trace = ConstructionTrace()
-
-    if s <= 2:
-        # The spider is a path; its center sits at position ell_1 from the
-        # first leg's leaf (position 0 when s = 1).
-        n = sum(lengths) + 1
-        pos = lengths[0] if s == 2 else 0
-        path = _alpha_zero_seq(n, pos)[0]
-        trace.record("path_base", {"n": n, "zero_position": pos}, n - 1)
-        final = _center_first(path, pos)
-        return spider, certified(spider.tree, final, _CONTRADICTION, trace), trace
 
     # Base S_1: the first leg as a path with the center x at an endpoint
     # labeled 0 (zigzag), plus a leaf y_i labeled ell_1 + j for the j-th

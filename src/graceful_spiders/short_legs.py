@@ -1,5 +1,6 @@
 """Closed-form graceful labelings for spiders with one leg of arbitrary
-length and every other leg of length at most two; the center always ends up
+length and every other leg of length at most two (Theorem 4): one formula
+labels every count s >= 0 of length-2 legs, and the center always ends up
 labeled 0, which is what makes these spiders a useful base for further path
 attachment.
 
@@ -11,17 +12,17 @@ x_i = 2s + i; any length-1 legs are appended after that.
 Every role's labels are arithmetic progressions: u_i and v_i in steps of 2
 over i, and x_i in steps of 2 within each class of i mod 4. So the labels
 are written by vertex id as six slice assignments of a `range` each, with
-no per-vertex step.
+no per-vertex step. `_formula_labels` states the formulas and why they are
+graceful for every s.
 """
 
 from __future__ import annotations
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    Labeling, Spider, Tree, _Record, _canonical_spider, _center_first, _check_int,
+    Labeling, Spider, Tree, _Record, _canonical_spider, _check_int,
     _check_vertex_count, build_spider, certified, is_graceful,
 )
-from .paths import _alpha_zero_seq
 
 
 class ShortLegSpec(_Record):
@@ -70,26 +71,41 @@ def formula_spider(ell: int, s: int) -> Spider:
 
 
 def short_leg_formula(ell: int, s: int) -> Labeling:
-    """Closed-form graceful labeling of the (2 x s, ell) spider, center 0.
-
-    Proven for s >= 2, where it is the labeling `label_short_leg_spider`
-    gives ShortLegSpec(ell, s, 0), certified by that builder.
+    """Closed-form graceful labeling of the (2 x s, ell) spider, center 0,
+    for every s >= 0: the labeling `label_short_leg_spider` gives
+    ShortLegSpec(ell, s, 0), certified by that builder.
     """
     _check_int("ell", ell)
     _check_int("s", s)
     if ell < 1:
         raise ValidationError("ell must be >= 1")
-    if s < 2:
-        raise ValidationError(
-            "closed-form labeling requires s >= 2; use label_short_leg_spider "
-            "for smaller spiders"
-        )
     return label_short_leg_spider(ShortLegSpec(ell, s, 0))[1]
 
 
 def _formula_labels(ell: int, s: int) -> list[int]:
     """The closed-form labels laid out by vertex id: x0, then u_i, v_i, then
-    x1..x_ell. The formulas split on the parity of ell; m = 2s + ell."""
+    x1..x_ell. The formulas split on the parity of ell; m = 2s + ell.
+
+    They are graceful for every s >= 0, s = 1 included; no step below needs
+    s >= 2. Let r = ell mod 2.
+    - Vertex labels. The odd ones are v_i (1 .. 2s - 1), x_i for i = 2 mod 4
+      (up from 2s + 1), and x_i for one odd class of i mod 4 (down from the
+      top odd label). The even ones are x0 and x_i for i = 0 mod 4 (up from
+      0), x_i for the other odd class (down), and u_i (the top s even
+      labels). Each run ends where the next starts, since the classes of
+      1..ell mod 4 split ell as the formulas need, so every label in 0..m is
+      used once.
+    - Edge labels. x0 u_i carries u_i, the s even labels above ell, and
+      x_i x_{i+1} with i = r mod 2 carries ell - i, the even labels 2 .. ell.
+      u_i v_i and x_i x_{i+1} with i = 1 + r mod 4 carry |m - j| for
+      j = 4i - 3 + r and j = 4s + i: j runs over every number = 1 + r mod 4
+      in [1, m + 2s - 1]. The j below m give every odd label = m - 1 - r
+      mod 4; the j above m give the odd labels of the other class up to
+      2s - 1. x_i x_{i+1} with i = 3 + r mod 4 (x0 x1 when r = 1) carries
+      m - i, the rest of that class, from 2s + 1 up to m. So every label in
+      1..m is used once.
+    At s = 1 the j above m give at most the one label 1; at s = 0 they give
+    none, and the labels are the zigzag of the path x0..x_ell."""
     m = 2 * s + ell
     odd = ell % 2
     labels = [0] * (m + 1)
@@ -144,13 +160,11 @@ def label_short_leg_spider(
     """Graceful labeling, center 0, of the spider with legs
     (ell, 2 x s, 1 x t), on the canonical numbering of `short_leg_spider`.
 
-    Only s = 1 is labeled as a path: the reduced spider is then a path,
-    labeled by the zero-at-position provider with the center at the
-    distance-2 interior vertex. Every other s uses the closed-form labeling;
-    at s = 0 that is the zigzag of the path x0..x_ell. Length-1 legs are
-    appended as labeled leaves afterward. Every step is closed form, so
-    `budget` is accepted and ignored. The result is checked graceful once,
-    on the canonical spider.
+    Every s uses the closed-form labeling of `_formula_labels`; at s = 0
+    that is the zigzag of the path x0..x_ell. Length-1 legs are appended as
+    labeled leaves afterward. Every step is closed form, so `budget` is
+    accepted and ignored. The result is checked graceful once, on the
+    canonical spider.
     """
     spider = short_leg_spider(spec)
     return spider, certified(
@@ -165,11 +179,7 @@ def _short_leg_labels(ell: int, s: int, t: int) -> list[int]:
     """Labels by vertex id of `short_leg_spider(ShortLegSpec(ell, s, t))`,
     center 0; not certified (the steps of label_short_leg_spider, on a
     plain list). The counts are not checked again."""
-    if s == 1:
-        # reduced spider is the path v1-u1-x0-x1-..-x_ell; ids 2,1,0,3,4,...
-        labels = _center_first(_alpha_zero_seq(ell + 3, 2)[0], 2)
-    else:
-        labels = _formula_labels(ell, s)
+    labels = _formula_labels(ell, s)
     if labels[0] != 0:
         raise ConstructionInvariantError(
             f"short-leg center is labeled {labels[0]}, expected 0"

@@ -63,7 +63,7 @@ CALLS = {
     "doubling": ("doubling", [2, 9, 22, 60]),
     "doubling_y_leaf": ("doubling", [1, 9, 21, 45]),
     "short_formula": ("short", (11, 2, 3)),
-    "short_interior_zero": ("short", (11, 1, 2)),
+    "short_s1": ("short", (11, 1, 2)),
     "three_long": ("three_long", [9, 7, 4, 2, 1]),
     "doubling_2e4": ("doubling", [500, 1100, 2400, 16000]),
     "short_2e4": ("short", (10000, 4000, 2000)),

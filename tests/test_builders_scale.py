@@ -33,7 +33,7 @@ SMALL_BUILDS = {
     "doubling": lambda **kw: label_doubling_spider([2, 9, 22, 60], **kw)[:2],
     "doubling_y_leaf": lambda **kw: label_doubling_spider([1, 9, 21, 45], **kw)[:2],
     "short_formula": lambda **kw: label_short_leg_spider(ShortLegSpec(11, 2, 3), **kw),
-    "short_interior_zero": lambda **kw: label_short_leg_spider(ShortLegSpec(11, 1, 2), **kw),
+    "short_s1": lambda **kw: label_short_leg_spider(ShortLegSpec(11, 1, 2), **kw),
     "three_long": lambda **kw: label_three_long_legs([9, 7, 4, 2, 1], **kw),
 }
 

@@ -51,14 +51,16 @@ def test_spider_short_runs_only_the_layers_it_reaches():
     code = (
         "import contextlib, io, json, sys, types; import graceful_spiders.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.run(['spider', 'short', '--long', '11', '--two', '2', '--one', '1'])\n"
+        "    code = cli.run(['spider', 'short', '--long', '11', '--two', sys.argv[2],\n"
+        "                    '--one', '1'])\n"
         "ran = [m for m in json.loads(sys.argv[1])\n"
         "       if type(sys.modules[f'graceful_spiders.{m}']) is types.ModuleType]\n"
         "print(json.dumps([code, ran]))"
     )
-    code, ran = json.loads(_python(code, json.dumps(LAZY)).stdout)
-    assert code == 0
-    assert ran == ["paths", "short_legs", "treedoc"]
+    # s = 1 takes the same formula as every other s, so no path layer either.
+    for two in ("2", "1"):
+        assert json.loads(_python(code, json.dumps(LAZY), two).stdout) == [
+            0, ["short_legs", "treedoc"]]
 
 
 def test_lazy_layers_are_the_package_attributes():

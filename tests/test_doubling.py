@@ -75,8 +75,13 @@ class TestLabelDoubling:
             assert label_doubling_spider(list(order)) == first, order
 
     def test_path_case_center_zero(self):
-        sp, lab, _ = label_doubling_spider([2, 6])
-        assert lab[sp.center] == 0
+        # A one-leg spider is a path whose center is an end: the base alone,
+        # the zigzag with the center at 0 and the leaf at ell.
+        for ell in (1, 2, 3, 4, 9):
+            sp, lab, trace = label_doubling_spider([ell])
+            assert lab[sp.center] == 0
+            assert sorted(lab[v] for v in range(ell + 1)) == list(range(ell + 1))
+            assert [s.operation for s in trace.steps] == ["base"]
 
     def test_trace_records_steps(self):
         _, _, trace = label_doubling_spider([1, 6, 14])
@@ -92,12 +97,29 @@ class TestLabelDoubling:
 
     def test_invariant_one_shift_bound(self):
         # Invariant (1): base labels grow by exactly the per-step shifts,
-        # each of which is at most ell_j / 2.
-        legs = [1, 6, 14, 30]
-        sp, lab, trace = label_doubling_spider(legs)
-        shifts = [s.params["shift"] for s in trace.steps if s.operation == "attach"]
-        assert all(2 * sh <= ell for sh, ell in zip(shifts, sorted(legs)[1:]))
-        assert lab[sp.center] == sum(shifts)
+        # each of which is at most ell_j / 2. Two legs take the same steps
+        # as more, and one leg keeps the center at 0.
+        for legs in ([1, 6, 14, 30], [2, 6], [3, 8], [1, 9], [4]):
+            sp, lab, trace = label_doubling_spider(legs)
+            shifts = [s.params["shift"] for s in trace.steps if s.operation == "attach"]
+            assert len(shifts) == len(legs) - 1
+            assert all(2 * sh <= ell for sh, ell in zip(shifts, sorted(legs)[1:]))
+            assert lab[sp.center] == sum(shifts)
+
+    def test_two_leg_sweep(self):
+        # Every two-leg list with m <= 200 that check_doubling accepts is
+        # the base plus one step, certified by the builder.
+        count = 0
+        for a in range(1, 200):
+            for b in range(2 * a + 2, 201 - a):
+                try:
+                    check_doubling([a, b])
+                except ValidationError:
+                    continue
+                _, _, trace = label_doubling_spider([a, b])
+                assert [s.operation for s in trace.steps] == ["base", "attach"]
+                count += 1
+        assert count == 6468
 
     def test_invalid_legs_rejected(self):
         with pytest.raises(ValidationError):

@@ -43,11 +43,12 @@ class TestFormulaGoldens:
         t = formula_spider(1, 2).tree
         assert is_graceful(t, lab) and lab[0] == 0
 
-    def test_s_below_two_rejected(self):
-        with pytest.raises(ValidationError):
-            short_leg_formula(5, 1)
-        with pytest.raises(ValidationError):
-            short_leg_formula(5, 0)
+    def test_s_below_two_is_the_builder_labeling(self):
+        for ell in (1, 2, 5, 6, 11):
+            for s in (0, 1):
+                lab = short_leg_formula(ell, s)
+                assert lab == label_short_leg_spider(ShortLegSpec(ell, s, 0))[1]
+                assert is_graceful(formula_spider(ell, s).tree, lab) and lab[0] == 0
 
     def test_ell_below_one_rejected(self):
         with pytest.raises(ValidationError, match="^ell must be >= 1$"):
@@ -151,6 +152,14 @@ class TestDispatch:
         assert is_graceful(sp.tree, lab)
         assert lab[sp.center] == 0
         assert sp.tree.m == spec.m
+
+    def test_s1_sweep(self):
+        # Theorem 4's formula at s = 1, certified by the builder, for every
+        # ell <= 1,000, bare and with two 1-legs.
+        for ell in range(1, 1001):
+            for t in (0, 2):
+                sp, lab = label_short_leg_spider(ShortLegSpec(ell, 1, t))
+                assert lab[sp.center] == 0
 
     def test_star(self):
         sp, lab = label_short_leg_spider(ShortLegSpec(1, 0, 4))

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import USER_CACHE_FILE
+from graceful_spiders import model
 from graceful_spiders.cli import run
 from graceful_spiders.model import Labeling, build_spider, path_tree
 from graceful_spiders.treedoc import (
@@ -103,6 +104,26 @@ def run_cli_process(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+@pytest.fixture
+def graceful_calls(monkeypatch):
+    """The trees that `is_graceful` is called on, through every module of
+    the package that holds the name, in call order."""
+    real, calls = model.is_graceful, []
+
+    def spy(t, lab):
+        calls.append(t)
+        return real(t, lab)
+
+    # Every module is read (and a lazy one loaded) before any is patched, so
+    # none imports the spy as its own name.
+    holders = [module for name, module in list(sys.modules.items())
+               if name.startswith("graceful_spiders.")
+               and getattr(module, "is_graceful", None) is real]
+    for module in holders:
+        monkeypatch.setattr(module, "is_graceful", spy)
+    return calls
+
+
 class TestCli:
     def test_spider_short_json(self, capsys):
         code, out = run_cli(capsys, "spider", "short", "--long", "11", "--two", "2")
@@ -138,6 +159,14 @@ class TestCli:
         assert code == 0 and json.loads(report)["graceful"] is True
         code, out2 = run_cli(capsys, "export", "--graph", str(p))
         assert out == out2
+
+    def test_verify_checks_the_labeling_once(self, capsys, tmp_path, graceful_calls):
+        p = tmp_path / "sp.json"
+        p.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                                 "labels": {"0": 0, "1": 3, "2": 1, "3": 2}}))
+        code, report = run_cli(capsys, "verify", "--graph", str(p))
+        assert code == 0 and json.loads(report) == {"graceful": True, "alpha_index": 1}
+        assert len(graceful_calls) == 1
 
     def test_verify_bad_labeling(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -373,7 +402,7 @@ class TestCli:
         doc = json.loads(out)
         assert doc["bridge_label"] == 1
 
-    def test_amalgamate_cmd(self, capsys, tmp_path):
+    def test_amalgamate_cmd(self, capsys, tmp_path, graceful_calls):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
                                  "labels": {"0": 0, "1": 2, "2": 1}}))
@@ -385,6 +414,8 @@ class TestCli:
         assert code == 0
         labels = {int(k): v for k, v in json.loads(out)["labels"].items()}
         assert labels == {0: 1, 1: 3, 2: 0, 3: 2}
+        # G, then H, then the amalgam: G's input check is not repeated.
+        assert [t.n for t in graceful_calls] == [3, 2, 4]
 
     def test_dot_output(self, capsys):
         code, out = run_cli(capsys, "path", "zigzag", "--n", "4", "--format", "dot")

@@ -8,8 +8,9 @@ Run from the repository root, with the package importable:
 The leg lists are those of the CI's 10^5-edge `spider doubling`, `spider
 short` and `spider three-long` calls, scaled to m edges: doubling
 [m/100, m/25, m/5, the rest], short ShortLegSpec(m/2, m/5, the rest) and
-three-long [3m/5, 3m/10, the rest, 2, 2, 1]. For each builder the script
-prints one line:
+three-long [3m/5, 3m/10, the rest, 2, 2, 1]; `short_s1` is the short-leg
+builder with one 2-leg, ShortLegSpec(m - 4, 1, 2), as CI's `spider short
+--two 1` call. For each the script prints one line:
 
 - `build_s`, the process time of one certified build;
 - `to_document_s`, the process time of `treedoc.to_document` on its result;
@@ -67,6 +68,7 @@ def builders(m: int) -> list:
     return [
         ("doubling", lambda: label_doubling_spider(doubling)[:2]),
         ("short", lambda: label_short_leg_spider(ShortLegSpec(ell, s, m - ell - 2 * s))),
+        ("short_s1", lambda: label_short_leg_spider(ShortLegSpec(m - 4, 1, 2))),
         ("three-long", lambda: label_three_long_legs(three)),
     ]
 
