@@ -9,7 +9,6 @@ the tests check the constructions against.
 
 from .model import (
     AlphaLabeling,
-    ConstructionTrace,
     Labeling,
     Spider,
     Tree,
@@ -23,7 +22,6 @@ from .model import (
 
 __all__ = [
     "AlphaLabeling",
-    "ConstructionTrace",
     "Labeling",
     "Spider",
     "Tree",

@@ -20,8 +20,9 @@ Flags shared by several subcommands:
   `attach`) become DOT graph attributes. `oracle` and `verify` write a JSON
   report and take no `--format`.
 - `--trace`: `spider doubling` adds its construction trace to the JSON
-  document (with `--format dot` it exits 2, since DOT has no place for it);
-  `oracle` adds the search time. No other subcommand takes it.
+  document: the list of step documents that `label_doubling_spider`
+  returns, as it is (with `--format dot` it exits 2, since DOT has no place
+  for it); `oracle` adds the search time. No other subcommand takes it.
 - `--budget`, `--cache`: every subcommand accepts both. Only `oracle`
   searches, so only `oracle` uses `--budget` and can exit 3 at it; every
   other subcommand is closed form and ignores both, so existing command
@@ -175,13 +176,6 @@ def _emit(args, tree, labeling=None, spider=None, extra: dict | None = None) -> 
     return treedoc.dumps_document(doc)
 
 
-def _trace_doc(trace) -> list[dict]:
-    return [
-        {"operation": s.operation, "params": s.params, "edge_count": s.edge_count}
-        for s in trace.steps
-    ]
-
-
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -215,7 +209,7 @@ def _dispatch(args) -> str:
             if args.trace and args.format == "dot":
                 raise ValidationError("spider doubling --format dot does not take --trace")
             sp, lab, trace = doubling.label_doubling_spider(_parse_legs(args.legs))
-            extra = {"trace": _trace_doc(trace)} if args.trace else None
+            extra = {"trace": trace} if args.trace else None
             return _emit(args, sp.tree, lab, sp, extra)
         if args.variant == "short":
             spec = short_legs.ShortLegSpec(args.long_leg, args.two, args.one)

@@ -18,7 +18,7 @@ from operator import add
 
 from .errors import ConstructionInvariantError, ValidationError
 from .model import (
-    AlphaLabeling, Labeling, Spider, Tree, _canonical_spider, _center_first, _check_int,
+    AlphaLabeling, Labeling, Spider, Tree, _canonical_spider, _check_int,
     _check_legs, certified, is_graceful,
 )
 from .paths import _alpha_zero_seq
@@ -143,7 +143,7 @@ def label_three_long_legs(
     spider = _canonical_spider([ell1, ell2, *star_lengths])
     return spider, certified(
         spider.tree,
-        _center_first(lab, ell1),
+        lab[ell1::-1] + lab[ell1 + 1:],
         "three-long-leg construction produced a non-graceful labeling; "
         "this contradicts Theorem 5",
     )

@@ -15,15 +15,19 @@ steps, straight into the canonical numbering; the finished spider is
 certified once. The same steps run for every s >= 1: a single leg is the base
 alone, and a second leg is attached at x, or grown from y_2, like any later
 one, although two legs make the spider a path.
+
+The trace is a plain list with one document per step, written as `spider
+doubling --trace` prints it: {"operation", "params", "edge_count"}, where
+edge_count is the host's edge count after the step. Each attachment adds
+n >= 2 edges (`_attach_block` refuses fewer), so the counts strictly
+increase.
 """
 
 from __future__ import annotations
 
 from .attach import _attach_block
 from .errors import ConstructionInvariantError, ValidationError
-from .model import (
-    ConstructionTrace, Labeling, Spider, _canonical_spider, _check_legs, certified,
-)
+from .model import Labeling, Spider, _canonical_spider, _check_legs, certified
 from .paths import _alpha_low_end
 
 # The message of the one gracefulness check of a doubling build.
@@ -60,7 +64,7 @@ def check_doubling(leg_lengths: list[int]) -> tuple[int, ...]:
 
 def label_doubling_spider(
     leg_lengths: list[int], budget: int | None = None
-) -> tuple[Spider, Labeling, ConstructionTrace]:
+) -> tuple[Spider, Labeling, list[dict]]:
     """Graceful labeling of the doubling spider, on the canonical numbering
     of build_spider(sorted lengths).
 
@@ -69,12 +73,14 @@ def label_doubling_spider(
     step: one leg is the zigzag base with the center at 0, and from the
     second leg on each step raises the center by its shift. Every step is
     closed form, so `budget` is accepted and ignored. The result is checked
-    graceful once, on the canonical spider.
+    graceful once, on the canonical spider. The third value is the trace,
+    one step document per step; a `ConstructionInvariantError` carries the
+    steps taken before it as its `trace`.
     """
     lengths = check_doubling(leg_lengths)
     s = len(lengths)
     spider = _canonical_spider(lengths)
-    trace = ConstructionTrace()
+    trace: list[dict] = []
 
     # Base S_1: the first leg as a path with the center x at an endpoint
     # labeled 0 (zigzag), plus a leaf y_i labeled ell_1 + j for the j-th
@@ -91,7 +97,8 @@ def label_doubling_spider(
     counts = [lengths[i - 1] - 1 if i in leaves else lengths[i - 1] for i in range(2, s + 1)]
     later = sum(n // 2 for n in counts)
     m = ell1 + len(leaves)
-    trace.record("base", {"leg": ell1, "leaves": leaves}, m)
+    trace.append({"operation": "base", "params": {"leg": ell1, "leaves": leaves},
+                  "edge_count": m})
     final = _alpha_low_end(ell1 + 1, 0, 1, later, later)
 
     done = 0  # the center's label on the host of the current step
@@ -110,17 +117,17 @@ def label_doubling_spider(
                 f"({exc}); this contradicts Theorem 3",
                 trace,
             ) from exc
-        trace.record(
-            "attach",
-            {
+        trace.append({
+            "operation": "attach",
+            "params": {
                 "leg_index": i,
                 "attach_at": "y" if i in leaves else "x",
                 "vertex_count": n,
                 "shift": shift,
                 "bridge_label": m + 1,
             },
-            m + n,
-        )
+            "edge_count": m + n,
+        })
         m += n
         done += shift
     return spider, certified(spider.tree, final, _CONTRADICTION, trace), trace

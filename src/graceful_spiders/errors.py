@@ -30,6 +30,8 @@ class ConstructionInvariantError(GracefulError):
 
     Raising this means either a bug or a genuine counterexample to the
     underlying existence claim, so callers should surface it loudly.
+    `trace` is the list of step documents recorded before the failure
+    (`doubling.label_doubling_spider`'s), or None.
     """
 
     def __init__(self, message, trace=None):

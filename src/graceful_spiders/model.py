@@ -68,7 +68,10 @@ The records here and in the other modules are plain `__slots__` classes on
 `_Record`, not dataclasses: importing `dataclasses` (which pulls in
 `inspect`, `ast`, `dis` and `tokenize`) and generating the methods of the
 records cost every process about 23 ms of CPU time at start-up (Python
-3.11, two shared vCPUs), several times the work of labeling a spider.
+3.11, two shared vCPUs), several times the work of labeling a spider. A
+construction trace is no record: `doubling` writes it as a list of the step
+documents that `spider doubling --trace` prints, and `certified` passes it
+on to the error it raises.
 """
 
 from __future__ import annotations
@@ -90,13 +93,12 @@ class _Record:
     `__post_init__` (a subclass's validation hook), equality and hash by
     field values, a `Name(field=value, ...)` repr, no assignment or deletion
     after construction, and pickling and copying through the constructor, so
-    a restored record is validated again. `_defaults` maps a field to its
-    default value. A subclass that keeps a field in a slot of another name,
-    read through a property of the field's name, lists its field names as
-    `_fields`, in the order of its slots."""
+    a restored record is validated again. Every field is required. A
+    subclass that keeps a field in a slot of another name, read through a
+    property of the field's name, lists its field names as `_fields`, in the
+    order of its slots."""
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -114,8 +116,8 @@ class _Record:
         pass
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values of a call with keywords, defaults or a wrong
-        argument count; raises TypeError where a `def` with these parameters
+        """The field values of a call with keywords or a wrong argument
+        count; raises TypeError where a `def` with these parameters
         would."""
         fields, name = self._fields, type(self).__qualname__
         if len(args) > len(fields):
@@ -128,11 +130,11 @@ class _Record:
             if field in values:
                 raise TypeError(f"{name}() got multiple values for argument {field!r}")
             values[field] = value
-        missing = [f for f in fields if f not in values and f not in self._defaults]
+        missing = [f for f in fields if f not in values]
         if missing:
             raise TypeError(f"{name}() missing required arguments: "
                             + ", ".join(map(repr, missing)))
-        return [values[f] if f in values else self._defaults[f] for f in fields]
+        return [values[f] for f in fields]
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -524,14 +526,6 @@ def _check_legs(leg_lengths: abc.Iterable[int]) -> list[int]:
     return legs
 
 
-def _center_first(labels: list[int], p: int) -> list[int]:
-    """Labels of a path whose position p is a spider's center, in the
-    canonical numbering of `build_spider`: the center, the leg walking from
-    position p-1 down to 0, then positions p+1 onward (the second leg, and
-    any labels that follow it)."""
-    return labels[p::-1] + labels[p + 1:]
-
-
 class _LabelList(abc.Mapping):
     """Read-only mapping view of a label list: vertex v -> labels[v], over
     the vertices whose entry is not None. `count` is the number of labeled
@@ -688,7 +682,7 @@ def certified(
     t: Tree,
     labels: list[int],
     message: str,
-    trace: ConstructionTrace | None = None,
+    trace: list[dict] | None = None,
     alpha: int | None = None,
 ) -> Labeling | AlphaLabeling:
     """The labeling of t by `labels` (vertex i gets labels[i]), checked
@@ -761,27 +755,3 @@ def alpha_flip(al: AlphaLabeling) -> AlphaLabeling:
     flipped = map(table.__getitem__, al.labeling.as_sequence(al.tree.n))
     return AlphaLabeling(al.tree, Labeling.from_sequence(flipped), alpha)
 
-
-class TraceStep(_Record):
-    """One construction step: its operation, its parameters and the edge
-    count after it."""
-
-    __slots__ = ("operation", "params", "edge_count")
-
-
-class ConstructionTrace(_Record):
-    """Ordered record of composition steps, for explainability and debugging.
-    Unlike the other records it is mutable, and so unhashable."""
-
-    __slots__ = ("steps",)
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-    def __init__(self, steps: list[TraceStep] | None = None):
-        self.steps = [] if steps is None else steps
-
-    def record(self, operation: str, params: abc.Mapping[str, object], edge_count: int):
-        if self.steps and edge_count <= self.steps[-1].edge_count:
-            raise ValidationError("trace edge counts must strictly increase")
-        self.steps.append(TraceStep(operation, dict(params), edge_count))

@@ -99,7 +99,6 @@ from .model import Labeling, Tree, _Record, _check_int
 
 class SearchReport(_Record):
     __slots__ = ("found", "count", "nodes_explored", "elapsed", "exhausted", "labelings")
-    _defaults = {"labelings": ()}
 
 
 def _search_order(adj: list[list[int]]) -> tuple[list[int], list[int]]:

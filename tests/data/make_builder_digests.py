@@ -129,7 +129,7 @@ def doubling_sweep_digest() -> str:
     h = hashlib.sha256()
     for legs in doubling_shapes():
         spider, lab, trace = label_doubling_spider(legs)
-        steps = [[s.operation, s.params, s.edge_count] for s in trace.steps]
+        steps = [[s["operation"], s["params"], s["edge_count"]] for s in trace]
         row = [legs, lab.as_sequence(spider.tree.n), steps]
         h.update(json.dumps(row).encode() + b"\n")
     return h.hexdigest()

@@ -14,8 +14,8 @@ def _leaf_legs(legs):
     """The leg indices that get a pre-labeled leaf y_i: the keys of the base
     step's `leaves`."""
     _, _, trace = label_doubling_spider(legs)
-    assert trace.steps[0].operation == "base"
-    return list(trace.steps[0].params["leaves"])
+    assert trace[0]["operation"] == "base"
+    return list(trace[0]["params"]["leaves"])
 
 
 class TestCheckDoubling:
@@ -47,8 +47,8 @@ class TestCheckDoubling:
 
     def test_k_steps_attach_reduced_count(self):
         _, _, trace = label_doubling_spider([1, 9, 20])
-        step = next(s for s in trace.steps if s.operation == "attach")
-        assert step.params["attach_at"] == "y" and step.params["vertex_count"] == 8
+        step = next(s for s in trace if s["operation"] == "attach")
+        assert step["params"]["attach_at"] == "y" and step["params"]["vertex_count"] == 8
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError, match="must be non-empty"):
@@ -81,19 +81,29 @@ class TestLabelDoubling:
             sp, lab, trace = label_doubling_spider([ell])
             assert lab[sp.center] == 0
             assert sorted(lab[v] for v in range(ell + 1)) == list(range(ell + 1))
-            assert [s.operation for s in trace.steps] == ["base"]
+            assert [s["operation"] for s in trace] == ["base"]
 
     def test_trace_records_steps(self):
         _, _, trace = label_doubling_spider([1, 6, 14])
-        assert [s.operation for s in trace.steps] == ["base", "attach", "attach"]
-        assert trace.steps[-1].edge_count == 21
+        assert [s["operation"] for s in trace] == ["base", "attach", "attach"]
+        assert trace[-1]["edge_count"] == 21
+
+    @pytest.mark.parametrize("legs", ["1,9,21,45", "1,6,14"])
+    def test_cli_trace_is_the_returned_list(self, legs, capsys):
+        # The CLI prints the builder's step documents as they are, keys in
+        # their order; a y-leaf list's `leaves` keys become JSON strings.
+        _, _, trace = label_doubling_spider([int(x) for x in legs.split(",")])
+        assert run(["spider", "doubling", "--legs", legs, "--trace"]) == 0
+        printed = json.loads(capsys.readouterr().out)["trace"]
+        assert json.dumps(printed) == json.dumps(trace)
+        assert all(list(step) == ["operation", "params", "edge_count"] for step in trace)
 
     def test_y_attachment_branch(self):
         _, _, trace = label_doubling_spider([1, 9, 20])
-        attach_steps = [s for s in trace.steps if s.operation == "attach"]
-        assert attach_steps[0].params["attach_at"] == "y"
-        assert attach_steps[0].params["vertex_count"] == 8
-        assert attach_steps[1].params["attach_at"] == "x"
+        attach_steps = [s for s in trace if s["operation"] == "attach"]
+        assert attach_steps[0]["params"]["attach_at"] == "y"
+        assert attach_steps[0]["params"]["vertex_count"] == 8
+        assert attach_steps[1]["params"]["attach_at"] == "x"
 
     def test_invariant_one_shift_bound(self):
         # Invariant (1): base labels grow by exactly the per-step shifts,
@@ -101,7 +111,7 @@ class TestLabelDoubling:
         # as more, and one leg keeps the center at 0.
         for legs in ([1, 6, 14, 30], [2, 6], [3, 8], [1, 9], [4]):
             sp, lab, trace = label_doubling_spider(legs)
-            shifts = [s.params["shift"] for s in trace.steps if s.operation == "attach"]
+            shifts = [s["params"]["shift"] for s in trace if s["operation"] == "attach"]
             assert len(shifts) == len(legs) - 1
             assert all(2 * sh <= ell for sh, ell in zip(shifts, sorted(legs)[1:]))
             assert lab[sp.center] == sum(shifts)
@@ -117,7 +127,7 @@ class TestLabelDoubling:
                 except ValidationError:
                     continue
                 _, _, trace = label_doubling_spider([a, b])
-                assert [s.operation for s in trace.steps] == ["base", "attach"]
+                assert [s["operation"] for s in trace] == ["base", "attach"]
                 count += 1
         assert count == 6468
 
@@ -135,7 +145,7 @@ class TestLabelDoubling:
         with pytest.raises(ConstructionInvariantError,
                            match="i=2 violated a Theorem 2 precondition .*Theorem 3") as err:
             label_doubling_spider([1, 9, 20])
-        assert [s.operation for s in err.value.trace.steps] == ["base"]
+        assert [s["operation"] for s in err.value.trace] == ["base"]
         assert run(["spider", "doubling", "--legs", "1,9,20"]) == 4
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "internal"
 

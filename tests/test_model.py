@@ -12,7 +12,6 @@ from graceful_spiders.doubling import check_doubling, label_doubling_spider
 from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
-    ConstructionTrace,
     Labeling,
     Spider,
     Tree,
@@ -880,15 +879,6 @@ class TestAlphaLabelingValidation:
     def test_non_alpha_rejected(self):
         with pytest.raises(ValidationError):
             AlphaLabeling(path_tree(5), Labeling.from_sequence([1, 4, 0, 2, 3]), 2)
-
-
-class TestTrace:
-    def test_strictly_increasing(self):
-        trace = ConstructionTrace()
-        trace.record("base", {}, 3)
-        trace.record("attach", {}, 7)
-        with pytest.raises(ValidationError):
-            trace.record("attach", {}, 7)
 
 
 @pytest.mark.parametrize("call, value", [

@@ -1,6 +1,8 @@
-"""Value semantics of the package's nine record classes, their one shared
-constructor, and the start-up cost they must not bring back: importing the
-CLI pulls in neither `dataclasses` nor `inspect`."""
+"""Value semantics of the package's seven record classes, their one shared
+constructor (every field required, as in a `def` without defaults), and the
+start-up cost they must not bring back: importing the CLI pulls in neither
+`dataclasses` nor `inspect`. A construction trace is no record but a list of
+step documents (`tests/test_doubling.py`)."""
 
 import copy
 import json
@@ -16,10 +18,8 @@ from graceful_spiders.attach import AttachResult
 from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
-    ConstructionTrace,
     Labeling,
     Spider,
-    TraceStep,
     Tree,
     build_spider,
     path_tree,
@@ -41,8 +41,6 @@ def _examples():
         (Labeling, (Labeling.from_sequence([0, 2, 1]).values,), ("values",)),
         (AlphaLabeling, (p3, Labeling.from_sequence([0, 2, 1]), 1),
          ("tree", "labeling", "alpha")),
-        (TraceStep, ("attach", (("n", 3),), 2), ("operation", "params", "edge_count")),
-        (ConstructionTrace, ([TraceStep("base", {}, 1)],), ("steps",)),
         (SearchReport, (None, 4, 10, 0.5, True, ()),
          ("found", "count", "nodes_explored", "elapsed", "exhausted", "labelings")),
         (AttachResult, (p3, Labeling.from_sequence([0, 2, 1]), 1, 3, (3, 4)),
@@ -53,11 +51,6 @@ def _examples():
 
 EXAMPLES = _examples()
 IDS = [cls.__name__ for cls, _, _ in EXAMPLES]
-# Records whose example holds no list, so it can be hashed: a labeling
-# hashes by its items.
-HASHABLE = {Tree, Spider, Labeling, AlphaLabeling, TraceStep, SearchReport,
-            AttachResult, ShortLegSpec}
-MUTABLE = {ConstructionTrace}
 
 
 @pytest.mark.parametrize("cls, values, names", EXAMPLES, ids=IDS)
@@ -71,18 +64,13 @@ class TestRecordValueSemantics:
         assert a != other[0](*other[1])
 
     def test_hash(self, cls, values, names):
+        # No example holds a list; a labeling hashes by its items.
         a, b = cls(*values), cls(*values)
-        if cls in HASHABLE:
-            assert hash(a) == hash(b)
-            assert len({a, b}) == 1
-        else:
-            with pytest.raises(TypeError):
-                hash(a)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
     def test_frozen(self, cls, values, names):
         a = cls(*values)
-        if cls in MUTABLE:
-            return
         for f in names:
             with pytest.raises(AttributeError):
                 setattr(a, f, getattr(a, f))
@@ -135,29 +123,19 @@ def test_canonical_spider_is_the_value_of_its_explicit_legs():
 def test_one_differing_field_breaks_equality():
     assert ShortLegSpec(3, 1, 0) != ShortLegSpec(3, 1, 1)
     assert Labeling.from_sequence([0, 2, 1]) != Labeling.from_sequence([1, 2, 0])
-    assert SearchReport(None, 4, 10, 0.5, True) != SearchReport(None, 4, 11, 0.5, True)
+    assert SearchReport(None, 4, 10, 0.5, True, ()) != SearchReport(None, 4, 11, 0.5, True, ())
 
 
 def test_reprs_are_frozen():
     assert repr(ShortLegSpec(3, 1, 0)) == "ShortLegSpec(ell=3, s=1, t=0)"
     assert repr(Labeling.from_sequence([0, 2, 1])) == "Labeling(values={0: 0, 1: 2, 2: 1})"
-    assert repr(ConstructionTrace()) == "ConstructionTrace(steps=[])"
-
-
-def test_defaults():
-    assert SearchReport(None, 0, 1, 0.0, True).labelings == ()
-    a, b = ConstructionTrace(), ConstructionTrace()
-    a.record("base", {}, 1)
-    assert a.steps == [TraceStep("base", {}, 1)] and b.steps == []
-    assert a.steps is not b.steps
 
 
 @pytest.mark.parametrize("cls, values, names", EXAMPLES, ids=IDS)
 def test_bad_arguments_raise_type_error(cls, values, names):
     # As a `def` with the fields as parameters would.
-    if cls is not ConstructionTrace:  # its one field has a default
-        with pytest.raises(TypeError, match=f"missing .*{names[0]!r}"):
-            cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match=f"missing .*{names[0]!r}"):
+        cls(**dict(zip(names[1:], values[1:])))
     with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
         cls(*values, extra=1)
     with pytest.raises(TypeError, match=f"multiple values for argument {names[0]!r}"):
@@ -168,11 +146,9 @@ def test_bad_arguments_raise_type_error(cls, values, names):
 
 def test_one_constructor():
     # Every record but Tree (which validates while it normalizes its edges)
-    # and ConstructionTrace (a fresh list per trace) uses `_Record.__init__`.
+    # uses `_Record.__init__`.
     own = {cls for cls, _, _ in EXAMPLES if "__init__" in vars(cls)}
-    assert own == {Tree, ConstructionTrace}
-    assert SearchReport._defaults == {"labelings": ()}
-    assert all(cls._defaults == {} for cls, _, _ in EXAMPLES if cls is not SearchReport)
+    assert own == {Tree}
 
 
 def test_constructors_still_validate():
