@@ -9,6 +9,9 @@ two edge-label ranges into [1, |E(G)|+|E(H)|]. A spider with three long legs
 splits into the path through its two longest legs (alpha-labeled with the
 center at 0) and the remaining short-legged spider (Theorem 4, center 0);
 one amalgamation at the center glues them.
+
+Both results are checked graceful once, as they leave the library. Inside,
+`_amalgam_labels` checks only that G's labels index its lookup table.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .model import (
 )
 from .paths import _alpha_zero_seq
 from .short_legs import (
-    ShortLegSpec, _short_leg_labels, _short_leg_lengths, label_short_leg_spider,
+    ShortLegSpec, _formula_labels, _short_leg_lengths, label_short_leg_spider,
 )
 
 
@@ -81,8 +84,11 @@ def _amalgam_labels(g: list[int], alpha: int, u: int, h: list[int], v: int) -> l
     G's labels go through one lookup table of its m_G + 1 possible labels:
     reflected within their class first when u carries 0 (`alpha_flip`), then
     raised by |E(H)| above alpha. H's labels, v's left out, are raised by
-    alpha. The inputs are not re-checked; that G's labels index the table
-    and that the identified vertex carries alpha are.
+    alpha. The inputs are not re-checked, but G's labels are checked to
+    index the table, which turns a label out of range into
+    ConstructionInvariantError rather than an IndexError or a wrong label.
+    The identified vertex needs no check: `amalgamate` has checked that u
+    carries 0 or alpha, and the table sends both to alpha.
     """
     m_g, e_h = len(g) - 1, len(h) - 1
     if not 0 <= min(g) <= max(g) <= m_g:
@@ -93,10 +99,6 @@ def _amalgam_labels(g: list[int], alpha: int, u: int, h: list[int], v: int) -> l
         table = [*range(alpha + 1), *range(alpha + 1 + e_h, m_g + 1 + e_h)]
     out = list(map(table.__getitem__, g))
     out += map(add, h[:v] + h[v + 1:], repeat(alpha))
-    if out[u] != alpha:
-        raise ConstructionInvariantError(
-            f"identified vertex carries {out[u]}, expected alpha={alpha}"
-        )
     return out
 
 
@@ -124,13 +126,14 @@ def label_three_long_legs(
 
     ell1, ell2, *rest = sorted(leg_lengths, reverse=True)
 
+    # Both legs are at least 3 long, so n_path >= 7 and Lemma 2(b)'s P_5
+    # exception (index None) never comes up.
     n_path = ell1 + ell2 + 1
-    assert n_path >= 7  # both legs >= 3, so Lemma 2(b)'s P_5 exception is moot
     g, alpha = _alpha_zero_seq(n_path, ell1)
 
     if rest:
         ell, s, t = _short_counts(rest)
-        h, star_lengths = _short_leg_labels(ell, s, t), _short_leg_lengths(ell, s, t)
+        h, star_lengths = _formula_labels(ell, s, t), _short_leg_lengths(ell, s, t)
     else:
         h, star_lengths = [0], []
 

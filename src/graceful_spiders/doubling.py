@@ -7,26 +7,28 @@ first leg, center at an endpoint labeled 0, plus one pre-labeled leaf y_i for
 every later leg whose length is 1 mod 4 (those lengths cannot be attached
 directly, since attachment requires a vertex count != 1 mod 4; extending a
 leaf by ell_i - 1 vertices sidesteps the residue). Each remaining leg is then
-grafted by the attachment step of `attach`, whose precondition is guaranteed
-to hold at every step -- a failure is reported as an internal contradiction,
-not user error. Each step shifts the host by floor(n/2), fixed by the lengths,
-so every label is written once, already raised by the shifts of the later
-steps, straight into the canonical numbering; the finished spider is
-certified once. The same steps run for every s >= 1: a single leg is the base
-alone, and a second leg is attached at x, or grown from y_2, like any later
-one, although two legs make the spider a path.
+grafted by the attachment step of `attach`, whose preconditions
+`check_doubling` has proved for every step, so no step checks them again:
+a fault that breaks one raises in `paths._alpha_low_end`'s guard or fails
+the final check, both `ConstructionInvariantError`. Each step shifts the
+host by floor(n/2), fixed by the lengths, so every label is written once,
+already raised by the shifts of the later steps, straight into the
+canonical numbering; the finished spider is certified once. The same
+steps run for every s >= 1: a single leg is the base alone, and a second
+leg is attached at x, or grown from y_2, like any later one, although two
+legs make the spider a path.
 
 The trace is a plain list with one document per step, written as `spider
 doubling --trace` prints it: {"operation", "params", "edge_count"}, where
 edge_count is the host's edge count after the step. Each attachment adds
-n >= 2 edges (`_attach_block` refuses fewer), so the counts strictly
-increase.
+n >= 2 edges (the growth conditions make every later leg at least 4 long),
+so the counts strictly increase.
 """
 
 from __future__ import annotations
 
 from .attach import _attach_block
-from .errors import ConstructionInvariantError, ValidationError
+from .errors import ValidationError
 from .model import Labeling, Spider, _canonical_spider, _check_legs, certified
 from .paths import _alpha_low_end
 
@@ -69,13 +71,13 @@ def label_doubling_spider(
     of build_spider(sorted lengths).
 
     The base and the iterated attachment run for every number of legs,
-    asserting the attachment precondition and the bridge label at every
-    step: one leg is the zigzag base with the center at 0, and from the
-    second leg on each step raises the center by its shift. Every step is
-    closed form, so `budget` is accepted and ignored. The result is checked
-    graceful once, on the canonical spider. The third value is the trace,
-    one step document per step; a `ConstructionInvariantError` carries the
-    steps taken before it as its `trace`.
+    checking the bridge label at every step: one leg is the zigzag base
+    with the center at 0, and from the second leg on each step raises the
+    center by its shift. Every step is closed form, so `budget` is accepted
+    and ignored. The result is checked graceful once, on the canonical
+    spider. The third value is the trace, one step document per step; the
+    final check's `ConstructionInvariantError` carries every step as its
+    `trace`, and a fault inside a step raises without one.
     """
     lengths = check_doubling(leg_lengths)
     s = len(lengths)
@@ -109,14 +111,7 @@ def label_doubling_spider(
         if i in leaves:
             x += leaves[i]
             final.append(x + shift + later)  # y_i rises like the rest of the host
-        try:
-            final += _attach_block(x, m, n, later)
-        except ValidationError as exc:
-            raise ConstructionInvariantError(
-                f"attachment step i={i} violated a Theorem 2 precondition "
-                f"({exc}); this contradicts Theorem 3",
-                trace,
-            ) from exc
+        final += _attach_block(x, m, n, later)
         trace.append({
             "operation": "attach",
             "params": {

@@ -29,9 +29,12 @@ class ConstructionInvariantError(GracefulError):
     """A construction step violated a guarantee it is supposed to carry.
 
     Raising this means either a bug or a genuine counterexample to the
-    underlying existence claim, so callers should surface it loudly.
-    `trace` is the list of step documents recorded before the failure
-    (`doubling.label_doubling_spider`'s), or None.
+    underlying existence claim, so callers should surface it loudly. Each
+    construction raises it from its one final check, `model.certified`, and
+    from the few guards that stop a fault from crashing or hanging first
+    (`paths._alpha_low_end`'s band guard among them). `trace` is the list of
+    step documents of `doubling.label_doubling_spider`, every step, when its
+    final check fails; otherwise None.
     """
 
     def __init__(self, message, trace=None):

@@ -56,8 +56,12 @@ zigzag arm through the map of `_alpha_low_end`, raised, and takes one step.
 `_zero_at_construct(q+2, q)` raised by the outer band, or two on a P_6
 literal written raised.
 
-Each choice is backed by an O(1) check that raises
-`ConstructionInvariantError`, never by a fallback. Nothing here searches:
+No step re-checks what the two rules prove. One guard stays, because a
+fault there would crash or hang rather than show in the final check:
+`_alpha_low_end` writes every band, a request or a peel's rest, and raises
+`ConstructionInvariantError` on a band whose endpoint has no
+alpha-labeling. Every other fault ends in the final `certified` call.
+Nothing here searches:
 listing every alpha-labeling of a small path is the oracle's job
 (`oracle.enumerate_graceful(path_tree(n), alpha_constrained=True)`).
 
@@ -174,20 +178,33 @@ def _alpha_low_end(
     single pass that writes the labels. The loop peels fan blocks off the
     front; each block leaves the same problem on a shorter path, which the
     loop continues through an updated map instead of a copy.
+
+    The band guard: each pass first asks whether its band, the caller's
+    request or a peel's rest, is feasible, and raises
+    ConstructionInvariantError if not, since every endpoint here is picked
+    by a construction. On an infeasible pair the loop would crash or never
+    end; with the guard each pass returns or shortens the path.
     """
-    if not _low_end_feasible(n, j):
-        raise InfeasibleError(f"P_{n} has no alpha-labeling with endpoint label {j}")
     out = [0] * n
     pos = 0  # out[pos:] holds the current P_n; its low endpoint comes first
     while True:
+        if not _low_end_feasible(n, j):
+            raise ConstructionInvariantError(
+                f"a band needs P_{n} with endpoint label {j}, which has no alpha-labeling"
+            )
         m = n - 1
         alpha = (n + 1) // 2 - 1
+        if 2 * j > alpha:
+            # Flip x -> alpha - x on lows, m + alpha + 1 - x on highs: it keeps
+            # gracefulness, the classes and feasibility and moves the endpoint
+            # to alpha - j, below alpha / 2. The fan (j = alpha) becomes the
+            # zigzag.
+            lo, hi, s, j = s * alpha + lo, s * (m + alpha + 1) + hi, -s, alpha - j
         if j == 0:
             # Zigzag: lows ascend from 0, highs descend from m.
             out[pos::2] = range(lo, lo + s * (alpha + 1), s)
             out[pos + 1 :: 2] = range(s * m + hi, s * (m - n // 2) + hi, -s)
             return out
-        # The fan (j = alpha) needs no case: the flip below turns it into the zigzag.
         if alpha == 2 * j:
             # n = 4j+2 (4j+1 is infeasible): a fan on the extreme labels, a
             # bridge of difference 2j+1, then a fan on the middle band.
@@ -200,11 +217,6 @@ def _alpha_low_end(
             )
             out[pos + 2 * j + 2 :: 2] = range(s * 2 * j + lo, s * j + lo, -s)
             return out
-        if 2 * j > alpha:
-            # Flip x -> alpha - x on lows, m + alpha + 1 - x on highs: it keeps
-            # gracefulness and the classes and moves the endpoint to alpha - j.
-            lo, hi, s, j = s * alpha + lo, s * (m + alpha + 1) + hi, -s, alpha - j
-            continue
         # Peel a block of 2k+2 vertices off the front: an alpha-labeling of
         # P_{2k+2} with endpoint j, its lows kept as the extreme lows [0, k]
         # and its highs shifted onto the extreme highs [m-k, m]. The block
@@ -226,20 +238,10 @@ def _alpha_low_end(
             out[pos : pos + 2 * k + 2] = _alpha_low_end(
                 2 * k + 2, j, s, lo, hi + s * (m - 2 * k - 1)
             )
-            if out[pos + 2 * k + 1] != s * (m - 1) + hi:
-                raise ConstructionInvariantError(
-                    f"the peeled block of P_{n} with endpoint {j} does not end "
-                    f"on label {m - 1}"
-                )
         pos += 2 * k + 2
         lo += s * (k + 1)
         hi += s * (k + 1)
         n -= 2 * k + 2
-        if not _low_end_feasible(n, j):
-            raise ConstructionInvariantError(
-                f"a peeled block left P_{n} with endpoint label {j}, which has "
-                f"no alpha-labeling"
-            )
 
 
 def graceful_path_zero_at(n: int, position: int) -> Labeling:
@@ -376,11 +378,6 @@ def _extend_by_band(blk: list[int], z: int, n: int, lift: int = 0) -> list[int]:
         j, s, lo, hi = a - e, -1, a + r + lift, a + r
     else:
         j, s, lo, hi = e - r - lift - a - 1, 1, a + 1, a + 1 + lift
-    if not _low_end_feasible(r, j):
-        raise ConstructionInvariantError(
-            f"the band of {r} vertices after label {e} needs endpoint label {j}, "
-            f"which has no alpha-labeling"
-        )
     blk += _alpha_low_end(r, j, s, lo, hi)
     return blk
 

@@ -10,10 +10,11 @@ u_i = 2i-1 and v_i = 2i; the distinguished leg runs x1..x_ell with
 x_i = 2s + i; any length-1 legs are appended after that.
 
 Every role's labels are arithmetic progressions: u_i and v_i in steps of 2
-over i, and x_i in steps of 2 within each class of i mod 4. So the labels
-are written by vertex id as six slice assignments of a `range` each, with
-no per-vertex step. `_formula_labels` states the formulas and why they are
-graceful for every s.
+over i, x_i in steps of 2 within each class of i mod 4, and the length-1
+legs' leaves in steps of 1. So the labels are written by vertex id as
+seven slice assignments of a `range` each, with no per-vertex step, by
+`_formula_labels`, the one writer of Theorem 4's labels; it states the
+formulas and why they are graceful for every s.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ def short_leg_formula(ell: int, s: int) -> Labeling:
     return label_short_leg_spider(ShortLegSpec(ell, s, 0))[1]
 
 
-def _formula_labels(ell: int, s: int) -> list[int]:
+def _formula_labels(ell: int, s: int, t: int = 0) -> list[int]:
     """The closed-form labels laid out by vertex id: x0, then u_i, v_i, then
-    x1..x_ell. The formulas split on the parity of ell; m = 2s + ell.
+    x1..x_ell, then t leaves at x0 labeled m+1 .. m+t, where edge label m+j
+    goes to the j-th leaf; so labels by vertex id of
+    `short_leg_spider(ShortLegSpec(ell, s, t))`. The counts are not checked.
+    The formulas split on the parity of ell; m = 2s + ell.
 
     They are graceful for every s >= 0, s = 1 included; no step below needs
     s >= 2. Let r = ell mod 2.
@@ -108,7 +112,7 @@ def _formula_labels(ell: int, s: int) -> list[int]:
     none, and the labels are the zigzag of the path x0..x_ell."""
     m = 2 * s + ell
     odd = ell % 2
-    labels = [0] * (m + 1)
+    labels = [0] * (m + t + 1)
     # u_i = m - (2i - 1) for odd ell and m - 2(i - 1) for even ell; v_i = 2i - 1.
     labels[1:2 * s:2] = range(m - odd, m - odd - 2 * s, -2)
     labels[2:2 * s + 1:2] = range(1, 2 * s, 2)
@@ -119,7 +123,8 @@ def _formula_labels(ell: int, s: int) -> list[int]:
     #   i = 0 mod 4: i/2.
     for c, first, step in ((1, m if odd else m - 2 * s, -2), (2, 2 * s + 1, 2),
                            (3, m - 2 * s - 1 if odd else m - 1, -2), (4, 2, 2)):
-        labels[2 * s + c::4] = range(first, first + step * len(range(c, ell + 1, 4)), step)
+        labels[2 * s + c:m + 1:4] = range(first, first + step * len(range(c, ell + 1, 4)), step)
+    labels[m + 1:] = range(m + 1, m + t + 1)
     return labels
 
 
@@ -142,16 +147,10 @@ def extend_with_leaves(
     if t_count == 0:
         return t, f
     extended = Tree(t.n + t_count, parent=t.parent + (center,) * t_count)
-    values = _with_leaves(f.as_sequence(t.n), t_count)
+    # Edge label m'+j goes to the j-th leaf, labeled m'+j; m' + 1 = t.n.
+    values = f.as_sequence(t.n)
+    values += range(t.n, t.n + t_count)
     return extended, certified(extended, values, "leaf extension broke gracefulness")
-
-
-def _with_leaves(labels: list[int], t_count: int) -> list[int]:
-    """`labels` (a graceful labeling of an m'-edge tree, m' = len(labels) - 1)
-    extended in place by the labels m'+1 .. m'+t_count of leaves added at its
-    0-labeled vertex; edge label m'+j goes to the j-th leaf."""
-    labels += range(len(labels), len(labels) + t_count)
-    return labels
 
 
 def label_short_leg_spider(
@@ -161,25 +160,18 @@ def label_short_leg_spider(
     (ell, 2 x s, 1 x t), on the canonical numbering of `short_leg_spider`.
 
     Every s uses the closed-form labeling of `_formula_labels`; at s = 0
-    that is the zigzag of the path x0..x_ell. Length-1 legs are appended as
-    labeled leaves afterward. Every step is closed form, so `budget` is
+    that is the zigzag of the path x0..x_ell. The same call labels the
+    length-1 legs' leaves, after the formula's vertices. Every step is closed form, so `budget` is
     accepted and ignored. The result is checked graceful once, on the
     canonical spider.
     """
     spider = short_leg_spider(spec)
     return spider, certified(
         spider.tree,
-        _short_leg_labels(spec.ell, spec.s, spec.t),
+        _formula_labels(spec.ell, spec.s, spec.t),
         "short-leg construction produced a non-graceful labeling; this "
         "contradicts Theorem 4",
     )
-
-
-def _short_leg_labels(ell: int, s: int, t: int) -> list[int]:
-    """Labels by vertex id of `short_leg_spider(ShortLegSpec(ell, s, t))`,
-    center 0; not certified (the steps of label_short_leg_spider, on a
-    plain list). The counts are not checked again."""
-    return _with_leaves(_formula_labels(ell, s), t)
 
 
 def short_leg_spider(spec: ShortLegSpec) -> Spider:

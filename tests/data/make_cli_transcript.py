@@ -70,6 +70,11 @@ CALLS = [
     ["path", "zigzag", "--n", "99999999999999999999"],
     ["attach", "--graph", "spider.json", "--vertex", "0", "--path-len", "4"],
     ["attach", "--graph", "host.json", "--vertex", "0", "--path-len", "3", "--format", "dot"],
+    # The three attachment preconditions: n >= 2, n != 1 (mod 4), and
+    # f(u) + floor(n/2) + 1 <= n (vertex 1 carries 4).
+    ["attach", "--graph", "spider.json", "--vertex", "0", "--path-len", "1"],
+    ["attach", "--graph", "spider.json", "--vertex", "0", "--path-len", "5"],
+    ["attach", "--graph", "spider.json", "--vertex", "1", "--path-len", "4"],
     ["amalgamate", "--alpha", "g.json", "--u", "0", "--graceful", "h.json", "--v", "0"],
     ["amalgamate", "--alpha", "g.json", "--u", "0", "--graceful", "h.json", "--v", "0",
      "--format", "dot"],

@@ -9,8 +9,11 @@ Run from the repository root:
 The digest of n covers, in this order, `_alpha_low_end(n, j)` for every j in
 [0, alpha + 1], where alpha = ceil(n/2) - 1, and `_zero_at_construct(n, p)`
 for every position p in [0, n). A labeling enters as b"+" followed by
-`array('i', seq).tobytes()`; an infeasible request (`InfeasibleError`) or a
-`None` result enters as b"-". Every labeling of P_n has n labels, so the
+`array('i', seq).tobytes()`; an infeasible request or a `None` result
+enters as b"-". `_alpha_low_end` refuses an infeasible request with its
+band guard's `ConstructionInvariantError`, since every request it gets in
+the package comes from a construction; the digest reads that refusal as
+an infeasible request. Every labeling of P_n has n labels, so the
 stream is unambiguous.
 
 The file is frozen: the tests recompute each digest, so a change to the
@@ -31,7 +34,7 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "low_end_
 
 
 def low_end_digest(n: int) -> str:
-    from graceful_spiders.errors import InfeasibleError
+    from graceful_spiders.errors import ConstructionInvariantError
     from graceful_spiders.paths import _alpha_low_end, _zero_at_construct
 
     h = hashlib.sha256()
@@ -42,7 +45,7 @@ def low_end_digest(n: int) -> str:
     for j in range((n + 1) // 2 + 1):
         try:
             seq = _alpha_low_end(n, j)
-        except InfeasibleError:
+        except ConstructionInvariantError:
             seq = None
         feed(seq)
     for p in range(n):

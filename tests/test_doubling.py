@@ -3,10 +3,10 @@ from itertools import permutations
 
 import pytest
 
-from graceful_spiders import attach, doubling
+from graceful_spiders import attach
 from graceful_spiders.cli import run
 from graceful_spiders.doubling import check_doubling, label_doubling_spider
-from graceful_spiders.errors import ConstructionInvariantError, ValidationError
+from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import build_spider, is_graceful
 
 
@@ -134,20 +134,6 @@ class TestLabelDoubling:
     def test_invalid_legs_rejected(self):
         with pytest.raises(ValidationError):
             label_doubling_spider([1, 5, 12])
-
-    def test_failed_precondition_is_a_theorem_3_contradiction(self, monkeypatch, capsys):
-        # The plan guarantees every precondition; a failure is internal (exit
-        # 4) and carries the steps recorded before it.
-        def refuse(x, m, n, off=0):
-            raise ValidationError("precondition failed: n >= 2 (got n=0)")
-
-        monkeypatch.setattr(doubling, "_attach_block", refuse)
-        with pytest.raises(ConstructionInvariantError,
-                           match="i=2 violated a Theorem 2 precondition .*Theorem 3") as err:
-            label_doubling_spider([1, 9, 20])
-        assert [s["operation"] for s in err.value.trace] == ["base"]
-        assert run(["spider", "doubling", "--legs", "1,9,20"]) == 4
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "internal"
 
     def test_one_pass_no_host_rewrite(self):
         assert not hasattr(attach, "_attach_labels")

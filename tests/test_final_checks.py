@@ -1,18 +1,29 @@
 """Every construction's final check: with the `is_graceful` that
 `model.certified` calls made to refuse, each builder and provider raises
 `ConstructionInvariantError` with its own message, and the CLI exits 4
-(`internal`). The one check a construction makes before certifying, the
-amalgam's identified vertex, has a case of its own."""
+(`internal`).
 
+The steps inside a construction keep no check of their own beyond the
+band guard of `paths._alpha_low_end`, which stops an infeasible band from
+crashing or hanging its loop, and the bridge label of
+`attach._attach_block`. The faults the deleted step checks caught still end
+as `ConstructionInvariantError` and exit 4: an infeasible band at the guard,
+and a doubling step whose attachment precondition fails (its lengths let
+through a patched `check_doubling`) at the guard too. No module under
+`src/` holds an `assert`, which `python -O` strips."""
+
+import ast
 import json
+import pathlib
+import signal
 import sys
 
 import pytest
 
-from graceful_spiders import model
+from graceful_spiders import doubling, model, paths
 from graceful_spiders.attach import attach_path
 from graceful_spiders.cli import run
-from graceful_spiders.compose import _amalgam_labels, amalgamate, label_three_long_legs
+from graceful_spiders.compose import amalgamate, label_three_long_legs
 from graceful_spiders.doubling import label_doubling_spider
 from graceful_spiders.errors import ConstructionInvariantError
 from graceful_spiders.model import Labeling, path_tree
@@ -105,8 +116,52 @@ def test_final_check_exit4(argv, tmp_path, capsys, refusing):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "internal"
 
 
-def test_amalgam_identified_vertex_check():
-    # u carries 2, neither 0 nor alpha = 1, so the table sends it to 2 + |E(H)|.
+@pytest.fixture
+def bounded():
+    """Fail a call that does not end within 5 s, rather than hang: without
+    the band guard, some of these calls never end."""
+    def expire(signum, frame):
+        raise TimeoutError("the call did not end within 5 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("n, j", [(9, 2), (4, 2), (13, 3)])
+def test_band_guard(n, j, bounded):
+    # Lemma 2(c)'s pairs (9, 2) and (13, 3) crash the loop unguarded, and
+    # (4, 2), an endpoint above the low class, never ends it.
     with pytest.raises(ConstructionInvariantError) as err:
-        _amalgam_labels([0, 2, 1], 1, 1, [0, 1], 0)
-    assert str(err.value) == "identified vertex carries 3, expected alpha=1"
+        paths._alpha_low_end(n, j)
+    assert str(err.value) == (
+        f"a band needs P_{n} with endpoint label {j}, which has no alpha-labeling"
+    )
+    assert err.value.trace is None
+
+
+def test_broken_attachment_precondition_is_internal(monkeypatch, capsys, bounded):
+    # [1, 5, 12] breaks ell_2 >= 2*ell_1 + 4. Let through, its first step
+    # grows the 5-leg from y_2, labeled 2, by a P_4: 2 + 2 + 1 > 4 breaks
+    # f(u) + floor(n/2) + 1 <= n, and the band's endpoint label is -1.
+    monkeypatch.setattr(doubling, "check_doubling", lambda legs: tuple(sorted(legs)))
+    with pytest.raises(ConstructionInvariantError) as err:
+        label_doubling_spider([1, 5, 12])
+    assert str(err.value) == (
+        "a band needs P_4 with endpoint label -1, which has no alpha-labeling"
+    )
+    assert run(["spider", "doubling", "--legs", "1,5,12"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "internal"
+
+
+def test_no_assert_statement_in_src():
+    # `python -O` strips asserts, so each check raises a package error,
+    # which the CLI maps to exit 2, 3 or 4.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    found = [f"{path.relative_to(src)}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -234,10 +234,11 @@ class TestZeroAtResidue:
 
     def test_p9_band_is_infeasible(self):
         # P_9's shorter-arm block, its highs raised by the 4 band vertices,
-        # leaves P_4 with endpoint 2, hence the literal; the band step raises
-        # rather than fall back.
+        # leaves P_4 with endpoint 2, hence the literal; the band guard
+        # raises rather than fall back.
         blk = paths._zero_at_construct(5, 3, 4)
-        with pytest.raises(ConstructionInvariantError, match="needs endpoint label 2,"):
+        with pytest.raises(ConstructionInvariantError,
+                           match="^a band needs P_4 with endpoint label 2, which has no "):
             paths._extend_by_band(blk, 3, 9)
         assert paths._zero_at_residue(9, 3) == [7, 2, 6, 0, 8, 1, 4, 3, 5]
 
