@@ -80,6 +80,8 @@ def amalgamate(
 def _amalgam_labels(g: list[int], alpha: int, u: int, h: list[int], v: int) -> list[int]:
     """Labels by vertex id (amalgamate's numbering) of the amalgam of an
     alpha-labeled G and a graceful H, identifying u with v (H labels v 0).
+    It consumes `h`, a list the caller owns: v's entry is deleted from it in
+    place.
 
     G's labels go through one lookup table of its m_G + 1 possible labels:
     reflected within their class first when u carries 0 (`alpha_flip`), then
@@ -98,7 +100,8 @@ def _amalgam_labels(g: list[int], alpha: int, u: int, h: list[int], v: int) -> l
     else:
         table = [*range(alpha + 1), *range(alpha + 1 + e_h, m_g + 1 + e_h)]
     out = list(map(table.__getitem__, g))
-    out += map(add, h[:v] + h[v + 1:], repeat(alpha))
+    del h[v]
+    out += map(add, h, repeat(alpha))
     return out
 
 
@@ -141,12 +144,15 @@ def label_three_long_legs(
 
     # The canonical spider orders its legs L1, L2, then the short spider's
     # own legs. Path position ell1 is the center (id 0); leg L1 walks the
-    # positions ell1-1 .. 0, leg L2 keeps positions ell1+1 .. n_path-1 as
-    # ids, and so do the star vertices, which amalgamate numbers from n_path.
+    # positions ell1-1 .. 0, so reversing the first ell1 + 1 entries in
+    # place puts them in id order. Leg L2 keeps positions ell1+1 .. n_path-1
+    # as ids, and so do the star vertices, which amalgamate numbers from
+    # n_path.
+    lab[:ell1 + 1] = lab[ell1::-1]
     spider = _canonical_spider([ell1, ell2, *star_lengths])
     return spider, certified(
         spider.tree,
-        lab[ell1::-1] + lab[ell1 + 1:],
+        lab,
         "three-long-leg construction produced a non-graceful labeling; "
         "this contradicts Theorem 5",
     )

@@ -111,6 +111,18 @@ class TestAmalgamate:
 
         assert cases > 300
 
+    @pytest.mark.parametrize("v", [0, 4])
+    def test_inputs_unchanged(self, v):
+        # _amalgam_labels deletes v's entry from the list it is given, so
+        # amalgamate must hand it a copy of H's labels.
+        g, h_tree, h_lab = zigzag_alpha_path(5), path_tree(7), graceful_path_zero_at(7, v)
+        g_labels, h_labels = g.labeling.values.labels, h_lab.values.labels
+        g_before, h_before = list(g_labels), list(h_labels)
+        amalgamate(g, 0, h_tree, h_lab, v)
+        assert g.labeling.values.labels is g_labels and g_labels == g_before
+        assert h_lab.values.labels is h_labels and h_labels == h_before
+        assert h_lab == graceful_path_zero_at(7, v) and len(h_lab) == 7
+
     @pytest.mark.parametrize("g", [[-1, 1, 2], [0, 3, 1], [0, 1, 5]])
     def test_label_outside_g_range_is_an_invariant_error(self, g):
         with pytest.raises(ConstructionInvariantError, match=r"^G has a label outside 0\.\.2$"):

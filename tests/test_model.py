@@ -1,3 +1,5 @@
+import json
+import os
 import pickle
 import random
 import sys
@@ -9,7 +11,7 @@ import pytest
 from graceful_spiders import model
 from graceful_spiders.compose import amalgamate, label_three_long_legs
 from graceful_spiders.doubling import check_doubling, label_doubling_spider
-from graceful_spiders.errors import ValidationError
+from graceful_spiders.errors import ConstructionInvariantError, ValidationError
 from graceful_spiders.model import (
     AlphaLabeling,
     Labeling,
@@ -23,7 +25,7 @@ from graceful_spiders.model import (
     path_tree,
 )
 from graceful_spiders.attach import attach_path
-from graceful_spiders.oracle import count_graceful, find_graceful
+from graceful_spiders.oracle import count_graceful, enumerate_graceful, find_graceful
 from graceful_spiders.paths import (
     alpha_path_end_label, alpha_path_zero_at, graceful_path_zero_at, zigzag_alpha_path,
 )
@@ -33,6 +35,8 @@ from graceful_spiders.short_legs import (
 from graceful_spiders.treedoc import from_document, to_document
 
 from conftest import figure1_instance
+
+ORACLE_COUNTS = os.path.join(os.path.dirname(__file__), "data", "oracle_counts.json")
 
 
 def reference_tree(n, edges):
@@ -825,6 +829,44 @@ class TestCheckers:
                     graceful = is_graceful(t, lab)
                     alpha = alpha_index(t, lab) if graceful else None
                     assert (graceful, alpha) == reference(t, lab), labels
+
+    def test_full_labeling_is_read_in_place(self):
+        # is_graceful reads a full labeling's own list and leaves it as it was.
+        lab = Labeling.from_sequence([6, 0, 5, 1, 4, 2, 3])
+        labels = lab.values.labels
+        assert is_graceful(path_tree(7), lab)
+        assert not is_graceful(path_tree(7), Labeling.from_sequence([0, 1, 2, 3, 4, 5, 6]))
+        assert lab.values.labels is labels and labels == [6, 0, 5, 1, 4, 2, 3]
+
+    @pytest.mark.parametrize("labels", [[0, None, 1], [None, 2, 1], [0, 2, None]])
+    @pytest.mark.parametrize("alpha", [None, 1])
+    def test_certified_refuses_a_none(self, labels, alpha):
+        # certified counts its list as full, so a None reaches the in-place
+        # read, which must refuse it as the copy did.
+        with pytest.raises(ConstructionInvariantError, match="^broken$"):
+            model.certified(path_tree(3), labels, "broken", alpha=alpha)
+
+    def test_alpha_of_matches_whole_list_passes(self):
+        # The per-edge loop against the oracle's whole-list alpha test, on
+        # every graceful labeling of every tree with at most 7 vertices.
+        def passes(t, f):
+            ups = [f[p] for p in t.parent[1:]]
+            alpha = max(map(min, f[1:], ups), default=0)
+            return alpha if alpha < min(map(max, f[1:], ups), default=t.n) else None
+
+        with open(ORACLE_COUNTS) as fh:
+            rows = [row for row in json.load(fh)["trees"] if row["n"] <= 7]
+        got = []
+        for row in rows:
+            t = Tree(row["n"], row["edges"])
+            report = enumerate_graceful(t)
+            assert report.exhausted and report.count == row["graceful"]
+            for lab in report.labelings:
+                f = lab.as_sequence(t.n)
+                got.append(model._alpha_of(t, f))
+                assert got[-1] == passes(t, f) == alpha_index(t, lab), (row["edges"], f)
+        assert model._alpha_of(Tree(1, []), [0]) == 0
+        assert None in got and 0 in got and max(filter(None, got)) >= 3
 
     def test_alpha_index_figure1_path(self):
         assert alpha_index(path_tree(7), Labeling.from_sequence([6, 0, 5, 1, 4, 2, 3])) == 2

@@ -13,6 +13,9 @@ builder with one 2-leg, ShortLegSpec(m - 4, 1, 2), as CI's `spider short
 --two 1` call. For each the script prints one line:
 
 - `build_s`, the process time of one certified build;
+- `certify_s`, the process time of `model.is_graceful` on that build's
+  result, the final check that the build's own `certified` call makes, so
+  its share of `build_s` shows;
 - `to_document_s`, the process time of `treedoc.to_document` on its result;
 - `from_document_s`, the process time of `treedoc.from_document` on that
   document after a JSON round trip, as the CLI reads a file, and
@@ -37,7 +40,8 @@ the center of P_{4s+1}, a P_6 block taken through two band steps.
 
 Each build starts after a full collection, so the collector's counters do
 not carry over from the build before it. The script prints figures and
-checks no threshold.
+checks no threshold: `certify_s`, like every other figure, is printed and
+not checked.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from time import process_time
 
 from graceful_spiders.compose import amalgamate, label_three_long_legs
 from graceful_spiders.doubling import label_doubling_spider
-from graceful_spiders.model import Tree, path_tree
+from graceful_spiders.model import Tree, is_graceful, path_tree
 from graceful_spiders.paths import alpha_path_zero_at, graceful_path_zero_at, zigzag_alpha_path
 from graceful_spiders.short_legs import ShortLegSpec, label_short_leg_spider
 from graceful_spiders.treedoc import from_document, to_document
@@ -89,9 +93,9 @@ def traced(make) -> tuple[int, int]:
 
 
 def measure(build) -> dict:
-    """The figures of one builder: an untraced build, `to_document` and
-    `from_document` timed, then a traced build and a traced read for
-    memory."""
+    """The figures of one builder: an untraced build, `is_graceful`,
+    `to_document` and `from_document` timed, then a traced build and a
+    traced read for memory."""
     runs = []
 
     def count(phase, info):
@@ -107,6 +111,9 @@ def measure(build) -> dict:
     finally:
         gc.callbacks.remove(count)
     start = process_time()
+    is_graceful(spider.tree, lab)
+    certify_s = process_time() - start
+    start = process_time()
     doc = to_document(spider.tree, lab, spider)
     doc_s = process_time() - start
     n = spider.tree.n
@@ -118,7 +125,8 @@ def measure(build) -> dict:
     read_held, read_peak = traced(lambda: from_document(doc))
     del doc
     held, peak = traced(build)
-    return {"n": n, "build_s": build_s, "to_document_s": doc_s, "from_document_s": read_s,
+    return {"n": n, "build_s": build_s, "certify_s": certify_s, "to_document_s": doc_s,
+            "from_document_s": read_s,
             "read_held_B": read_held, "read_peak_B": read_peak,
             "held_B": held, "peak_B": peak,
             "held_B_per_vertex": held / n, "gc": len(runs)}
@@ -158,6 +166,7 @@ def main(argv=None) -> int:
     for name, build in builders(args.m):
         r = measure(build)
         print(f"{name:<10} n={r['n']:,} build_s={r['build_s']:.3f} "
+              f"certify_s={r['certify_s']:.3f} "
               f"to_document_s={r['to_document_s']:.3f} "
               f"from_document_s={r['from_document_s']:.3f} read_held_B={r['read_held_B']:,} "
               f"read_peak_B={r['read_peak_B']:,} "
