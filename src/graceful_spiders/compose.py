@@ -8,10 +8,14 @@ labels up by alpha and G's upper-class labels up by |E(H)| interleaves the
 two edge-label ranges into [1, |E(G)|+|E(H)|]. A spider with three long legs
 splits into the path through its two longest legs (alpha-labeled with the
 center at 0) and the remaining short-legged spider (Theorem 4, center 0);
-one amalgamation at the center glues them.
+one amalgamation at the center glues them. The spider builder writes that
+amalgam in place: G's labels go through Lemma 1's relabeling as the path
+writer's map, H's come raised by alpha, and each lands once in its
+canonical slot.
 
-Both results are checked graceful once, as they leave the library. Inside,
-`_amalgam_labels` checks only that G's labels index its lookup table.
+Both results are checked graceful once, as they leave the library.
+`_amalgam_labels`, the writer of `amalgamate` (its only caller) for an
+arbitrary G, checks only that G's labels index its lookup table.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .model import (
     AlphaLabeling, Labeling, Spider, Tree, _canonical_spider, _check_int,
     _check_legs, certified, is_graceful,
 )
-from .paths import _alpha_zero_seq
+from .paths import _zero_at_construct, _zero_at_index, _zero_at_residue
 from .short_legs import (
     ShortLegSpec, _formula_labels, _short_leg_lengths, label_short_leg_spider,
 )
@@ -79,9 +83,10 @@ def amalgamate(
 
 def _amalgam_labels(g: list[int], alpha: int, u: int, h: list[int], v: int) -> list[int]:
     """Labels by vertex id (amalgamate's numbering) of the amalgam of an
-    alpha-labeled G and a graceful H, identifying u with v (H labels v 0).
-    It consumes `h`, a list the caller owns: v's entry is deleted from it in
-    place.
+    alpha-labeled G and a graceful H, identifying u with v (H labels v 0);
+    `amalgamate` is its only caller, as the spider builder writes its G
+    through the path writer's map. It consumes `h`, a list the caller owns:
+    v's entry is deleted from it in place.
 
     G's labels go through one lookup table of its m_G + 1 possible labels:
     reflected within their class first when u carries 0 (`alpha_flip`), then
@@ -114,7 +119,9 @@ def label_three_long_legs(
     is delegated to. Otherwise the two longest legs become the path G
     through the center, alpha-labeled with the center at 0; the rest of the
     spider is labeled by the short-leg construction and amalgamated at the
-    center. Every step is closed form, so `budget` is accepted and ignored.
+    center, as `amalgamate` would, with each label written once, final, in
+    its canonical slot. Every step is closed form, so `budget` is accepted
+    and ignored.
     The lengths are checked once, here, and the result is checked graceful
     once, on the canonical spider.
     """
@@ -132,23 +139,25 @@ def label_three_long_legs(
     # Both legs are at least 3 long, so n_path >= 7 and Lemma 2(b)'s P_5
     # exception (index None) never comes up.
     n_path = ell1 + ell2 + 1
-    g, alpha = _alpha_zero_seq(n_path, ell1)
+    alpha = _zero_at_index(n_path, ell1)
 
+    # H's labels come raised by alpha, after G's slots; H's center is the
+    # spider's center, slot 0, which G's writer labels alpha too.
     if rest:
         ell, s, t = _short_counts(rest)
-        h, star_lengths = _formula_labels(ell, s, t), _short_leg_lengths(ell, s, t)
+        lab = _formula_labels(ell, s, t, alpha, n_path - 1)
+        star_lengths = _short_leg_lengths(ell, s, t)
     else:
-        h, star_lengths = [0], []
+        lab, star_lengths = [0] * n_path, []
 
-    lab = _amalgam_labels(g, alpha, ell1, h, 0)
-
-    # The canonical spider orders its legs L1, L2, then the short spider's
-    # own legs. Path position ell1 is the center (id 0); leg L1 walks the
-    # positions ell1-1 .. 0, so reversing the first ell1 + 1 entries in
-    # place puts them in id order. Leg L2 keeps positions ell1+1 .. n_path-1
-    # as ids, and so do the star vertices, which amalgamate numbers from
-    # n_path.
-    lab[:ell1 + 1] = lab[ell1::-1]
+    # Lemma 1 at the center, which G labels 0: each class of G is flipped
+    # (x -> alpha - x on the lows, m_G + alpha + 1 - x on the highs) and the
+    # highs are raised by |E(H)| = len(lab) - n_path, which sends G's lows x
+    # to alpha - x and its highs to alpha + len(lab) - x. G is written zero
+    # first, which is the canonical order: the center, leg L1 (path
+    # positions ell1-1 .. 0) and leg L2, each read outward.
+    if _zero_at_construct(n_path, ell1, -1, alpha, alpha + len(lab), lab) is None:
+        _zero_at_residue(n_path, ell1, -1, alpha, alpha + len(lab), lab)
     spider = _canonical_spider([ell1, ell2, *star_lengths])
     return spider, certified(
         spider.tree,

@@ -44,17 +44,28 @@ rules carry the choices, both forced by Lemma 2(c)'s infeasible pair
   block twice. With it, 362 pairs with n <= 400 are residues, 912 with
   n <= 1000.
 
+The zero-position writers lay P_n out zero first: the vertex labeled 0,
+then the arm toward position 0, then the arm toward n-1, each read outward
+from 0, which is the canonical order of a spider centered there. They write
+each label once, into its slot, through a map (s, lo, hi) of P_n's own
+classes, the map of `_alpha_low_end`, which they compose into every block
+and band they write. The map carries a caller's whole relabeling:
+`_alpha_zero_seq` passes none and reverses the first position + 1 labels
+into path order; the three-long builder passes Lemma 1's, which flips each
+class (lows x -> alpha - x, highs x -> m + alpha + 1 - x) and raises the
+highs by |E(H)|, and writes G straight into the spider's label list.
+
 Every zero-position labeling that is not a zigzag or a literal ends in one
-band step, `_extend_by_band`: a block with 0 at index z, its lows kept and
-its highs already at the top of P_n, continues past its last label with a
+band step, `_extend_by_band`: a block with 0 on it, its lows kept and its
+highs already at the top of P_n, continues past its last label with a
 low-endpoint band on the middle labels, entered by a bridge of difference
-the band's size. No block is lifted after it is built: each is written
-with its highs raised by every band still to come, the `lift` that
-`_zero_at_construct` and the step take. `_zero_at_construct` writes its
-zigzag arm through the map of `_alpha_low_end`, raised, and takes one step.
-`_zero_at_residue` takes one more step on a smaller zero-position block,
-`_zero_at_construct(q+2, q)` raised by the outer band, or two on a P_6
-literal written raised.
+the band's size. No block is lifted or reversed after it is written: a
+block whose highs later bands raise is written through the map with the
+raise composed in (hi grows by s times the raise). `_zero_at_construct`
+writes its zigzag arm outward as the complemented zigzag of P_q, through
+`_alpha_low_end`, and takes one step. `_zero_at_residue` takes one more
+step on a smaller zero-position block, the block of
+`_zero_at_construct(q+2, q)`, or two on a P_6 literal.
 
 No step re-checks what the two rules prove. One guard stays, because a
 fault there would crash or hang rather than show in the final check:
@@ -68,8 +79,9 @@ listing every alpha-labeling of a small path is the oracle's job
 Each public provider certifies its result as it returns it, through
 `model.certified`: gracefulness, and for an alpha provider the index it
 built, so a fault is a `ConstructionInvariantError`. The spider builders
-call the private helpers `_alpha_zero_seq` and `_alpha_low_end`, which
-return bare label sequences, and certify the finished spider once instead.
+call the private writers `_alpha_low_end`, `_zero_at_construct` and
+`_zero_at_residue` (after `_zero_at_index` checks the request), which write
+bare labels, and certify the finished spider once instead.
 `alpha_path_end_label` has no `_seq` twin: no builder asks for an end label
 (the attachment step calls `_alpha_low_end` directly), so its checks, its
 choice of class and its index sit in the public function.
@@ -169,15 +181,19 @@ def _low_end_feasible(n: int, j: int) -> bool:
 
 
 def _alpha_low_end(
-    n: int, j: int, s: int = 1, lo: int = 0, hi: int = 0
+    n: int, j: int, s: int = 1, lo: int = 0, hi: int = 0,
+    out: list[int] | None = None, at: int = 0,
 ) -> list[int]:
     """The alpha-labeling of P_n with low endpoint label j, each label x
-    written as s*x + lo when it is low (x <= alpha) and s*x + hi when high.
+    written as s*x + lo when it is low (x <= alpha) and s*x + hi when high,
+    into out[at:at+n] (a new list when `out` is None), endpoint first;
+    returns `out`.
 
     The map (s = +-1) lets a caller fold a complement and a shift into the
-    single pass that writes the labels. The loop peels fan blocks off the
-    front; each block leaves the same problem on a shorter path, which the
-    loop continues through an updated map instead of a copy.
+    single pass that writes the labels, and `out` lets it write them into
+    their final slots. The loop peels fan blocks off the front; each block
+    leaves the same problem on a shorter path, which the loop continues
+    through an updated map instead of a copy.
 
     The band guard: each pass first asks whether its band, the caller's
     request or a peel's rest, is feasible, and raises
@@ -185,8 +201,9 @@ def _alpha_low_end(
     by a construction. On an infeasible pair the loop would crash or never
     end; with the guard each pass returns or shortens the path.
     """
-    out = [0] * n
-    pos = 0  # out[pos:] holds the current P_n; its low endpoint comes first
+    if out is None:
+        out = [0] * n
+    pos, end = at, at + n  # out[pos:end] holds the current P_n, low endpoint first
     while True:
         if not _low_end_feasible(n, j):
             raise ConstructionInvariantError(
@@ -202,8 +219,8 @@ def _alpha_low_end(
             lo, hi, s, j = s * alpha + lo, s * (m + alpha + 1) + hi, -s, alpha - j
         if j == 0:
             # Zigzag: lows ascend from 0, highs descend from m.
-            out[pos::2] = range(lo, lo + s * (alpha + 1), s)
-            out[pos + 1 :: 2] = range(s * m + hi, s * (m - n // 2) + hi, -s)
+            out[pos:end:2] = range(lo, lo + s * (alpha + 1), s)
+            out[pos + 1 : end : 2] = range(s * m + hi, s * (m - n // 2) + hi, -s)
             return out
         if alpha == 2 * j:
             # n = 4j+2 (4j+1 is infeasible): a fan on the extreme labels, a
@@ -212,10 +229,10 @@ def _alpha_low_end(
             out[pos + 1 : pos + 2 * j : 2] = range(
                 s * (3 * j + 2) + hi, s * n + hi, s
             )
-            out[pos + 2 * j + 1 :: 2] = range(
+            out[pos + 2 * j + 1 : end : 2] = range(
                 s * (2 * j + 1) + hi, s * (3 * j + 2) + hi, s
             )
-            out[pos + 2 * j + 2 :: 2] = range(s * 2 * j + lo, s * j + lo, -s)
+            out[pos + 2 * j + 2 : end : 2] = range(s * 2 * j + lo, s * j + lo, -s)
             return out
         # Peel a block of 2k+2 vertices off the front: an alpha-labeling of
         # P_{2k+2} with endpoint j, its lows kept as the extreme lows [0, k]
@@ -235,9 +252,7 @@ def _alpha_low_end(
             # infeasible pair. The block of 2j+4 vertices ends on its label
             # 2j+2, here m-1, and leaves P_{4j-1}.
             k = j + 1
-            out[pos : pos + 2 * k + 2] = _alpha_low_end(
-                2 * k + 2, j, s, lo, hi + s * (m - 2 * k - 1)
-            )
+            _alpha_low_end(2 * k + 2, j, s, lo, hi + s * (m - 2 * k - 1), out, pos)
         pos += 2 * k + 2
         lo += s * (k + 1)
         hi += s * (k + 1)
@@ -282,104 +297,156 @@ def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
     """(label sequence, index) behind alpha_path_zero_at, not certified;
     the sequence alone is behind graceful_path_zero_at. The center of P_5
     has no alpha-labeling: its graceful labeling is a literal, returned
-    with the index None."""
+    with the index None. An interior position is written zero first and
+    put in path order by reversing its first position + 1 labels."""
+    alpha = _zero_at_index(n, position)
+    if alpha is None:
+        return [1, 4, 0, 2, 3], None
+    if position in (0, n - 1):
+        seq = _alpha_low_end(n, 0)
+        return (seq[::-1] if position == n - 1 else seq), alpha
+    seq = _zero_at_construct(n, position) or _zero_at_residue(n, position)
+    seq[:position + 1] = seq[position::-1]
+    return seq, alpha
+
+
+def _zero_at_index(n: int, position: int) -> int | None:
+    """Check a request for P_n with 0 at `position` and return the index of
+    the alpha-labeling written for it, whose lows sit on position's
+    parity; None for the center of P_5, which has no alpha-labeling."""
     _check_vertex_count(n)
     _check_int("position", position)
     if not 0 <= position < n:
         raise ValidationError(f"position {position} out of range for n={n}")
-    if (n, position) == (5, 2):
-        return [1, 4, 0, 2, 3], None
-    alpha = (n - 1 - position % 2) // 2  # lows on position's parity
-    if position in (0, n - 1):
-        seq = _alpha_low_end(n, 0)
-        return (seq[::-1] if position == n - 1 else seq), alpha
-    seq = _zero_at_construct(n, position)
-    if seq is None:
-        seq = _zero_at_residue(n, position)
-    return seq, alpha
+    return None if (n, position) == (5, 2) else (n - 1 - position % 2) // 2
 
 
-def _zero_at_construct(n: int, position: int, lift: int = 0) -> list[int] | None:
-    """Closed-form alpha-labeling with 0 at an interior position, its high
-    labels raised by `lift`, or None.
+def _zero_at_construct(
+    n: int, position: int, s: int = 1, lo: int = 0, hi: int = 0,
+    out: list[int] | None = None,
+) -> list[int] | None:
+    """Closed-form alpha-labeling of P_n with 0 at an interior position,
+    written zero first into out[:n] (a new list when `out` is None) and
+    returned; None when neither arm has a feasible band.
+
+    Each label x is written as s*x + lo when low (x <= alpha, the lows on
+    position's parity) and s*x + hi when high, the map of `_alpha_low_end`,
+    into which a caller folds its whole relabeling: (1, 0, 0) writes the
+    labeling itself, (1, 0, c) raises its highs by c, and Lemma 1's
+    (-1, alpha, alpha + N) flips each class and raises the highs by N - n.
 
     Zigzag along the arm of q vertices beyond zero: it consumes the top q
     differences, the lows [0, q//2] and the top highs. The other arm then
     lives on a contiguous label band of its own size r = n-1-q, entered
     through a bridge edge of difference exactly r, which pins its endpoint
-    label to q//2. So the arm is the zigzag of P_{q+1} read from its far
-    end, whose lows are [0, q//2], written through the map of
-    `_alpha_low_end` as P_{q+1} with endpoint q//2, its highs raised by
-    r + lift (lifted for even q, complemented for odd q, whose far end is
-    high). It ends on 0 at index q, and `_extend_by_band` appends the band:
-    the low-end labeling of P_r with endpoint q//2, complemented onto
-    [q//2+1, q//2+r].
-    The arm at `position` is taken when the band's endpoint is feasible,
-    else the other arm; None when neither is.
+    label to q//2; `_zero_at_arms` writes both arms. The arm at `position`
+    is taken when the band's endpoint is feasible, else the other arm.
     """
     for q in (position, n - 1 - position):
-        j, r = q // 2, n - 1 - q
-        if 0 < q < n - 1 and _low_end_feasible(r, j):
-            s, lo, hi = (1, 0, r + lift) if q % 2 == 0 else (-1, q + r + lift, q)
-            seq = _extend_by_band(_alpha_low_end(q + 1, j, s, lo, hi), q, n, lift)
-            return seq if q == position else seq[::-1]
+        if 0 < q < n - 1 and _low_end_feasible(n - 1 - q, q // 2):
+            if out is None:
+                out = [0] * n
+            zig, band = (1, q + 1) if q == position else (position + 1, 1)
+            _zero_at_arms(n, q, s, lo, hi, out, zig, band)
+            return out
     return None
 
 
-def _zero_at_residue(n: int, position: int) -> list[int]:
-    """The alpha-labeling with 0 at `position` for the pairs that
-    `_zero_at_construct` misses: the center of P_{4s+1}, and n = 6k+2 or
-    6k+3 with a shorter arm of 2k or 2k+1 vertices beyond zero.
+def _zero_at_arms(
+    n: int, q: int, s: int, lo: int, hi: int, out: list[int], zig: int, band: int
+) -> None:
+    """Write the one-step alpha-labeling of P_n with 0 and a zigzag arm of
+    q vertices through the map (s, lo, hi): 0 at out[0], the zigzag arm
+    outward from out[zig], the other arm's r = n-1-q vertices outward from
+    out[band].
 
-    The center of P_{4s+1} writes a P_6 block with 0 at index 1, its highs
-    already raised by n-6, extends it to P_{2s+2}, its band's highs raised
-    by the 2s-1 vertices still to come, then, reversed, to P_{4s+1} with 0
-    at index 2s (P_13 is a literal). Every other pair takes the shorter arm
-    q, closes it with one vertex on the far side of zero (the block
-    `_zero_at_construct(q+2, q)`, its highs raised by the band still to
-    come) and extends that block by a band (P_9 is a literal).
+    Read outward, the zigzag arm is n-1, 1, n-2, 2, ...: the zigzag of P_q
+    with its lows x sent to the highs n-1-x and its highs x to the lows
+    q-x. The other arm is the band step past the block of 0 and the
+    zigzag, whose lows are [0, q//2] and whose last label, 0, is low.
     """
+    out[0] = lo
+    _alpha_low_end(q, 0, -s, s * (n - 1) + hi, s * q + lo, out, zig)
+    _extend_by_band(n - 1 - q, q // 2, 0, s, lo, hi, out, band)
+
+
+def _zero_at_residue(
+    n: int, position: int, s: int = 1, lo: int = 0, hi: int = 0,
+    out: list[int] | None = None,
+) -> list[int]:
+    """The alpha-labeling with 0 at `position` for the pairs that
+    `_zero_at_construct` misses, written as it writes: zero first, through
+    the map (s, lo, hi), into out[:n] or a new list, which is returned. The
+    pairs are the center of P_{4s+1}, and n = 6k+2 or 6k+3 with a shorter
+    arm of 2k or 2k+1 vertices beyond zero.
+
+    The center of P_{4s+1} writes the P_6 block [4, 0, 5, 2, 3, 1] (0 at
+    index 1), its highs raised by n-6: its four-vertex arm starts the arm
+    toward position 0, its one vertex the other arm. A band of 2s-4
+    vertices extends the four-vertex arm (the block is then P_{2s+2}, its
+    highs raised by the 2s-1 vertices still to come), and a band of 2s-1
+    the one-vertex arm (P_13 is a literal). Every other pair writes the
+    block `_zero_at_construct(q+2, q)`, its highs raised by the band still
+    to come: the shorter arm q as its band, and one vertex, on the top
+    label, starting the longer arm, which a band extends (P_9 is a
+    literal).
+    """
+    if out is None:
+        out = [0] * n
     if 2 * position == n - 1 and n % 4 == 1:
         # The P_6 block extends to P_{2s+2} only when its band is longer
         # than 2, that is for s > 3; s = 3 is a literal.
         if n == 13:
-            return [1, 10, 4, 8, 3, 11, 0, 12, 2, 9, 6, 7, 5]
-        inner = [n - 2, 0, n - 1, 2, n - 3, 1]
+            out[:13] = _mapped([0, 11, 3, 8, 4, 10, 1, 12, 2, 9, 6, 7, 5], 6, s, lo, hi)
+            return out
+        six = hi + s * (n - 6)
+        out[:5] = _mapped([0, 5, 2, 3, 1], 2, s, lo, six)
+        out[position + 1] = s * 4 + six
         if n > 9:
-            inner = _extend_by_band(inner, 1, position + 2, n - position - 2)
-        return _extend_by_band(inner[::-1], position, n)
+            _extend_by_band(position - 4, 2, 1, s, lo, hi + s * (position - 1), out, 5)
+        _extend_by_band(position - 1, position // 2, n - 2, s, lo, hi, out, position + 2)
+        return out
+    q = min(position, n - 1 - position)
+    short, long = (1, q + 1) if q == position else (position + 1, 1)
     if n == 9:
         # The band of P_9's 5-vertex block has an infeasible endpoint.
-        seq = [7, 2, 6, 0, 8, 1, 4, 3, 5]
-        return seq if position == 3 else seq[::-1]
-    q = min(position, n - 1 - position)
-    seq = _extend_by_band(_zero_at_construct(q + 2, q, n - q - 2), q, n)
-    return seq if q == position else seq[::-1]
+        out[0] = lo
+        out[short:short + 3] = _mapped([6, 2, 7], 3, s, lo, hi)
+        out[long:long + 5] = _mapped([8, 1, 4, 3, 5], 3, s, lo, hi)
+        return out
+    _zero_at_arms(q + 2, 1, s, lo, hi + s * (n - q - 2), out, long, short)
+    _extend_by_band(n - q - 2, (q + 1 - q % 2) // 2, n - 1, s, lo, hi, out, long + 1)
+    return out
 
 
-def _extend_by_band(blk: list[int], z: int, n: int, lift: int = 0) -> list[int]:
-    """Extend `blk` in place to an alpha-labeling of P_n with 0 at index z,
-    its high labels raised by `lift`, and return it. `blk` is an
-    alpha-labeling of P_b with 0 at index z (so its lows [0, a] sit on z's
-    parity) whose highs are already raised by r + lift, r = n - b.
+def _mapped(labels: list[int], alpha: int, s: int, lo: int, hi: int) -> list[int]:
+    """A literal's labels through the map (s, lo, hi), its lows being the
+    labels up to alpha."""
+    return [s * x + (lo if x <= alpha else hi) for x in labels]
 
-    The one band step. The raised highs sit on the top labels, so the
-    block uses the top differences. Past its last vertex, label e, the path
-    continues with r vertices on the labels [a+1, a+r], entered by a bridge
-    of difference r (r + lift once raised): the band's first label sits in
-    the class opposite e. A high first label is the complement of a low-end
-    labeling, a low one the low-end labeling itself, both written through
-    the map of `_alpha_low_end`, which adds `lift` to the band's highs.
+
+def _extend_by_band(
+    r: int, a: int, e: int, s: int, lo: int, hi: int, out: list[int], at: int
+) -> None:
+    """The one band step: write the r vertices that continue a block past
+    its last vertex outward from out[at], through the map (s, lo, hi) of
+    the alpha-labeling they complete. The block has 0 on it, its lows are
+    [0, a], its highs are already raised by r, and its last label is e
+    (before the map).
+
+    The raised highs sit on the top labels, so the block uses the top
+    differences. The band takes the labels [a+1, a+r], entered by a bridge
+    of difference r, so its first label sits in the class opposite e. After
+    a low e it is the complement of the low-end labeling of P_r with
+    endpoint a-e, whose lows land among the highs; after a high one, the
+    low-end labeling with endpoint e-r-a-1 itself. Both are written through
+    the map of `_alpha_low_end`, each of the band's classes taking the lo
+    or hi of the class it lands in.
     """
-    r = n - len(blk)
-    a = (len(blk) - 1 - z % 2) // 2
-    e = blk[-1]
     if e <= a:
-        j, s, lo, hi = a - e, -1, a + r + lift, a + r
+        _alpha_low_end(r, a - e, -s, s * (a + r) + hi, s * (a + r) + lo, out, at)
     else:
-        j, s, lo, hi = e - r - lift - a - 1, 1, a + 1, a + 1 + lift
-    blk += _alpha_low_end(r, j, s, lo, hi)
-    return blk
+        _alpha_low_end(r, e - r - a - 1, s, s * (a + 1) + lo, s * (a + 1) + hi, out, at)
 
 
 def alpha_path_end_label(

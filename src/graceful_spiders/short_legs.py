@@ -83,12 +83,20 @@ def short_leg_formula(ell: int, s: int) -> Labeling:
     return label_short_leg_spider(ShortLegSpec(ell, s, 0))[1]
 
 
-def _formula_labels(ell: int, s: int, t: int = 0) -> list[int]:
+def _formula_labels(
+    ell: int, s: int, t: int = 0, shift: int = 0, base: int = 0
+) -> list[int]:
     """The closed-form labels laid out by vertex id: x0, then u_i, v_i, then
     x1..x_ell, then t leaves at x0 labeled m+1 .. m+t, where edge label m+j
     goes to the j-th leaf; so labels by vertex id of
     `short_leg_spider(ShortLegSpec(ell, s, t))`. The counts are not checked.
     The formulas split on the parity of ell; m = 2s + ell.
+
+    Every label is written raised by `shift`, and vertex v >= 1 sits at
+    index base + v: the slots 1..base, labeled `shift` here, are the
+    caller's. So a spider that glues this one at x0 after its own `base`
+    other vertices gets the list its labels go into, this part already
+    final.
 
     They are graceful for every s >= 0, s = 1 included; no step below needs
     s >= 2. Let r = ell mod 2.
@@ -112,19 +120,21 @@ def _formula_labels(ell: int, s: int, t: int = 0) -> list[int]:
     none, and the labels are the zigzag of the path x0..x_ell."""
     m = 2 * s + ell
     odd = ell % 2
-    labels = [0] * (m + t + 1)
+    b, top = base, m + shift  # vertex v at b + v; label x written as x + shift
+    labels = [shift] * (b + m + t + 1)
     # u_i = m - (2i - 1) for odd ell and m - 2(i - 1) for even ell; v_i = 2i - 1.
-    labels[1:2 * s:2] = range(m - odd, m - odd - 2 * s, -2)
-    labels[2:2 * s + 1:2] = range(1, 2 * s, 2)
+    labels[b + 1:b + 2 * s:2] = range(top - odd, top - odd - 2 * s, -2)
+    labels[b + 2:b + 2 * s + 1:2] = range(shift + 1, shift + 2 * s, 2)
     # x_i (id 2s + i) for i = c, c + 4, ... runs down or up in steps of 2:
     #   i = 1 mod 4: m - (i - 1)/2 (odd ell), m - 2s - (i - 1)/2 (even ell);
     #   i = 2 mod 4: 2s - 1 + (i + 2)/2;
     #   i = 3 mod 4: m - (2s - 1) - (i + 1)/2 (odd ell), m - 1 - (i - 3)/2 (even ell);
     #   i = 0 mod 4: i/2.
-    for c, first, step in ((1, m if odd else m - 2 * s, -2), (2, 2 * s + 1, 2),
-                           (3, m - 2 * s - 1 if odd else m - 1, -2), (4, 2, 2)):
-        labels[2 * s + c:m + 1:4] = range(first, first + step * len(range(c, ell + 1, 4)), step)
-    labels[m + 1:] = range(m + 1, m + t + 1)
+    for c, first, step in ((1, top if odd else top - 2 * s, -2), (2, shift + 2 * s + 1, 2),
+                           (3, top - 2 * s - 1 if odd else top - 1, -2), (4, shift + 2, 2)):
+        labels[b + 2 * s + c:b + m + 1:4] = range(
+            first, first + step * len(range(c, ell + 1, 4)), step)
+    labels[b + m + 1:] = range(top + 1, top + t + 1)
     return labels
 
 

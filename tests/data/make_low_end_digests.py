@@ -8,7 +8,9 @@ Run from the repository root:
 
 The digest of n covers, in this order, `_alpha_low_end(n, j)` for every j in
 [0, alpha + 1], where alpha = ceil(n/2) - 1, and `_zero_at_construct(n, p)`
-for every position p in [0, n). A labeling enters as b"+" followed by
+for every position p in [0, n), in path order (it writes zero first: the
+vertex at p, then positions p-1 .. 0, then p+1 .. n-1, so the first p + 1
+labels are reversed). A labeling enters as b"+" followed by
 `array('i', seq).tobytes()`; an infeasible request or a `None` result
 enters as b"-". `_alpha_low_end` refuses an infeasible request with its
 band guard's `ConstructionInvariantError`, since every request it gets in
@@ -49,7 +51,10 @@ def low_end_digest(n: int) -> str:
             seq = None
         feed(seq)
     for p in range(n):
-        feed(_zero_at_construct(n, p))
+        seq = _zero_at_construct(n, p)
+        if seq is not None:
+            seq[:p + 1] = seq[p::-1]
+        feed(seq)
     return h.hexdigest()
 
 

@@ -177,3 +177,32 @@ class TestThreeLongLegs:
             label_three_long_legs([])
         with pytest.raises(ValidationError):
             label_three_long_legs([3, 0])
+
+    @pytest.mark.parametrize("short, spec", [([], None), ([2], ShortLegSpec(2, 0, 0)),
+                                             ([1, 1], ShortLegSpec(1, 0, 1)),
+                                             ([2, 2, 1], ShortLegSpec(2, 1, 1))])
+    def test_is_lemma1_amalgam(self, short, spec):
+        # The builder writes Lemma 1's amalgam in place: it equals the public
+        # `amalgamate` of the alpha path with 0 at the center and Theorem 4's
+        # spider, renumbered into canonical ids (the center, then L1 = path
+        # positions ell1-1 .. 0, then L2 and H's vertices as they are). Every
+        # pair with n <= 101 takes in both arms, every center of P_{4s+1},
+        # the 6k+2 / 6k+3 shorter-arm residues and the P_9 and P_13 literals.
+        if spec is None:
+            h_tree, h_lab = Tree(1, []), Labeling({0: 0})
+        else:
+            h_spider, h_lab = label_short_leg_spider(spec)
+            h_tree = h_spider.tree
+        pairs = 0
+        for n in range(7, 102):
+            for ell2 in range(3, (n - 1) // 2 + 1):
+                ell1 = n - 1 - ell2
+                tree, lab = amalgamate(alpha_path_zero_at(n, ell1), ell1, h_tree, h_lab, 0)
+                ids = [ell1, *range(ell1 - 1, -1, -1), *range(ell1 + 1, tree.n)]
+                sp, sp_lab = label_three_long_legs([ell1, ell2, *short])
+                assert sp_lab.as_sequence(sp.tree.n) == [lab[v] for v in ids], (ell1, ell2)
+                canonical = {v: i for i, v in enumerate(ids)}
+                assert sp.tree == Tree(tree.n, [(canonical[a], canonical[b])
+                                                for a, b in tree.edges]), (ell1, ell2)
+                pairs += 1
+        assert pairs == 2304

@@ -76,6 +76,22 @@ def _stack_depth() -> int:
     return depth
 
 
+class _Slots(list):
+    """n empty slots that record the index of every write into them."""
+
+    def __init__(self, n: int):
+        super().__init__([None] * n)
+        self.written = []
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            value = list(value)
+            self.written += range(*key.indices(len(self)))
+        else:
+            self.written.append(key)
+        super().__setitem__(key, value)
+
+
 class TestZigzag:
     def test_example_n4(self):
         al = zigzag_alpha_path(4)
@@ -233,14 +249,18 @@ class TestZeroAtResidue:
                 assert al.labeling[p] == 0
 
     def test_p9_band_is_infeasible(self):
-        # P_9's shorter-arm block, its highs raised by the 4 band vertices,
-        # leaves P_4 with endpoint 2, hence the literal; the band guard
-        # raises rather than fall back.
-        blk = paths._zero_at_construct(5, 3, 4)
+        # P_9's shorter-arm block, the P_5 of `_zero_at_construct(5, 3)`
+        # with its highs raised by the 4 band vertices, ends on the top
+        # label 8 and leaves P_4 with endpoint 2, hence the literal; the
+        # band guard raises rather than fall back.
+        out = [None] * 9
+        paths._zero_at_arms(5, 1, 1, 0, 4, out, 4, 1)
+        assert out[:5] == [0, 7, 1, 6, 8]
         with pytest.raises(ConstructionInvariantError,
                            match="^a band needs P_4 with endpoint label 2, which has no "):
-            paths._extend_by_band(blk, 3, 9)
-        assert paths._zero_at_residue(9, 3) == [7, 2, 6, 0, 8, 1, 4, 3, 5]
+            paths._extend_by_band(4, 1, 8, 1, 0, 0, out, 5)
+        assert paths._zero_at_residue(9, 3) == [0, 6, 2, 7, 8, 1, 4, 3, 5]
+        assert paths._alpha_zero_seq(9, 3)[0] == [7, 2, 6, 0, 8, 1, 4, 3, 5]
 
     def test_no_search_left(self):
         for name in ("_search_path", "_Budget", "_outward_order", "default_cache",
@@ -344,15 +364,18 @@ class TestLowEndConstruction:
         assert not hasattr(attach, "_alpha_end_seq")
 
     def test_zero_at_arm_through_the_map(self, monkeypatch):
-        # `_zero_at_construct` writes its arm already lifted, as P_{q+1} with
-        # endpoint q//2 through a map, and hands it to the one band step,
-        # once: it builds no zigzag to reverse. Every block a step is handed,
-        # the residues' included, already carries the top label.
+        # `_zero_at_construct` writes zero first through the map (s, lo, hi)
+        # it is handed, each slot once: 0, the zigzag arm as the zigzag of
+        # P_q complemented, and the other arm through the one band step.
+        # No labeling is lifted, reversed or copied after it is written;
+        # path order is the zero-first one with its first p + 1 reversed.
+        # The residues write each slot once too.
         calls, steps = [], []
         low_end, extend = paths._alpha_low_end, paths._extend_by_band
-        monkeypatch.setattr(paths, "_alpha_low_end", lambda *a: calls.append(a) or low_end(*a))
+        monkeypatch.setattr(paths, "_alpha_low_end",
+                            lambda *a: calls.append(a[:5]) or low_end(*a))
         monkeypatch.setattr(paths, "_extend_by_band",
-                            lambda blk, *a: steps.append((list(blk), *a)) or extend(blk, *a))
+                            lambda *a: steps.append(a[:6]) or extend(*a))
         for n in range(3, 80):
             for p in range(1, n - 1):
                 if _construct_misses(n, p):
@@ -361,22 +384,28 @@ class TestLowEndConstruction:
                 j, r = q // 2, n - 1 - q
                 alpha = (n - 1 - p % 2) // 2
                 plain = paths._zero_at_construct(n, p)
-                for lift in (0, 3):
+                assert plain[p::-1] + plain[p + 1:] == paths._alpha_zero_seq(n, p)[0], (n, p)
+                for s, lo, hi in ((1, 0, 3), (-1, alpha, alpha + n + 3)):
                     calls.clear()
                     steps.clear()
-                    seq = paths._zero_at_construct(n, p, lift)
-                    arm = (1, 0, r + lift) if q % 2 == 0 else (-1, q + r + lift, q)
-                    assert calls[0] == (q + 1, j, *arm), (n, p)
-                    assert steps == [(low_end(q + 1, j, *arm), q, n, lift)], (n, p)
-                    assert max(steps[0][0]) == n - 1 + lift, (n, p)
-                    assert (r, j, -1, j + r + lift, j + r) in calls, (n, p)
-                    assert all(len(a) == 5 for a in calls), (n, p)
-                    assert seq == [x if x <= alpha else x + lift for x in plain], (n, p)
-        for n, p in ((14, 4), (9, 4), (17, 8)):  # both residue routes
+                    out = _Slots(n)
+                    assert paths._zero_at_construct(n, p, s, lo, hi, out) is out
+                    assert sorted(out.written) == list(range(n)), (n, p)
+                    # A 6j+3 band's peel writes its first block through a
+                    # call of its own, into the same slots.
+                    assert calls[:2] == [(q, 0, -s, s * (n - 1) + hi, s * q + lo),
+                                         (r, j, -s, s * (j + r) + hi, s * (j + r) + lo)], (n, p)
+                    assert steps == [(r, j, 0, s, lo, hi)], (n, p)
+                    assert out == [s * x + (lo if x <= alpha else hi) for x in plain], (n, p)
+        routes = {(14, 4): 2, (14, 9): 2, (15, 5): 2, (9, 4): 1, (17, 8): 2, (13, 6): 0,
+                  (9, 3): 0, (9, 5): 0}
+        for (n, p), bands in routes.items():
             steps.clear()
-            paths._alpha_zero_seq(n, p)
-            assert len(steps) == 1 + (n > 9), (n, p)
-            assert all(max(blk) == n - 1 for blk, *_ in steps), (n, p)
+            out = _Slots(n)
+            assert paths._zero_at_residue(n, p, out=out) is out
+            assert sorted(out.written) == list(range(n)), (n, p)
+            assert len(steps) == bands, (n, p)
+            assert out[p::-1] + out[p + 1:] == paths._alpha_zero_seq(n, p)[0], (n, p)
 
     def test_peel_rule_at_6j_plus_3(self):
         # n = 6j+3 peels a block of 2j+4 vertices, not the plain fan, whose

@@ -4,6 +4,7 @@ from graceful_spiders.errors import ValidationError
 from graceful_spiders.model import Labeling, is_graceful, path_tree
 from graceful_spiders.short_legs import (
     ShortLegSpec,
+    _formula_labels,
     extend_with_leaves,
     formula_spider,
     label_short_leg_spider,
@@ -49,6 +50,16 @@ class TestFormulaGoldens:
                 lab = short_leg_formula(ell, s)
                 assert lab == label_short_leg_spider(ShortLegSpec(ell, s, 0))[1]
                 assert is_graceful(formula_spider(ell, s).tree, lab) and lab[0] == 0
+
+    def test_raise_and_base(self):
+        # The three-long builder has the formula write its labels raised by
+        # G's index, after G's slots: x0 stays at index 0, vertex v >= 1
+        # moves to index base + v, and the slots 1..base carry the raise.
+        for ell, s, t in ((1, 0, 0), (2, 0, 3), (5, 1, 2), (10, 2, 0), (11, 3, 1)):
+            plain = _formula_labels(ell, s, t)
+            for shift, base in ((0, 4), (7, 0), (9, 6)):
+                assert _formula_labels(ell, s, t, shift, base) == (
+                    [shift] * (base + 1) + [x + shift for x in plain[1:]]), (ell, s, t)
 
     def test_ell_below_one_rejected(self):
         with pytest.raises(ValidationError, match="^ell must be >= 1$"):
