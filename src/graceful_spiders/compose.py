@@ -28,7 +28,7 @@ from .model import (
     AlphaLabeling, Labeling, Spider, Tree, _canonical_spider, _check_int,
     _check_legs, certified, is_graceful,
 )
-from .paths import _zero_at_construct, _zero_at_index, _zero_at_residue
+from .paths import _zero_at_index, _zero_at_write
 from .short_legs import (
     ShortLegSpec, _formula_labels, _short_leg_lengths, label_short_leg_spider,
 )
@@ -156,8 +156,7 @@ def label_three_long_legs(
     # to alpha - x and its highs to alpha + len(lab) - x. G is written zero
     # first, which is the canonical order: the center, leg L1 (path
     # positions ell1-1 .. 0) and leg L2, each read outward.
-    if _zero_at_construct(n_path, ell1, -1, alpha, alpha + len(lab), lab) is None:
-        _zero_at_residue(n_path, ell1, -1, alpha, alpha + len(lab), lab)
+    _zero_at_write(n_path, ell1, -1, alpha, alpha + len(lab), lab)
     spider = _canonical_spider([ell1, ell2, *star_lengths])
     return spider, certified(
         spider.tree,

@@ -232,19 +232,8 @@ def _run(
         f = [fixed[v] for v in range(n)]
         ups = [f[p] for p in t.parent[1:]]
         if len(set(map(abs, map(sub, f[1:], ups)))) == m:
-            # An alpha layout fits when every edge's smaller label is below
-            # every edge's larger one; one loop with int compares, as the
-            # two-argument min and max calls of a whole-list pass cost more.
-            low, high = -1, m + 1
-            if alpha_constrained:
-                for x, y in zip(f[1:], ups):
-                    if x > y:
-                        x, y = y, x
-                    if x > low:
-                        low = x
-                    if y < high:
-                        high = y
-            fits = low < high
+            fits = (not (alpha_constrained and m)
+                    or max(map(min, f[1:], ups)) < min(map(max, f[1:], ups)))
             kept = [Labeling.from_sequence(f)] if fits else []
             find = mode == "find"
             return SearchReport(kept[0] if find and kept else None, None if find else len(kept),

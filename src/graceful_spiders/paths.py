@@ -79,9 +79,9 @@ listing every alpha-labeling of a small path is the oracle's job
 Each public provider certifies its result as it returns it, through
 `model.certified`: gracefulness, and for an alpha provider the index it
 built, so a fault is a `ConstructionInvariantError`. The spider builders
-call the private writers `_alpha_low_end`, `_zero_at_construct` and
-`_zero_at_residue` (after `_zero_at_index` checks the request), which write
-bare labels, and certify the finished spider once instead.
+call the private writers `_alpha_low_end` and `_zero_at_write` (after
+`_zero_at_index` checks the request), which write bare labels, and certify
+the finished spider once instead.
 `alpha_path_end_label` has no `_seq` twin: no builder asks for an end label
 (the attachment step calls `_alpha_low_end` directly), so its checks, its
 choice of class and its index sit in the public function.
@@ -305,7 +305,7 @@ def _alpha_zero_seq(n: int, position: int) -> tuple[list[int], int | None]:
     if position in (0, n - 1):
         seq = _alpha_low_end(n, 0)
         return (seq[::-1] if position == n - 1 else seq), alpha
-    seq = _zero_at_construct(n, position) or _zero_at_residue(n, position)
+    seq = _zero_at_write(n, position, 1, 0, 0, [0] * n)
     seq[:position + 1] = seq[position::-1]
     return seq, alpha
 
@@ -321,13 +321,22 @@ def _zero_at_index(n: int, position: int) -> int | None:
     return None if (n, position) == (5, 2) else (n - 1 - position % 2) // 2
 
 
+def _zero_at_write(
+    n: int, position: int, s: int, lo: int, hi: int, out: list[int]
+) -> list[int]:
+    """The alpha-labeling of P_n with 0 at an interior position, written
+    zero first through the map (s, lo, hi) into out[:n], which is
+    returned: `_zero_at_construct`'s one band step, or else its residue."""
+    return (_zero_at_construct(n, position, s, lo, hi, out)
+            or _zero_at_residue(n, position, s, lo, hi, out))
+
+
 def _zero_at_construct(
-    n: int, position: int, s: int = 1, lo: int = 0, hi: int = 0,
-    out: list[int] | None = None,
+    n: int, position: int, s: int, lo: int, hi: int, out: list[int]
 ) -> list[int] | None:
     """Closed-form alpha-labeling of P_n with 0 at an interior position,
-    written zero first into out[:n] (a new list when `out` is None) and
-    returned; None when neither arm has a feasible band.
+    written zero first into out[:n] and returned; None, with nothing
+    written, when neither arm has a feasible band.
 
     Each label x is written as s*x + lo when low (x <= alpha, the lows on
     position's parity) and s*x + hi when high, the map of `_alpha_low_end`,
@@ -344,8 +353,6 @@ def _zero_at_construct(
     """
     for q in (position, n - 1 - position):
         if 0 < q < n - 1 and _low_end_feasible(n - 1 - q, q // 2):
-            if out is None:
-                out = [0] * n
             zig, band = (1, q + 1) if q == position else (position + 1, 1)
             _zero_at_arms(n, q, s, lo, hi, out, zig, band)
             return out
@@ -371,12 +378,11 @@ def _zero_at_arms(
 
 
 def _zero_at_residue(
-    n: int, position: int, s: int = 1, lo: int = 0, hi: int = 0,
-    out: list[int] | None = None,
+    n: int, position: int, s: int, lo: int, hi: int, out: list[int]
 ) -> list[int]:
     """The alpha-labeling with 0 at `position` for the pairs that
     `_zero_at_construct` misses, written as it writes: zero first, through
-    the map (s, lo, hi), into out[:n] or a new list, which is returned. The
+    the map (s, lo, hi), into out[:n], which is returned. The
     pairs are the center of P_{4s+1}, and n = 6k+2 or 6k+3 with a shorter
     arm of 2k or 2k+1 vertices beyond zero.
 
@@ -391,8 +397,6 @@ def _zero_at_residue(
     label, starting the longer arm, which a band extends (P_9 is a
     literal).
     """
-    if out is None:
-        out = [0] * n
     if 2 * position == n - 1 and n % 4 == 1:
         # The P_6 block extends to P_{2s+2} only when its band is longer
         # than 2, that is for s > 3; s = 3 is a literal.

@@ -51,7 +51,7 @@ def low_end_digest(n: int) -> str:
             seq = None
         feed(seq)
     for p in range(n):
-        seq = _zero_at_construct(n, p)
+        seq = _zero_at_construct(n, p, 1, 0, 0, [0] * n)
         if seq is not None:
             seq[:p + 1] = seq[p::-1]
         feed(seq)

@@ -195,6 +195,11 @@ class TestProvidersCertify:
             "error": {"type": "internal", "message": message}}
 
 
+def _construct(n: int, p: int) -> list[int] | None:
+    """`_zero_at_construct(n, p)` through the identity map, into new slots."""
+    return paths._zero_at_construct(n, p, 1, 0, 0, [0] * n)
+
+
 def _construct_misses(n: int, p: int) -> bool:
     """Whether `_zero_at_construct(n, p)` has no decomposition: neither arm
     leaves a band whose endpoint label is feasible."""
@@ -224,7 +229,7 @@ class TestZeroAtResidue:
                 (2, (n - 2) // 3),
                 (3, (n - 3) // 3 + 1),
             ), (n, p)
-            assert paths._zero_at_construct(n, p) is None
+            assert _construct(n, p) is None
             al = alpha_path_zero_at(n, p)  # certified with its index
             assert al.labeling[p] == 0
             assert al.alpha == (n + 1 - p % 2) // 2 - 1
@@ -233,7 +238,7 @@ class TestZeroAtResidue:
         "n, p", [(10001, 5000), (9998, 3332), (9998, 6665), (9999, 3333), (9999, 6665)]
     )
     def test_large_pairs(self, n, p):
-        assert paths._zero_at_construct(n, p) is None
+        assert _construct(n, p) is None
         seq, alpha = paths._alpha_zero_seq(n, p)
         lab = Labeling.from_sequence(seq)
         assert seq[p] == 0 and is_graceful(path_tree(n), lab)
@@ -244,7 +249,7 @@ class TestZeroAtResidue:
         # The shorter arm, closed by `_zero_at_construct(q+2, q)` and a band.
         for n, q in ((6 * k + 2, 2 * k), (6 * k + 3, 2 * k + 1)):
             for p in (q, n - 1 - q):
-                assert paths._zero_at_construct(n, p) is None
+                assert _construct(n, p) is None
                 al = alpha_path_zero_at(n, p)  # certified with its index
                 assert al.labeling[p] == 0
 
@@ -259,7 +264,7 @@ class TestZeroAtResidue:
         with pytest.raises(ConstructionInvariantError,
                            match="^a band needs P_4 with endpoint label 2, which has no "):
             paths._extend_by_band(4, 1, 8, 1, 0, 0, out, 5)
-        assert paths._zero_at_residue(9, 3) == [0, 6, 2, 7, 8, 1, 4, 3, 5]
+        assert paths._zero_at_residue(9, 3, 1, 0, 0, [0] * 9) == [0, 6, 2, 7, 8, 1, 4, 3, 5]
         assert paths._alpha_zero_seq(9, 3)[0] == [7, 2, 6, 0, 8, 1, 4, 3, 5]
 
     def test_no_search_left(self):
@@ -383,7 +388,7 @@ class TestLowEndConstruction:
                 q = next(q for q in (p, n - 1 - p) if paths._low_end_feasible(n - 1 - q, q // 2))
                 j, r = q // 2, n - 1 - q
                 alpha = (n - 1 - p % 2) // 2
-                plain = paths._zero_at_construct(n, p)
+                plain = _construct(n, p)
                 assert plain[p::-1] + plain[p + 1:] == paths._alpha_zero_seq(n, p)[0], (n, p)
                 for s, lo, hi in ((1, 0, 3), (-1, alpha, alpha + n + 3)):
                     calls.clear()
@@ -402,7 +407,7 @@ class TestLowEndConstruction:
         for (n, p), bands in routes.items():
             steps.clear()
             out = _Slots(n)
-            assert paths._zero_at_residue(n, p, out=out) is out
+            assert paths._zero_at_residue(n, p, 1, 0, 0, out) is out
             assert sorted(out.written) == list(range(n)), (n, p)
             assert len(steps) == bands, (n, p)
             assert out[p::-1] + out[p + 1:] == paths._alpha_zero_seq(n, p)[0], (n, p)
